@@ -63,6 +63,7 @@ from .influence import (
 from .linalg import (
     cg_solve,
     cholesky_factor,
+    dare_residual,
     solve_dare,
     solve_dlyap,
     solve_spd,

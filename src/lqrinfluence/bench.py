@@ -131,8 +131,22 @@ _SPEC_FACTORIES = {
 }
 
 
+# array fields a config may override, with their shapes in terms of the spec's dimensions
+_ARRAY_FIELDS = {
+    "a_d": ("n_x", "n_x"),
+    "b_d": ("n_x", "n_u"),
+    "noise_cov": ("n_x", "n_x"),
+    "x0_std": ("n_x",),
+}
+
+
 def system_spec(kind: str, **overrides) -> SystemSpec:
-    """Build a benchmark spec by kind, with optional field overrides."""
+    """Build a benchmark spec by kind, with optional field overrides.
+
+    Overridden array fields (a_d, b_d, noise_cov, x0_std) are converted to
+    float arrays and must match the resulting n_x/n_u; fields not overridden
+    are left as the kind defines them.
+    """
     if kind not in _SPEC_FACTORIES:
         raise InvalidConfig(f"unknown system kind {kind!r}")
     spec = _SPEC_FACTORIES[kind]()
@@ -141,7 +155,20 @@ def system_spec(kind: str, **overrides) -> SystemSpec:
             spec = replace(spec, **overrides)
         except TypeError as exc:
             raise InvalidConfig(f"bad system override: {exc}") from exc
-    return spec
+    arrays = {}
+    for name, dims in _ARRAY_FIELDS.items():
+        if name not in overrides:
+            continue
+        shape = tuple(getattr(spec, dim) for dim in dims)
+        try:
+            arrays[name] = np.asarray(overrides[name], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(f"system.{name} is not a numeric array: {exc}") from exc
+        if arrays[name].shape != shape:
+            raise InvalidConfig(
+                f"system.{name} must have shape {shape}, got {arrays[name].shape}"
+            )
+    return replace(spec, **arrays)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
     lqr-influence run config.json --out results/ [--solver dense|cg]
                                                  [--no-exact] [--seeds 0,1,2]
 
-Exit codes: 0 success, 1 config error, 2 numerical failure,
+Exit codes: 0 success, 1 config error (a malformed config, dataset file or
+output directory), 2 numerical failure,
 3 success with some trajectories excluded (their refit had no stabilizing
 controller; they are listed in the report and flagged in the score CSVs).
 """
@@ -71,6 +72,9 @@ def main(argv=None) -> int:
     try:
         report = run_experiment(cfg, progress=lambda msg: print(msg, file=sys.stderr))
         written = write_outputs(report, args.out)
+    except (InvalidConfig, OSError) as exc:  # a bad dataset file or output directory
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except LqrInfluenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -25,7 +25,7 @@ class NoConvergence(LqrInfluenceError):
 
 
 class NoStabilizingSolution(LqrInfluenceError):
-    """The Riccati iteration failed to produce a stabilizing solution."""
+    """The Riccati solver found no stabilizing solution with a certified residual."""
 
 
 class UnstableClosedLoop(LqrInfluenceError):
@@ -45,4 +45,4 @@ class DegenerateInput(LqrInfluenceError, ValueError):
 
 
 class InvalidConfig(LqrInfluenceError, ValueError):
-    """An experiment configuration is malformed or inconsistent."""
+    """An experiment configuration, or a dataset file it names, is malformed or inconsistent."""

@@ -1,10 +1,11 @@
 """Dense linear-algebra kernels: SPD factorization, CG, DARE and discrete Lyapunov solvers.
 
 Everything here operates on small dense matrices (state dimensions of a few,
-parameter dimensions of a few dozen), so simple algorithms are preferred over
-structure-preserving ones: textbook Cholesky with a pivot guard, plain
-conjugate gradients, the Riccati fixed-point iteration, and a Kronecker
-vectorization solve for the Lyapunov equation.
+parameter dimensions of a few dozen), so simple algorithms are preferred:
+textbook Cholesky with a pivot guard, plain conjugate gradients, and a
+Kronecker vectorization solve for the Lyapunov equation.  The Riccati
+equation is solved by structure-preserving doubling, which converges
+quadratically, and every solution it returns is certified by its residual.
 """
 from __future__ import annotations
 
@@ -26,6 +27,14 @@ from .errors import (
 _PIVOT_RTOL = 1e-14
 # relative asymmetry tolerated in matrices required to be symmetric
 _SYM_RTOL = 1e-10
+# relative DARE residual above which a Riccati solution is rejected
+_DARE_RESIDUAL_MAX = 1e-10
+# doubling k covers 2^k Riccati steps; 2^64 steps converge for any spectral radius
+# below one that double precision can represent
+_DOUBLING_MAX = 64
+# iterate entries past this mean divergence; below it, every product formed in
+# one doubling step stays under 1e250, far from overflow
+_DOUBLING_BOUND = 1e50
 
 
 @dataclass(frozen=True)
@@ -155,25 +164,54 @@ def cg_solve(
     return x
 
 
-def _dare_step(A, B, Q, R, P):
+def _max_abs(mat: np.ndarray) -> float:
+    # the max-entry norm squares nothing, so it cannot overflow where a Frobenius norm would
+    return float(np.abs(mat).max(initial=0.0))
+
+
+def dare_residual(A, B, Q, R, P) -> float:
+    """Relative DARE residual ||Q + A'PA - A'PB (R + B'PB)^-1 B'PA - P||_F / ||P||_F."""
     apb = A.T @ P @ B
-    gain = np.linalg.solve(R + B.T @ P @ B, apb.T)
-    return symmetrize(Q + A.T @ P @ A - apb @ gain)
+    resid = Q + A.T @ P @ A - apb @ np.linalg.solve(R + B.T @ P @ B, apb.T) - P
+    return float(np.linalg.norm(resid) / max(np.linalg.norm(P), np.finfo(float).tiny))
 
 
-def solve_dare(
-    A: np.ndarray,
-    B: np.ndarray,
-    Q: np.ndarray,
-    R: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
-) -> np.ndarray:
+def _doubling(A: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Structure-preserving doubling for P = H + A'P (I + G P)^-1 A.
+
+    H_k equals the fixed-point iterate P_(2^k) started from P_0 = 0, so it
+    converges quadratically (Lin & Xu 2006); it stops once a doubling moves H
+    by less than round-off.  Raises NoStabilizingSolution when an iterate
+    entry grows past _DOUBLING_BOUND, before any product can overflow, or
+    when _DOUBLING_MAX doublings do not converge.
+    """
+    n = A.shape[0]
+    eye = np.eye(n)
+    for k in range(_DOUBLING_MAX):
+        # W^-1 [A, G] with W = I + G H; eigenvalues of W are >= 1 since G, H are PSD
+        X = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+        step = symmetrize(A.T @ H @ X[:, :n])
+        G = symmetrize(G + A @ X[:, n:] @ A.T)
+        A = A @ X[:, :n]
+        H = H + step
+        size = max(_max_abs(A), _max_abs(G), _max_abs(H))
+        if not size <= _DOUBLING_BOUND:
+            raise NoStabilizingSolution(
+                f"riccati doubling diverged: iterate entries reached {size:.3e} "
+                f"after {k + 1} doublings"
+            )
+        if _max_abs(step) <= np.finfo(float).eps * _max_abs(H):
+            return H
+    raise NoStabilizingSolution(f"riccati doubling did not converge in {_DOUBLING_MAX} doublings")
+
+
+def solve_dare(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Stabilizing solution of P = Q + A'PA - A'PB (R + B'PB)^-1 B'PA.
 
-    Fixed-point iteration from P = Q, symmetrizing every iterate; converged
-    when the relative Frobenius step drops to tol. Raises NoStabilizingSolution
-    when the iteration stalls or the implied closed loop is not stable.
+    Structure-preserving doubling on G = B R^-1 B'.  The returned P carries a
+    certificate: its relative residual (dare_residual) is at most
+    _DARE_RESIDUAL_MAX and its closed loop A - B K is stable; otherwise, or
+    when the doubling diverges, NoStabilizingSolution is raised.
     """
     A = _check_square(A, "A")
     n = A.shape[0]
@@ -184,24 +222,17 @@ def solve_dare(
     R = _check_symmetric(R, "R")
     if Q.shape[0] != n or R.shape[0] != B.shape[1]:
         raise DimensionMismatch("Q/R dimensions do not match A/B")
-    cholesky_factor(R)  # R must be positive definite
+    L_inv_bt = sla.solve_triangular(cholesky_factor(R).L, B.T, lower=True)
+    P = _doubling(A, L_inv_bt.T @ L_inv_bt, symmetrize(Q))
 
-    P = symmetrize(Q.copy())
-    converged = False
-    for _ in range(max_iter):
-        P_new = _dare_step(A, B, Q, R, P)
-        step = np.linalg.norm(P_new - P)
-        P = P_new
-        if step <= tol * max(np.linalg.norm(P), np.finfo(float).tiny):
-            converged = True
-            break
-    if not converged:
+    resid = dare_residual(A, B, Q, R, P)
+    if resid > _DARE_RESIDUAL_MAX:
         raise NoStabilizingSolution(
-            f"riccati iteration did not converge in {max_iter} iterations"
+            f"riccati residual {resid:.3e} above certificate bound {_DARE_RESIDUAL_MAX:.0e}"
         )
     gain = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
     if spectral_radius(A - B @ gain) >= 1.0:
-        raise NoStabilizingSolution("closed loop from the Riccati fixed point is not stable")
+        raise NoStabilizingSolution("closed loop from the Riccati solution is not stable")
     return P
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DominantTrajectory, SingleTrajectory
+from .errors import DimensionMismatch, DominantTrajectory, InvalidConfig, SingleTrajectory
 from .linalg import LinearOperator, SpdFactor, cg_solve, cholesky_factor, solve_spd, symmetrize
 
 
@@ -139,23 +139,45 @@ def save_dataset(data: TrajectoryDataset, path) -> None:
 
 
 def load_dataset(path) -> TrajectoryDataset:
-    """Read a dataset written by save_dataset, validating dimensions."""
+    """Read a dataset written by save_dataset.
+
+    A file that is not JSON, lacks n_x/n_u/trajectories, holds no trajectory,
+    an empty one or a non-finite entry, or has entries whose sizes disagree
+    with the declared n_x/n_u raises InvalidConfig: it is input to fix, not a
+    numerical failure.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"dataset {path} is not valid JSON: {exc}") from exc
     try:
         n_x, n_u = int(doc["n_x"]), int(doc["n_u"])
-        trajs = doc["trajectories"]
-    except (KeyError, TypeError) as exc:
-        raise DimensionMismatch(f"malformed dataset file: {exc}") from exc
+        trajs = list(doc["trajectories"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfig(f"malformed dataset file {path}: missing or bad {exc}") from exc
+    if not trajs:
+        raise InvalidConfig(f"dataset {path} has no trajectories")
     triples = []
-    for traj in trajs:
-        X = np.array([t["x"] for t in traj], dtype=float)
-        U = np.array([t["u"] for t in traj], dtype=float)
-        Xn = np.array([t["x_next"] for t in traj], dtype=float)
-        if X.shape[1] != n_x or Xn.shape[1] != n_x or U.shape[1] != n_u:
-            raise DimensionMismatch("transition entries disagree with declared n_x/n_u")
+    for k, traj in enumerate(trajs):
+        try:
+            X = np.array([t["x"] for t in traj], dtype=float)
+            U = np.array([t["u"] for t in traj], dtype=float)
+            Xn = np.array([t["x_next"] for t in traj], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidConfig(f"trajectory {k} in {path} is malformed: {exc}") from exc
+        T = len(traj)
+        if T == 0:
+            raise InvalidConfig(f"trajectory {k} in {path} has no transitions")
+        if X.shape != (T, n_x) or Xn.shape != (T, n_x) or U.shape != (T, n_u):
+            raise InvalidConfig(
+                f"trajectory {k} in {path} disagrees with declared n_x={n_x}, n_u={n_u}"
+            )
         triples.append((X, U, Xn))
-    return TrajectoryDataset.from_arrays(triples, n_x=n_x, n_u=n_u)
+    try:
+        return TrajectoryDataset.from_arrays(triples, n_x=n_x, n_u=n_u)
+    except ValueError as exc:  # non-finite entries
+        raise InvalidConfig(f"dataset {path}: {exc}") from exc
 
 
 def theta_to_ab(theta: np.ndarray, n_x: int, n_u: int):

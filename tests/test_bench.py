@@ -41,6 +41,27 @@ def test_spec_dispatch_rejects_unknown():
 def test_spec_overrides_apply():
     spec = system_spec("uav_hover", gust_std=0.7)
     assert spec.gust_std == 0.7 and spec.kind == "uav_hover"
+    spec = system_spec("dc_motor", a_d=[[0.5, 0.0], [0.0, 0.5]], x0_std=[1.0, 2.0])
+    assert isinstance(spec.a_d, np.ndarray) and np.array_equal(spec.a_d, 0.5 * np.eye(2))
+    assert np.array_equal(spec.x0_std, [1.0, 2.0])
+    # only supplied arrays are checked: dimensions alone may change (external datasets)
+    assert system_spec("dc_motor", n_x=20, n_u=5).n_x == 20
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"a_d": np.eye(3).tolist()},
+        {"b_d": [[1.0, 0.0], [0.0, 1.0]]},
+        {"noise_cov": [[1.0]]},
+        {"x0_std": [1.0, 1.0, 1.0]},
+        {"a_d": [[1.0, 0.0], [0.0]]},
+        {"n_x": 3, "a_d": np.eye(2).tolist()},
+    ],
+)
+def test_spec_array_overrides_must_match_dimensions(overrides):
+    with pytest.raises(InvalidConfig):
+        system_spec("dc_motor", **overrides)
 
 
 def test_generation_config_validation():

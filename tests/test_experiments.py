@@ -274,6 +274,35 @@ def test_cli_overrides_apply(tmp_path):
     assert (out_dir / "scores_seed5.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "dataset",
+    [
+        {"n_x": 1, "n_u": 1, "trajectories": []},
+        {"n_x": 1, "n_u": 1, "trajectories": [[]]},
+        {"n_x": 1, "n_u": 1},
+        {"n_x": 1, "n_u": 1, "trajectories": [[{"x": [np.nan], "u": [0.0], "x_next": [0.0]}]]},
+        None,
+    ],
+    ids=["no_trajectories", "empty_trajectory", "missing_trajectories", "non_finite",
+         "missing_file"],
+)
+def test_cli_malformed_dataset_is_config_error(tmp_path, capsys, dataset):
+    ds_path = tmp_path / "data.json"
+    if dataset is not None:
+        ds_path.write_text(json.dumps(dataset))
+    cfg_path = write_cli_config(
+        tmp_path, system={"kind": "dc_motor", "n_x": 1, "n_u": 1}, dataset=str(ds_path)
+    )
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_wrong_shape_system_matrix_is_config_error(tmp_path, capsys):
+    cfg_path = write_cli_config(tmp_path, system={"kind": "dc_motor", "a_d": np.eye(3).tolist()})
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert "a_d" in capsys.readouterr().err
+
+
 def explosive_trajectory(a, x0, inputs):
     X, U, Xn = [], [], []
     x = x0

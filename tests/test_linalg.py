@@ -11,10 +11,12 @@ from lqrinfluence.errors import (
     NotPositiveDefinite,
     UnstableClosedLoop,
 )
+from lqrinfluence import linalg
 from lqrinfluence.linalg import (
     LinearOperator,
     cg_solve,
     cholesky_factor,
+    dare_residual,
     solve_dare,
     solve_dlyap,
     solve_spd,
@@ -132,13 +134,50 @@ def test_dare_matches_scipy_on_random_systems():
         r = random_spd(rng, m, scale=0.5)
         p = solve_dare(a, b, q, r)
         p_ref = sla.solve_discrete_are(a, b, q, r)
-        assert np.allclose(p, p_ref, atol=1e-8 * (1 + np.linalg.norm(p_ref)))
+        assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
+
+
+def test_dare_open_loop_unstable_stabilizable_systems():
+    # rho(A) up to 1.5 with a full-rank B: stabilizable, so a stabilizing P exists
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, n + 1))
+        a = random_stable(rng, n, radius=rng.uniform(1.0, 1.5))
+        b = rng.normal(size=(n, m))
+        q = random_spd(rng, n, scale=0.1)
+        r = random_spd(rng, m, scale=0.5)
+        p = solve_dare(a, b, q, r)
+        p_ref = sla.solve_discrete_are(a, b, q, r)
+        # scipy's own error grows with cond(P); the residual is the sharper check
+        assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+        assert dare_residual(a, b, q, r, p) <= linalg._DARE_RESIDUAL_MAX
+        gain = np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
+        assert spectral_radius(a - b @ gain) < 1.0
+
+
+def test_dare_certificate_rejects_inaccurate_solution(monkeypatch):
+    # a doubling that stopped early: P off by 1e-6 relative still has a stable
+    # closed loop, so only the residual certificate can reject it
+    a, b, q, r = 0.5 * np.eye(2), np.eye(2), np.eye(2), np.eye(2)
+    p = solve_dare(a, b, q, r)
+    assert dare_residual(a, b, q, r, p) <= 1e-15
+    doubling = linalg._doubling
+    monkeypatch.setattr(linalg, "_doubling", lambda *args: doubling(*args) * (1 + 1e-6))
+    with pytest.raises(NoStabilizingSolution, match="residual"):
+        solve_dare(a, b, q, r)
 
 
 def test_dare_unstabilizable_raises():
-    # unstable mode with no control authority
-    with pytest.raises(NoStabilizingSolution):
+    # unstable mode with no control authority: the doubling diverges
+    with pytest.raises(NoStabilizingSolution, match="diverged"):
         solve_dare(np.array([[2.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
+
+
+def test_dare_marginal_mode_without_control_raises():
+    # a unit-circle mode no input reaches: no doubling count converges
+    with pytest.raises(NoStabilizingSolution):
+        solve_dare(np.eye(1), np.array([[0.0]]), np.eye(1), np.eye(1))
 
 
 def test_dare_rejects_semidefinite_r():
