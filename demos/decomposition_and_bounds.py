@@ -31,9 +31,9 @@ Q, R = np.eye(2), np.eye(1)
 art = riccati_artifacts(fit, Q, R, fit.W_hat)
 
 k = int(np.argmax(fit.lengths))    # longest trajectory, largest leverage
-rec = loto_record(data, 1e-3, Q, R, k)
-diag = decomposition_diagnostics(data, 1e-3, Q, R, k)
-dj = exact_loto_cost_shift(data, 1e-3, Q, R, k)
+rec = loto_record(fit, Q, R, k)
+diag = decomposition_diagnostics(fit, Q, R, k)
+dj = exact_loto_cost_shift(fit, Q, R, k)
 
 first_order = (art.zeta - art.h) @ (rec.theta - fit.theta)
 direct = direct_trace_term(fit, art)[k]

@@ -37,7 +37,7 @@ for kind, gen in GEN.items():
         data = generate_dataset(spec, dataclasses.replace(gen, seed=seed))
         fit = fit_ridge(data, 1e-3)
         heldout = generate_heldout(spec, seed, size=10_000)
-        if_pred, delta_l = heldout_prediction_scores(fit, heldout, data, 1e-3)
+        if_pred, delta_l = heldout_prediction_scores(fit, heldout)
         rhos.append(spearman(if_pred, delta_l))
     print(f"  {kind:12s}: Spearman(if_pred, exact dL) = {np.mean(rhos):.3f}")
 

@@ -28,7 +28,7 @@ art = riccati_artifacts(fit, Q, R, fit.W_hat)
 # level 1: the model-side surrogate vs the exact refit parameter shift
 rels = []
 for k in range(fit.N):
-    delta_theta = loto_refit(data, 1e-3, k)[0] - fit.theta
+    delta_theta = loto_refit(fit, k)[0] - fit.theta
     if_m = model_influence(fit, k)
     rels.append(np.linalg.norm(if_m - delta_theta) / np.linalg.norm(delta_theta))
 print("||IF_m - exact delta_theta|| / ||delta_theta|| over 50 removals: "

@@ -82,7 +82,6 @@ from .lqr import (
 from .sysid import (
     ModelFit,
     TrajectoryDataset,
-    Transition,
     build_regressor,
     eta,
     fit_ridge,

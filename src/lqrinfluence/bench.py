@@ -393,30 +393,33 @@ def prediction_loss(theta: np.ndarray, data: TrajectoryDataset) -> float:
     return float(0.5 * np.sum(E * E) / data.M)
 
 
-def heldout_prediction_scores(fit: ModelFit, heldout: TrajectoryDataset,
-                              data: TrajectoryDataset, lam: float):
+def heldout_prediction_scores(fit: ModelFit, heldout: TrajectoryDataset):
     """Predicted vs exact held-out loss shifts for every trajectory removal.
 
     if_pred_k = grad L_pred(theta_hat)^T IF_m_k; delta_l_exact_k refits without
-    trajectory k and re-evaluates the held-out loss.
+    trajectory k. The held-out loss is quadratic in theta, so with
+    D = Theta_k - Theta and S_ho the held-out Gram its exact shift is
+    grad^T d + (1/2) sum D o (S_ho D), read off one pass over the held-out rows.
     """
     from .sysid import loto_refit
 
-    if heldout.n_x != data.n_x or heldout.n_u != data.n_u:
+    if heldout.n_x != fit.n_x or heldout.n_u != fit.n_u:
         raise InvalidConfig("held-out dimensions disagree with the training data")
+    Z_ho = heldout.Z
     Theta = fit.theta.reshape(fit.q, fit.n_x)
-    E_ho = heldout.next_states - heldout.Z @ Theta
-    grad = -(heldout.Z.T @ E_ho).ravel() / heldout.M
+    E_ho = heldout.next_states - Z_ho @ Theta
+    grad = -(Z_ho.T @ E_ho).ravel() / heldout.M
+    S_ho = Z_ho.T @ Z_ho / heldout.M
 
     N = fit.N
     if_pred = np.empty(N)
     delta_l = np.empty(N)
-    base = prediction_loss(fit.theta, heldout)
     for k in range(N):
         if_m = solve_spd(fit.hessian_factor, eta(fit, k))
         if_pred[k] = grad @ if_m
-        theta_k, _ = loto_refit(data, lam, k)
-        delta_l[k] = prediction_loss(theta_k, heldout) - base
+        theta_k, _ = loto_refit(fit, k)
+        D = (theta_k - fit.theta).reshape(fit.q, fit.n_x)
+        delta_l[k] = grad @ D.ravel() + 0.5 * np.sum(D * (S_ho @ D))
     return if_pred, delta_l
 
 

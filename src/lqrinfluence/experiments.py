@@ -223,6 +223,11 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
     Q, R = cfg.cost_matrices()
     report = ExperimentReport(config_echo=_config_echo(cfg))
     external = load_dataset(cfg.dataset_path) if cfg.dataset_path else None
+    if external is not None and (external.n_x, external.n_u) != (cfg.system.n_x, cfg.system.n_u):
+        raise InvalidConfig(
+            f"dataset {cfg.dataset_path} has n_x={external.n_x}, n_u={external.n_u}; "
+            f"the config's system has n_x={cfg.system.n_x}, n_u={cfg.system.n_u}"
+        )
     seeds = cfg.seeds[:1] if external is not None else cfg.seeds
 
     for seed in seeds:
@@ -281,7 +286,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
 
         if cfg.run_heldout:
             heldout = generate_heldout(cfg.system, seed, cfg.heldout_size)
-            if_pred, delta_l = heldout_prediction_scores(fit, heldout, data, cfg.lam)
+            if_pred, delta_l = heldout_prediction_scores(fit, heldout)
             entry["spearman_pred"] = _finite_or_none(spearman(if_pred, delta_l))
 
         report.per_seed.append(entry)

@@ -6,6 +6,10 @@ Three quantities per trajectory k:
 * stochastic score        (zeta - h)^T IF_m_k + (T_k/M_k) Tr(P0 (W_hat - W_bar_k)),
 * exact shift             dJ_k = Tr(P(theta_k) W_k) - Tr(P0 W_hat)  by refitting.
 
+Every exact quantity takes the base ModelFit and removes trajectory k through
+sysid.loto_refit, which solves the retained normal equations from the fit's
+per-trajectory statistics; nothing here refits from the raw data.
+
 The amortized forms never materialize IF_m_k: with v = H^-1 rhs precomputed,
 each score is (M/M_k) g_k^T v + (T_k/M_k) lam theta^T v plus the direct
 covariance trace. The exact shift decomposes as
@@ -28,11 +32,10 @@ from .linalg import solve_dare
 from .lqr import RiccatiArtifacts, riccati_artifacts
 from .sysid import (
     ModelFit,
-    TrajectoryDataset,
     covariance_direct_term,
-    fit_ridge,
     loto_refit,
     model_influence,
+    theta_to_ab,
 )
 
 SCORE_CSV_HEADER = [
@@ -68,9 +71,9 @@ def fixed_score(fit: ModelFit, art: RiccatiArtifacts, k: int) -> float:
 def stochastic_score(fit: ModelFit, art: RiccatiArtifacts, k: int) -> float:
     """Influence on the full plug-in cost, covariance channel included."""
     scale, frac = _removal_weights(fit)
-    direct = direct_trace_term(fit, art)
+    direct = np.trace(art.P0 @ covariance_direct_term(fit, k))
     return float(
-        scale[k] * (fit.g[k] @ art.v_stoch) + frac[k] * art.c_stoch + direct[k]
+        scale[k] * (fit.g[k] @ art.v_stoch) + frac[k] * art.c_stoch + direct
     )
 
 
@@ -92,11 +95,9 @@ class LotoRecord:
     P: np.ndarray | None   # None when the refit DARE has no stabilizing solution
 
 
-def loto_record(data: TrajectoryDataset, lam: float, Q, R, k: int) -> LotoRecord:
-    from .sysid import theta_to_ab
-
-    theta_k, W_k = loto_refit(data, lam, k)
-    A_k, B_k = theta_to_ab(theta_k, data.n_x, data.n_u)
+def loto_record(fit: ModelFit, Q, R, k: int) -> LotoRecord:
+    theta_k, W_k = loto_refit(fit, k)
+    A_k, B_k = theta_to_ab(theta_k, fit.n_x, fit.n_u)
     try:
         P_k = solve_dare(A_k, B_k, Q, R)
     except NoStabilizingSolution:
@@ -105,14 +106,13 @@ def loto_record(data: TrajectoryDataset, lam: float, Q, R, k: int) -> LotoRecord
 
 
 def exact_loto_sweep(fit: ModelFit, Q, R) -> list[LotoRecord]:
-    return [loto_record(fit.data, fit.lam, Q, R, k) for k in range(fit.N)]
+    return [loto_record(fit, Q, R, k) for k in range(fit.N)]
 
 
-def exact_loto_cost_shift(data: TrajectoryDataset, lam: float, Q, R, k: int) -> float:
+def exact_loto_cost_shift(fit: ModelFit, Q, R, k: int) -> float:
     """dJ_k by exact refit: Tr(P(theta_k) W_k) - Tr(P0 W_hat)."""
-    fit = fit_ridge(data, lam)
     P0 = solve_dare(fit.A, fit.B, Q, R)
-    rec = loto_record(data, lam, Q, R, k)
+    rec = loto_record(fit, Q, R, k)
     if rec.P is None:
         raise NoStabilizingSolution(f"refit without trajectory {k} is not stabilizable")
     return float(np.trace(rec.P @ rec.W) - np.trace(P0 @ fit.W_hat))
@@ -190,8 +190,7 @@ def diagnostics_from_record(
 
 
 def decomposition_diagnostics(
-    data: TrajectoryDataset,
-    lam: float,
+    fit: ModelFit,
     Q,
     R,
     k: int,
@@ -199,9 +198,8 @@ def decomposition_diagnostics(
     L_P: float | None = None,
 ) -> DecompositionDiagnostics:
     """Exact refit for trajectory k plus all decomposition remainders and bounds."""
-    fit = fit_ridge(data, lam)
     art = riccati_artifacts(fit, Q, R, fit.W_hat)
-    rec = loto_record(data, lam, Q, R, k)
+    rec = loto_record(fit, Q, R, k)
     return diagnostics_from_record(fit, art, k, rec, L_psi=L_psi, L_P=L_P)
 
 

@@ -5,6 +5,8 @@ regressor is Phi_s = z_s^T kron I_nx with z_s = (x_s; u_s), so the ridge
 objective (1/2M) sum ||x_s+ - Phi_s theta||^2 + (lam/2) ||theta||^2 reduces to
 normal equations on the (n_x + n_u)-dimensional Gram matrix of the z_s. The
 full Hessian is (G + lam I) kron I_nx; it is never assembled per transition.
+The fit keeps every trajectory's Gram Z_k^T Z_k next to its gradient, so each
+exact leave-one-trajectory-out refit (loto_refit) is one q x q solve.
 """
 from __future__ import annotations
 
@@ -15,15 +17,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, DominantTrajectory, InvalidConfig, SingleTrajectory
 from .linalg import LinearOperator, SpdFactor, cg_solve, cholesky_factor, solve_spd, symmetrize
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One recorded step (x, u, x_next)."""
-
-    x: np.ndarray
-    u: np.ndarray
-    x_next: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,17 +69,6 @@ class TrajectoryDataset:
             next_states=np.vstack(xn),
             offsets=offsets,
         )
-
-    @classmethod
-    def from_transitions(cls, trajectories):
-        """Build from a sequence of trajectories, each a sequence of Transition."""
-        triples = []
-        for traj in trajectories:
-            X = np.array([t.x for t in traj], dtype=float)
-            U = np.array([t.u for t in traj], dtype=float)
-            Xn = np.array([t.x_next for t in traj], dtype=float)
-            triples.append((X, U, Xn))
-        return cls.from_arrays(triples)
 
     @property
     def M(self) -> int:
@@ -203,8 +185,8 @@ class ModelFit:
     """Ridge fit with the cached pieces every influence quantity reads.
 
     Immutable after construction; per-trajectory gradients g, residual
-    covariances, and the Hessian factor are computed once here so scoring a
-    trajectory is a handful of dot products.
+    covariances and Grams, and the Hessian factor are computed once here so
+    scoring a trajectory is a handful of dot products.
     """
 
     data: TrajectoryDataset
@@ -217,6 +199,7 @@ class ModelFit:
     W_hat: np.ndarray          # (n_x, n_x)
     per_traj_cov: np.ndarray   # (N, n_x, n_x), rows W_bar_k
     g: np.ndarray              # (N, p), per-trajectory loss gradients
+    traj_gram: np.ndarray      # (N, q, q), rows Z_k^T Z_k
 
     @property
     def n_x(self) -> int:
@@ -289,6 +272,7 @@ def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
     N = data.N
     per_traj_cov = np.empty((N, n_x, n_x))
     g = np.empty((N, q * n_x))
+    traj_gram = np.empty((N, q, q))
     cov_sum = np.zeros((n_x, n_x))
     for k in range(N):
         sl = data.traj_slice(k)
@@ -297,6 +281,7 @@ def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
         cov_sum += Ck
         per_traj_cov[k] = Ck / data.lengths[k]
         g[k] = -(Zk.T @ Ek).ravel() / M
+        traj_gram[k] = Zk.T @ Zk
     W_hat = cov_sum / M
 
     return ModelFit(
@@ -310,6 +295,7 @@ def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
         W_hat=W_hat,
         per_traj_cov=per_traj_cov,
         g=g,
+        traj_gram=traj_gram,
     )
 
 
@@ -349,27 +335,31 @@ def model_influence(fit: ModelFit, k: int, solver: str = "dense",
     raise ValueError(f"unknown solver {solver!r}")
 
 
-def loto_refit(data: TrajectoryDataset, lam: float, k: int):
+def loto_refit(fit: ModelFit, k: int):
     """Exact refit with trajectory k removed, loss renormalized by 1/(M - T_k).
 
     The ridge penalty keeps weight lam. Returns (theta, W): the refit
     parameters and the covariance of the refit residuals over the retained
-    transitions.
+    transitions. The normal equations sum the statistics over j != k, never
+    total minus own, so exact zeros in the retained data (say, inputs) stay
+    exact in theta; their right side sum Z_j^T Y_j is sum Z_j^T E_j + S Theta.
+    The retained residuals are E_j - Z_j D, D = Theta_k - Theta, so W comes
+    from the base residual statistics, free of Y^T Y cancellation.
     """
-    if data.N < 2:
+    if fit.N < 2:
         raise SingleTrajectory("need at least two trajectories to remove one")
-    sl = data.traj_slice(k)
-    keep = np.ones(data.M, dtype=bool)
-    keep[sl] = False
-    Z = data.Z[keep]
-    Y = data.next_states[keep]
-    M_rem = Z.shape[0]
-    q = data.n_x + data.n_u
+    sl = fit.data.traj_slice(k)
+    M_rem = fit.M - (sl.stop - sl.start)
+    keep = np.arange(fit.N) != k
+    S = fit.traj_gram[keep].sum(axis=0)
+    ZE = -fit.M * fit.g[keep].sum(axis=0).reshape(fit.q, fit.n_x)   # sum of Z_j^T E_j
+    Theta0 = fit.theta.reshape(fit.q, fit.n_x)
 
-    gram = symmetrize(Z.T @ Z / M_rem) + lam * np.eye(q)
-    Theta = solve_spd(cholesky_factor(gram), Z.T @ Y / M_rem)
-    E = Y - Z @ Theta
-    W = symmetrize(E.T @ E) / M_rem
+    gram = symmetrize(S / M_rem) + fit.lam * np.eye(fit.q)
+    Theta = solve_spd(cholesky_factor(gram), (ZE + S @ Theta0) / M_rem)
+    D = Theta - Theta0
+    EE = np.einsum("j,jab->ab", fit.lengths[keep], fit.per_traj_cov[keep])
+    W = symmetrize(EE - ZE.T @ D - D.T @ ZE + D.T @ S @ D) / M_rem
     return Theta.ravel(), W
 
 

@@ -199,7 +199,7 @@ def test_criterion_02_exact_identity_suite():
                 )
 
                 # five-term bookkeeping of the exact cost shift
-                rec = loto_record(fit.data, fit.lam, Q, R, k)
+                rec = loto_record(fit, Q, R, k)
                 dj = plug_in_cost(rec.P, rec.W) - base_cost
                 diag = diagnostics_from_record(fit, art, k, rec)
                 total = (
@@ -252,7 +252,7 @@ def test_criterion_03_remainder_bound_suite():
             P_norm = np.linalg.norm(art.P0, 2)
             L_phi = np.linalg.norm(fit.data.Z, axis=1).max()
             for k in range(fit.N):
-                rec = loto_record(fit.data, fit.lam, Q, R, k)
+                rec = loto_record(fit, Q, R, k)
                 diag = diagnostics_from_record(fit, art, k, rec)
                 dtheta = rec.theta - fit.theta
                 D = fit.data.Z @ dtheta.reshape(fit.q, fit.n_x)

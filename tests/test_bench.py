@@ -19,7 +19,7 @@ from lqrinfluence.bench import (
     uav_mission_spec,
 )
 from lqrinfluence.errors import InvalidConfig
-from lqrinfluence.sysid import TrajectoryDataset, fit_ridge
+from lqrinfluence.sysid import TrajectoryDataset, fit_ridge, loto_refit
 
 QUICK = GenerationConfig(n_trajectories=12, t_min=8, t_max=20, seed=0)
 
@@ -206,7 +206,7 @@ def test_heldout_scores_vanish_on_duplicated_data():
     data = TrajectoryDataset.from_arrays([traj] * 5)
     fit = fit_ridge(data, 1e-3)
     heldout = TrajectoryDataset.from_arrays([traj])
-    if_pred, delta_l = heldout_prediction_scores(fit, heldout, data, 1e-3)
+    if_pred, delta_l = heldout_prediction_scores(fit, heldout)
     assert np.allclose(if_pred, 0.0, atol=1e-12)
     assert np.allclose(delta_l, 0.0, atol=1e-12)
 
@@ -216,8 +216,14 @@ def test_heldout_scores_track_exact_shifts():
     data = generate_dataset(spec, GenerationConfig(20, 8, 25, seed=1))
     fit = fit_ridge(data, 1e-3)
     heldout = generate_heldout(spec, seed=1, size=2000)
-    if_pred, delta_l = heldout_prediction_scores(fit, heldout, data, 1e-3)
+    if_pred, delta_l = heldout_prediction_scores(fit, heldout)
     assert if_pred.shape == delta_l.shape == (20,)
+    # the closed-form quadratic shift is the re-evaluated held-out loss
+    # difference; that difference of two O(L) sums carries round-off near
+    # eps * L, so agreement is relative to the largest shift
+    base = prediction_loss(fit.theta, heldout)
+    direct = [prediction_loss(loto_refit(fit, k)[0], heldout) - base for k in range(fit.N)]
+    assert np.abs(delta_l - direct).max() <= 1e-12 * np.abs(direct).max()
     # linear surrogate of a realizable system: high rank agreement
     from lqrinfluence.experiments import spearman
 
@@ -230,7 +236,7 @@ def test_heldout_dimension_mismatch():
     fit = fit_ridge(data, 1e-3)
     wrong = generate_heldout(msd_spec(), seed=0, size=100)
     with pytest.raises(InvalidConfig):
-        heldout_prediction_scores(fit, wrong, data, 1e-3)
+        heldout_prediction_scores(fit, wrong)
 
 
 def test_true_parameter_error_decreases_with_data():

@@ -303,6 +303,17 @@ def test_cli_wrong_shape_system_matrix_is_config_error(tmp_path, capsys):
     assert "a_d" in capsys.readouterr().err
 
 
+def test_cli_dataset_dimension_mismatch_is_config_error(tmp_path, capsys):
+    # a 1-state dataset under the 2-state dc_motor system
+    traj = (np.ones((3, 1)), np.ones((3, 1)), np.ones((3, 1)))
+    ds_path = tmp_path / "data.json"
+    save_dataset(TrajectoryDataset.from_arrays([traj, traj]), ds_path)
+    cfg_path = write_cli_config(tmp_path, dataset=str(ds_path))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "n_x=1" in err
+
+
 def explosive_trajectory(a, x0, inputs):
     X, U, Xn = [], [], []
     x = x0

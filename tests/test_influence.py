@@ -115,7 +115,7 @@ def test_duplicated_trajectory_has_zero_exact_shift():
     B = np.array([[0.0], [1.0]])
     traj = simulate(rng, A, B, 12, 0.1)
     data = TrajectoryDataset.from_arrays([traj] * 6)
-    dj = exact_loto_cost_shift(data, 1e-3, np.eye(2), np.eye(1), 0)
+    dj = exact_loto_cost_shift(fit_ridge(data, 1e-3), np.eye(2), np.eye(1), 0)
     assert abs(dj) <= 1e-9
 
 
@@ -131,7 +131,7 @@ def test_exact_shift_two_trajectory_hand_case():
     expected = np.trace(solve_dare(sub.A, sub.B, Q, R) @ sub.W_hat) - np.trace(
         solve_dare(full.A, full.B, Q, R) @ full.W_hat
     )
-    assert exact_loto_cost_shift(data, lam, Q, R, 0) == pytest.approx(
+    assert exact_loto_cost_shift(full, Q, R, 0) == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -139,9 +139,9 @@ def test_exact_shift_two_trajectory_hand_case():
 def test_five_term_identity():
     fit, art, Q, R = make_problem(seed=7)
     for k in range(fit.N):
-        rec = loto_record(fit.data, fit.lam, Q, R, k)
-        diag = decomposition_diagnostics(fit.data, fit.lam, Q, R, k)
-        dj = exact_loto_cost_shift(fit.data, fit.lam, Q, R, k)
+        rec = loto_record(fit, Q, R, k)
+        diag = decomposition_diagnostics(fit, Q, R, k)
+        dj = exact_loto_cost_shift(fit, Q, R, k)
         dtheta = rec.theta - fit.theta
         direct = direct_trace_term(fit, art)[k]
         total = (
@@ -152,7 +152,7 @@ def test_five_term_identity():
 
 def test_noiseless_diagnostics_vanish():
     fit, _, Q, R = make_problem(noise=0.0, lam=0.0)
-    diag = decomposition_diagnostics(fit.data, 0.0, Q, R, 0)
+    diag = decomposition_diagnostics(fit, Q, R, 0)
     assert diag.delta_theta_norm < 1e-9
     assert abs(diag.r_ric) < 1e-12
     assert abs(diag.r_w) < 1e-12
@@ -165,8 +165,8 @@ def test_covariance_remainder_bounds():
     L_phi = np.linalg.norm(fit.data.Z, axis=1).max()
     L_e = np.linalg.norm(fit.residuals, axis=1).max()
     for k in range(fit.N):
-        rec = loto_record(fit.data, fit.lam, Q, R, k)
-        diag = decomposition_diagnostics(fit.data, fit.lam, Q, R, k)
+        rec = loto_record(fit, Q, R, k)
+        diag = decomposition_diagnostics(fit, Q, R, k)
         assert abs(diag.r_w) <= P_norm * diag.bound_w + 1e-15
         # the bound also caps the covariance-shift remainder matrix itself
         dtheta = rec.theta - fit.theta
@@ -178,9 +178,9 @@ def test_covariance_remainder_bounds():
 
 def test_optional_bounds_populated_only_on_request():
     fit, _, Q, R = make_problem(seed=9)
-    diag = decomposition_diagnostics(fit.data, fit.lam, Q, R, 0)
+    diag = decomposition_diagnostics(fit, Q, R, 0)
     assert diag.bound_ric is None and diag.bound_cross is None
-    diag2 = decomposition_diagnostics(fit.data, fit.lam, Q, R, 0, L_psi=5.0, L_P=2.0)
+    diag2 = decomposition_diagnostics(fit, Q, R, 0, L_psi=5.0, L_P=2.0)
     assert diag2.bound_ric == pytest.approx(2.5 * diag2.delta_theta_norm**2)
     assert diag2.bound_cross is not None and diag2.bound_cross >= 0.0
 
@@ -188,9 +188,9 @@ def test_optional_bounds_populated_only_on_request():
 def test_modular_error_bound_inequality():
     fit, art, Q, R = make_problem(seed=10)
     for k in range(fit.N):
-        rec = loto_record(fit.data, fit.lam, Q, R, k)
-        diag = decomposition_diagnostics(fit.data, fit.lam, Q, R, k)
-        dj = exact_loto_cost_shift(fit.data, fit.lam, Q, R, k)
+        rec = loto_record(fit, Q, R, k)
+        diag = decomposition_diagnostics(fit, Q, R, k)
+        dj = exact_loto_cost_shift(fit, Q, R, k)
         bound = modular_error_bound(fit, art, k, rec.theta - fit.theta, diag)
         assert abs(stochastic_score(fit, art, k) - dj) <= bound + 1e-9
 
@@ -198,9 +198,9 @@ def test_modular_error_bound_inequality():
 def test_modular_error_bound_degenerate_short_trajectories():
     fit, art, Q, R = make_problem(seed=11, n_traj=10, lengths=[1] * 10, lam=0.0)
     for k in range(fit.N):
-        rec = loto_record(fit.data, fit.lam, Q, R, k)
-        diag = decomposition_diagnostics(fit.data, fit.lam, Q, R, k)
-        dj = exact_loto_cost_shift(fit.data, fit.lam, Q, R, k)
+        rec = loto_record(fit, Q, R, k)
+        diag = decomposition_diagnostics(fit, Q, R, k)
+        dj = exact_loto_cost_shift(fit, Q, R, k)
         bound = modular_error_bound(fit, art, k, rec.theta - fit.theta, diag)
         assert abs(stochastic_score(fit, art, k) - dj) <= bound + 1e-9
 
@@ -231,8 +231,8 @@ def test_joint_qr_scaling_multiplies_scores():
         assert fixed_score(fit, art_c, k) == pytest.approx(
             c * fixed_score(fit, art, k), rel=1e-9
         )
-    dj = exact_loto_cost_shift(fit.data, fit.lam, Q, R, 0)
-    dj_c = exact_loto_cost_shift(fit.data, fit.lam, c * Q, c * R, 0)
+    dj = exact_loto_cost_shift(fit, Q, R, 0)
+    dj_c = exact_loto_cost_shift(fit, c * Q, c * R, 0)
     assert dj_c == pytest.approx(c * dj, rel=1e-9)
 
 
@@ -272,7 +272,7 @@ def test_build_score_table_with_exact():
     assert not table.excluded.any()
     for k in range(fit.N):
         assert table.delta_j_exact[k] == pytest.approx(
-            exact_loto_cost_shift(fit.data, fit.lam, Q, R, k), rel=1e-12
+            exact_loto_cost_shift(fit, Q, R, k), rel=1e-12
         )
         assert table.diagnostics[k] is not None
         assert np.isfinite(table.r_ric[k])

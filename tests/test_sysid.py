@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqrinfluence.errors import (
     DimensionMismatch,
@@ -227,7 +229,7 @@ def test_loto_refit_matches_full_fit_on_remaining():
     data = make_dataset(rng, A0, B0, n_traj=6)
     lam = 1e-3
     k = 3
-    theta_k, W_k = loto_refit(data, lam, k)
+    theta_k, W_k = loto_refit(fit_ridge(data, lam), k)
     kept = [i for i in range(data.N) if i != k]
     sub = TrajectoryDataset.from_arrays(
         [
@@ -244,11 +246,48 @@ def test_loto_refit_matches_full_fit_on_remaining():
     assert np.allclose(W_k, ref.W_hat, atol=1e-14)
 
 
+@st.composite
+def removal_case(draw):
+    """A random stable linear corpus, the removed index k, and whether only
+    trajectory k carries input (the others hold exact zeros)."""
+    n_x, n_u = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    lengths = draw(st.lists(st.integers(1, 8), min_size=2, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(n_x, n_x))
+    A *= draw(st.floats(0.0, 0.95)) / max(np.abs(np.linalg.eigvals(A)).max(), 1e-12)
+    B = rng.normal(size=(n_x, n_u))
+    trajs = [simulate_linear(rng, A, B, T) for T in lengths]
+    k = draw(st.integers(0, len(lengths) - 1))
+    only_k_excited = draw(st.booleans())
+    if only_k_excited:
+        trajs = [(X, U if j == k else np.zeros_like(U), Xn) for j, (X, U, Xn) in enumerate(trajs)]
+    lam = draw(st.sampled_from([1e-2, 1e-1, 1.0]))
+    return TrajectoryDataset.from_arrays(trajs, n_x=n_x, n_u=n_u), k, lam, only_k_excited
+
+
+@settings(max_examples=60, deadline=None)
+@given(removal_case())
+def test_loto_refit_matches_fit_on_retained_property(case):
+    data, k, lam, only_k_excited = case
+    theta_k, W_k = loto_refit(fit_ridge(data, lam), k)
+    kept = [
+        tuple(arr[data.traj_slice(i)] for arr in (data.states, data.inputs, data.next_states))
+        for i in range(data.N)
+        if i != k
+    ]
+    ref = fit_ridge(TrajectoryDataset.from_arrays(kept, n_x=data.n_x, n_u=data.n_u), lam)
+    assert np.allclose(theta_k, ref.theta, rtol=0, atol=1e-12)
+    assert np.allclose(W_k, ref.W_hat, rtol=0, atol=1e-14)
+    if only_k_excited:
+        # the retained data never move the input: B_k is exactly zero
+        assert np.all(theta_to_ab(theta_k, data.n_x, data.n_u)[1] == 0.0)
+
+
 def test_loto_refit_single_trajectory_raises():
     rng = np.random.default_rng(17)
     data = TrajectoryDataset.from_arrays([simulate_linear(rng, A0, B0, 10)])
     with pytest.raises(SingleTrajectory):
-        loto_refit(data, 1e-3, 0)
+        loto_refit(fit_ridge(data, 1e-3), 0)
 
 
 def test_fit_lambda_zero_rank_deficient_raises():
