@@ -13,6 +13,14 @@ Four systems of increasing identification difficulty:
 
 All randomness derives from (seed, trajectory index) seed sequences, so
 generating trajectories in parallel or serially yields identical datasets.
+The generators roll every trajectory of a dataset out in lockstep: one loop
+over time advances all N states as (N, .) arrays. Each trajectory first takes
+from its own stream, in this order, what a one-trajectory loop would draw
+before its first step (linear: x0, then the msd noise variance; quadrotor:
+the policy, then x0), then all its per-step normals in one (T, .) call, row t
+holding step t's draws (linear: input then noise; quadrotor: excitation then
+gust). Generator.normal fills sequentially, so these are the draws of a
+serial step-by-step loop; tests/test_bench.py keeps that loop as the oracle.
 """
 from __future__ import annotations
 
@@ -195,34 +203,55 @@ def _traj_rng(seed: int, k: int, stream: int = 1) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream, k)))
 
 
-def _simulate_linear(spec: SystemSpec, rng, T: int, x0_scale: float):
-    x = rng.normal(size=spec.n_x) * spec.x0_std * x0_scale
-    if spec.sigma_sq_range is not None:
-        lo, hi = spec.sigma_sq_range
-        noise_std = np.sqrt(rng.uniform(lo, hi))
-    else:
+def _live(lengths) -> np.ndarray:
+    """(T_max, N) mask of recorded steps: step t of trajectory k is live while t < lengths[k]."""
+    lengths = np.asarray(lengths)
+    return np.arange(lengths.max())[:, None] < lengths
+
+
+def _rollout_linear(spec: SystemSpec, rngs, lengths, x0_scale: float):
+    """Roll trajectory k out for lengths[k] steps from rngs[k], all at once.
+
+    Returns time-major (T_max, N, .) arrays X, U, X_next. A trajectory past its
+    end stays frozen at its last state.
+    """
+    live = _live(lengths)
+    T_max, N = live.shape
+    n_x, n_u = spec.n_x, spec.n_u
+    x = np.empty((N, n_x))
+    U = np.zeros((T_max, N, n_u))
+    noise = np.zeros((T_max, N, n_x))
+    heterogeneous = spec.sigma_sq_range is not None
+    if not heterogeneous:
         noise_chol = np.linalg.cholesky(spec.noise_cov)
-        noise_std = None
-    X = np.empty((T, spec.n_x))
-    U = np.empty((T, spec.n_u))
-    Xn = np.empty((T, spec.n_x))
-    for t in range(T):
-        u = rng.normal(size=spec.n_u) * spec.input_std
-        if noise_std is not None:
-            w = rng.normal(size=spec.n_x) * noise_std
-        else:
-            w = noise_chol @ rng.normal(size=spec.n_x)
+    for k, (rng, T) in enumerate(zip(rngs, lengths)):
+        x[k] = rng.normal(size=n_x) * spec.x0_std * x0_scale
+        if heterogeneous:
+            noise_std = np.sqrt(rng.uniform(*spec.sigma_sq_range))
+        draws = rng.normal(size=(T, n_u + n_x))   # per step: input, then noise
+        U[:T, k] = draws[:, :n_u] * spec.input_std
+        w = draws[:, n_u:]
+        noise[:T, k] = w * noise_std if heterogeneous else w @ noise_chol.T
+    BU = U @ spec.b_d.T
+    X = np.empty((T_max, N, n_x))
+    Xn = np.empty_like(X)
+    for t in range(T_max):
         X[t] = x
-        U[t] = u
-        x = spec.a_d @ x + spec.b_d @ u + w
+        x = np.where(live[t, :, None], x @ spec.a_d.T + BU[t] + noise[t], x)
         Xn[t] = x
     return X, U, Xn
 
 
-def _reference(policy: dict, t: float):
-    """Position, velocity, acceleration of the mission reference at time t."""
+def _reference(policy: dict, t):
+    """Position, velocity, acceleration of the policy's reference at time(s) t.
+
+    Hover is the zero reference. For an array t each value has shape (2, len(t)).
+    """
     kind = policy["kind"]
     ph = policy.get("phase", 0.0)
+    if kind == "hover":
+        zero = np.zeros((2,) + np.shape(t))
+        return zero, zero, zero
     if kind == "figure_eight":
         ax, az, w = policy.get("amp_x", 4.0), policy.get("amp_z", 2.0), policy.get("omega", 0.8)
         p = np.array([ax * np.sin(w * t + ph), az * np.sin(2 * (w * t + ph))])
@@ -249,6 +278,46 @@ def _reference(policy: dict, t: float):
     raise InvalidConfig(f"unknown reference kind {kind!r}")
 
 
+def _rollout_uav(spec: SystemSpec, x0, policies, lengths, rngs):
+    """Roll quadrotor trajectory k out from x0[k] under policies[k], all at once.
+
+    Every policy tracks its reference (hover: the zero reference) with its
+    gains; rngs[k] draws per step the excitation, then the gust normals.
+    Returns time-major (T_max, N, .) arrays X, U, X_next. A trajectory past
+    its end stays frozen at its last state.
+    """
+    live = _live(lengths)
+    T_max, N = live.shape
+    ref = np.zeros((T_max, N, 6))      # p_ref, v_ref, a_ref
+    noise = np.zeros((T_max, N, 4))    # excitation, gust
+    gains = np.empty((N, 2))
+    drag = np.empty((N, 1))
+    grid = np.arange(T_max) * spec.dt
+    for k, (policy, rng, T) in enumerate(zip(policies, rngs, lengths)):
+        gains[k] = _HOVER_GAINS if policy["kind"] == "hover" else _MISSION_GAINS
+        drag[k] = policy.get("drag", spec.drag)
+        draws = rng.normal(size=(T, 4))
+        noise[:T, k, :2] = policy.get("excitation_std", spec.excitation_std) * draws[:, :2]
+        noise[:T, k, 2:] = policy.get("gust_std", spec.gust_std) * draws[:, 2:]
+        ref[:T, k] = np.concatenate(_reference(policy, grid[:T])).T
+    kp, kd = gains[:, :1], gains[:, 1:]
+
+    x = np.array(x0, dtype=float)
+    X = np.empty((T_max, N, 4))
+    U = np.empty((T_max, N, 2))
+    Xn = np.empty_like(X)
+    for t in range(T_max):
+        p, v = x[:, :2], x[:, 2:]
+        r = ref[t]
+        u = r[:, 4:] + kp * (r[:, :2] - p) + kd * (r[:, 2:4] - v) + noise[t, :, :2]
+        speed = np.linalg.norm(v, axis=1, keepdims=True)
+        v_next = v + spec.dt * (u - drag * speed * v + noise[t, :, 2:])
+        X[t], U[t] = x, u
+        x = np.where(live[t, :, None], np.hstack([p + spec.dt * v, v_next]), x)
+        Xn[t] = x
+    return X, U, Xn
+
+
 def simulate_uav(spec: SystemSpec, x0, policy: dict, T: int, seed) -> tuple:
     """Roll out the planar point-mass quadrotor for T steps.
 
@@ -256,39 +325,16 @@ def simulate_uav(spec: SystemSpec, x0, policy: dict, T: int, seed) -> tuple:
     already compensated; dynamics v' = u - drag * ||v|| v + gust, Euler at dt.
     policy: {"kind": "hover"} or a mission reference
     ({"kind": "figure_eight" | "descending_s" | "circle", ...}).
-    Returns arrays (X, U, X_next) of the recorded transitions.
+    Returns arrays (X, U, X_next) of the recorded transitions: the one-trajectory
+    case of the lockstep rollout the generators use.
     """
     if spec.kind not in _UAV_KINDS:
         raise InvalidConfig(f"simulate_uav needs a uav spec, got kind {spec.kind!r}")
     if policy.get("kind") not in ("hover",) + _MISSION_REFS:
         raise InvalidConfig(f"unknown policy kind {policy.get('kind')!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    hover = policy["kind"] == "hover"
-    kp, kd = _HOVER_GAINS if hover else _MISSION_GAINS
-    exc = policy.get("excitation_std", spec.excitation_std)
-    drag = policy.get("drag", spec.drag)
-    gust_std = policy.get("gust_std", spec.gust_std)
-
-    x = np.asarray(x0, dtype=float).copy()
-    X = np.empty((T, 4))
-    U = np.empty((T, 2))
-    Xn = np.empty((T, 4))
-    for t in range(T):
-        p, v = x[:2], x[2:]
-        if hover:
-            u = -kp * p - kd * v
-        else:
-            p_ref, v_ref, a_ref = _reference(policy, t * spec.dt)
-            u = a_ref + kp * (p_ref - p) + kd * (v_ref - v)
-        u = u + exc * rng.normal(size=2)
-        gust = gust_std * rng.normal(size=2)
-        v_next = v + spec.dt * (u - drag * np.linalg.norm(v) * v + gust)
-        p_next = p + spec.dt * v
-        X[t] = x
-        U[t] = u
-        x = np.concatenate([p_next, v_next])
-        Xn[t] = x
-    return X, U, Xn
+    X, U, Xn = _rollout_uav(spec, [x0], [policy], [T], [rng])
+    return X[:, 0], U[:, 0], Xn[:, 0]
 
 
 # Fraction of mission sorties flown as aggressive dashes.  Most logs are
@@ -346,43 +392,50 @@ def _uav_x0(spec: SystemSpec, policy: dict, rng, x0_scale: float) -> np.ndarray:
     return np.concatenate([p_ref, v_ref]) + noise
 
 
-def generate_dataset(spec: SystemSpec, cfg: GenerationConfig) -> TrajectoryDataset:
-    """Simulate cfg.n_trajectories trajectories with (seed, index)-keyed streams."""
+def _simulate(spec: SystemSpec, seed: int, stream: int, lengths,
+              x0_scale: float) -> TrajectoryDataset:
+    """Trajectory k, lengths[k] steps, from stream (seed, stream, k); all k in lockstep."""
     if spec.kind not in _LINEAR_KINDS + _UAV_KINDS:
         raise InvalidConfig(f"unknown system kind {spec.kind!r}")
+    rngs = [_traj_rng(seed, k, stream) for k in range(len(lengths))]
+    if spec.kind in _LINEAR_KINDS:
+        X, U, Xn = _rollout_linear(spec, rngs, lengths, x0_scale)
+    else:
+        policies = [_uav_policy(spec, k, rng) for k, rng in enumerate(rngs)]
+        x0 = [_uav_x0(spec, policy, rng, x0_scale) for policy, rng in zip(policies, rngs)]
+        X, U, Xn = _rollout_uav(spec, x0, policies, lengths, rngs)
+    rows = _live(lengths).T   # (N, T_max): the dataset stores trajectory after trajectory
+    return TrajectoryDataset(
+        n_x=spec.n_x,
+        n_u=spec.n_u,
+        states=X.swapaxes(0, 1)[rows],
+        inputs=U.swapaxes(0, 1)[rows],
+        next_states=Xn.swapaxes(0, 1)[rows],
+        offsets=np.concatenate([[0], np.cumsum(lengths)]),
+    )
+
+
+def generate_dataset(spec: SystemSpec, cfg: GenerationConfig) -> TrajectoryDataset:
+    """Simulate cfg.n_trajectories trajectories with (seed, index)-keyed streams."""
     len_rng = _traj_rng(cfg.seed, 0, stream=0)
     lengths = len_rng.integers(cfg.t_min, cfg.t_max + 1, size=cfg.n_trajectories)
-    triples = []
-    for k in range(cfg.n_trajectories):
-        rng = _traj_rng(cfg.seed, k, stream=1)
-        T = int(lengths[k])
-        if spec.kind in _LINEAR_KINDS:
-            triples.append(_simulate_linear(spec, rng, T, cfg.x0_scale))
-        else:
-            policy = _uav_policy(spec, k, rng)
-            x0 = _uav_x0(spec, policy, rng, cfg.x0_scale)
-            triples.append(simulate_uav(spec, x0, policy, T, rng))
-    return TrajectoryDataset.from_arrays(triples, n_x=spec.n_x, n_u=spec.n_u)
+    return _simulate(spec, cfg.seed, 1, lengths, cfg.x0_scale)
 
 
 def generate_heldout(spec: SystemSpec, seed: int, size: int = 10_000,
                      traj_len: int = 50) -> TrajectoryDataset:
-    """Fresh transitions from the same system for prediction-loss validation."""
-    triples = []
-    total = 0
-    j = 0
-    while total < size:
-        rng = _traj_rng(seed, j, stream=2)
-        T = min(traj_len, size - total)
-        if spec.kind in _LINEAR_KINDS:
-            triples.append(_simulate_linear(spec, rng, T, 1.0))
-        else:
-            policy = _uav_policy(spec, j, rng)
-            x0 = _uav_x0(spec, policy, rng, 1.0)
-            triples.append(simulate_uav(spec, x0, policy, T, rng))
-        total += T
-        j += 1
-    return TrajectoryDataset.from_arrays(triples, n_x=spec.n_x, n_u=spec.n_u)
+    """Fresh transitions from the same system for prediction-loss validation.
+
+    size transitions in trajectories of traj_len steps, the last one shorter
+    when traj_len does not divide size.
+    """
+    if size < 1 or traj_len < 1:
+        raise InvalidConfig(
+            f"held-out size and traj_len must be positive, got {size} and {traj_len}"
+        )
+    n_full, rest = divmod(size, traj_len)
+    lengths = np.array([traj_len] * n_full + ([rest] if rest else []))
+    return _simulate(spec, seed, 2, lengths, 1.0)
 
 
 def prediction_loss(theta: np.ndarray, data: TrajectoryDataset) -> float:

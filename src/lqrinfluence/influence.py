@@ -118,13 +118,6 @@ def exact_loto_cost_shift(fit: ModelFit, Q, R, k: int) -> float:
     return float(np.trace(rec.P @ rec.W) - np.trace(P0 @ fit.W_hat))
 
 
-def data_extremes(fit: ModelFit):
-    """(L_phi, L_e): largest regressor row norm and largest residual norm."""
-    L_phi = float(np.linalg.norm(fit.data.Z, axis=1).max())
-    L_e = float(np.linalg.norm(fit.residuals, axis=1).max())
-    return L_phi, L_e
-
-
 @dataclass(frozen=True)
 class DecompositionDiagnostics:
     """Remainders of the exact cost-shift decomposition for one trajectory."""
@@ -156,14 +149,16 @@ def diagnostics_from_record(
     T_k = float(fit.lengths[k])
     direct_mat = covariance_direct_term(fit, k)
     DW = rec.W - fit.W_hat
-    # rows of D are Phi_s dtheta
-    D = fit.data.Z @ dtheta.reshape(fit.q, fit.n_x)
-    cross_mat = (fit.residuals.T @ D + D.T @ fit.residuals) / fit.M
+    # (E^T Z D + D^T Z^T E) / M over the rows Phi_s dtheta = z_s^T D, read off
+    # Z^T E = -M sum_j g_j instead of a pass over the M transitions
+    D = dtheta.reshape(fit.q, fit.n_x)
+    G = fit.g.sum(axis=0).reshape(fit.q, fit.n_x)
+    cross_mat = -(G.T @ D + D.T @ G)
     R_w_mat = DW - direct_mat + cross_mat
     r_w = float(np.trace(art.P0 @ R_w_mat))
     r_cross = float(np.trace(dP @ DW))
 
-    L_phi, L_e = data_extremes(fit)
+    L_phi, L_e = fit.data_extremes
     bound_w = L_phi**2 * nd**2 + 4.0 * (T_k / fit.M) * L_e * L_phi * nd
     bound_ric = None if L_psi is None else 0.5 * L_psi * nd**2
     bound_cross = None

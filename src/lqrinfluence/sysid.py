@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,9 +94,15 @@ class TrajectoryDataset:
         return slice(int(self.offsets[k]), int(self.offsets[k + 1]))
 
 
+def _emit_float(v) -> str:
+    # %.17g guarantees exact binary64 round-trip through decimal; its "-0"
+    # would read back as the integer 0, so a negative zero keeps a float form
+    text = format(float(v), ".17g")
+    return "-0.0" if text == "-0" else text
+
+
 def _emit_floats(arr) -> str:
-    # %.17g guarantees exact binary64 round-trip through decimal
-    return "[" + ", ".join(format(float(v), ".17g") for v in arr) + "]"
+    return "[" + ", ".join(_emit_float(v) for v in arr) + "]"
 
 
 def save_dataset(data: TrajectoryDataset, path) -> None:
@@ -236,6 +243,16 @@ class ModelFit:
     @property
     def B(self) -> np.ndarray:
         return theta_to_ab(self.theta, self.n_x, self.n_u)[1]
+
+    @cached_property
+    def data_extremes(self) -> tuple[float, float]:
+        """(L_phi, L_e): largest regressor row norm and largest residual norm.
+
+        Per-fit constants of the remainder bounds, computed on first use.
+        """
+        L_phi = float(np.linalg.norm(self.data.Z, axis=1).max())
+        L_e = float(np.linalg.norm(self.residuals, axis=1).max())
+        return L_phi, L_e
 
     def hessian_matvec(self, v: np.ndarray) -> np.ndarray:
         """H v through the Gram structure, never materializing per-step regressors."""

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from lqrinfluence.bench import (
+    _HOVER_GAINS,
+    _MISSION_GAINS,
     GenerationConfig,
+    _reference,
+    _traj_rng,
+    _uav_policy,
+    _uav_x0,
     dc_motor_spec,
     generate_dataset,
     generate_heldout,
@@ -22,6 +28,71 @@ from lqrinfluence.errors import InvalidConfig
 from lqrinfluence.sysid import TrajectoryDataset, fit_ridge, loto_refit
 
 QUICK = GenerationConfig(n_trajectories=12, t_min=8, t_max=20, seed=0)
+KINDS = ["dc_motor", "msd", "uav_hover", "uav_mission"]
+
+
+# Serial oracles: one trajectory, one step and one draw at a time, the way the
+# generators rolled out before they advanced every trajectory in lockstep.
+def serial_linear(spec, rng, T, x0_scale):
+    x = rng.normal(size=spec.n_x) * spec.x0_std * x0_scale
+    if spec.sigma_sq_range is not None:
+        lo, hi = spec.sigma_sq_range
+        noise_std = np.sqrt(rng.uniform(lo, hi))
+    else:
+        noise_chol = np.linalg.cholesky(spec.noise_cov)
+        noise_std = None
+    X, U, Xn = np.empty((T, spec.n_x)), np.empty((T, spec.n_u)), np.empty((T, spec.n_x))
+    for t in range(T):
+        u = rng.normal(size=spec.n_u) * spec.input_std
+        if noise_std is not None:
+            w = rng.normal(size=spec.n_x) * noise_std
+        else:
+            w = noise_chol @ rng.normal(size=spec.n_x)
+        X[t], U[t] = x, u
+        x = spec.a_d @ x + spec.b_d @ u + w
+        Xn[t] = x
+    return X, U, Xn
+
+
+def serial_uav(spec, x0, policy, T, rng):
+    hover = policy["kind"] == "hover"
+    kp, kd = _HOVER_GAINS if hover else _MISSION_GAINS
+    exc = policy.get("excitation_std", spec.excitation_std)
+    drag = policy.get("drag", spec.drag)
+    gust_std = policy.get("gust_std", spec.gust_std)
+    x = np.asarray(x0, dtype=float).copy()
+    X, U, Xn = np.empty((T, 4)), np.empty((T, 2)), np.empty((T, 4))
+    for t in range(T):
+        p, v = x[:2], x[2:]
+        if hover:
+            u = -kp * p - kd * v
+        else:
+            p_ref, v_ref, a_ref = _reference(policy, t * spec.dt)
+            u = a_ref + kp * (p_ref - p) + kd * (v_ref - v)
+        u = u + exc * rng.normal(size=2)
+        gust = gust_std * rng.normal(size=2)
+        v_next = v + spec.dt * (u - drag * np.linalg.norm(v) * v + gust)
+        X[t], U[t] = x, u
+        x = np.concatenate([p + spec.dt * v, v_next])
+        Xn[t] = x
+    return X, U, Xn
+
+
+def serial_trajectory(spec, seed, k, stream, T, x0_scale=1.0):
+    rng = _traj_rng(seed, k, stream)
+    if spec.kind in ("dc_motor", "msd"):
+        return serial_linear(spec, rng, T, x0_scale)
+    policy = _uav_policy(spec, k, rng)
+    return serial_uav(spec, _uav_x0(spec, policy, rng, x0_scale), policy, T, rng)
+
+
+def assert_matches_serial(data, spec, seed, stream, x0_scale=1.0):
+    for k, T in enumerate(data.lengths):
+        sl = data.traj_slice(k)
+        oracle = serial_trajectory(spec, seed, k, stream, int(T), x0_scale)
+        for got, want in zip((data.states[sl], data.inputs[sl], data.next_states[sl]), oracle):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_spec_dispatch_dimensions():
@@ -86,6 +157,46 @@ def test_generation_deterministic(kind):
     assert np.array_equal(d1.lengths, d2.lengths)
     d3 = generate_dataset(spec, GenerationConfig(12, 8, 20, seed=1))
     assert not np.array_equal(d1.states, d3.states)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lockstep_generation_matches_serial_rollouts(kind, seed):
+    # every trajectory of a lockstep rollout equals the one-at-a-time rollout
+    # of its own (seed, k) stream: parallel generation == serial
+    spec = system_spec(kind)
+    cfg = GenerationConfig(9, 3, 25, seed=seed, x0_scale=1.5)
+    data = generate_dataset(spec, cfg)
+    assert len(set(data.lengths.tolist())) > 1   # padded steps are exercised
+    assert_matches_serial(data, spec, seed, 1, x0_scale=1.5)
+    for size, traj_len in ((437, 50), (30, 50)):   # last trajectory shorter, or the only one
+        heldout = generate_heldout(spec, seed, size=size, traj_len=traj_len)
+        assert heldout.M == size
+        assert_matches_serial(heldout, spec, seed, 2)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        {"kind": "hover", "excitation_std": 0.7, "gust_std": 0.0, "drag": 1.1},
+        {"kind": "circle", "radius": 6.0, "omega": 1.3, "gust_std": 0.9, "drag": 0.0},
+        {"kind": "descending_s", "amp_x": 3.0, "z0": 5.0, "excitation_std": 0.0},
+        {"kind": "figure_eight", "amp_x": 8.0, "amp_z": 4.0, "omega": 1.2, "phase": 0.4},
+    ],
+)
+def test_simulate_uav_matches_serial_rollout(policy):
+    spec = uav_mission_spec()
+    x0 = np.array([0.5, -0.3, 2.0, 1.0])
+    got = simulate_uav(spec, x0, policy, 40, seed=5)
+    want = serial_uav(spec, x0, policy, 40, np.random.default_rng(5))
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("size, traj_len", [(0, 50), (-3, 50), (100, 0), (100, -1)])
+def test_heldout_rejects_nonpositive_sizes(size, traj_len):
+    with pytest.raises(InvalidConfig):
+        generate_heldout(dc_motor_spec(), seed=0, size=size, traj_len=traj_len)
 
 
 def test_dc_motor_noise_is_homogeneous():

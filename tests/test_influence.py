@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqrinfluence.errors import DominantTrajectory
 from lqrinfluence.influence import (
@@ -17,6 +19,7 @@ from lqrinfluence.influence import (
     fixed_score,
     loto_record,
     modular_error_bound,
+    score_all,
     stochastic_score,
 )
 from lqrinfluence.linalg import solve_dare, spectral_radius
@@ -308,3 +311,32 @@ def test_score_table_csv_empty_cells_without_exact(tmp_path):
     for row in rows[1:]:
         assert row[4] == "" and row[6] == "" and row[7] == "" and row[8] == ""
         assert row[9] == "0"
+
+
+@st.composite
+def permuted_corpus(draw):
+    """A random stable linear corpus, its ridge weight, and a trajectory order."""
+    n_x, n_u = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    lengths = draw(st.lists(st.integers(2, 12), min_size=2, max_size=7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(n_x, n_x))
+    A *= draw(st.floats(0.0, 0.9)) / max(spectral_radius(A), 1e-12)
+    B = rng.normal(size=(n_x, n_u))
+    trajs = [simulate(rng, A, B, T, draw(st.sampled_from([0.05, 0.3]))) for T in lengths]
+    perm = draw(st.permutations(range(len(lengths))))
+    lam = draw(st.sampled_from([1e-2, 1e-1, 1.0]))
+    return trajs, np.array(perm), lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_corpus())
+def test_scores_are_permutation_equivariant_property(case):
+    # reordering the trajectories reorders both scores and changes nothing else
+    trajs, perm, lam = case
+    scores = []
+    for order in (range(len(trajs)), perm):
+        fit = fit_ridge(TrajectoryDataset.from_arrays([trajs[i] for i in order]), lam)
+        Q, R = np.eye(fit.n_x), np.eye(fit.n_u)
+        scores.append(score_all(fit, riccati_artifacts(fit, Q, R, fit.W_hat)))
+    for base, permuted in zip(*scores):
+        assert np.abs(base[perm] - permuted).max() <= 1e-12 * np.abs(base).max()

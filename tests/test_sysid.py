@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lqrinfluence.errors import (
     DimensionMismatch,
@@ -340,3 +341,29 @@ def test_dataset_json_round_trip(tmp_path):
     assert np.array_equal(back.inputs, data.inputs)
     assert np.array_equal(back.next_states, data.next_states)
     assert np.array_equal(back.offsets, data.offsets)
+
+
+@st.composite
+def any_corpus(draw):
+    """Trajectories of arbitrary finite binary64 entries: signed zeros,
+    subnormals and extremes included."""
+    n_x, n_u = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    trajs = [
+        tuple(draw(hnp.arrays(np.float64, (T, n), elements=finite)) for n in (n_x, n_u, n_x))
+        for T in lengths
+    ]
+    return TrajectoryDataset.from_arrays(trajs, n_x=n_x, n_u=n_u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=any_corpus())
+def test_dataset_json_round_trip_is_bit_exact_property(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("round_trip") / "data.json"
+    save_dataset(data, path)
+    back = load_dataset(path)
+    assert (back.n_x, back.n_u) == (data.n_x, data.n_u)
+    assert np.array_equal(back.offsets, data.offsets)
+    for name in ("states", "inputs", "next_states"):
+        assert getattr(back, name).tobytes() == getattr(data, name).tobytes()
