@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InvalidConfig
-from .sysid import ModelFit, TrajectoryDataset, eta, solve_spd, theta_to_ab
+from .linalg import expm
+from .sysid import ModelFit, TrajectoryDataset, eta, theta_to_ab
 
 _LINEAR_KINDS = ("dc_motor", "msd")
 _UAV_KINDS = ("uav_hover", "uav_mission")
@@ -69,7 +69,7 @@ def _zoh_discretize(A_c, B_c, dt):
     block = np.zeros((n + m, n + m))
     block[:n, :n] = A_c * dt
     block[:n, n:] = B_c * dt
-    eblock = sla.expm(block)
+    eblock = expm(block)
     return eblock[:n, :n], eblock[:n, n:]
 
 
@@ -468,7 +468,7 @@ def heldout_prediction_scores(fit: ModelFit, heldout: TrajectoryDataset):
     if_pred = np.empty(N)
     delta_l = np.empty(N)
     for k in range(N):
-        if_m = solve_spd(fit.hessian_factor, eta(fit, k))
+        if_m = fit.hessian_solve(eta(fit, k))
         if_pred[k] = grad @ if_m
         theta_k, _ = loto_refit(fit, k)
         D = (theta_k - fit.theta).reshape(fit.q, fit.n_x)

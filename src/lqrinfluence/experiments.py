@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .bench import (
     GenerationConfig,
@@ -33,6 +32,25 @@ from .lqr import riccati_artifacts
 from .sysid import fit_ridge, load_dataset
 
 _SOLVERS = ("dense", "cg")
+
+
+def rankdata(a) -> np.ndarray:
+    """1-based ranks of a flat array, tied values sharing their average rank.
+
+    A NaN anywhere makes every rank NaN.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    if np.isnan(a).any():
+        return np.full(a.size, np.nan)
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    bounds = np.r_[starts, a.size]
+    # a tie group occupying sorted positions [lo, hi) holds ranks lo+1 .. hi
+    group_rank = 0.5 * (bounds[:-1] + 1 + bounds[1:])
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(group_rank, np.diff(bounds))
+    return ranks
 
 
 def spearman(a, b) -> float:

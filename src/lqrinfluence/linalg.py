@@ -1,11 +1,13 @@
-"""Dense linear-algebra kernels: SPD factorization, CG, DARE and discrete Lyapunov solvers.
+"""Dense linear-algebra kernels: SPD factorization, CG, DARE and Lyapunov solvers, expm.
 
 Everything here operates on small dense matrices (state dimensions of a few,
-parameter dimensions of a few dozen), so simple algorithms are preferred:
-textbook Cholesky with a pivot guard, plain conjugate gradients, and a
-Kronecker vectorization solve for the Lyapunov equation.  The Riccati
-equation is solved by structure-preserving doubling, which converges
-quadratically, and every solution it returns is certified by its residual.
+regressor dimensions of a few dozen: the ridge Hessian is factored through
+its q x q Gram, never as the p x p Kronecker product), so simple algorithms
+are preferred: LAPACK Cholesky with a relative pivot floor, plain conjugate
+gradients, and a Kronecker vectorization solve for the Lyapunov equation.
+The Riccati equation is solved by structure-preserving doubling, which
+converges quadratically, and every solution it returns is certified by its
+residual. The matrix exponential is Pade scaling and squaring (Higham 2005).
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DimensionMismatch,
@@ -35,6 +36,12 @@ _DOUBLING_MAX = 64
 # iterate entries past this mean divergence; below it, every product formed in
 # one doubling step stays under 1e250, far from overflow
 _DOUBLING_BOUND = 1e50
+# largest 1-norm at which the [13/13] Pade approximant's backward error is
+# below double-precision unit roundoff, and its coefficients (Higham 2005)
+_PADE_THETA_13 = 5.371920351148152
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -90,22 +97,22 @@ def spectral_radius(mat: np.ndarray) -> float:
 def cholesky_factor(mat: np.ndarray) -> SpdFactor:
     """Factor a symmetric positive definite matrix as L L^T.
 
-    Raises NotPositiveDefinite when a pivot falls at or below
-    1e-14 times the largest diagonal entry.
+    Raises NotPositiveDefinite when LAPACK finds the matrix indefinite or a
+    squared pivot diag(L)^2 falls at or below 1e-14 times the largest
+    diagonal entry.
     """
     h = _check_symmetric(mat, "matrix")
-    n = h.shape[0]
     piv_floor = _PIVOT_RTOL * float(np.max(np.diag(h), initial=0.0))
-    L = np.zeros_like(h)
-    for j in range(n):
-        d = h[j, j] - L[j, :j] @ L[j, :j]
-        if d <= piv_floor:
-            raise NotPositiveDefinite(
-                f"pivot {d:.3e} at column {j} under floor {piv_floor:.3e}"
-            )
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1 :, j] = (h[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    try:
+        L = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
+    low = np.diag(L) ** 2 <= piv_floor
+    if low.any():
+        j = int(np.argmax(low))
+        raise NotPositiveDefinite(
+            f"pivot {L[j, j] ** 2:.3e} at column {j} under floor {piv_floor:.3e}"
+        )
     return SpdFactor(L=L)
 
 
@@ -116,8 +123,7 @@ def solve_spd(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"rhs has leading dimension {r.shape[0]}, factor has {factor.dim}"
         )
-    y = sla.solve_triangular(factor.L, r, lower=True)
-    return sla.solve_triangular(factor.L.T, y, lower=False)
+    return np.linalg.solve(factor.L.T, np.linalg.solve(factor.L, r))
 
 
 def cg_solve(
@@ -222,7 +228,7 @@ def solve_dare(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np
     R = _check_symmetric(R, "R")
     if Q.shape[0] != n or R.shape[0] != B.shape[1]:
         raise DimensionMismatch("Q/R dimensions do not match A/B")
-    L_inv_bt = sla.solve_triangular(cholesky_factor(R).L, B.T, lower=True)
+    L_inv_bt = np.linalg.solve(cholesky_factor(R).L, B.T)
     P = _doubling(A, L_inv_bt.T @ L_inv_bt, symmetrize(Q))
 
     resid = dare_residual(A, B, Q, R, P)
@@ -265,3 +271,27 @@ def solve_dlyap(A_cl: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
             return symmetrize(X)
         Apow = Apow @ Apow
     raise NoConvergence("lyapunov accumulation did not converge", residual=None)
+
+
+def expm(mat: np.ndarray) -> np.ndarray:
+    """Matrix exponential by [13/13] Pade scaling and squaring (Higham 2005).
+
+    The matrix is scaled by 2^-s into the range where the approximant is
+    exact to unit roundoff, and the approximant is squared s times.
+    """
+    A = _check_square(mat, "matrix")
+    eye = np.eye(A.shape[0])
+    norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
+    s = max(0, int(np.ceil(np.log2(norm / _PADE_THETA_13)))) if norm > 0.0 else 0
+    A = A * 2.0 ** -s   # exact: a power of two
+    b = _PADE_13
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A2 @ A4
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    X = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        X = X @ X
+    return X

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import cg_solve, solve_dare, solve_dlyap, solve_spd, symmetrize
+from .linalg import cg_solve, solve_dare, solve_dlyap, symmetrize
 from .sysid import ModelFit
 
 __all__ = [
@@ -85,8 +85,8 @@ def riccati_artifacts(
 ) -> RiccatiArtifacts:
     """Solve the DARE once and precompute the shared score vectors.
 
-    solver picks how H v = rhs is solved: "dense" uses the cached Cholesky
-    factor, "cg" runs matrix-free conjugate gradients on the Gram structure.
+    solver picks how H v = rhs is solved: "dense" uses the fit's Gram
+    factor (one q x q solve), "cg" runs matrix-free conjugate gradients on the Gram structure.
     """
     A, B = fit.A, fit.B
     P0 = solve_dare(A, B, Q, R)
@@ -96,8 +96,8 @@ def riccati_artifacts(
     h = residual_channel_gradient(fit, P0)
     rhs_stoch = zeta - h   # combined sensitivity of Tr(P(theta) W_hat(theta))
     if solver == "dense":
-        v_fixed = solve_spd(fit.hessian_factor, zeta)
-        v_stoch = solve_spd(fit.hessian_factor, rhs_stoch)
+        v_fixed = fit.hessian_solve(zeta)
+        v_stoch = fit.hessian_solve(rhs_stoch)
     elif solver == "cg":
         op = fit.hessian_operator()
         v_fixed = cg_solve(op, zeta, tol=cg_tol)

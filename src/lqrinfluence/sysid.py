@@ -4,7 +4,9 @@ Parameters are the column-major stacking theta = vec([A B]) and the per-step
 regressor is Phi_s = z_s^T kron I_nx with z_s = (x_s; u_s), so the ridge
 objective (1/2M) sum ||x_s+ - Phi_s theta||^2 + (lam/2) ||theta||^2 reduces to
 normal equations on the (n_x + n_u)-dimensional Gram matrix of the z_s. The
-full Hessian is (G + lam I) kron I_nx; it is never assembled per transition.
+Hessian is H = (G + lam I) kron I_nx, so its Cholesky factor is the q x q Gram
+factor kron I_nx and every H^-1 v is one q x q solve with n_x right sides
+(ModelFit.hessian_solve); the p x p matrix is never formed on the run path.
 The fit keeps every trajectory's Gram Z_k^T Z_k next to its gradient, so each
 exact leave-one-trajectory-out refit (loto_refit) is one q x q solve.
 """
@@ -192,16 +194,16 @@ class ModelFit:
     """Ridge fit with the cached pieces every influence quantity reads.
 
     Immutable after construction; per-trajectory gradients g, residual
-    covariances and Grams, and the Hessian factor are computed once here so
-    scoring a trajectory is a handful of dot products.
+    covariances and Grams, and the Cholesky factor of G + lam I are computed
+    once here, so scoring a trajectory is a handful of dot products and every
+    Hessian solve is one q x q solve (hessian_solve).
     """
 
     data: TrajectoryDataset
     lam: float
     theta: np.ndarray          # (p,)
     gram: np.ndarray           # (q, q), (1/M) Z^T Z
-    hessian: np.ndarray        # (p, p) dense (G + lam I) kron I_nx
-    hessian_factor: SpdFactor
+    gram_factor: SpdFactor     # (q, q) Cholesky factor of G + lam I
     residuals: np.ndarray      # (M, n_x), e_s = x_s+ - [A B] z_s
     W_hat: np.ndarray          # (n_x, n_x)
     per_traj_cov: np.ndarray   # (N, n_x, n_x), rows W_bar_k
@@ -254,6 +256,22 @@ class ModelFit:
         L_e = float(np.linalg.norm(self.residuals, axis=1).max())
         return L_phi, L_e
 
+    # built on read, only for perfbench/spans._fit_bytes; delete with ROADMAP's benchmark refresh
+    @property
+    def hessian(self) -> np.ndarray:
+        return np.kron(self.gram + self.lam * np.eye(self.q), np.eye(self.n_x))
+
+    @property
+    def hessian_factor(self) -> SpdFactor:
+        # kron(L_G, I) is lower triangular with a positive diagonal, so by
+        # uniqueness it is the Cholesky factor of the Hessian
+        return SpdFactor(L=np.kron(self.gram_factor.L, np.eye(self.n_x)))
+
+    def hessian_solve(self, v: np.ndarray) -> np.ndarray:
+        """H^-1 v as one q x q solve on the Gram factor with n_x right sides."""
+        V = np.asarray(v, dtype=float).reshape(self.q, self.n_x)
+        return solve_spd(self.gram_factor, V).ravel()
+
     def hessian_matvec(self, v: np.ndarray) -> np.ndarray:
         """H v through the Gram structure, never materializing per-step regressors."""
         V = np.asarray(v, dtype=float).reshape(self.q, self.n_x)
@@ -277,14 +295,10 @@ def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
     n_x, q = data.n_x, data.n_x + data.n_u
 
     gram = symmetrize(Z.T @ Z / M)
-    gram_lam = gram + lam * np.eye(q)
-    gram_factor = cholesky_factor(gram_lam)
+    gram_factor = cholesky_factor(gram + lam * np.eye(q))
     Theta = solve_spd(gram_factor, Z.T @ Y / M)   # (q, n_x)
     theta = Theta.ravel()
     E = Y - Z @ Theta
-
-    hessian = np.kron(gram_lam, np.eye(n_x))
-    hessian_factor = cholesky_factor(hessian)
 
     N = data.N
     per_traj_cov = np.empty((N, n_x, n_x))
@@ -306,8 +320,7 @@ def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
         lam=float(lam),
         theta=theta,
         gram=gram,
-        hessian=hessian,
-        hessian_factor=hessian_factor,
+        gram_factor=gram_factor,
         residuals=E,
         W_hat=W_hat,
         per_traj_cov=per_traj_cov,
@@ -346,7 +359,7 @@ def model_influence(fit: ModelFit, k: int, solver: str = "dense",
     """First-order surrogate for the leave-one-out parameter shift: H^-1 eta_k."""
     rhs = eta(fit, k)
     if solver == "dense":
-        return solve_spd(fit.hessian_factor, rhs)
+        return fit.hessian_solve(rhs)
     if solver == "cg":
         return cg_solve(fit.hessian_operator(), rhs, tol=cg_tol)
     raise ValueError(f"unknown solver {solver!r}")

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from lqrinfluence.bench import (
+    _DC_B,
+    _DC_J,
+    _DC_K,
+    _DC_LA,
+    _DC_RA,
     _HOVER_GAINS,
     _MISSION_GAINS,
     GenerationConfig,
@@ -11,6 +17,7 @@ from lqrinfluence.bench import (
     _traj_rng,
     _uav_policy,
     _uav_x0,
+    _zoh_discretize,
     dc_motor_spec,
     generate_dataset,
     generate_heldout,
@@ -93,6 +100,27 @@ def assert_matches_serial(data, spec, seed, stream, x0_scale=1.0):
         for got, want in zip((data.states[sl], data.inputs[sl], data.next_states[sl]), oracle):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_dc_motor_zoh_block_matches_scipy_expm():
+    A_c = np.array([[-_DC_B / _DC_J, _DC_K / _DC_J], [-_DC_K / _DC_LA, -_DC_RA / _DC_LA]])
+    B_c = np.array([[0.0], [1.0 / _DC_LA]])
+    block = np.zeros((3, 3))
+    block[:2, :2], block[:2, 2:] = 0.1 * A_c, 0.1 * B_c
+    want = sla.expm(block)
+    A_d, B_d = _zoh_discretize(A_c, B_c, 0.1)
+    for got, ref in ((A_d, want[:2, :2]), (B_d, want[:2, 2:])):
+        assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+def test_dc_motor_discretization_unchanged():
+    # the scipy.linalg.expm discretization this library shipped with, to 17 digits
+    a_d = [[0.36783052085214873, 0.05635455519699348],
+           [-0.00112709110393987, 0.8186669624280964]]
+    b_d = [[0.006855537180611048], [0.18126448220009744]]
+    spec = dc_motor_spec()
+    for got, want in ((spec.a_d, np.array(a_d)), (spec.b_d, np.array(b_d))):
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 def test_spec_dispatch_dimensions():

@@ -1,10 +1,16 @@
 """Ranking metrics, config parsing, the experiment runner, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
+import lqrinfluence
 from lqrinfluence.bench import GenerationConfig, dc_motor_spec
 from lqrinfluence.cli import main
 from lqrinfluence.errors import DegenerateInput, InvalidConfig
@@ -12,6 +18,7 @@ from lqrinfluence.experiments import (
     ExperimentConfig,
     load_config,
     parse_config,
+    rankdata,
     run_experiment,
     spearman,
     topk_jaccard,
@@ -46,6 +53,24 @@ def test_spearman_oracles():
 def test_spearman_average_ranks_on_ties():
     # ranks (1.5, 1.5, 3) vs (1, 2, 3): Pearson = 1.5 / sqrt(1.5 * 2)
     assert spearman([1, 1, 2], [1, 2, 3]) == pytest.approx(np.sqrt(3) / 2)
+
+
+def test_rankdata_matches_scipy_average_ranks():
+    rng = np.random.default_rng(3)
+    cases = [np.zeros(5), np.array([-0.0, 0.0, -0.0, 1.0]), np.array([2.0]),
+             np.array([np.nan, 1.0])]
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        a = rng.integers(-3, 4, size=n) * 0.5   # many ties
+        a[rng.uniform(size=n) < 0.2] = -0.0
+        if rng.uniform() < 0.3:
+            a = rng.normal(size=n)
+        if rng.uniform() < 0.1:
+            a[:] = a[0]                          # one all-equal run
+        cases.append(a)
+    for a in cases:
+        want = scipy.stats.rankdata(a)
+        assert np.array_equal(rankdata(a), want, equal_nan=True), a
 
 
 def test_spearman_degenerate_inputs():
@@ -366,3 +391,20 @@ def test_cli_partial_exclusions_exit_code(tmp_path, capsys):
     rows = (out_dir / "scores_seed0.csv").read_text().strip().splitlines()
     flags = [r.split(",")[-1] for r in rows[1:]]
     assert flags == ["1", "0", "0"]
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    # the exact sweep on dc_motor reaches expm, spearman, solve_dare and loto_refit
+    cfg_path = write_cli_config(tmp_path, run_exact_loto=True)
+    script = (
+        "import sys\n"
+        "from lqrinfluence.cli import main\n"
+        "code = main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = Path(lqrinfluence.__file__).resolve().parents[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg_path), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"

@@ -14,6 +14,7 @@ from lqrinfluence.influence import (
     DecompositionDiagnostics,
     build_score_table,
     decomposition_diagnostics,
+    diagnostics_from_record,
     direct_trace_term,
     exact_loto_cost_shift,
     fixed_score,
@@ -314,29 +315,95 @@ def test_score_table_csv_empty_cells_without_exact(tmp_path):
 
 
 @st.composite
-def permuted_corpus(draw):
-    """A random stable linear corpus, its ridge weight, and a trajectory order."""
+def random_corpus(draw, min_size=2):
+    """A random stable linear corpus (trajectory triples) and its ridge weight."""
     n_x, n_u = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    lengths = draw(st.lists(st.integers(2, 12), min_size=2, max_size=7))
+    lengths = draw(st.lists(st.integers(2, 12), min_size=min_size, max_size=7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = rng.normal(size=(n_x, n_x))
     A *= draw(st.floats(0.0, 0.9)) / max(spectral_radius(A), 1e-12)
     B = rng.normal(size=(n_x, n_u))
     trajs = [simulate(rng, A, B, T, draw(st.sampled_from([0.05, 0.3]))) for T in lengths]
-    perm = draw(st.permutations(range(len(lengths))))
     lam = draw(st.sampled_from([1e-2, 1e-1, 1.0]))
+    return trajs, lam
+
+
+@st.composite
+def permuted_corpus(draw):
+    """A random corpus, its ridge weight, and a trajectory order."""
+    trajs, lam = draw(random_corpus())
+    perm = draw(st.permutations(range(len(trajs))))
     return trajs, np.array(perm), lam
+
+
+def fit_and_score(trajs, lam):
+    fit = fit_ridge(TrajectoryDataset.from_arrays(trajs), lam)
+    Q, R = np.eye(fit.n_x), np.eye(fit.n_u)
+    art = riccati_artifacts(fit, Q, R, fit.W_hat)
+    return fit, art, score_all(fit, art)
+
+
+def score_term_magnitudes(fit, art):
+    """Per trajectory, the summed magnitudes of the terms score_all adds, for
+    (if_fixed, if_stoch): scale g_k.v, frac c and the two direct traces.
+
+    A dot product enters as sum |g_ki v_i| (and lam sum |theta_i v_i| for c):
+    its round-off scales with that sum, which can far exceed |g_k.v| when the
+    products cancel.
+    """
+    scale, frac = fit.M / (fit.M - fit.lengths), fit.lengths / (fit.M - fit.lengths)
+    abs_g, abs_theta = np.abs(fit.g), fit.lam * np.abs(fit.theta)
+    tr0 = abs(np.trace(art.P0 @ fit.W_hat))
+    trk = np.abs(np.einsum("ij,kji->k", art.P0, fit.per_traj_cov))
+    fixed = scale * (abs_g @ np.abs(art.v_fixed)) + frac * (abs_theta @ np.abs(art.v_fixed))
+    stoch = (scale * (abs_g @ np.abs(art.v_stoch)) + frac * (abs_theta @ np.abs(art.v_stoch))
+             + frac * (tr0 + trk))
+    return fixed, stoch
 
 
 @settings(max_examples=60, deadline=None)
 @given(permuted_corpus())
 def test_scores_are_permutation_equivariant_property(case):
-    # reordering the trajectories reorders both scores and changes nothing else
+    # reordering the trajectories reorders both scores and changes nothing else;
+    # a score can be a small difference of larger terms, so the round-off
+    # bound is relative to those terms, not to the score
     trajs, perm, lam = case
-    scores = []
-    for order in (range(len(trajs)), perm):
-        fit = fit_ridge(TrajectoryDataset.from_arrays([trajs[i] for i in order]), lam)
-        Q, R = np.eye(fit.n_x), np.eye(fit.n_u)
-        scores.append(score_all(fit, riccati_artifacts(fit, Q, R, fit.W_hat)))
-    for base, permuted in zip(*scores):
-        assert np.abs(base[perm] - permuted).max() <= 1e-12 * np.abs(base).max()
+    fit, art, base = fit_and_score(trajs, lam)
+    _, _, permuted = fit_and_score([trajs[i] for i in perm], lam)
+    for b, p, mag in zip(base, permuted, score_term_magnitudes(fit, art)):
+        assert np.all(np.abs(b[perm] - p) <= 1e-12 * mag[perm])
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_corpus(min_size=1), st.data())
+def test_duplicated_trajectories_get_equal_scores_property(case, data):
+    trajs, lam = case
+    j = data.draw(st.integers(0, len(trajs) - 1))
+    at = data.draw(st.integers(0, len(trajs)))
+    trajs = trajs[:at] + [trajs[j]] + trajs[at:]
+    a, b = (j, at) if at > j else (j + 1, at)   # the two copies
+    fit, art, scores = fit_and_score(trajs, lam)
+    for score, mag in zip(scores, score_term_magnitudes(fit, art)):
+        assert abs(score[a] - score[b]) <= 1e-12 * max(mag[a], mag[b])
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_corpus())
+def test_five_term_identity_property(case):
+    # gate 2's bookkeeping on random stable systems: the three remainders are
+    # explicit differences, so the identity holds to round-off in its terms
+    trajs, lam = case
+    fit, art, _ = fit_and_score(trajs, lam)
+    Q, R = np.eye(fit.n_x), np.eye(fit.n_u)
+    direct = direct_trace_term(fit, art)
+    base = np.trace(art.P0 @ fit.W_hat)
+    for k in range(fit.N):
+        rec = loto_record(fit, Q, R, k)
+        if rec.P is None:
+            continue
+        diag = diagnostics_from_record(fit, art, k, rec)
+        terms = np.array([(art.zeta - art.h) @ (rec.theta - fit.theta), direct[k],
+                          diag.r_ric, diag.r_w, diag.r_cross])
+        refit = np.trace(rec.P @ rec.W)
+        scale = abs(refit) + abs(base) + np.abs(terms).sum()
+        assert abs(terms.sum() - (refit - base)) <= 1e-13 * scale

@@ -17,6 +17,7 @@ from lqrinfluence.linalg import (
     cg_solve,
     cholesky_factor,
     dare_residual,
+    expm,
     solve_dare,
     solve_dlyap,
     solve_spd,
@@ -63,8 +64,10 @@ def test_cholesky_matches_numpy_on_random_spd():
 
 
 def test_cholesky_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite):
-        cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # LAPACK rejects these before any pivot is checked; a LinAlgError would escape pytest.raises
+    for mat in (np.array([[1.0, 2.0], [2.0, 1.0]]), -np.eye(3), np.zeros((2, 2))):
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_factor(mat)
 
 
 def test_cholesky_rejects_near_singular():
@@ -219,3 +222,18 @@ def test_dare_dimension_checks():
         solve_dare(np.eye(2), np.ones((3, 1)), np.eye(2), np.eye(1))
     with pytest.raises(DimensionMismatch):
         solve_dare(np.eye(2), np.ones((2, 1)), np.eye(3), np.eye(1))
+
+
+def test_expm_matches_scipy_on_random_matrices():
+    # 1-norms from 1e-3 to 1e3; spectral abscissa 0 keeps exp(m) bounded. Past
+    # unit norm both sides scale and square, each with a forward error growing
+    # like u ||m||_1 (the conditioning of exp), so the bound grows with the norm
+    rng = np.random.default_rng(11)
+    for norm in np.logspace(-3, 3, 25):
+        for n in range(2, 7):
+            m = rng.normal(size=(n, n))
+            m -= np.linalg.eigvals(m).real.max() * np.eye(n)
+            m *= norm / np.abs(m).sum(axis=0).max()
+            bound = 1e-15 if norm <= 1.0 else 1e-14 * norm
+            ref = sla.expm(m)
+            assert np.linalg.norm(expm(m) - ref) <= bound * np.linalg.norm(ref), (norm, n)

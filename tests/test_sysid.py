@@ -284,6 +284,17 @@ def test_loto_refit_matches_fit_on_retained_property(case):
         assert np.all(theta_to_ab(theta_k, data.n_x, data.n_u)[1] == 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(removal_case(), st.integers(0, 2**32 - 1))
+def test_hessian_solve_matches_dense_kronecker_solve_property(case, seed):
+    # H = (G + lam I) kron I_nx: one q x q solve with n_x right sides is H^-1 v
+    data, _, lam, _ = case
+    fit = fit_ridge(data, lam)
+    v = np.random.default_rng(seed).normal(size=fit.p)
+    dense = np.linalg.solve(np.kron(fit.gram + lam * np.eye(fit.q), np.eye(fit.n_x)), v)
+    assert np.linalg.norm(fit.hessian_solve(v) - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
 def test_loto_refit_single_trajectory_raises():
     rng = np.random.default_rng(17)
     data = TrajectoryDataset.from_arrays([simulate_linear(rng, A0, B0, 10)])
