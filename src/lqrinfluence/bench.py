@@ -21,6 +21,9 @@ the policy, then x0), then all its per-step normals in one (T, .) call, row t
 holding step t's draws (linear: input then noise; quadrotor: excitation then
 gust). Generator.normal fills sequentially, so these are the draws of a
 serial step-by-step loop; tests/test_bench.py keeps that loop as the oracle.
+The quadrotor setup draws nothing else per trajectory: every reference is
+evaluated once on the (T_max, N) time grid, one mission kind at a time with
+its parameters stacked as arrays, and x0 starts from the grid's first row.
 """
 from __future__ import annotations
 
@@ -242,26 +245,38 @@ def _rollout_linear(spec: SystemSpec, rngs, lengths, x0_scale: float):
     return X, U, Xn
 
 
+# each mission reference's parameters, with the value a policy that omits one gets
+_REFERENCE_DEFAULTS = {
+    "figure_eight": {"amp_x": 4.0, "amp_z": 2.0, "omega": 0.8, "phase": 0.0},
+    "descending_s": {"amp_x": 4.0, "omega": 0.8, "phase": 0.0, "z0": 6.0, "rate": 1.0,
+                     "t_mid": 2.0},
+    "circle": {"radius": 4.0, "omega": 0.8, "phase": 0.0},
+}
+
+
 def _reference(policy: dict, t):
     """Position, velocity, acceleration of the policy's reference at time(s) t.
 
-    Hover is the zero reference. For an array t each value has shape (2, len(t)).
+    Hover is the zero reference. Each value has shape (2,) + the broadcast
+    shape of t and the policy's parameters, which may be arrays.
     """
     kind = policy["kind"]
-    ph = policy.get("phase", 0.0)
     if kind == "hover":
         zero = np.zeros((2,) + np.shape(t))
         return zero, zero, zero
+    if kind not in _REFERENCE_DEFAULTS:
+        raise InvalidConfig(f"unknown reference kind {kind!r}")
+    prm = {**_REFERENCE_DEFAULTS[kind], **policy}
+    ph, w = prm["phase"], prm["omega"]
     if kind == "figure_eight":
-        ax, az, w = policy.get("amp_x", 4.0), policy.get("amp_z", 2.0), policy.get("omega", 0.8)
+        ax, az = prm["amp_x"], prm["amp_z"]
         p = np.array([ax * np.sin(w * t + ph), az * np.sin(2 * (w * t + ph))])
         v = np.array([ax * w * np.cos(w * t + ph), 2 * az * w * np.cos(2 * (w * t + ph))])
         a = np.array([-ax * w * w * np.sin(w * t + ph),
                       -4 * az * w * w * np.sin(2 * (w * t + ph))])
         return p, v, a
     if kind == "descending_s":
-        ax, w = policy.get("amp_x", 4.0), policy.get("omega", 0.8)
-        z0, rate, t_mid = policy.get("z0", 6.0), policy.get("rate", 1.0), policy.get("t_mid", 2.0)
+        ax, z0, rate, t_mid = prm["amp_x"], prm["z0"], prm["rate"], prm["t_mid"]
         s = 1.0 / (1.0 + np.exp(rate * (t - t_mid)))   # sigmoid altitude from z0 down to 0
         ds = -rate * s * (1.0 - s)
         dds = -rate * ds * (1.0 - 2.0 * s)
@@ -269,38 +284,54 @@ def _reference(policy: dict, t):
         v = np.array([ax * w * np.cos(w * t + ph), z0 * ds])
         a = np.array([-ax * w * w * np.sin(w * t + ph), z0 * dds])
         return p, v, a
-    if kind == "circle":
-        r, w = policy.get("radius", 4.0), policy.get("omega", 0.8)
-        p = np.array([r * np.cos(w * t + ph), r * np.sin(w * t + ph)])
-        v = np.array([-r * w * np.sin(w * t + ph), r * w * np.cos(w * t + ph)])
-        a = np.array([-r * w * w * np.cos(w * t + ph), -r * w * w * np.sin(w * t + ph)])
-        return p, v, a
-    raise InvalidConfig(f"unknown reference kind {kind!r}")
+    r = prm["radius"]
+    p = np.array([r * np.cos(w * t + ph), r * np.sin(w * t + ph)])
+    v = np.array([-r * w * np.sin(w * t + ph), r * w * np.cos(w * t + ph)])
+    a = np.array([-r * w * w * np.cos(w * t + ph), -r * w * w * np.sin(w * t + ph)])
+    return p, v, a
 
 
-def _rollout_uav(spec: SystemSpec, x0, policies, lengths, rngs):
+def _reference_grid(policies, t) -> np.ndarray:
+    """Every policy's reference at the times t: (len(t), N, 6) rows p_ref, v_ref, a_ref.
+
+    The policies of one kind are evaluated together, their parameters
+    stacked as arrays; hover rows stay zero.
+    """
+    ref = np.zeros((len(t), len(policies), 6))
+    kinds = [policy["kind"] for policy in policies]
+    for kind, defaults in _REFERENCE_DEFAULTS.items():
+        cols = [j for j, name in enumerate(kinds) if name == kind]
+        if cols:
+            stacked = {name: np.array([policies[j].get(name, d) for j in cols])
+                       for name, d in defaults.items()}
+            pva = _reference({"kind": kind, **stacked}, t[:, None])
+            ref[:, cols] = np.concatenate(pva).transpose(1, 2, 0)
+    return ref
+
+
+def _rollout_uav(spec: SystemSpec, x0, policies, ref, lengths, rngs):
     """Roll quadrotor trajectory k out from x0[k] under policies[k], all at once.
 
-    Every policy tracks its reference (hover: the zero reference) with its
-    gains; rngs[k] draws per step the excitation, then the gust normals.
-    Returns time-major (T_max, N, .) arrays X, U, X_next. A trajectory past
-    its end stays frozen at its last state.
+    Every policy tracks its reference ref (_reference_grid; hover: zero)
+    with its gains; rngs[k] draws its (T, 4) excitation and gust normals in
+    one call. Returns time-major (T_max, N, .) arrays X, U, X_next. A
+    trajectory past its end stays frozen at its last state.
     """
     live = _live(lengths)
     T_max, N = live.shape
-    ref = np.zeros((T_max, N, 6))      # p_ref, v_ref, a_ref
     noise = np.zeros((T_max, N, 4))    # excitation, gust
-    gains = np.empty((N, 2))
-    drag = np.empty((N, 1))
-    grid = np.arange(T_max) * spec.dt
-    for k, (policy, rng, T) in enumerate(zip(policies, rngs, lengths)):
-        gains[k] = _HOVER_GAINS if policy["kind"] == "hover" else _MISSION_GAINS
-        drag[k] = policy.get("drag", spec.drag)
-        draws = rng.normal(size=(T, 4))
-        noise[:T, k, :2] = policy.get("excitation_std", spec.excitation_std) * draws[:, :2]
-        noise[:T, k, 2:] = policy.get("gust_std", spec.gust_std) * draws[:, 2:]
-        ref[:T, k] = np.concatenate(_reference(policy, grid[:T])).T
-    kp, kd = gains[:, :1], gains[:, 1:]
+    for j, (rng, T) in enumerate(zip(rngs, lengths)):
+        noise[:T, j] = rng.normal(size=(T, 4))
+    hover = np.array([policy["kind"] == "hover" for policy in policies])[:, None]
+    kp = np.where(hover, _HOVER_GAINS[0], _MISSION_GAINS[0])
+    kd = np.where(hover, _HOVER_GAINS[1], _MISSION_GAINS[1])
+
+    def per_policy(name):
+        return np.array([policy.get(name, getattr(spec, name)) for policy in policies])[:, None]
+
+    drag = per_policy("drag")
+    noise[:, :, :2] *= per_policy("excitation_std")
+    noise[:, :, 2:] *= per_policy("gust_std")
 
     x = np.array(x0, dtype=float)
     X = np.empty((T_max, N, 4))
@@ -333,7 +364,8 @@ def simulate_uav(spec: SystemSpec, x0, policy: dict, T: int, seed) -> tuple:
     if policy.get("kind") not in ("hover",) + _MISSION_REFS:
         raise InvalidConfig(f"unknown policy kind {policy.get('kind')!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    X, U, Xn = _rollout_uav(spec, [x0], [policy], [T], [rng])
+    ref = _reference_grid([policy], np.arange(T) * spec.dt)
+    X, U, Xn = _rollout_uav(spec, [x0], [policy], ref, [T], [rng])
     return X[:, 0], U[:, 0], Xn[:, 0]
 
 
@@ -383,13 +415,19 @@ _RECOVERY_SCALE = 8.0
 _STATION_SCALE = 0.3
 
 
-def _uav_x0(spec: SystemSpec, policy: dict, rng, x0_scale: float) -> np.ndarray:
+def _uav_x0_offset(spec: SystemSpec, policy: dict, rng, x0_scale: float) -> np.ndarray:
+    """x0 minus the reference's start: scaled normals, and for hover a recovery draw."""
     noise = rng.normal(size=4) * spec.x0_std * x0_scale
     if policy["kind"] == "hover":
         far = rng.uniform() < _RECOVERY_FRACTION
         return noise * (_RECOVERY_SCALE if far else _STATION_SCALE)
+    return noise
+
+
+def _uav_x0(spec: SystemSpec, policy: dict, rng, x0_scale: float) -> np.ndarray:
+    """One trajectory's x0; _simulate reads the start of every reference off its grid."""
     p_ref, v_ref, _ = _reference(policy, 0.0)
-    return np.concatenate([p_ref, v_ref]) + noise
+    return np.concatenate([p_ref, v_ref]) + _uav_x0_offset(spec, policy, rng, x0_scale)
 
 
 def _simulate(spec: SystemSpec, seed: int, stream: int, lengths,
@@ -402,8 +440,10 @@ def _simulate(spec: SystemSpec, seed: int, stream: int, lengths,
         X, U, Xn = _rollout_linear(spec, rngs, lengths, x0_scale)
     else:
         policies = [_uav_policy(spec, k, rng) for k, rng in enumerate(rngs)]
-        x0 = [_uav_x0(spec, policy, rng, x0_scale) for policy, rng in zip(policies, rngs)]
-        X, U, Xn = _rollout_uav(spec, x0, policies, lengths, rngs)
+        ref = _reference_grid(policies, np.arange(max(lengths)) * spec.dt)
+        x0 = ref[0, :, :4] + [_uav_x0_offset(spec, policy, rng, x0_scale)
+                              for policy, rng in zip(policies, rngs)]
+        X, U, Xn = _rollout_uav(spec, x0, policies, ref, lengths, rngs)
     rows = _live(lengths).T   # (N, T_max): the dataset stores trajectory after trajectory
     return TrajectoryDataset(
         n_x=spec.n_x,
@@ -449,8 +489,9 @@ def prediction_loss(theta: np.ndarray, data: TrajectoryDataset) -> float:
 def heldout_prediction_scores(fit: ModelFit, heldout: TrajectoryDataset):
     """Predicted vs exact held-out loss shifts for every trajectory removal.
 
-    if_pred_k = grad L_pred(theta_hat)^T IF_m_k; delta_l_exact_k refits without
-    trajectory k. The held-out loss is quadratic in theta, so with
+    if_pred_k = grad L_pred(theta_hat)^T IF_m_k, every IF_m_k from one Hessian
+    solve with N n_x right sides; delta_l_exact_k refits without trajectory k
+    (one stacked loto_refit). The held-out loss is quadratic in theta, so with
     D = Theta_k - Theta and S_ho the held-out Gram its exact shift is
     grad^T d + (1/2) sum D o (S_ho D), read off one pass over the held-out rows.
     """
@@ -464,15 +505,9 @@ def heldout_prediction_scores(fit: ModelFit, heldout: TrajectoryDataset):
     grad = -(Z_ho.T @ E_ho).ravel() / heldout.M
     S_ho = Z_ho.T @ Z_ho / heldout.M
 
-    N = fit.N
-    if_pred = np.empty(N)
-    delta_l = np.empty(N)
-    for k in range(N):
-        if_m = fit.hessian_solve(eta(fit, k))
-        if_pred[k] = grad @ if_m
-        theta_k, _ = loto_refit(fit, k)
-        D = (theta_k - fit.theta).reshape(fit.q, fit.n_x)
-        delta_l[k] = grad @ D.ravel() + 0.5 * np.sum(D * (S_ho @ D))
+    if_pred = fit.hessian_solve(eta(fit, np.arange(fit.N))) @ grad
+    D = loto_refit(fit)[0].reshape(fit.N, fit.q, fit.n_x) - Theta
+    delta_l = D.reshape(fit.N, fit.p) @ grad + 0.5 * np.sum(D * (S_ho @ D), axis=(1, 2))
     return if_pred, delta_l
 
 

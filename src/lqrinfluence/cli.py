@@ -3,8 +3,8 @@
     lqr-influence run config.json --out results/ [--solver dense|cg]
                                                  [--no-exact] [--seeds 0,1,2]
 
-Exit codes: 0 success, 1 config error (a malformed config, dataset file or
-output directory), 2 numerical failure,
+Exit codes: 0 success, 1 config error (a malformed command line, config,
+dataset file or output directory), 2 numerical failure,
 3 success with some trajectories excluded (their refit had no stabilizing
 controller; they are listed in the report and flagged in the score CSVs).
 """
@@ -23,8 +23,14 @@ EXIT_NUMERICAL = 2
 EXIT_PARTIAL = 3
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the code this CLI documents for a numerical failure
+    def error(self, message):
+        raise InvalidConfig(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lqr-influence",
         description="Score trajectory influence on a certainty-equivalent LQR controller.",
     )
@@ -52,9 +58,8 @@ def _parse_seeds(text: str) -> tuple:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-
     try:
+        args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
         overrides = {}
         if args.solver is not None:

@@ -6,9 +6,11 @@ Three quantities per trajectory k:
 * stochastic score        (zeta - h)^T IF_m_k + (T_k/M_k) Tr(P0 (W_hat - W_bar_k)),
 * exact shift             dJ_k = Tr(P(theta_k) W_k) - Tr(P0 W_hat)  by refitting.
 
-Every exact quantity takes the base ModelFit and removes trajectory k through
-sysid.loto_refit, which solves the retained normal equations from the fit's
-per-trajectory statistics; nothing here refits from the raw data.
+Every exact quantity takes the base ModelFit and reads the removal of
+trajectory k off sysid.loto_refit, which solves the retained normal equations
+of every trajectory at once from the fit's per-trajectory statistics; nothing
+here refits from the raw data. The exact sweep calls it once, then solves one
+refit DARE per trajectory.
 
 The amortized forms never materialize IF_m_k: with v = H^-1 rhs precomputed,
 each score is (M/M_k) g_k^T v + (T_k/M_k) lam theta^T v plus the direct
@@ -27,7 +29,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import DominantTrajectory, NoStabilizingSolution
+from .errors import NoStabilizingSolution
 from .linalg import solve_dare
 from .lqr import RiccatiArtifacts, riccati_artifacts
 from .sysid import (
@@ -35,6 +37,7 @@ from .sysid import (
     covariance_direct_term,
     loto_refit,
     model_influence,
+    removal_weights,
     theta_to_ab,
 )
 
@@ -44,19 +47,9 @@ SCORE_CSV_HEADER = [
 ]
 
 
-def _removal_weights(fit: ModelFit):
-    T = fit.lengths.astype(float)
-    M_rem = fit.M - T
-    if np.any(M_rem == 0):
-        raise DominantTrajectory(
-            "a trajectory holds every transition; leave-one-out is undefined"
-        )
-    return fit.M / M_rem, T / M_rem
-
-
 def direct_trace_term(fit: ModelFit, art: RiccatiArtifacts) -> np.ndarray:
     """(T_k/M_k) Tr(P0 (W_hat - W_bar_k)) for every k."""
-    _, frac = _removal_weights(fit)
+    _, frac = removal_weights(fit)
     tr0 = np.trace(art.P0 @ fit.W_hat)
     trk = np.einsum("ij,kji->k", art.P0, fit.per_traj_cov)
     return frac * (tr0 - trk)
@@ -64,13 +57,13 @@ def direct_trace_term(fit: ModelFit, art: RiccatiArtifacts) -> np.ndarray:
 
 def fixed_score(fit: ModelFit, art: RiccatiArtifacts, k: int) -> float:
     """Influence on Tr(P(theta) Sigma) with the covariance frozen at art.Sigma."""
-    scale, frac = _removal_weights(fit)
+    scale, frac = removal_weights(fit)
     return float(scale[k] * (fit.g[k] @ art.v_fixed) + frac[k] * art.c_fixed)
 
 
 def stochastic_score(fit: ModelFit, art: RiccatiArtifacts, k: int) -> float:
     """Influence on the full plug-in cost, covariance channel included."""
-    scale, frac = _removal_weights(fit)
+    scale, frac = removal_weights(fit)
     direct = np.trace(art.P0 @ covariance_direct_term(fit, k))
     return float(
         scale[k] * (fit.g[k] @ art.v_stoch) + frac[k] * art.c_stoch + direct
@@ -79,7 +72,7 @@ def stochastic_score(fit: ModelFit, art: RiccatiArtifacts, k: int) -> float:
 
 def score_all(fit: ModelFit, art: RiccatiArtifacts):
     """Vectorized scores for every trajectory: (if_fixed, if_stoch) arrays."""
-    scale, frac = _removal_weights(fit)
+    scale, frac = removal_weights(fit)
     if_fixed = scale * (fit.g @ art.v_fixed) + frac * art.c_fixed
     if_stoch = scale * (fit.g @ art.v_stoch) + frac * art.c_stoch
     if_stoch = if_stoch + direct_trace_term(fit, art)
@@ -95,8 +88,7 @@ class LotoRecord:
     P: np.ndarray | None   # None when the refit DARE has no stabilizing solution
 
 
-def loto_record(fit: ModelFit, Q, R, k: int) -> LotoRecord:
-    theta_k, W_k = loto_refit(fit, k)
+def _record(fit: ModelFit, Q, R, theta_k: np.ndarray, W_k: np.ndarray) -> LotoRecord:
     A_k, B_k = theta_to_ab(theta_k, fit.n_x, fit.n_u)
     try:
         P_k = solve_dare(A_k, B_k, Q, R)
@@ -105,8 +97,16 @@ def loto_record(fit: ModelFit, Q, R, k: int) -> LotoRecord:
     return LotoRecord(theta=theta_k, W=W_k, P=P_k)
 
 
+def loto_record(fit: ModelFit, Q, R, k: int) -> LotoRecord:
+    if not 0 <= k < fit.N:
+        raise IndexError(f"trajectory index {k} out of range for N={fit.N}")
+    theta, W = loto_refit(fit)
+    return _record(fit, Q, R, theta[k], W[k])
+
+
 def exact_loto_sweep(fit: ModelFit, Q, R) -> list[LotoRecord]:
-    return [loto_record(fit, Q, R, k) for k in range(fit.N)]
+    """Every removal's record: one stacked refit, then one refit DARE per trajectory."""
+    return [_record(fit, Q, R, theta_k, W_k) for theta_k, W_k in zip(*loto_refit(fit))]
 
 
 def exact_loto_cost_shift(fit: ModelFit, Q, R, k: int) -> float:

@@ -5,6 +5,8 @@ regressor dimensions of a few dozen: the ridge Hessian is factored through
 its q x q Gram, never as the p x p Kronecker product), so simple algorithms
 are preferred: LAPACK Cholesky with a relative pivot floor, plain conjugate
 gradients, and a Kronecker vectorization solve for the Lyapunov equation.
+The Cholesky factor and its solve also take a (N, n, n) stack of systems,
+each checked on its own, so N small systems cost one call.
 The Riccati equation is solved by structure-preserving doubling, which
 converges quadratically, and every solution it returns is certified by its
 residual. The matrix exponential is Pade scaling and squaring (Higham 2005).
@@ -46,13 +48,13 @@ _PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """Lower-triangular Cholesky factor L with H = L L^T."""
+    """Lower-triangular Cholesky factor L with H = L L^T; a leading axis stacks systems."""
 
     L: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.L.shape[0]
+        return self.L.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -68,62 +70,88 @@ class LinearOperator:
         return cls(dim=m.shape[0], apply=lambda v: m @ v)
 
 
-def _check_square(mat: np.ndarray, name: str) -> np.ndarray:
+def _check_square(mat: np.ndarray, name: str, stacked: bool = False) -> np.ndarray:
     m = np.asarray(mat, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in ((2, 3) if stacked else (2,)) or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
 
 
-def _check_symmetric(mat: np.ndarray, name: str) -> np.ndarray:
-    m = _check_square(mat, name)
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if np.abs(m - m.T).max(initial=0.0) > _SYM_RTOL * scale:
-        raise ValueError(f"{name} is not symmetric")
+def _system(m: np.ndarray, i: int) -> str:
+    # names system i of a stack in an error message; a single matrix needs no name
+    return f"system {i}: " if m.ndim == 3 else ""
+
+
+def _check_symmetric(mat: np.ndarray, name: str, stacked: bool = False) -> np.ndarray:
+    m = _check_square(mat, name, stacked)
+    scale = np.abs(m).max(axis=(-2, -1), initial=1.0)   # max(1, largest entry) per system
+    bad = np.abs(m - m.swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0) > _SYM_RTOL * scale
+    if bad.any():
+        raise ValueError(f"{_system(m, int(np.argmax(bad)))}{name} is not symmetric")
     return m
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
-    """(X + X^T)/2; bitwise symmetric because float addition commutes."""
-    return (mat + mat.T) / 2.0
+    """(X + X^T)/2 of a matrix or of each in a stack; bitwise symmetric because float addition commutes."""
+    return (mat + mat.swapaxes(-2, -1)) / 2.0
 
 
 def spectral_radius(mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
-def cholesky_factor(mat: np.ndarray) -> SpdFactor:
-    """Factor a symmetric positive definite matrix as L L^T.
+def _first_unfactorable(h: np.ndarray) -> int:
+    """Index of the first system LAPACK rejects: its error does not say which one failed."""
+    for i, m in enumerate(h.reshape((-1,) + h.shape[-2:])):
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            break
+    return i
 
-    Raises NotPositiveDefinite when LAPACK finds the matrix indefinite or a
-    squared pivot diag(L)^2 falls at or below 1e-14 times the largest
-    diagonal entry.
+
+def cholesky_factor(mat: np.ndarray) -> SpdFactor:
+    """Factor a symmetric positive definite matrix, or each of a (N, n, n) stack, as L L^T.
+
+    Every system is checked on its own: NotPositiveDefinite, naming the
+    failing system of a stack, when LAPACK finds it indefinite or a squared
+    pivot diag(L)^2 falls at or below 1e-14 times its largest diagonal entry.
     """
-    h = _check_symmetric(mat, "matrix")
-    piv_floor = _PIVOT_RTOL * float(np.max(np.diag(h), initial=0.0))
+    h = _check_symmetric(mat, "matrix", stacked=True)
     try:
         L = np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
-    low = np.diag(L) ** 2 <= piv_floor
-    if low.any():
-        j = int(np.argmax(low))
         raise NotPositiveDefinite(
-            f"pivot {L[j, j] ** 2:.3e} at column {j} under floor {piv_floor:.3e}"
-        )
+            f"{_system(h, _first_unfactorable(h))}matrix is not positive definite: {exc}"
+        ) from exc
+    piv = L.diagonal(axis1=-2, axis2=-1) ** 2
+    floor = _PIVOT_RTOL * h.diagonal(axis1=-2, axis2=-1).max(axis=-1, initial=0.0)
+    low = piv <= floor[..., None]
+    if low.any():
+        n = h.shape[-1]
+        i, j = divmod(int(np.argmax(low)), n)
+        raise NotPositiveDefinite(f"{_system(h, i)}pivot {piv.reshape(-1, n)[i, j]:.3e} "
+                                  f"at column {j} under floor {floor.reshape(-1)[i]:.3e}")
     return SpdFactor(L=L)
 
 
 def solve_spd(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve H x = rhs given the Cholesky factor of H. rhs may be a vector or matrix."""
+    """Solve H x = rhs given the Cholesky factor of H.
+
+    rhs may be a vector or matrix; for a stacked factor, a (N, n) stack of
+    vectors or a (N, n, r) stack of matrices, system i solved for row i.
+    """
     r = np.asarray(rhs, dtype=float)
-    if r.shape[0] != factor.dim:
+    lead = factor.L.shape[:-1]
+    if r.shape[:len(lead)] != lead:
         raise DimensionMismatch(
-            f"rhs has leading dimension {r.shape[0]}, factor has {factor.dim}"
+            f"rhs has leading dimensions {r.shape[:len(lead)]}, factor has {lead}"
         )
-    return np.linalg.solve(factor.L.T, np.linalg.solve(factor.L, r))
+    if factor.L.ndim == 3 and r.ndim == 2:
+        return solve_spd(factor, r[..., None])[..., 0]
+    return np.linalg.solve(factor.L.swapaxes(-2, -1), np.linalg.solve(factor.L, r))
 
 
 def cg_solve(

@@ -7,8 +7,10 @@ normal equations on the (n_x + n_u)-dimensional Gram matrix of the z_s. The
 Hessian is H = (G + lam I) kron I_nx, so its Cholesky factor is the q x q Gram
 factor kron I_nx and every H^-1 v is one q x q solve with n_x right sides
 (ModelFit.hessian_solve); the p x p matrix is never formed on the run path.
-The fit keeps every trajectory's Gram Z_k^T Z_k next to its gradient, so each
-exact leave-one-trajectory-out refit (loto_refit) is one q x q solve.
+The fit keeps every trajectory's Gram Z_k^T Z_k next to its gradient, so the
+exact leave-one-trajectory-out refits (loto_refit) of every trajectory are
+one stacked (N, q, q) factorization and solve on prefix and suffix sums of
+those statistics.
 """
 from __future__ import annotations
 
@@ -268,9 +270,14 @@ class ModelFit:
         return SpdFactor(L=np.kron(self.gram_factor.L, np.eye(self.n_x)))
 
     def hessian_solve(self, v: np.ndarray) -> np.ndarray:
-        """H^-1 v as one q x q solve on the Gram factor with n_x right sides."""
-        V = np.asarray(v, dtype=float).reshape(self.q, self.n_x)
-        return solve_spd(self.gram_factor, V).ravel()
+        """H^-1 v as one q x q solve on the Gram factor with n_x right sides.
+
+        Each row of a (N, p) v is solved too, all N n_x right sides at once.
+        """
+        V = np.asarray(v, dtype=float)
+        cols = V.reshape(-1, self.q, self.n_x).transpose(1, 0, 2).reshape(self.q, -1)
+        X = solve_spd(self.gram_factor, cols).reshape(self.q, -1, self.n_x)
+        return X.transpose(1, 0, 2).reshape(V.shape)
 
     def hessian_matvec(self, v: np.ndarray) -> np.ndarray:
         """H v through the Gram structure, never materializing per-step regressors."""
@@ -342,16 +349,30 @@ def trajectory_gradient(fit: ModelFit, k: int) -> np.ndarray:
     return fit.g[k].copy()
 
 
-def eta(fit: ModelFit, k: int) -> np.ndarray:
-    """Removal direction eta_k = (M/M_k) g_k + (T_k/M_k) lam theta, M_k = M - T_k."""
-    gk = trajectory_gradient(fit, k)
-    T_k = int(fit.lengths[k])
-    M_rem = fit.M - T_k
-    if M_rem == 0:
+def removal_weights(fit: ModelFit):
+    """(M/M_k, T_k/M_k) for every trajectory k, with M_k = M - T_k transitions retained."""
+    T = fit.lengths.astype(float)
+    M_rem = fit.M - T
+    if np.any(M_rem == 0):
         raise DominantTrajectory(
-            "trajectory holds every transition; leave-one-out is undefined"
+            "a trajectory holds every transition; leave-one-out is undefined"
         )
-    return (fit.M / M_rem) * gk + (T_k / M_rem) * fit.lam * fit.theta
+    return fit.M / M_rem, T / M_rem
+
+
+def _check_index(fit: ModelFit, k) -> None:
+    if np.any((np.asarray(k) < 0) | (np.asarray(k) >= fit.N)):
+        raise IndexError(f"trajectory index {k} out of range for N={fit.N}")
+
+
+def eta(fit: ModelFit, k) -> np.ndarray:
+    """Removal direction eta_k = (M/M_k) g_k + (T_k/M_k) lam theta, M_k = M - T_k.
+
+    For an index array k, row i is eta_(k[i]).
+    """
+    _check_index(fit, k)
+    scale, frac = removal_weights(fit)
+    return scale[k][..., None] * fit.g[k] + (frac[k] * fit.lam)[..., None] * fit.theta
 
 
 def model_influence(fit: ModelFit, k: int, solver: str = "dense",
@@ -365,42 +386,50 @@ def model_influence(fit: ModelFit, k: int, solver: str = "dense",
     raise ValueError(f"unknown solver {solver!r}")
 
 
-def loto_refit(fit: ModelFit, k: int):
-    """Exact refit with trajectory k removed, loss renormalized by 1/(M - T_k).
+def _all_but_one(stats: np.ndarray) -> np.ndarray:
+    """Row k: the sum of every row of stats but row k.
 
-    The ridge penalty keeps weight lam. Returns (theta, W): the refit
-    parameters and the covariance of the refit residuals over the retained
-    transitions. The normal equations sum the statistics over j != k, never
-    total minus own, so exact zeros in the retained data (say, inputs) stay
-    exact in theta; their right side sum Z_j^T Y_j is sum Z_j^T E_j + S Theta.
-    The retained residuals are E_j - Z_j D, D = Theta_k - Theta, so W comes
-    from the base residual statistics, free of Y^T Y cancellation.
+    Formed as (sum of rows before k) + (sum of rows after k), never total
+    minus own, so an entry that is zero in every retained row stays exactly zero.
+    """
+    zero = np.zeros((1,) + stats.shape[1:])
+    before = np.concatenate([zero, np.cumsum(stats[:-1], axis=0)])
+    after = np.concatenate([np.cumsum(stats[:0:-1], axis=0)[::-1], zero])
+    return before + after
+
+
+def loto_refit(fit: ModelFit):
+    """Exact refit with each trajectory k removed, loss renormalized by 1/(M - T_k).
+
+    The ridge penalty keeps weight lam. Returns (theta, W): row k of theta
+    (N, p) is the refit without trajectory k, and W[k] (N, n_x, n_x) the
+    covariance of its residuals over the retained transitions. The retained
+    statistics come from _all_but_one, so exact zeros in the retained data
+    (say, inputs) stay exact in theta; their right side sum Z_j^T Y_j is
+    sum Z_j^T E_j + S Theta. All N systems are factored and solved as one
+    stack. The retained residuals are
+    E_j - Z_j D, D = Theta_k - Theta, so W comes from the base residual
+    statistics, free of Y^T Y cancellation.
     """
     if fit.N < 2:
         raise SingleTrajectory("need at least two trajectories to remove one")
-    sl = fit.data.traj_slice(k)
-    M_rem = fit.M - (sl.stop - sl.start)
-    keep = np.arange(fit.N) != k
-    S = fit.traj_gram[keep].sum(axis=0)
-    ZE = -fit.M * fit.g[keep].sum(axis=0).reshape(fit.q, fit.n_x)   # sum of Z_j^T E_j
-    Theta0 = fit.theta.reshape(fit.q, fit.n_x)
+    N, q, n_x = fit.N, fit.q, fit.n_x
+    M_rem = (fit.M - fit.lengths)[:, None, None]
+    S = _all_but_one(fit.traj_gram)
+    ZE = -fit.M * _all_but_one(fit.g).reshape(N, q, n_x)   # sums of Z_j^T E_j
+    Theta0 = fit.theta.reshape(q, n_x)
 
-    gram = symmetrize(S / M_rem) + fit.lam * np.eye(fit.q)
+    gram = symmetrize(S / M_rem) + fit.lam * np.eye(q)
     Theta = solve_spd(cholesky_factor(gram), (ZE + S @ Theta0) / M_rem)
     D = Theta - Theta0
-    EE = np.einsum("j,jab->ab", fit.lengths[keep], fit.per_traj_cov[keep])
-    W = symmetrize(EE - ZE.T @ D - D.T @ ZE + D.T @ S @ D) / M_rem
-    return Theta.ravel(), W
+    EE = _all_but_one(fit.lengths[:, None, None] * fit.per_traj_cov)
+    ZEt_D = ZE.swapaxes(1, 2) @ D
+    W = symmetrize(EE - ZEt_D - ZEt_D.swapaxes(1, 2) + D.swapaxes(1, 2) @ S @ D) / M_rem
+    return Theta.reshape(N, q * n_x), W
 
 
 def covariance_direct_term(fit: ModelFit, k: int) -> np.ndarray:
     """Covariance shift from removal alone: (T_k/M_k) (W_hat - W_bar_k)."""
-    if not 0 <= k < fit.N:
-        raise IndexError(f"trajectory index {k} out of range for N={fit.N}")
-    T_k = int(fit.lengths[k])
-    M_rem = fit.M - T_k
-    if M_rem == 0:
-        raise DominantTrajectory(
-            "trajectory holds every transition; leave-one-out is undefined"
-        )
-    return (T_k / M_rem) * (fit.W_hat - fit.per_traj_cov[k])
+    _check_index(fit, k)
+    _, frac = removal_weights(fit)
+    return frac[k] * (fit.W_hat - fit.per_traj_cov[k])

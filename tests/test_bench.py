@@ -14,6 +14,7 @@ from lqrinfluence.bench import (
     _MISSION_GAINS,
     GenerationConfig,
     _reference,
+    _reference_grid,
     _traj_rng,
     _uav_policy,
     _uav_x0,
@@ -31,7 +32,7 @@ from lqrinfluence.bench import (
     uav_hover_spec,
     uav_mission_spec,
 )
-from lqrinfluence.errors import InvalidConfig
+from lqrinfluence.errors import DominantTrajectory, InvalidConfig
 from lqrinfluence.sysid import TrajectoryDataset, fit_ridge, loto_refit
 
 QUICK = GenerationConfig(n_trajectories=12, t_min=8, t_max=20, seed=0)
@@ -221,6 +222,27 @@ def test_simulate_uav_matches_serial_rollout(policy):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
+def test_reference_grid_matches_per_policy_reference():
+    # every kind with explicit parameters, with each default left out, and hover
+    explicit = [
+        {"kind": "figure_eight", "amp_x": 7.5, "amp_z": 3.1, "omega": 1.3, "phase": 2.2},
+        {"kind": "descending_s", "amp_x": 1.7, "omega": 0.5, "phase": 4.0, "z0": 7.2,
+         "rate": 0.9, "t_mid": 2.6},
+        {"kind": "circle", "radius": 9.1, "omega": 1.1, "phase": 0.4},
+    ]
+    defaults = [{"kind": policy["kind"]} for policy in explicit]
+    partial = [{key: value for key, value in policy.items() if key != drop}
+               for policy in explicit for drop in policy if drop != "kind"]
+    policies = explicit + defaults + partial + [{"kind": "hover"}] + explicit[::-1]
+    t = np.arange(60) * 0.1
+    grid = _reference_grid(policies, t)
+    assert grid.shape == (60, len(policies), 6)
+    for j, policy in enumerate(policies):
+        want = np.concatenate(_reference(policy, t)).T
+        assert np.abs(grid[:, j] - want).max() <= 1e-15 * max(np.abs(want).max(), 1.0)
+    assert not grid[:, policies.index({"kind": "hover"})].any()
+
+
 @pytest.mark.parametrize("size, traj_len", [(0, 50), (-3, 50), (100, 0), (100, -1)])
 def test_heldout_rejects_nonpositive_sizes(size, traj_len):
     with pytest.raises(InvalidConfig):
@@ -361,12 +383,19 @@ def test_heldout_scores_track_exact_shifts():
     # difference; that difference of two O(L) sums carries round-off near
     # eps * L, so agreement is relative to the largest shift
     base = prediction_loss(fit.theta, heldout)
-    direct = [prediction_loss(loto_refit(fit, k)[0], heldout) - base for k in range(fit.N)]
+    direct = [prediction_loss(theta_k, heldout) - base for theta_k in loto_refit(fit)[0]]
     assert np.abs(delta_l - direct).max() <= 1e-12 * np.abs(direct).max()
     # linear surrogate of a realizable system: high rank agreement
     from lqrinfluence.experiments import spearman
 
     assert spearman(if_pred, delta_l) > 0.9
+
+
+def test_heldout_scores_reject_a_dominant_trajectory():
+    spec = dc_motor_spec()
+    only = generate_heldout(spec, seed=3, size=40, traj_len=40)   # one trajectory, every transition
+    with pytest.raises(DominantTrajectory):
+        heldout_prediction_scores(fit_ridge(only, 1e-3), generate_heldout(spec, seed=4, size=100))
 
 
 def test_heldout_dimension_mismatch():

@@ -286,6 +286,21 @@ def test_cli_bad_seed_override_is_config_error(tmp_path):
                  "--seeds", "a,b"]) == 1
 
 
+@pytest.mark.parametrize("argv", [[], ["run"], ["run", "x.json", "--solver", "foo"]],
+                         ids=["bare", "run-without-config", "unknown-solver"])
+def test_cli_usage_error_is_config_error(argv, capsys):
+    # argparse's own exit code 2 is the documented code for a numerical failure
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-h"])
+    assert exc.value.code == 0
+    assert "--solver" in capsys.readouterr().out
+
+
 def test_cli_overrides_apply(tmp_path):
     cfg_path = write_cli_config(tmp_path)
     out_dir = tmp_path / "o"

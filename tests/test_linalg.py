@@ -76,6 +76,50 @@ def test_cholesky_rejects_near_singular():
         cholesky_factor(np.diag([1.0, 1e-18]))
 
 
+def test_stacked_cholesky_matches_per_system_factors():
+    # scales 18 orders apart: each system's pivot floor follows its own diagonal
+    rng = np.random.default_rng(3)
+    stack = np.array([c * random_spd(rng, 5, scale=s)
+                      for c, s in ((1e-12, 1e-3), (1.0, 1.0), (1e6, 1e3), (1.0, 0.1))])
+    factor = cholesky_factor(stack)
+    assert factor.L.shape == (4, 5, 5)
+    assert factor.dim == 5
+    for i, mat in enumerate(stack):
+        one = cholesky_factor(mat).L
+        assert np.linalg.norm(factor.L[i] - one) <= 1e-15 * np.linalg.norm(one)
+
+
+@pytest.mark.parametrize("bad", [np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, 1e-18])],
+                         ids=["indefinite", "under-pivot-floor"])
+def test_stacked_cholesky_names_the_failing_system(bad):
+    stack = np.array([np.eye(2), 2.0 * np.eye(2), bad, np.eye(2)])
+    with pytest.raises(NotPositiveDefinite, match="system 2: "):
+        cholesky_factor(stack)
+
+
+def test_stacked_cholesky_checks_each_system_for_symmetry():
+    # the asymmetry is small next to the first system but not next to its own
+    stack = np.array([1e6 * np.eye(2), [[1.0, 1e-6], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="system 1: "):
+        cholesky_factor(stack)
+
+
+def test_stacked_solve_matches_per_system_solves():
+    rng = np.random.default_rng(4)
+    stack = np.array([random_spd(rng, 4) for _ in range(6)])
+    factor = cholesky_factor(stack)
+    vectors, matrices = rng.normal(size=(6, 4)), rng.normal(size=(6, 4, 3))
+    got_v, got_m = solve_spd(factor, vectors), solve_spd(factor, matrices)
+    assert got_v.shape == (6, 4) and got_m.shape == (6, 4, 3)
+    for i, mat in enumerate(stack):
+        one = cholesky_factor(mat)
+        for got, rhs in ((got_v[i], vectors[i]), (got_m[i], matrices[i])):
+            want = solve_spd(one, rhs)
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    with pytest.raises(DimensionMismatch):
+        solve_spd(factor, vectors[:5])
+
+
 def test_solve_spd_dimension_mismatch():
     factor = cholesky_factor(np.eye(3))
     with pytest.raises(DimensionMismatch):

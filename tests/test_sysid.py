@@ -230,7 +230,9 @@ def test_loto_refit_matches_full_fit_on_remaining():
     data = make_dataset(rng, A0, B0, n_traj=6)
     lam = 1e-3
     k = 3
-    theta_k, W_k = loto_refit(fit_ridge(data, lam), k)
+    theta, W = loto_refit(fit_ridge(data, lam))
+    assert theta.shape == (data.N, 6) and W.shape == (data.N, 2, 2)
+    theta_k, W_k = theta[k], W[k]
     kept = [i for i in range(data.N) if i != k]
     sub = TrajectoryDataset.from_arrays(
         [
@@ -270,18 +272,44 @@ def removal_case(draw):
 @given(removal_case())
 def test_loto_refit_matches_fit_on_retained_property(case):
     data, k, lam, only_k_excited = case
-    theta_k, W_k = loto_refit(fit_ridge(data, lam), k)
-    kept = [
-        tuple(arr[data.traj_slice(i)] for arr in (data.states, data.inputs, data.next_states))
-        for i in range(data.N)
-        if i != k
-    ]
-    ref = fit_ridge(TrajectoryDataset.from_arrays(kept, n_x=data.n_x, n_u=data.n_u), lam)
-    assert np.allclose(theta_k, ref.theta, rtol=0, atol=1e-12)
-    assert np.allclose(W_k, ref.W_hat, rtol=0, atol=1e-14)
+    theta, W = loto_refit(fit_ridge(data, lam))
+    for j in range(data.N):
+        kept = [
+            tuple(arr[data.traj_slice(i)] for arr in (data.states, data.inputs, data.next_states))
+            for i in range(data.N)
+            if i != j
+        ]
+        ref = fit_ridge(TrajectoryDataset.from_arrays(kept, n_x=data.n_x, n_u=data.n_u), lam)
+        assert np.allclose(theta[j], ref.theta, rtol=0, atol=1e-12)
+        assert np.allclose(W[j], ref.W_hat, rtol=0, atol=1e-14)
     if only_k_excited:
         # the retained data never move the input: B_k is exactly zero
-        assert np.all(theta_to_ab(theta_k, data.n_x, data.n_u)[1] == 0.0)
+        assert np.all(theta_to_ab(theta[k], data.n_x, data.n_u)[1] == 0.0)
+
+
+def test_loto_refit_keeps_unexcited_input_exactly_zero():
+    # only trajectory 0 carries input: without it no retained row moves B
+    rng = np.random.default_rng(21)
+    trajs = [simulate_linear(rng, A0, B0, T) for T in (9, 6, 11, 7)]
+    trajs = [(X, U if j == 0 else np.zeros_like(U), Xn) for j, (X, U, Xn) in enumerate(trajs)]
+    theta, _ = loto_refit(fit_ridge(TrajectoryDataset.from_arrays(trajs), 1e-2))
+    B = [theta_to_ab(theta_k, 2, 1)[1] for theta_k in theta]
+    assert np.all(B[0] == 0.0)
+    assert all(np.all(B_k != 0.0) for B_k in B[1:])
+
+
+def test_stacked_eta_and_hessian_solve_match_per_trajectory():
+    rng = np.random.default_rng(22)
+    fit = fit_ridge(make_dataset(rng, A0, B0, n_traj=7), 1e-2)
+    every = eta(fit, np.arange(fit.N))
+    solved = fit.hessian_solve(every)
+    assert every.shape == solved.shape == (fit.N, fit.p)
+    for k in range(fit.N):
+        assert np.array_equal(every[k], eta(fit, k))
+        one = fit.hessian_solve(eta(fit, k))
+        assert np.linalg.norm(solved[k] - one) <= 1e-15 * np.linalg.norm(one)
+    with pytest.raises(IndexError):
+        eta(fit, np.array([0, fit.N]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -299,7 +327,7 @@ def test_loto_refit_single_trajectory_raises():
     rng = np.random.default_rng(17)
     data = TrajectoryDataset.from_arrays([simulate_linear(rng, A0, B0, 10)])
     with pytest.raises(SingleTrajectory):
-        loto_refit(fit_ridge(data, 1e-3), 0)
+        loto_refit(fit_ridge(data, 1e-3))
 
 
 def test_fit_lambda_zero_rank_deficient_raises():
