@@ -14,14 +14,13 @@ import numpy as np
 
 from lqrinfluence.bench import GenerationConfig, system_spec, generate_dataset
 from lqrinfluence.influence import (
-    decomposition_diagnostics,
+    diagnostics_from_record,
     direct_trace_term,
-    exact_loto_cost_shift,
-    loto_record,
+    exact_loto_sweep,
     modular_error_bound,
-    stochastic_score,
+    score_all,
 )
-from lqrinfluence.lqr import riccati_artifacts
+from lqrinfluence.lqr import plug_in_cost, riccati_artifacts
 from lqrinfluence.sysid import fit_ridge
 
 spec = system_spec("dc_motor")
@@ -30,10 +29,11 @@ fit = fit_ridge(data, 1e-3)
 Q, R = np.eye(2), np.eye(1)
 art = riccati_artifacts(fit, Q, R, fit.W_hat)
 
+records = exact_loto_sweep(fit, Q, R)   # every removal: one stacked refit, N refit DAREs
 k = int(np.argmax(fit.lengths))    # longest trajectory, largest leverage
-rec = loto_record(fit, Q, R, k)
-diag = decomposition_diagnostics(fit, Q, R, k)
-dj = exact_loto_cost_shift(fit, Q, R, k)
+rec = records[k]
+diag = diagnostics_from_record(fit, art, k, rec)
+dj = plug_in_cost(rec.P, rec.W) - plug_in_cost(art.P0, fit.W_hat)
 
 first_order = (art.zeta - art.h) @ (rec.theta - fit.theta)
 direct = direct_trace_term(fit, art)[k]
@@ -54,5 +54,5 @@ print(f"\n|R_w| = {abs(diag.r_w):.3e}  <=  bound {cap:.3e}")
 
 # and the full score-vs-exact gap obeys the modular bound
 bound = modular_error_bound(fit, art, k, rec.theta - fit.theta, diag)
-gap = abs(stochastic_score(fit, art, k) - dj)
+gap = abs(score_all(fit, art)[1][k] - dj)
 print(f"|score - dJ_k| = {gap:.3e}  <=  modular bound {bound:.3e}")

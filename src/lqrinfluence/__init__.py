@@ -51,14 +51,10 @@ from .influence import (
     LotoRecord,
     ScoreTable,
     build_score_table,
-    decomposition_diagnostics,
     direct_trace_term,
-    exact_loto_cost_shift,
     exact_loto_sweep,
-    fixed_score,
     modular_error_bound,
     score_all,
-    stochastic_score,
 )
 from .linalg import (
     cg_solve,
@@ -82,16 +78,13 @@ from .lqr import (
 from .sysid import (
     ModelFit,
     TrajectoryDataset,
-    build_regressor,
     eta,
     fit_ridge,
     load_dataset,
     loto_refit,
     model_influence,
     save_dataset,
-    stationarity_residual,
     theta_to_ab,
-    trajectory_gradient,
 )
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .linalg import expm
-from .sysid import ModelFit, TrajectoryDataset, eta, theta_to_ab
+from .sysid import ModelFit, TrajectoryDataset, model_influence, theta_to_ab
 
 _LINEAR_KINDS = ("dc_motor", "msd")
 _UAV_KINDS = ("uav_hover", "uav_mission")
@@ -505,7 +505,7 @@ def heldout_prediction_scores(fit: ModelFit, heldout: TrajectoryDataset):
     grad = -(Z_ho.T @ E_ho).ravel() / heldout.M
     S_ho = Z_ho.T @ Z_ho / heldout.M
 
-    if_pred = fit.hessian_solve(eta(fit, np.arange(fit.N))) @ grad
+    if_pred = model_influence(fit, np.arange(fit.N)) @ grad
     D = loto_refit(fit)[0].reshape(fit.N, fit.q, fit.n_x) - Theta
     delta_l = D.reshape(fit.N, fit.p) @ grad + 0.5 * np.sum(D * (S_ho @ D), axis=(1, 2))
     return if_pred, delta_l

@@ -127,7 +127,11 @@ def _parse_matrix(value, dim: int, name: str):
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a parsed JSON document."""
+    """Build an ExperimentConfig from a parsed JSON document.
+
+    A missing entry or a value of the wrong type (a string seed, a null
+    heldout_size, a non-numeric matrix entry) raises InvalidConfig.
+    """
     if not isinstance(doc, dict):
         raise InvalidConfig("config root must be an object")
     try:
@@ -139,6 +143,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if kind is None:
         raise InvalidConfig("system.kind is required")
     spec = system_spec(kind, **sys_doc)
+    seeds = doc.get("seeds")
+    if not isinstance(seeds, (list, tuple)) or not seeds:
+        raise InvalidConfig("seeds must be a non-empty list of integers")
     try:
         gen = GenerationConfig(
             n_trajectories=int(gen_doc["n_trajectories"]),
@@ -146,25 +153,26 @@ def parse_config(doc: dict) -> ExperimentConfig:
             t_max=int(gen_doc["t_max"]),
             x0_scale=float(gen_doc.get("x0_scale", 1.0)),
         )
+        return ExperimentConfig(
+            system=spec,
+            generation=gen,
+            seeds=tuple(int(s) for s in seeds),
+            lam=float(doc.get("lambda", 1e-3)),
+            Q=_parse_matrix(doc.get("Q", "identity"), spec.n_x, "Q"),
+            R=_parse_matrix(doc.get("R", "identity"), spec.n_u, "R"),
+            top_k=int(doc.get("top_k", 5)),
+            solver=str(doc.get("solver", "dense")),
+            run_exact_loto=bool(doc.get("run_exact_loto", True)),
+            run_heldout=bool(doc.get("run_heldout", False)),
+            heldout_size=int(doc.get("heldout_size", 10_000)),
+            dataset_path=doc.get("dataset"),
+        )
+    except InvalidConfig:   # a ValueError too, already worded for the user
+        raise
     except KeyError as exc:
         raise InvalidConfig(f"generation needs n_trajectories, t_min, t_max: {exc}") from exc
-    seeds = doc.get("seeds")
-    if not isinstance(seeds, (list, tuple)) or not seeds:
-        raise InvalidConfig("seeds must be a non-empty list of integers")
-    return ExperimentConfig(
-        system=spec,
-        generation=gen,
-        seeds=tuple(int(s) for s in seeds),
-        lam=float(doc.get("lambda", 1e-3)),
-        Q=_parse_matrix(doc.get("Q", "identity"), spec.n_x, "Q"),
-        R=_parse_matrix(doc.get("R", "identity"), spec.n_u, "R"),
-        top_k=int(doc.get("top_k", 5)),
-        solver=str(doc.get("solver", "dense")),
-        run_exact_loto=bool(doc.get("run_exact_loto", True)),
-        run_heldout=bool(doc.get("run_heldout", False)),
-        heldout_size=int(doc.get("heldout_size", 10_000)),
-        dataset_path=doc.get("dataset"),
-    )
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"config value has the wrong type: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -185,8 +193,6 @@ class ExperimentReport:
     aggregate: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)         # seed -> ScoreTable
-    diagnostics_rows: list = field(default_factory=list)
-    scatter_rows: list = field(default_factory=list)   # (seed, k, if_stoch, if_fixed, dj)
 
     def to_json_dict(self) -> dict:
         return {
@@ -286,21 +292,6 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             timing["exact_sweep_s"] = table.refit_time
             timing["speedup"] = (table.refit_time / table.score_time
                                  if table.score_time > 0 else None)
-            for k in np.flatnonzero(mask):
-                report.scatter_rows.append(
-                    (seed, int(k), table.if_stoch[k], table.if_fixed[k],
-                     table.delta_j_exact[k]))
-            if table.diagnostics is not None:
-                for k, diag in enumerate(table.diagnostics):
-                    if diag is None:
-                        continue
-                    report.diagnostics_rows.append({
-                        "seed": seed, "k": k,
-                        "delta_theta_norm": diag.delta_theta_norm,
-                        "r_ric": diag.r_ric, "r_w": diag.r_w, "r_cross": diag.r_cross,
-                        "bound_w": diag.bound_w, "bound_ric": diag.bound_ric,
-                        "bound_cross": diag.bound_cross,
-                    })
 
         if cfg.run_heldout:
             heldout = generate_heldout(cfg.system, seed, cfg.heldout_size)
@@ -353,16 +344,23 @@ def write_outputs(report: ExperimentReport, out_dir) -> list:
     path = out / "scatter.csv"
     with open(path, "w") as fh:
         fh.write("seed,k,if_stoch,if_fixed,delta_j_exact\n")
-        for seed, k, s, f, dj in report.scatter_rows:
-            fh.write(f"{seed},{k},{_fmt(s)},{_fmt(f)},{_fmt(dj)}\n")
+        for seed, t in report.tables.items():
+            if t.delta_j_exact is None:
+                continue
+            for k in np.flatnonzero(np.isfinite(t.delta_j_exact)):
+                fh.write(f"{seed},{k},{_fmt(t.if_stoch[k])},{_fmt(t.if_fixed[k])},"
+                         f"{_fmt(t.delta_j_exact[k])}\n")
     written.append(path)
 
     path = out / "diagnostics.csv"
-    cols = ["seed", "k", "delta_theta_norm", "r_ric", "r_w", "r_cross",
+    cols = ["delta_theta_norm", "r_ric", "r_w", "r_cross",
             "bound_w", "bound_ric", "bound_cross"]
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in report.diagnostics_rows:
-            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+        fh.write(",".join(["seed", "k"] + cols) + "\n")
+        for seed, t in report.tables.items():
+            for k, diag in enumerate(t.diagnostics or []):
+                if diag is not None:
+                    fh.write(",".join([_fmt(seed), _fmt(k)]
+                                      + [_fmt(getattr(diag, c)) for c in cols]) + "\n")
     written.append(path)
     return written

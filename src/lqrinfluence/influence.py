@@ -6,11 +6,11 @@ Three quantities per trajectory k:
 * stochastic score        (zeta - h)^T IF_m_k + (T_k/M_k) Tr(P0 (W_hat - W_bar_k)),
 * exact shift             dJ_k = Tr(P(theta_k) W_k) - Tr(P0 W_hat)  by refitting.
 
-Every exact quantity takes the base ModelFit and reads the removal of
-trajectory k off sysid.loto_refit, which solves the retained normal equations
-of every trajectory at once from the fit's per-trajectory statistics; nothing
-here refits from the raw data. The exact sweep calls it once, then solves one
-refit DARE per trajectory.
+Every exact quantity comes from one sweep per fit (exact_loto_sweep): one
+sysid.loto_refit call solves the retained normal equations of every removal
+at once from the fit's per-trajectory statistics, then loto_record solves
+one refit DARE per removal. Nothing here refits from the raw data or redoes
+the base DARE per trajectory; score_all scores every trajectory at once.
 
 The amortized forms never materialize IF_m_k: with v = H^-1 rhs precomputed,
 each score is (M/M_k) g_k^T v + (T_k/M_k) lam theta^T v plus the direct
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NoStabilizingSolution
 from .linalg import solve_dare
-from .lqr import RiccatiArtifacts, riccati_artifacts
+from .lqr import RiccatiArtifacts
 from .sysid import (
     ModelFit,
     covariance_direct_term,
@@ -55,21 +55,6 @@ def direct_trace_term(fit: ModelFit, art: RiccatiArtifacts) -> np.ndarray:
     return frac * (tr0 - trk)
 
 
-def fixed_score(fit: ModelFit, art: RiccatiArtifacts, k: int) -> float:
-    """Influence on Tr(P(theta) Sigma) with the covariance frozen at art.Sigma."""
-    scale, frac = removal_weights(fit)
-    return float(scale[k] * (fit.g[k] @ art.v_fixed) + frac[k] * art.c_fixed)
-
-
-def stochastic_score(fit: ModelFit, art: RiccatiArtifacts, k: int) -> float:
-    """Influence on the full plug-in cost, covariance channel included."""
-    scale, frac = removal_weights(fit)
-    direct = np.trace(art.P0 @ covariance_direct_term(fit, k))
-    return float(
-        scale[k] * (fit.g[k] @ art.v_stoch) + frac[k] * art.c_stoch + direct
-    )
-
-
 def score_all(fit: ModelFit, art: RiccatiArtifacts):
     """Vectorized scores for every trajectory: (if_fixed, if_stoch) arrays."""
     scale, frac = removal_weights(fit)
@@ -88,7 +73,8 @@ class LotoRecord:
     P: np.ndarray | None   # None when the refit DARE has no stabilizing solution
 
 
-def _record(fit: ModelFit, Q, R, theta_k: np.ndarray, W_k: np.ndarray) -> LotoRecord:
+def loto_record(fit: ModelFit, Q, R, theta_k: np.ndarray, W_k: np.ndarray) -> LotoRecord:
+    """One removal's record: the refit DARE at theta_k, P None if it is not stabilizable."""
     A_k, B_k = theta_to_ab(theta_k, fit.n_x, fit.n_u)
     try:
         P_k = solve_dare(A_k, B_k, Q, R)
@@ -97,25 +83,9 @@ def _record(fit: ModelFit, Q, R, theta_k: np.ndarray, W_k: np.ndarray) -> LotoRe
     return LotoRecord(theta=theta_k, W=W_k, P=P_k)
 
 
-def loto_record(fit: ModelFit, Q, R, k: int) -> LotoRecord:
-    if not 0 <= k < fit.N:
-        raise IndexError(f"trajectory index {k} out of range for N={fit.N}")
-    theta, W = loto_refit(fit)
-    return _record(fit, Q, R, theta[k], W[k])
-
-
 def exact_loto_sweep(fit: ModelFit, Q, R) -> list[LotoRecord]:
     """Every removal's record: one stacked refit, then one refit DARE per trajectory."""
-    return [_record(fit, Q, R, theta_k, W_k) for theta_k, W_k in zip(*loto_refit(fit))]
-
-
-def exact_loto_cost_shift(fit: ModelFit, Q, R, k: int) -> float:
-    """dJ_k by exact refit: Tr(P(theta_k) W_k) - Tr(P0 W_hat)."""
-    P0 = solve_dare(fit.A, fit.B, Q, R)
-    rec = loto_record(fit, Q, R, k)
-    if rec.P is None:
-        raise NoStabilizingSolution(f"refit without trajectory {k} is not stabilizable")
-    return float(np.trace(rec.P @ rec.W) - np.trace(P0 @ fit.W_hat))
+    return [loto_record(fit, Q, R, theta_k, W_k) for theta_k, W_k in zip(*loto_refit(fit))]
 
 
 @dataclass(frozen=True)
@@ -182,20 +152,6 @@ def diagnostics_from_record(
         bound_ric=bound_ric,
         bound_cross=bound_cross,
     )
-
-
-def decomposition_diagnostics(
-    fit: ModelFit,
-    Q,
-    R,
-    k: int,
-    L_psi: float | None = None,
-    L_P: float | None = None,
-) -> DecompositionDiagnostics:
-    """Exact refit for trajectory k plus all decomposition remainders and bounds."""
-    art = riccati_artifacts(fit, Q, R, fit.W_hat)
-    rec = loto_record(fit, Q, R, k)
-    return diagnostics_from_record(fit, art, k, rec, L_psi=L_psi, L_P=L_P)
 
 
 def modular_error_bound(

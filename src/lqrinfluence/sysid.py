@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, DominantTrajectory, InvalidConfig, SingleTrajectory
-from .linalg import LinearOperator, SpdFactor, cg_solve, cholesky_factor, solve_spd, symmetrize
+from .linalg import LinearOperator, SpdFactor, cholesky_factor, solve_spd, symmetrize
 
 
 @dataclass(frozen=True)
@@ -184,13 +184,6 @@ def ab_to_theta(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.hstack([A, B]).ravel(order="F")
 
 
-def build_regressor(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-step regressor Phi = z^T kron I_nx with z = (x; u), so Phi theta = A x + B u."""
-    z = np.concatenate([np.asarray(x, float).ravel(), np.asarray(u, float).ravel()])
-    n_x = np.asarray(x).size
-    return np.kron(z[None, :], np.eye(n_x))
-
-
 @dataclass(frozen=True)
 class ModelFit:
     """Ridge fit with the cached pieces every influence quantity reads.
@@ -336,19 +329,6 @@ def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
     )
 
 
-def stationarity_residual(fit: ModelFit) -> float:
-    """Norm of the ridge optimality condition -(1/M) sum Phi^T e + lam theta."""
-    grad = -(fit.data.Z.T @ fit.residuals).ravel() / fit.M + fit.lam * fit.theta
-    return float(np.linalg.norm(grad))
-
-
-def trajectory_gradient(fit: ModelFit, k: int) -> np.ndarray:
-    """g_k = -(1/M) sum over trajectory k of Phi_s^T e_s."""
-    if not 0 <= k < fit.N:
-        raise IndexError(f"trajectory index {k} out of range for N={fit.N}")
-    return fit.g[k].copy()
-
-
 def removal_weights(fit: ModelFit):
     """(M/M_k, T_k/M_k) for every trajectory k, with M_k = M - T_k transitions retained."""
     T = fit.lengths.astype(float)
@@ -375,15 +355,13 @@ def eta(fit: ModelFit, k) -> np.ndarray:
     return scale[k][..., None] * fit.g[k] + (frac[k] * fit.lam)[..., None] * fit.theta
 
 
-def model_influence(fit: ModelFit, k: int, solver: str = "dense",
-                    cg_tol: float = 1e-10) -> np.ndarray:
-    """First-order surrogate for the leave-one-out parameter shift: H^-1 eta_k."""
-    rhs = eta(fit, k)
-    if solver == "dense":
-        return fit.hessian_solve(rhs)
-    if solver == "cg":
-        return cg_solve(fit.hessian_operator(), rhs, tol=cg_tol)
-    raise ValueError(f"unknown solver {solver!r}")
+def model_influence(fit: ModelFit, k) -> np.ndarray:
+    """First-order surrogate for the leave-one-out parameter shift: H^-1 eta_k.
+
+    For an index array k, row i is the surrogate for removing k[i], all from
+    one Hessian solve.
+    """
+    return fit.hessian_solve(eta(fit, k))
 
 
 def _all_but_one(stats: np.ndarray) -> np.ndarray:

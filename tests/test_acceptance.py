@@ -32,10 +32,9 @@ from lqrinfluence.influence import (
     covariance_direct_term,
     diagnostics_from_record,
     direct_trace_term,
-    loto_record,
+    exact_loto_sweep,
     modular_error_bound,
     score_all,
-    stochastic_score,
 )
 from lqrinfluence.linalg import solve_dare, spectral_radius
 from lqrinfluence.lqr import (
@@ -174,6 +173,7 @@ def test_criterion_02_exact_identity_suite():
             # reduced-objective gradient at the full-data optimum equals -eta_k
             lhs, rhs = stationary_cost_check(fit.A, fit.B, Q, R, fit.W_hat)
             worst_stat = max(worst_stat, abs(lhs - rhs) / (1 + abs(rhs)))
+            records = exact_loto_sweep(fit, Q, R)
             for k in range(fit.N):
                 sl = fit.data.traj_slice(k)
                 keep = np.ones(fit.M, dtype=bool)
@@ -199,7 +199,7 @@ def test_criterion_02_exact_identity_suite():
                 )
 
                 # five-term bookkeeping of the exact cost shift
-                rec = loto_record(fit, Q, R, k)
+                rec = records[k]
                 dj = plug_in_cost(rec.P, rec.W) - base_cost
                 diag = diagnostics_from_record(fit, art, k, rec)
                 total = (
@@ -250,9 +250,8 @@ def test_criterion_03_remainder_bound_suite():
         for seed in LINEAR_SEEDS:
             spec, fit, art, Q, R = _small_fit(kind, seed)
             P_norm = np.linalg.norm(art.P0, 2)
-            L_phi = np.linalg.norm(fit.data.Z, axis=1).max()
-            for k in range(fit.N):
-                rec = loto_record(fit, Q, R, k)
+            _, if_stoch = score_all(fit, art)
+            for k, rec in enumerate(exact_loto_sweep(fit, Q, R)):
                 diag = diagnostics_from_record(fit, art, k, rec)
                 dtheta = rec.theta - fit.theta
                 D = fit.data.Z @ dtheta.reshape(fit.q, fit.n_x)
@@ -260,7 +259,7 @@ def test_criterion_03_remainder_bound_suite():
                 R_w_mat = (rec.W - fit.W_hat) - covariance_direct_term(fit, k) + cross
                 dj = plug_in_cost(rec.P, rec.W) - plug_in_cost(art.P0, fit.W_hat)
                 bound = modular_error_bound(fit, art, k, dtheta, diag)
-                gap = abs(stochastic_score(fit, art, k) - dj)
+                gap = abs(if_stoch[k] - dj)
                 ok = ok and np.linalg.norm(R_w_mat) <= diag.bound_w + 1e-15
                 ok = ok and abs(diag.r_w) <= P_norm * diag.bound_w + 1e-15
                 ok = ok and gap <= bound + 1e-9

@@ -1,5 +1,6 @@
 """Ranking metrics, config parsing, the experiment runner, and the CLI."""
 
+import csv
 import json
 import os
 import subprocess
@@ -156,6 +157,12 @@ def test_parse_config_explicit_matrices():
         lambda d: d.update(solver="lu"),
         lambda d: d.update({"lambda": 0.0}),
         lambda d: d.update(heldout_size=1),
+        lambda d: d.update(seeds=["a"]),
+        lambda d: d.update({"lambda": "abc"}),
+        lambda d: d.update(top_k="x"),
+        lambda d: d["generation"].update(t_min="x"),
+        lambda d: d.update(Q=[["a", 0.0], [0.0, 1.0]]),
+        lambda d: d.update(heldout_size=None),
     ],
 )
 def test_parse_config_rejects_malformed(mutate):
@@ -191,18 +198,18 @@ def test_run_experiment_metrics_and_accounting():
     agg = report.aggregate
     assert agg["spearman_stoch"]["mean"] is not None
     assert agg["spearman_stoch"]["std"] is not None  # two seeds -> sample std defined
-    assert len(report.scatter_rows) == 16
-    assert len(report.diagnostics_rows) == 16
+    tables = report.tables.values()
+    assert sum(int(np.isfinite(t.delta_j_exact).sum()) for t in tables) == 16
+    assert sum(d is not None for t in tables for d in t.diagnostics) == 16
 
 
 def test_run_experiment_without_exact_sweep():
     report = run_experiment(small_config(run_exact_loto=False))
     for entry in report.per_seed:
         assert "spearman_stoch" not in entry and "jaccard_fixed" not in entry
-    assert report.scatter_rows == [] and report.diagnostics_rows == []
     assert "aggregate" not in report.timings
     for table in report.tables.values():
-        assert table.delta_j_exact is None
+        assert table.delta_j_exact is None and table.diagnostics is None
 
 
 def test_run_experiment_heldout_metric():
@@ -219,7 +226,10 @@ def test_run_experiment_deterministic_modulo_timings():
     d1, d2 = r1.to_json_dict(), r2.to_json_dict()
     d1.pop("timings"), d2.pop("timings")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
-    assert r1.scatter_rows == r2.scatter_rows
+    for seed, t1 in r1.tables.items():
+        t2 = r2.tables[seed]
+        for name in ("if_stoch", "if_fixed", "delta_j_exact"):
+            assert np.array_equal(getattr(t1, name), getattr(t2, name))
 
 
 def test_write_outputs_deterministic_files(tmp_path):
@@ -380,6 +390,11 @@ def test_cli_unstabilizable_fit_is_numerical_failure(tmp_path):
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
 
+def read_csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_cli_partial_exclusions_exit_code(tmp_path, capsys):
     # trajectory 0 carries all input excitation; without it the refit sees an
     # uncontrollable unstable model and its removal is excluded, not scored
@@ -406,6 +421,21 @@ def test_cli_partial_exclusions_exit_code(tmp_path, capsys):
     rows = (out_dir / "scores_seed0.csv").read_text().strip().splitlines()
     flags = [r.split(",")[-1] for r in rows[1:]]
     assert flags == ["1", "0", "0"]
+    # scatter.csv and diagnostics.csv list only the scored removals, with the
+    # score file's own strings
+    scores, scatter, diags = (
+        read_csv_rows(out_dir / name)
+        for name in ("scores_seed0.csv", "scatter.csv", "diagnostics.csv")
+    )
+    assert [r["k"] for r in scatter] == ["1", "2"]
+    assert [r["k"] for r in diags] == ["1", "2"]
+    for row, drow in zip(scatter, diags):
+        score = scores[int(row["k"])]
+        assert row["seed"] == drow["seed"] == "0"
+        for col in ("if_stoch", "if_fixed", "delta_j_exact"):
+            assert row[col] == score[col] != ""
+        for col in ("r_ric", "r_w", "r_cross"):
+            assert drow[col] == score[col] != ""
 
 
 def test_cli_run_imports_no_scipy(tmp_path):

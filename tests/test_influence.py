@@ -13,15 +13,11 @@ from lqrinfluence.influence import (
     SCORE_CSV_HEADER,
     DecompositionDiagnostics,
     build_score_table,
-    decomposition_diagnostics,
     diagnostics_from_record,
     direct_trace_term,
-    exact_loto_cost_shift,
-    fixed_score,
-    loto_record,
+    exact_loto_sweep,
     modular_error_bound,
     score_all,
-    stochastic_score,
 )
 from lqrinfluence.linalg import solve_dare, spectral_radius
 from lqrinfluence.lqr import riccati_artifacts
@@ -60,38 +56,44 @@ def make_problem(seed=0, n_traj=8, noise=0.1, lam=1e-3, lengths=None, n_u=1):
     return fit, art, Q, R
 
 
+def exact_shifts(fit, Q, R):
+    """Every removal's record and dJ_k = Tr(P_k W_k) - Tr(P0 W_hat), from one sweep."""
+    records = exact_loto_sweep(fit, Q, R)
+    base = np.trace(solve_dare(fit.A, fit.B, Q, R) @ fit.W_hat)
+    return records, np.array([np.trace(rec.P @ rec.W) - base for rec in records])
+
+
 def test_fixed_score_amortized_equals_explicit():
     fit, art, _, _ = make_problem()
+    if_fixed, _ = score_all(fit, art)
     for k in range(fit.N):
         explicit = art.zeta @ model_influence(fit, k)
-        assert fixed_score(fit, art, k) == pytest.approx(explicit, abs=1e-12, rel=1e-12)
+        assert if_fixed[k] == pytest.approx(explicit, abs=1e-12, rel=1e-12)
 
 
 def test_stochastic_score_amortized_equals_explicit():
     fit, art, _, _ = make_problem()
     direct = direct_trace_term(fit, art)
+    _, if_stoch = score_all(fit, art)
     for k in range(fit.N):
         explicit = (art.zeta - art.h) @ model_influence(fit, k) + direct[k]
-        assert stochastic_score(fit, art, k) == pytest.approx(
-            explicit, abs=1e-12, rel=1e-12
-        )
+        assert if_stoch[k] == pytest.approx(explicit, abs=1e-12, rel=1e-12)
 
 
 def test_scores_zero_on_noiseless_data():
     fit, art, _, _ = make_problem(noise=0.0, lam=0.0)
-    for k in range(fit.N):
-        assert abs(fixed_score(fit, art, k)) < 1e-14
-        assert abs(stochastic_score(fit, art, k)) < 1e-14
+    for scores in score_all(fit, art):
+        assert np.all(np.abs(scores) < 1e-14)
 
 
 def test_score_difference_is_residual_channel():
     # stoch - fixed = -h^T IF_m_k + direct trace, by construction of v_stoch
     fit, art, _, _ = make_problem(seed=3)
     direct = direct_trace_term(fit, art)
+    if_fixed, if_stoch = score_all(fit, art)
     for k in range(fit.N):
-        gap = stochastic_score(fit, art, k) - fixed_score(fit, art, k)
         expected = -art.h @ model_influence(fit, k) + direct[k]
-        assert gap == pytest.approx(expected, abs=1e-13, rel=1e-10)
+        assert if_stoch[k] - if_fixed[k] == pytest.approx(expected, abs=1e-13, rel=1e-10)
 
 
 def test_reduction_to_fixed_when_h_suppressed():
@@ -107,10 +109,9 @@ def test_reduction_to_fixed_when_h_suppressed():
     frozen = dataclasses.replace(
         art, h=np.zeros(fit.p), v_stoch=art.v_fixed, c_stoch=art.c_fixed
     )
+    if_fixed, if_stoch = score_all(fit, frozen)
     for k in range(fit.N):
-        assert stochastic_score(fit, frozen, k) == pytest.approx(
-            fixed_score(fit, frozen, k), abs=1e-14
-        )
+        assert if_stoch[k] == pytest.approx(if_fixed[k], abs=1e-14)
 
 
 def test_duplicated_trajectory_has_zero_exact_shift():
@@ -119,8 +120,8 @@ def test_duplicated_trajectory_has_zero_exact_shift():
     B = np.array([[0.0], [1.0]])
     traj = simulate(rng, A, B, 12, 0.1)
     data = TrajectoryDataset.from_arrays([traj] * 6)
-    dj = exact_loto_cost_shift(fit_ridge(data, 1e-3), np.eye(2), np.eye(1), 0)
-    assert abs(dj) <= 1e-9
+    _, dj = exact_shifts(fit_ridge(data, 1e-3), np.eye(2), np.eye(1))
+    assert np.all(np.abs(dj) <= 1e-9)
 
 
 def test_exact_shift_two_trajectory_hand_case():
@@ -135,28 +136,25 @@ def test_exact_shift_two_trajectory_hand_case():
     expected = np.trace(solve_dare(sub.A, sub.B, Q, R) @ sub.W_hat) - np.trace(
         solve_dare(full.A, full.B, Q, R) @ full.W_hat
     )
-    assert exact_loto_cost_shift(full, Q, R, 0) == pytest.approx(
-        expected, rel=1e-12
-    )
+    assert exact_shifts(full, Q, R)[1][0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_five_term_identity():
     fit, art, Q, R = make_problem(seed=7)
-    for k in range(fit.N):
-        rec = loto_record(fit, Q, R, k)
-        diag = decomposition_diagnostics(fit, Q, R, k)
-        dj = exact_loto_cost_shift(fit, Q, R, k)
+    direct = direct_trace_term(fit, art)
+    records, dj = exact_shifts(fit, Q, R)
+    for k, rec in enumerate(records):
+        diag = diagnostics_from_record(fit, art, k, rec)
         dtheta = rec.theta - fit.theta
-        direct = direct_trace_term(fit, art)[k]
         total = (
-            (art.zeta - art.h) @ dtheta + direct + diag.r_ric + diag.r_w + diag.r_cross
+            (art.zeta - art.h) @ dtheta + direct[k] + diag.r_ric + diag.r_w + diag.r_cross
         )
-        assert abs(total - dj) <= 1e-9 * (1 + abs(dj))
+        assert abs(total - dj[k]) <= 1e-9 * (1 + abs(dj[k]))
 
 
 def test_noiseless_diagnostics_vanish():
-    fit, _, Q, R = make_problem(noise=0.0, lam=0.0)
-    diag = decomposition_diagnostics(fit, Q, R, 0)
+    fit, art, Q, R = make_problem(noise=0.0, lam=0.0)
+    diag = diagnostics_from_record(fit, art, 0, exact_loto_sweep(fit, Q, R)[0])
     assert diag.delta_theta_norm < 1e-9
     assert abs(diag.r_ric) < 1e-12
     assert abs(diag.r_w) < 1e-12
@@ -166,11 +164,8 @@ def test_noiseless_diagnostics_vanish():
 def test_covariance_remainder_bounds():
     fit, art, Q, R = make_problem(seed=8)
     P_norm = np.linalg.norm(art.P0, 2)
-    L_phi = np.linalg.norm(fit.data.Z, axis=1).max()
-    L_e = np.linalg.norm(fit.residuals, axis=1).max()
-    for k in range(fit.N):
-        rec = loto_record(fit, Q, R, k)
-        diag = decomposition_diagnostics(fit, Q, R, k)
+    for k, rec in enumerate(exact_loto_sweep(fit, Q, R)):
+        diag = diagnostics_from_record(fit, art, k, rec)
         assert abs(diag.r_w) <= P_norm * diag.bound_w + 1e-15
         # the bound also caps the covariance-shift remainder matrix itself
         dtheta = rec.theta - fit.theta
@@ -181,32 +176,30 @@ def test_covariance_remainder_bounds():
 
 
 def test_optional_bounds_populated_only_on_request():
-    fit, _, Q, R = make_problem(seed=9)
-    diag = decomposition_diagnostics(fit, Q, R, 0)
+    fit, art, Q, R = make_problem(seed=9)
+    rec = exact_loto_sweep(fit, Q, R)[0]
+    diag = diagnostics_from_record(fit, art, 0, rec)
     assert diag.bound_ric is None and diag.bound_cross is None
-    diag2 = decomposition_diagnostics(fit, Q, R, 0, L_psi=5.0, L_P=2.0)
+    diag2 = diagnostics_from_record(fit, art, 0, rec, L_psi=5.0, L_P=2.0)
     assert diag2.bound_ric == pytest.approx(2.5 * diag2.delta_theta_norm**2)
     assert diag2.bound_cross is not None and diag2.bound_cross >= 0.0
 
 
-def test_modular_error_bound_inequality():
-    fit, art, Q, R = make_problem(seed=10)
-    for k in range(fit.N):
-        rec = loto_record(fit, Q, R, k)
-        diag = decomposition_diagnostics(fit, Q, R, k)
-        dj = exact_loto_cost_shift(fit, Q, R, k)
+def check_modular_error_bound(fit, art, Q, R):
+    _, if_stoch = score_all(fit, art)
+    records, dj = exact_shifts(fit, Q, R)
+    for k, rec in enumerate(records):
+        diag = diagnostics_from_record(fit, art, k, rec)
         bound = modular_error_bound(fit, art, k, rec.theta - fit.theta, diag)
-        assert abs(stochastic_score(fit, art, k) - dj) <= bound + 1e-9
+        assert abs(if_stoch[k] - dj[k]) <= bound + 1e-9
+
+
+def test_modular_error_bound_inequality():
+    check_modular_error_bound(*make_problem(seed=10))
 
 
 def test_modular_error_bound_degenerate_short_trajectories():
-    fit, art, Q, R = make_problem(seed=11, n_traj=10, lengths=[1] * 10, lam=0.0)
-    for k in range(fit.N):
-        rec = loto_record(fit, Q, R, k)
-        diag = decomposition_diagnostics(fit, Q, R, k)
-        dj = exact_loto_cost_shift(fit, Q, R, k)
-        bound = modular_error_bound(fit, art, k, rec.theta - fit.theta, diag)
-        assert abs(stochastic_score(fit, art, k) - dj) <= bound + 1e-9
+    check_modular_error_bound(*make_problem(seed=11, n_traj=10, lengths=[1] * 10, lam=0.0))
 
 
 def test_modular_error_bound_zero_case():
@@ -228,15 +221,11 @@ def test_joint_qr_scaling_multiplies_scores():
     c = 3.7
     art_c = riccati_artifacts(fit, c * Q, c * R, fit.W_hat)
     assert np.allclose(art_c.P0, c * art.P0, rtol=1e-10)
-    for k in range(fit.N):
-        assert stochastic_score(fit, art_c, k) == pytest.approx(
-            c * stochastic_score(fit, art, k), rel=1e-9
-        )
-        assert fixed_score(fit, art_c, k) == pytest.approx(
-            c * fixed_score(fit, art, k), rel=1e-9
-        )
-    dj = exact_loto_cost_shift(fit, Q, R, 0)
-    dj_c = exact_loto_cost_shift(fit, c * Q, c * R, 0)
+    for scaled, base in zip(score_all(fit, art_c), score_all(fit, art)):
+        for k in range(fit.N):
+            assert scaled[k] == pytest.approx(c * base[k], rel=1e-9)
+    dj = exact_shifts(fit, Q, R)[1][0]
+    dj_c = exact_shifts(fit, c * Q, c * R)[1][0]
     assert dj_c == pytest.approx(c * dj, rel=1e-9)
 
 
@@ -247,9 +236,7 @@ def test_single_trajectory_raises():
     fit = fit_ridge(data, 1e-3)
     art = riccati_artifacts(fit, np.eye(1), np.eye(1), fit.W_hat)
     with pytest.raises(DominantTrajectory):
-        fixed_score(fit, art, 0)
-    with pytest.raises(DominantTrajectory):
-        stochastic_score(fit, art, 0)
+        score_all(fit, art)
 
 
 def test_build_score_table_without_exact():
@@ -259,8 +246,10 @@ def test_build_score_table_without_exact():
     assert table.delta_j_exact is None and table.excluded_indices() == []
     assert np.isfinite(table.if_fixed).all() and np.isfinite(table.if_stoch).all()
     assert table.score_time >= 0.0 and table.refit_time is None
+    direct = direct_trace_term(fit, art)
     for k in range(fit.N):
-        assert table.if_stoch[k] == pytest.approx(stochastic_score(fit, art, k))
+        explicit = (art.zeta - art.h) @ model_influence(fit, k) + direct[k]
+        assert table.if_stoch[k] == pytest.approx(explicit)
 
 
 def test_build_score_table_exact_needs_qr():
@@ -274,10 +263,9 @@ def test_build_score_table_with_exact():
     table = build_score_table(fit, art, Q, R, with_exact=True)
     assert table.refit_time is not None and table.refit_time > 0.0
     assert not table.excluded.any()
+    _, dj = exact_shifts(fit, Q, R)
     for k in range(fit.N):
-        assert table.delta_j_exact[k] == pytest.approx(
-            exact_loto_cost_shift(fit, Q, R, k), rel=1e-12
-        )
+        assert table.delta_j_exact[k] == pytest.approx(dj[k], rel=1e-12)
         assert table.diagnostics[k] is not None
         assert np.isfinite(table.r_ric[k])
         assert np.isfinite(table.r_w[k])
@@ -397,8 +385,7 @@ def test_five_term_identity_property(case):
     Q, R = np.eye(fit.n_x), np.eye(fit.n_u)
     direct = direct_trace_term(fit, art)
     base = np.trace(art.P0 @ fit.W_hat)
-    for k in range(fit.N):
-        rec = loto_record(fit, Q, R, k)
+    for k, rec in enumerate(exact_loto_sweep(fit, Q, R)):
         if rec.P is None:
             continue
         diag = diagnostics_from_record(fit, art, k, rec)

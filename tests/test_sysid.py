@@ -12,10 +12,10 @@ from lqrinfluence.errors import (
     NotPositiveDefinite,
     SingleTrajectory,
 )
+from lqrinfluence.linalg import cg_solve
 from lqrinfluence.sysid import (
     TrajectoryDataset,
     ab_to_theta,
-    build_regressor,
     covariance_direct_term,
     eta,
     fit_ridge,
@@ -23,9 +23,7 @@ from lqrinfluence.sysid import (
     loto_refit,
     model_influence,
     save_dataset,
-    stationarity_residual,
     theta_to_ab,
-    trajectory_gradient,
 )
 
 
@@ -48,6 +46,18 @@ def make_dataset(rng, A, B, n_traj=8, t_lo=4, t_hi=12, noise=0.1):
     return TrajectoryDataset.from_arrays(
         [simulate_linear(rng, A, B, int(T), noise) for T in lengths]
     )
+
+
+def build_regressor(x, u):
+    """Per-step regressor Phi = z^T kron I_nx with z = (x; u), so Phi theta = A x + B u."""
+    z = np.concatenate([np.asarray(x, float).ravel(), np.asarray(u, float).ravel()])
+    return np.kron(z[None, :], np.eye(np.asarray(x).size))
+
+
+def stationarity_residual(fit):
+    """Norm of the ridge optimality condition -(1/M) sum Phi^T e + lam theta."""
+    grad = -(fit.data.Z.T @ fit.residuals).ravel() / fit.M + fit.lam * fit.theta
+    return float(np.linalg.norm(grad))
 
 
 A0 = np.array([[0.8, 0.1], [0.0, 0.7]])
@@ -130,7 +140,7 @@ def test_single_trajectory_gradient_is_ridge_pull():
     rng = np.random.default_rng(8)
     data = TrajectoryDataset.from_arrays([simulate_linear(rng, A0, B0, 10)])
     fit = fit_ridge(data, 1e-3)
-    assert np.allclose(trajectory_gradient(fit, 0), -fit.lam * fit.theta, atol=1e-14)
+    assert np.allclose(fit.g[0], -fit.lam * fit.theta, atol=1e-14)
 
 
 def test_eta_scaling_cases():
@@ -220,8 +230,8 @@ def test_influence_cg_equals_dense():
     data = make_dataset(rng, A0, B0)
     fit = fit_ridge(data, 1e-3)
     for k in range(3):
-        d = model_influence(fit, k, solver="dense")
-        c = model_influence(fit, k, solver="cg", cg_tol=1e-13)
+        d = model_influence(fit, k)
+        c = cg_solve(fit.hessian_operator(), eta(fit, k), tol=1e-13)
         assert np.allclose(c, d, atol=1e-10 * (1 + np.linalg.norm(d)))
 
 
@@ -308,6 +318,7 @@ def test_stacked_eta_and_hessian_solve_match_per_trajectory():
         assert np.array_equal(every[k], eta(fit, k))
         one = fit.hessian_solve(eta(fit, k))
         assert np.linalg.norm(solved[k] - one) <= 1e-15 * np.linalg.norm(one)
+    assert np.array_equal(model_influence(fit, np.arange(fit.N)), solved)
     with pytest.raises(IndexError):
         eta(fit, np.array([0, fit.N]))
 
