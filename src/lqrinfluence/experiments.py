@@ -110,6 +110,11 @@ class ExperimentConfig:
             raise InvalidConfig("lambda must be positive")
         if self.heldout_size < 2:
             raise InvalidConfig("heldout_size must be at least 2")
+        # bool("false") is True and open(7) opens a file descriptor: take no other type
+        if not isinstance(self.run_exact_loto, bool) or not isinstance(self.run_heldout, bool):
+            raise InvalidConfig("run_exact_loto and run_heldout must be true or false")
+        if not isinstance(self.dataset_path, (str, type(None))):
+            raise InvalidConfig(f"dataset must be a path string or null, not {self.dataset_path!r}")
 
     def cost_matrices(self):
         Q = np.eye(self.system.n_x) if self.Q is None else self.Q
@@ -162,8 +167,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             R=_parse_matrix(doc.get("R", "identity"), spec.n_u, "R"),
             top_k=int(doc.get("top_k", 5)),
             solver=str(doc.get("solver", "dense")),
-            run_exact_loto=bool(doc.get("run_exact_loto", True)),
-            run_heldout=bool(doc.get("run_heldout", False)),
+            run_exact_loto=doc.get("run_exact_loto", True),
+            run_heldout=doc.get("run_heldout", False),
             heldout_size=int(doc.get("heldout_size", 10_000)),
             dataset_path=doc.get("dataset"),
         )

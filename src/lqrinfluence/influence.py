@@ -37,7 +37,6 @@ from .sysid import (
     covariance_direct_term,
     loto_refit,
     model_influence,
-    removal_weights,
     theta_to_ab,
 )
 
@@ -49,19 +48,23 @@ SCORE_CSV_HEADER = [
 
 def direct_trace_term(fit: ModelFit, art: RiccatiArtifacts) -> np.ndarray:
     """(T_k/M_k) Tr(P0 (W_hat - W_bar_k)) for every k."""
-    _, frac = removal_weights(fit)
+    _, frac = fit.removal_weights
     tr0 = np.trace(art.P0 @ fit.W_hat)
     trk = np.einsum("ij,kji->k", art.P0, fit.per_traj_cov)
     return frac * (tr0 - trk)
 
 
+def _scores(fit: ModelFit, art: RiccatiArtifacts, direct: np.ndarray):
+    """(if_fixed, if_stoch) for every trajectory, given its direct trace term."""
+    scale, frac = fit.removal_weights
+    if_fixed = scale * (fit.g @ art.v_fixed) + frac * art.c_fixed
+    if_stoch = scale * (fit.g @ art.v_stoch) + frac * art.c_stoch + direct
+    return if_fixed, if_stoch
+
+
 def score_all(fit: ModelFit, art: RiccatiArtifacts):
     """Vectorized scores for every trajectory: (if_fixed, if_stoch) arrays."""
-    scale, frac = removal_weights(fit)
-    if_fixed = scale * (fit.g @ art.v_fixed) + frac * art.c_fixed
-    if_stoch = scale * (fit.g @ art.v_stoch) + frac * art.c_stoch
-    if_stoch = if_stoch + direct_trace_term(fit, art)
-    return if_fixed, if_stoch
+    return _scores(fit, art, direct_trace_term(fit, art))
 
 
 @dataclass(frozen=True)
@@ -120,10 +123,9 @@ def diagnostics_from_record(
     direct_mat = covariance_direct_term(fit, k)
     DW = rec.W - fit.W_hat
     # (E^T Z D + D^T Z^T E) / M over the rows Phi_s dtheta = z_s^T D, read off
-    # Z^T E = -M sum_j g_j instead of a pass over the M transitions
+    # the fit's Z^T E instead of a pass over the M transitions
     D = dtheta.reshape(fit.q, fit.n_x)
-    G = fit.g.sum(axis=0).reshape(fit.q, fit.n_x)
-    cross_mat = -(G.T @ D + D.T @ G)
+    cross_mat = (fit.ZtE.T @ D + D.T @ fit.ZtE) / fit.M
     R_w_mat = DW - direct_mat + cross_mat
     r_w = float(np.trace(art.P0 @ R_w_mat))
     r_cross = float(np.trace(dP @ DW))
@@ -234,8 +236,8 @@ def build_score_table(
 ) -> ScoreTable:
     """Score every trajectory; optionally run the exact removal sweep (needs Q, R)."""
     t0 = perf_counter()
-    if_fixed, if_stoch = score_all(fit, art)
     direct = direct_trace_term(fit, art)
+    if_fixed, if_stoch = _scores(fit, art, direct)
     score_time = perf_counter() - t0
 
     table = ScoreTable(

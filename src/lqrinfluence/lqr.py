@@ -70,9 +70,8 @@ def riccati_gradient(A, B, P0, K0, A_cl, Sigma) -> np.ndarray:
 
 
 def residual_channel_gradient(fit: ModelFit, P0: np.ndarray) -> np.ndarray:
-    """h = (2/M) sum_s Phi_s^T P0 e_s, so grad_theta Tr(P0 W_hat(theta)) = -h at theta_hat."""
-    Z = fit.data.Z
-    return 2.0 / fit.M * (Z.T @ fit.residuals @ P0).ravel()
+    """h = (2/M) sum_s Phi_s^T P0 e_s = (2/M) vec(Z^T E P0); grad Tr(P0 W_hat(theta)) = -h."""
+    return 2.0 / fit.M * (fit.ZtE @ P0).ravel()
 
 
 def riccati_artifacts(

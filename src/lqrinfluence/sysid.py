@@ -7,10 +7,11 @@ normal equations on the (n_x + n_u)-dimensional Gram matrix of the z_s. The
 Hessian is H = (G + lam I) kron I_nx, so its Cholesky factor is the q x q Gram
 factor kron I_nx and every H^-1 v is one q x q solve with n_x right sides
 (ModelFit.hessian_solve); the p x p matrix is never formed on the run path.
-The fit keeps every trajectory's Gram Z_k^T Z_k next to its gradient, so the
-exact leave-one-trajectory-out refits (loto_refit) of every trajectory are
-one stacked (N, q, q) factorization and solve on prefix and suffix sums of
-those statistics.
+Every per-trajectory statistic is a block of one Gram product [Z_k E_k]^T
+[Z_k E_k]: Z_k^T Z_k, g_k = -Z_k^T E_k / M, W_bar_k = E_k^T E_k / T_k; W_hat
+and Z^T E (which the residual channel reads) are their sums over k. The exact
+leave-one-trajectory-out refits (loto_refit) of every trajectory are one
+stacked (N, q, q) factorization and solve on prefix and suffix sums of them.
 """
 from __future__ import annotations
 
@@ -83,7 +84,7 @@ class TrajectoryDataset:
     def N(self) -> int:
         return len(self.offsets) - 1
 
-    @property
+    @cached_property
     def lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
 
@@ -204,6 +205,7 @@ class ModelFit:
     per_traj_cov: np.ndarray   # (N, n_x, n_x), rows W_bar_k
     g: np.ndarray              # (N, p), per-trajectory loss gradients
     traj_gram: np.ndarray      # (N, q, q), rows Z_k^T Z_k
+    ZtE: np.ndarray            # (q, n_x), Z^T E = -M sum_k g_k
 
     @property
     def n_x(self) -> int:
@@ -240,6 +242,17 @@ class ModelFit:
     @property
     def B(self) -> np.ndarray:
         return theta_to_ab(self.theta, self.n_x, self.n_u)[1]
+
+    @cached_property
+    def removal_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """(M/M_k, T_k/M_k) for every trajectory k, with M_k = M - T_k transitions retained."""
+        T = self.lengths.astype(float)
+        M_rem = self.M - T
+        if np.any(M_rem == 0):
+            raise DominantTrajectory(
+                "a trajectory holds every transition; leave-one-out is undefined"
+            )
+        return self.M / M_rem, T / M_rem
 
     @cached_property
     def data_extremes(self) -> tuple[float, float]:
@@ -289,55 +302,36 @@ def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
     """
     if lam < 0:
         raise ValueError("ridge weight must be nonnegative")
-    Z = data.Z
-    Y = data.next_states
-    M = data.M
+    M, N = data.M, data.N
     n_x, q = data.n_x, data.n_x + data.n_u
+    # row s is (z_s, e_s); the last n_x columns hold x_s+ until E is formed in place
+    blk = np.hstack([data.states, data.inputs, data.next_states])
+    Z, E = blk[:, :q], blk[:, q:]
 
     gram = symmetrize(Z.T @ Z / M)
     gram_factor = cholesky_factor(gram + lam * np.eye(q))
-    Theta = solve_spd(gram_factor, Z.T @ Y / M)   # (q, n_x)
-    theta = Theta.ravel()
-    E = Y - Z @ Theta
+    Theta = solve_spd(gram_factor, Z.T @ E / M)   # (q, n_x)
+    E -= Z @ Theta
 
-    N = data.N
-    per_traj_cov = np.empty((N, n_x, n_x))
-    g = np.empty((N, q * n_x))
-    traj_gram = np.empty((N, q, q))
-    cov_sum = np.zeros((n_x, n_x))
-    for k in range(N):
-        sl = data.traj_slice(k)
-        Ek, Zk = E[sl], Z[sl]
-        Ck = symmetrize(Ek.T @ Ek)
-        cov_sum += Ck
-        per_traj_cov[k] = Ck / data.lengths[k]
-        g[k] = -(Zk.T @ Ek).ravel() / M
-        traj_gram[k] = Zk.T @ Zk
-    W_hat = cov_sum / M
+    # [Z_k E_k]^T [Z_k E_k] holds Z_k^T Z_k, Z_k^T E_k and E_k^T E_k: one syrk per trajectory
+    stats = np.empty((N, q + n_x, q + n_x))
+    for k, (a, b) in enumerate(zip(data.offsets[:-1], data.offsets[1:])):
+        np.matmul(blk[a:b].T, blk[a:b], out=stats[k])
+    EE = stats[:, q:, q:]
 
     return ModelFit(
         data=data,
         lam=float(lam),
-        theta=theta,
+        theta=Theta.ravel(),
         gram=gram,
         gram_factor=gram_factor,
         residuals=E,
-        W_hat=W_hat,
-        per_traj_cov=per_traj_cov,
-        g=g,
-        traj_gram=traj_gram,
+        W_hat=symmetrize(EE.sum(axis=0)) / M,
+        per_traj_cov=symmetrize(EE) / data.lengths[:, None, None],
+        g=np.divide(stats[:, :q, q:], -M).reshape(N, q * n_x),
+        traj_gram=stats[:, :q, :q],
+        ZtE=stats[:, :q, q:].sum(axis=0),
     )
-
-
-def removal_weights(fit: ModelFit):
-    """(M/M_k, T_k/M_k) for every trajectory k, with M_k = M - T_k transitions retained."""
-    T = fit.lengths.astype(float)
-    M_rem = fit.M - T
-    if np.any(M_rem == 0):
-        raise DominantTrajectory(
-            "a trajectory holds every transition; leave-one-out is undefined"
-        )
-    return fit.M / M_rem, T / M_rem
 
 
 def _check_index(fit: ModelFit, k) -> None:
@@ -351,7 +345,7 @@ def eta(fit: ModelFit, k) -> np.ndarray:
     For an index array k, row i is eta_(k[i]).
     """
     _check_index(fit, k)
-    scale, frac = removal_weights(fit)
+    scale, frac = fit.removal_weights
     return scale[k][..., None] * fit.g[k] + (frac[k] * fit.lam)[..., None] * fit.theta
 
 
@@ -409,5 +403,5 @@ def loto_refit(fit: ModelFit):
 def covariance_direct_term(fit: ModelFit, k: int) -> np.ndarray:
     """Covariance shift from removal alone: (T_k/M_k) (W_hat - W_bar_k)."""
     _check_index(fit, k)
-    _, frac = removal_weights(fit)
+    _, frac = fit.removal_weights
     return frac[k] * (fit.W_hat - fit.per_traj_cov[k])

@@ -163,6 +163,13 @@ def test_parse_config_explicit_matrices():
         lambda d: d["generation"].update(t_min="x"),
         lambda d: d.update(Q=[["a", 0.0], [0.0, 1.0]]),
         lambda d: d.update(heldout_size=None),
+        lambda d: d.update(run_exact_loto="false"),
+        lambda d: d.update(run_exact_loto=0),
+        lambda d: d.update(run_heldout="false"),
+        lambda d: d.update(run_heldout=1),
+        lambda d: d.update(dataset=7),
+        lambda d: d.update(dataset=0),
+        lambda d: d.update(dataset=["logs.json"]),
     ],
 )
 def test_parse_config_rejects_malformed(mutate):
@@ -170,6 +177,13 @@ def test_parse_config_rejects_malformed(mutate):
     mutate(doc)
     with pytest.raises(InvalidConfig):
         parse_config(doc)
+
+
+def test_parse_config_reads_json_flags_and_dataset():
+    cfg = parse_config(dict(BASE_DOC, run_exact_loto=False, run_heldout=True, dataset=None))
+    assert cfg.run_exact_loto is False and cfg.run_heldout is True
+    assert cfg.dataset_path is None
+    assert parse_config(dict(BASE_DOC, dataset="logs.json")).dataset_path == "logs.json"
 
 
 def test_parse_config_rejects_non_object():
@@ -288,6 +302,13 @@ def test_cli_malformed_config_is_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_cli_integer_dataset_is_config_error(tmp_path, capsys):
+    # an integer would reach open() as a file descriptor (0 reads stdin)
+    cfg_path = write_cli_config(tmp_path, dataset=0)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert "dataset" in capsys.readouterr().err
 
 
 def test_cli_bad_seed_override_is_config_error(tmp_path):

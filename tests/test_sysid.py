@@ -1,5 +1,7 @@
 """Ridge trajectory fits: recovery, stationarity, gradients, exact removal."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from lqrinfluence.errors import (
     NotPositiveDefinite,
     SingleTrajectory,
 )
-from lqrinfluence.linalg import cg_solve
+from lqrinfluence.linalg import cg_solve, symmetrize
+from lqrinfluence.lqr import residual_channel_gradient
 from lqrinfluence.sysid import (
     TrajectoryDataset,
     ab_to_theta,
@@ -52,6 +55,29 @@ def build_regressor(x, u):
     """Per-step regressor Phi = z^T kron I_nx with z = (x; u), so Phi theta = A x + B u."""
     z = np.concatenate([np.asarray(x, float).ravel(), np.asarray(u, float).ravel()])
     return np.kron(z[None, :], np.eye(np.asarray(x).size))
+
+
+def per_slice_statistics(data, E):
+    """fit_ridge's former loop over trajectory slices, kept verbatim as the
+    oracle of its per-trajectory Gram stack: (traj_gram, g, per_traj_cov, W_hat)."""
+    Z = data.Z
+    M = data.M
+    n_x, q = data.n_x, data.n_x + data.n_u
+    N = data.N
+    per_traj_cov = np.empty((N, n_x, n_x))
+    g = np.empty((N, q * n_x))
+    traj_gram = np.empty((N, q, q))
+    cov_sum = np.zeros((n_x, n_x))
+    for k in range(N):
+        sl = data.traj_slice(k)
+        Ek, Zk = E[sl], Z[sl]
+        Ck = symmetrize(Ek.T @ Ek)
+        cov_sum += Ck
+        per_traj_cov[k] = Ck / data.lengths[k]
+        g[k] = -(Zk.T @ Ek).ravel() / M
+        traj_gram[k] = Zk.T @ Zk
+    W_hat = cov_sum / M
+    return traj_gram, g, per_traj_cov, W_hat
 
 
 def stationarity_residual(fit):
@@ -278,11 +304,28 @@ def removal_case(draw):
     return TrajectoryDataset.from_arrays(trajs, n_x=n_x, n_u=n_u), k, lam, only_k_excited
 
 
+def retained_covariance_magnitudes(data, j, thetas):
+    """Entry by entry, the size of the terms any formula for the residual
+    covariance without trajectory j adds up: with a_s = |x_s+| + |z_s|^T
+    sum_theta |Theta|, sum over retained s of a_s a_s^T / (M - T_j). Each
+    retained residual, and each cross or quadratic term in the parameter
+    shift between the thetas, is bounded by these products, so both
+    loto_refit's downdate and a refit from the raw rows round off relative
+    to them, however much the terms cancel."""
+    keep = np.ones(data.M, dtype=bool)
+    keep[data.traj_slice(j)] = False
+    q = data.n_x + data.n_u
+    bound = sum(np.abs(np.reshape(t, (q, data.n_x))) for t in thetas)
+    a = np.abs(data.next_states[keep]) + np.abs(data.Z[keep]) @ bound
+    return a.T @ a / keep.sum()
+
+
 @settings(max_examples=60, deadline=None)
 @given(removal_case())
 def test_loto_refit_matches_fit_on_retained_property(case):
     data, k, lam, only_k_excited = case
-    theta, W = loto_refit(fit_ridge(data, lam))
+    fit = fit_ridge(data, lam)
+    theta, W = loto_refit(fit)
     for j in range(data.N):
         kept = [
             tuple(arr[data.traj_slice(i)] for arr in (data.states, data.inputs, data.next_states))
@@ -291,10 +334,32 @@ def test_loto_refit_matches_fit_on_retained_property(case):
         ]
         ref = fit_ridge(TrajectoryDataset.from_arrays(kept, n_x=data.n_x, n_u=data.n_u), lam)
         assert np.allclose(theta[j], ref.theta, rtol=0, atol=1e-12)
-        assert np.allclose(W[j], ref.W_hat, rtol=0, atol=1e-14)
+        mag = retained_covariance_magnitudes(data, j, (theta[j], fit.theta))
+        assert np.all(np.abs(W[j] - ref.W_hat) <= 1e-14 * mag)
     if only_k_excited:
         # the retained data never move the input: B_k is exactly zero
         assert np.all(theta_to_ab(theta[k], data.n_x, data.n_u)[1] == 0.0)
+
+
+def test_loto_refit_covariance_is_free_of_cancellation():
+    # trajectory 0's residuals are 1e6 times the others', orthogonal to its
+    # regressors so they do not pull the fit: without it, the covariance is
+    # as accurate as the retained data allow, which a total-minus-own sum of
+    # the statistics would lose to cancellation
+    rng = np.random.default_rng(23)
+    trajs = [simulate_linear(rng, A0, B0, T) for T in (12, 6, 9, 7)]
+    X, U, Xn = trajs[0]
+    Z0 = np.hstack([X, U])
+    xi = rng.normal(size=Xn.shape)
+    xi -= Z0 @ np.linalg.lstsq(Z0, xi, rcond=None)[0]
+    trajs[0] = (X, U, Xn + 1e6 * xi)
+    data = TrajectoryDataset.from_arrays(trajs)
+    fit = fit_ridge(data, 1e-2)
+    theta, W = loto_refit(fit)
+    ref = fit_ridge(TrajectoryDataset.from_arrays(trajs[1:]), 1e-2)
+    assert np.allclose(theta[0], ref.theta, rtol=0, atol=1e-12)
+    mag = retained_covariance_magnitudes(data, 0, (theta[0], fit.theta))
+    assert np.all(np.abs(W[0] - ref.W_hat) <= 1e-14 * mag)
 
 
 def test_loto_refit_keeps_unexcited_input_exactly_zero():
@@ -332,6 +397,39 @@ def test_hessian_solve_matches_dense_kronecker_solve_property(case, seed):
     v = np.random.default_rng(seed).normal(size=fit.p)
     dense = np.linalg.solve(np.kron(fit.gram + lam * np.eye(fit.q), np.eye(fit.n_x)), v)
     assert np.linalg.norm(fit.hessian_solve(v) - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(removal_case(), st.data())
+def test_gram_stack_matches_per_slice_loop_property(case, draw):
+    # length-1 trajectories included; input column `dead` is zero throughout
+    data, _, lam, _ = case
+    dead = draw.draw(st.integers(0, data.n_u - 1))
+    inputs = data.inputs.copy()
+    inputs[:, dead] = 0.0
+    data = dataclasses.replace(data, inputs=inputs)
+    fit = fit_ridge(data, lam)
+    E = fit.residuals
+    for new, old in zip((fit.traj_gram, fit.g, fit.per_traj_cov, fit.W_hat),
+                        per_slice_statistics(data, E)):
+        assert new.shape == old.shape
+        assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
+    Z = data.Z
+    assert np.abs(fit.ZtE - Z.T @ E).max() <= 1e-14 * (np.abs(Z).T @ np.abs(E)).max()
+    # no product with the dead column is anything but an exact zero
+    col = data.n_x + dead
+    assert np.all(fit.traj_gram[:, col, :] == 0.0) and np.all(fit.traj_gram[:, :, col] == 0.0)
+    assert np.all(fit.g.reshape(fit.N, fit.q, fit.n_x)[:, col] == 0.0)
+    assert np.all(fit.ZtE[col] == 0.0)
+    # the residual channel read off Z^T E equals the pass over the M rows; at
+    # the ridge optimum Z^T E / M = lam Theta is a small difference of larger
+    # terms, so the round-off scale is that of the terms, not of h
+    P0 = np.random.default_rng(fit.M).normal(size=(fit.n_x, fit.n_x))
+    P0 = P0 @ P0.T
+    rows = 2.0 / fit.M * (Z.T @ E @ P0).ravel()
+    terms = 2.0 / fit.M * (np.abs(Z).T @ np.abs(E) @ np.abs(P0)).ravel()
+    h = residual_channel_gradient(fit, P0)
+    assert np.linalg.norm(h - rows) <= 1e-12 * np.linalg.norm(terms)
 
 
 def test_loto_refit_single_trajectory_raises():
