@@ -29,30 +29,29 @@ fit = fit_ridge(data, 1e-3)
 Q, R = np.eye(2), np.eye(1)
 art = riccati_artifacts(fit, Q, R, fit.W_hat)
 
-records = exact_loto_sweep(fit, Q, R)   # every removal: one stacked refit, N refit DAREs
+sweep = exact_loto_sweep(fit, Q, R)   # every removal: one stacked refit, N refit DAREs
+diag = diagnostics_from_record(fit, art, sweep)   # every removal's remainders at once
+bound = modular_error_bound(fit, art, sweep, diag)
 k = int(np.argmax(fit.lengths))    # longest trajectory, largest leverage
-rec = records[k]
-diag = diagnostics_from_record(fit, art, k, rec)
-dj = plug_in_cost(rec.P, rec.W) - plug_in_cost(art.P0, fit.W_hat)
+dj = plug_in_cost(sweep.P[k], sweep.W[k]) - plug_in_cost(art.P0, fit.W_hat)
 
-first_order = (art.zeta - art.h) @ (rec.theta - fit.theta)
+first_order = (art.zeta - art.h) @ (sweep.theta[k] - fit.theta)
 direct = direct_trace_term(fit, art)[k]
 print(f"removing trajectory {k} (T_k = {fit.lengths[k]}):")
 print(f"  exact cost shift dJ_k        = {dj:+.6e}")
 print(f"  first-order parameter term   = {first_order:+.6e}")
 print(f"  direct covariance term       = {direct:+.6e}")
-print(f"  Riccati remainder R_ric      = {diag.r_ric:+.6e}")
-print(f"  covariance remainder R_w     = {diag.r_w:+.6e}")
-print(f"  cross remainder R_cross      = {diag.r_cross:+.6e}")
-total = first_order + direct + diag.r_ric + diag.r_w + diag.r_cross
+print(f"  Riccati remainder R_ric      = {diag.r_ric[k]:+.6e}")
+print(f"  covariance remainder R_w     = {diag.r_w[k]:+.6e}")
+print(f"  cross remainder R_cross      = {diag.r_cross[k]:+.6e}")
+total = first_order + direct + diag.r_ric[k] + diag.r_w[k] + diag.r_cross[k]
 print(f"  five-term sum                = {total:+.6e}")
 print(f"  bookkeeping gap              = {abs(total - dj):.2e}")
 
 # the covariance remainder obeys ||P0|| * (L_phi^2 |dt|^2 + 4 (T_k/M) L_e L_phi |dt|)
-cap = np.linalg.norm(art.P0, 2) * diag.bound_w
-print(f"\n|R_w| = {abs(diag.r_w):.3e}  <=  bound {cap:.3e}")
+cap = np.linalg.norm(art.P0, 2) * diag.bound_w[k]
+print(f"\n|R_w| = {abs(diag.r_w[k]):.3e}  <=  bound {cap:.3e}")
 
 # and the full score-vs-exact gap obeys the modular bound
-bound = modular_error_bound(fit, art, k, rec.theta - fit.theta, diag)
 gap = abs(score_all(fit, art)[1][k] - dj)
-print(f"|score - dJ_k| = {gap:.3e}  <=  modular bound {bound:.3e}")
+print(f"|score - dJ_k| = {gap:.3e}  <=  modular bound {bound[k]:.3e}")

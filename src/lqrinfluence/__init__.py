@@ -48,7 +48,7 @@ from .experiments import (
 )
 from .influence import (
     DecompositionDiagnostics,
-    LotoRecord,
+    LotoSweep,
     ScoreTable,
     build_score_table,
     direct_trace_term,

@@ -151,15 +151,53 @@ _ARRAY_FIELDS = {
 }
 
 
+# scalar fields a config may override, each a finite number >= 0 (dt > 0)
+_SCALAR_FIELDS = ("dt", "input_std", "drag", "gust_std", "excitation_std")
+
+
+def _nonnegative(value, what: str) -> float:
+    # a JSON number; bool is an int subclass, but no number here
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < np.inf:
+        raise InvalidConfig(f"{what} must be a finite nonnegative number, got {value!r}")
+    return float(value)
+
+
+def _check_shapes(spec: SystemSpec, names) -> None:
+    for name in names:
+        arr, shape = getattr(spec, name), tuple(getattr(spec, d) for d in _ARRAY_FIELDS[name])
+        if arr is not None and arr.shape != shape:
+            raise InvalidConfig(f"system.{name} must have shape {shape}, got {arr.shape}")
+
+
 def system_spec(kind: str, **overrides) -> SystemSpec:
     """Build a benchmark spec by kind, with optional field overrides.
 
-    Overridden array fields (a_d, b_d, noise_cov, x0_std) are converted to
-    float arrays and must match the resulting n_x/n_u; fields not overridden
-    are left as the kind defines them.
+    n_x/n_u must be positive integers, the scalar fields finite and
+    nonnegative (dt positive), and sigma_sq_range a [low, high] pair of
+    them. Overridden array fields (a_d, b_d, noise_cov, x0_std) are converted
+    to finite float arrays and must match the resulting n_x/n_u; fields not
+    overridden are left as the kind defines them. Anything else raises
+    InvalidConfig.
     """
     if kind not in _SPEC_FACTORIES:
         raise InvalidConfig(f"unknown system kind {kind!r}")
+    for name in ("n_x", "n_u"):
+        value = overrides.get(name, 1)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise InvalidConfig(f"system.{name} must be a positive integer, got {value!r}")
+    for name in _SCALAR_FIELDS:
+        if name in overrides:
+            _nonnegative(overrides[name], f"system.{name}")
+    if overrides.get("dt") == 0:
+        raise InvalidConfig("system.dt must be positive")
+    if "sigma_sq_range" in overrides:
+        pair = overrides["sigma_sq_range"]
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise InvalidConfig(f"system.sigma_sq_range must be [low, high], got {pair!r}")
+        low, high = (_nonnegative(v, "system.sigma_sq_range") for v in pair)
+        if low > high:
+            raise InvalidConfig(f"system.sigma_sq_range needs low <= high, got {pair!r}")
+        overrides = {**overrides, "sigma_sq_range": (low, high)}
     spec = _SPEC_FACTORIES[kind]()
     if overrides:
         try:
@@ -167,19 +205,16 @@ def system_spec(kind: str, **overrides) -> SystemSpec:
         except TypeError as exc:
             raise InvalidConfig(f"bad system override: {exc}") from exc
     arrays = {}
-    for name, dims in _ARRAY_FIELDS.items():
-        if name not in overrides:
-            continue
-        shape = tuple(getattr(spec, dim) for dim in dims)
+    for name in [name for name in _ARRAY_FIELDS if name in overrides]:
         try:
             arrays[name] = np.asarray(overrides[name], dtype=float)
         except (TypeError, ValueError) as exc:
             raise InvalidConfig(f"system.{name} is not a numeric array: {exc}") from exc
-        if arrays[name].shape != shape:
-            raise InvalidConfig(
-                f"system.{name} must have shape {shape}, got {arrays[name].shape}"
-            )
-    return replace(spec, **arrays)
+        if not np.isfinite(arrays[name]).all():
+            raise InvalidConfig(f"system.{name} has non-finite entries")
+    spec = replace(spec, **arrays)
+    _check_shapes(spec, arrays)
+    return spec
 
 
 @dataclass(frozen=True)
@@ -197,8 +232,8 @@ class GenerationConfig:
             raise InvalidConfig("need 1 <= t_min <= t_max")
         if self.n_trajectories < 2:
             raise InvalidConfig("need at least two trajectories")
-        if self.x0_scale <= 0:
-            raise InvalidConfig("x0_scale must be positive")
+        if not 0 < self.x0_scale < np.inf:
+            raise InvalidConfig("x0_scale must be positive and finite")
 
 
 def _traj_rng(seed: int, k: int, stream: int = 1) -> np.random.Generator:
@@ -435,6 +470,10 @@ def _simulate(spec: SystemSpec, seed: int, stream: int, lengths,
     """Trajectory k, lengths[k] steps, from stream (seed, stream, k); all k in lockstep."""
     if spec.kind not in _LINEAR_KINDS + _UAV_KINDS:
         raise InvalidConfig(f"unknown system kind {spec.kind!r}")
+    # checked here, not in system_spec: with an external dataset n_x/n_u only size Q and R
+    if spec.kind in _UAV_KINDS and (spec.n_x, spec.n_u) != (4, 2):
+        raise InvalidConfig(f"{spec.kind} has n_x=4, n_u=2, not n_x={spec.n_x}, n_u={spec.n_u}")
+    _check_shapes(spec, _ARRAY_FIELDS)
     rngs = [_traj_rng(seed, k, stream) for k in range(len(lengths))]
     if spec.kind in _LINEAR_KINDS:
         X, U, Xn = _rollout_linear(spec, rngs, lengths, x0_scale)

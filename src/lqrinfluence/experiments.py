@@ -27,7 +27,8 @@ from .bench import (
     system_spec,
 )
 from .errors import DegenerateInput, InvalidConfig
-from .influence import ScoreTable, build_score_table
+from .influence import ScoreTable, build_score_table, csv_cell
+from .linalg import _check_symmetric
 from .lqr import riccati_artifacts
 from .sysid import fit_ridge, load_dataset
 
@@ -106,8 +107,8 @@ class ExperimentConfig:
             raise InvalidConfig("top_k must be in [1, n_trajectories]")
         if self.solver not in _SOLVERS:
             raise InvalidConfig(f"solver must be one of {_SOLVERS}")
-        if self.lam <= 0:
-            raise InvalidConfig("lambda must be positive")
+        if not 0 < self.lam < np.inf:
+            raise InvalidConfig("lambda must be positive and finite")
         if self.heldout_size < 2:
             raise InvalidConfig("heldout_size must be at least 2")
         # bool("false") is True and open(7) opens a file descriptor: take no other type
@@ -128,7 +129,10 @@ def _parse_matrix(value, dim: int, name: str):
     M = np.asarray(value, dtype=float)
     if M.shape != (dim, dim):
         raise InvalidConfig(f"{name} must be {dim}x{dim}")
-    return M
+    try:
+        return _check_symmetric(M, name)
+    except ValueError as exc:   # non-finite or asymmetric
+        raise InvalidConfig(str(exc)) from exc
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -320,15 +324,6 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
     return report
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    return "" if not np.isfinite(x) else format(x, ".17g")
-
-
 def write_outputs(report: ExperimentReport, out_dir) -> list:
     """Write report.json, per-seed score CSVs, scatter.csv, diagnostics.csv."""
     out = Path(out_dir)
@@ -346,26 +341,20 @@ def write_outputs(report: ExperimentReport, out_dir) -> list:
         table.to_csv(path)
         written.append(path)
 
-    path = out / "scatter.csv"
-    with open(path, "w") as fh:
-        fh.write("seed,k,if_stoch,if_fixed,delta_j_exact\n")
+    cols = ["delta_theta_norm", "r_ric", "r_w", "r_cross", "bound_w", "bound_ric", "bound_cross"]
+    scatter, diagnostics = out / "scatter.csv", out / "diagnostics.csv"
+    with open(scatter, "w") as fs, open(diagnostics, "w") as fd:
+        fs.write("seed,k,if_stoch,if_fixed,delta_j_exact\n")
+        fd.write(",".join(["seed", "k"] + cols) + "\n")
         for seed, t in report.tables.items():
-            if t.delta_j_exact is None:
+            if t.diagnostics is None:
                 continue
-            for k in np.flatnonzero(np.isfinite(t.delta_j_exact)):
-                fh.write(f"{seed},{k},{_fmt(t.if_stoch[k])},{_fmt(t.if_fixed[k])},"
-                         f"{_fmt(t.delta_j_exact[k])}\n")
-    written.append(path)
-
-    path = out / "diagnostics.csv"
-    cols = ["delta_theta_norm", "r_ric", "r_w", "r_cross",
-            "bound_w", "bound_ric", "bound_cross"]
-    with open(path, "w") as fh:
-        fh.write(",".join(["seed", "k"] + cols) + "\n")
-        for seed, t in report.tables.items():
-            for k, diag in enumerate(t.diagnostics or []):
-                if diag is not None:
-                    fh.write(",".join([_fmt(seed), _fmt(k)]
-                                      + [_fmt(getattr(diag, c)) for c in cols]) + "\n")
-    written.append(path)
+            files = ((fs, (t.if_stoch, t.if_fixed, t.delta_j_exact)),
+                     (fd, [getattr(t.diagnostics, c) for c in cols]))
+            # a row per scored removal in each file, in the score file's own strings
+            for k in np.flatnonzero(~t.excluded):
+                for fh, arrays in files:
+                    cells = [csv_cell(None if a is None else a[k]) for a in arrays]
+                    fh.write(",".join([csv_cell(seed), csv_cell(k)] + cells) + "\n")
+    written += [scatter, diagnostics]
     return written

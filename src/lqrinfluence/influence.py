@@ -6,11 +6,15 @@ Three quantities per trajectory k:
 * stochastic score        (zeta - h)^T IF_m_k + (T_k/M_k) Tr(P0 (W_hat - W_bar_k)),
 * exact shift             dJ_k = Tr(P(theta_k) W_k) - Tr(P0 W_hat)  by refitting.
 
-Every exact quantity comes from one sweep per fit (exact_loto_sweep): one
-sysid.loto_refit call solves the retained normal equations of every removal
-at once from the fit's per-trajectory statistics, then loto_record solves
-one refit DARE per removal. Nothing here refits from the raw data or redoes
-the base DARE per trajectory; score_all scores every trajectory at once.
+Every exact quantity comes from one sweep per fit (exact_loto_sweep), held
+as one LotoSweep of (N, ...) arrays: one sysid.loto_refit call solves the
+retained normal equations of every removal at once from the fit's
+per-trajectory statistics, then loto_record solves one refit DARE per
+removal, its P row NaN where the refit has no stabilizing solution.
+diagnostics_from_record and modular_error_bound read the whole sweep and
+return (N,) arrays, NaN where excluded. Nothing here refits from the raw
+data or redoes the base DARE per trajectory; score_all scores every
+trajectory at once.
 
 The amortized forms never materialize IF_m_k: with v = H^-1 rhs precomputed,
 each score is (M/M_k) g_k^T v + (T_k/M_k) lam theta^T v plus the direct
@@ -19,7 +23,7 @@ covariance trace. The exact shift decomposes as
   dJ_k = (zeta - h)^T dtheta_k + direct_k + R_ric + R_w + R_cross,
 
 an identity once the three remainders are computed by explicit subtraction;
-diagnostics here evaluate all five terms and the computable remainder bounds.
+diagnostics here evaluate the remainders and their computable bounds.
 """
 from __future__ import annotations
 
@@ -68,106 +72,104 @@ def score_all(fit: ModelFit, art: RiccatiArtifacts):
 
 
 @dataclass(frozen=True)
-class LotoRecord:
-    """One exact removal: refit parameters, refit residual covariance, refit Riccati solution."""
+class LotoSweep:
+    """Every exact removal at once: row k is the refit without trajectory k."""
 
-    theta: np.ndarray
-    W: np.ndarray
-    P: np.ndarray | None   # None when the refit DARE has no stabilizing solution
+    theta: np.ndarray      # (N, p) refit parameters
+    W: np.ndarray          # (N, n_x, n_x) refit residual covariances
+    P: np.ndarray          # (N, n_x, n_x) refit Riccati solutions, NaN where excluded
+    excluded: np.ndarray   # (N,) bool, the refit DARE has no stabilizing solution
 
 
-def loto_record(fit: ModelFit, Q, R, theta_k: np.ndarray, W_k: np.ndarray) -> LotoRecord:
-    """One removal's record: the refit DARE at theta_k, P None if it is not stabilizable."""
+def loto_record(fit: ModelFit, Q, R, theta_k: np.ndarray) -> np.ndarray | None:
+    """One removal's refit DARE at theta_k; None if it has no stabilizing solution."""
     A_k, B_k = theta_to_ab(theta_k, fit.n_x, fit.n_u)
     try:
-        P_k = solve_dare(A_k, B_k, Q, R)
+        return solve_dare(A_k, B_k, Q, R)
     except NoStabilizingSolution:
-        P_k = None
-    return LotoRecord(theta=theta_k, W=W_k, P=P_k)
+        return None
 
 
-def exact_loto_sweep(fit: ModelFit, Q, R) -> list[LotoRecord]:
-    """Every removal's record: one stacked refit, then one refit DARE per trajectory."""
-    return [loto_record(fit, Q, R, theta_k, W_k) for theta_k, W_k in zip(*loto_refit(fit))]
+def exact_loto_sweep(fit: ModelFit, Q, R) -> LotoSweep:
+    """Every removal: one stacked refit, then one refit DARE per trajectory."""
+    theta, W = loto_refit(fit)
+    P = np.full_like(W, np.nan)
+    for k, theta_k in enumerate(theta):
+        P_k = loto_record(fit, Q, R, theta_k)
+        if P_k is not None:
+            P[k] = P_k
+    return LotoSweep(theta=theta, W=W, P=P, excluded=np.isnan(P[:, 0, 0]))
 
 
 @dataclass(frozen=True)
 class DecompositionDiagnostics:
-    """Remainders of the exact cost-shift decomposition for one trajectory."""
+    """Remainders of the exact cost-shift decomposition: (N,) arrays, NaN where excluded."""
 
-    delta_theta_norm: float
-    r_ric: float            # Riccati Taylor remainder traced against W_hat
-    r_w: float              # Tr(P0 R_w) with R_w the covariance-shift remainder
-    r_cross: float          # Tr((P_k - P0)(W_k - W_hat))
-    bound_w: float          # L_phi^2 |dtheta|^2 + 4 (T_k/M) L_e L_phi |dtheta|
-    bound_ric: float | None    # (L_psi/2) |dtheta|^2, needs caller-supplied L_psi
-    bound_cross: float | None  # L_P |dtheta| (...), needs caller-supplied L_P
+    delta_theta_norm: np.ndarray
+    r_ric: np.ndarray            # Riccati Taylor remainder traced against W_hat
+    r_w: np.ndarray              # Tr(P0 R_w) with R_w the covariance-shift remainder
+    r_cross: np.ndarray          # Tr((P_k - P0)(W_k - W_hat))
+    bound_w: np.ndarray          # L_phi^2 |dtheta|^2 + 4 (T_k/M) L_e L_phi |dtheta|
+    bound_ric: np.ndarray | None    # (L_psi/2) |dtheta|^2, needs caller-supplied L_psi
+    bound_cross: np.ndarray | None  # L_P |dtheta| (...), needs caller-supplied L_P
 
 
 def diagnostics_from_record(
     fit: ModelFit,
     art: RiccatiArtifacts,
-    k: int,
-    rec: LotoRecord,
+    sweep: LotoSweep,
     L_psi: float | None = None,
     L_P: float | None = None,
 ) -> DecompositionDiagnostics:
-    if rec.P is None:
-        raise NoStabilizingSolution(f"refit without trajectory {k} is not stabilizable")
-    dtheta = rec.theta - fit.theta
-    nd = float(np.linalg.norm(dtheta))
-    dP = rec.P - art.P0
-    r_ric = float(np.trace(dP @ fit.W_hat) - art.zeta @ dtheta)
+    """The remainders and their bounds for every removal of the sweep at once."""
+    # an excluded removal's NaN row carries through every field
+    dtheta = np.where(sweep.excluded[:, None], np.nan, sweep.theta - fit.theta)
+    nd = np.linalg.norm(dtheta, axis=1)
+    dP = sweep.P - art.P0
+    r_ric = np.trace(dP @ fit.W_hat, axis1=1, axis2=2) - dtheta @ art.zeta
 
-    T_k = float(fit.lengths[k])
-    direct_mat = covariance_direct_term(fit, k)
-    DW = rec.W - fit.W_hat
+    T = fit.lengths.astype(float)
+    DW = sweep.W - fit.W_hat
     # (E^T Z D + D^T Z^T E) / M over the rows Phi_s dtheta = z_s^T D, read off
     # the fit's Z^T E instead of a pass over the M transitions
-    D = dtheta.reshape(fit.q, fit.n_x)
-    cross_mat = (fit.ZtE.T @ D + D.T @ fit.ZtE) / fit.M
-    R_w_mat = DW - direct_mat + cross_mat
-    r_w = float(np.trace(art.P0 @ R_w_mat))
-    r_cross = float(np.trace(dP @ DW))
+    D = dtheta.reshape(fit.N, fit.q, fit.n_x)
+    cross_mat = (fit.ZtE.T @ D + D.swapaxes(1, 2) @ fit.ZtE) / fit.M
+    R_w_mat = DW - covariance_direct_term(fit, np.arange(fit.N)) + cross_mat
+    r_w = np.trace(art.P0 @ R_w_mat, axis1=1, axis2=2)
+    r_cross = np.trace(dP @ DW, axis1=1, axis2=2)
 
     L_phi, L_e = fit.data_extremes
-    bound_w = L_phi**2 * nd**2 + 4.0 * (T_k / fit.M) * L_e * L_phi * nd
+    bound_w = L_phi**2 * nd**2 + 4.0 * (T / fit.M) * L_e * L_phi * nd
     bound_ric = None if L_psi is None else 0.5 * L_psi * nd**2
     bound_cross = None
     if L_P is not None:
-        frac = T_k / (fit.M - T_k)
-        bound_cross = (
-            L_P
-            * nd
-            * (
-                frac * np.linalg.norm(fit.W_hat - fit.per_traj_cov[k])
-                + 2.0 * L_e * L_phi * nd
-                + np.linalg.norm(R_w_mat)
-            )
-        )
-    return DecompositionDiagnostics(
-        delta_theta_norm=nd,
-        r_ric=r_ric,
-        r_w=r_w,
-        r_cross=r_cross,
-        bound_w=bound_w,
-        bound_ric=bound_ric,
-        bound_cross=bound_cross,
-    )
+        spread = np.linalg.norm(fit.W_hat - fit.per_traj_cov, axis=(1, 2))
+        bound_cross = L_P * nd * (T / (fit.M - T) * spread + 2.0 * L_e * L_phi * nd
+                                  + np.linalg.norm(R_w_mat, axis=(1, 2)))
+    return DecompositionDiagnostics(nd, r_ric, r_w, r_cross, bound_w, bound_ric, bound_cross)
 
 
 def modular_error_bound(
     fit: ModelFit,
     art: RiccatiArtifacts,
-    k: int,
-    delta_theta_k: np.ndarray,
+    sweep: LotoSweep,
     diag: DecompositionDiagnostics,
-) -> float:
-    """Upper bound on |IF_stoch_k - dJ_k| from the surrogate gap and the remainders."""
-    if_m = model_influence(fit, k)
-    gap = float(np.linalg.norm(if_m - delta_theta_k))
+) -> np.ndarray:
+    """Upper bound on |IF_stoch_k - dJ_k| for every k, from the surrogate gap and the remainders."""
+    if_m = model_influence(fit, np.arange(fit.N))
+    gap = np.linalg.norm(if_m - (sweep.theta - fit.theta), axis=1)
     sens = float(np.linalg.norm(art.zeta - art.h))
     return sens * gap + abs(diag.r_ric) + abs(diag.r_w) + abs(diag.r_cross)
+
+
+def csv_cell(x) -> str:
+    """One CSV cell: an integer as is, a float in round-trip .17g, None or non-finite empty."""
+    if x is None:
+        return ""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float(x)
+    return format(x, ".17g") if np.isfinite(x) else ""
 
 
 @dataclass
@@ -179,11 +181,8 @@ class ScoreTable:
     if_stoch: np.ndarray
     direct_trace: np.ndarray
     delta_j_exact: np.ndarray | None = None   # nan where excluded
-    r_ric: np.ndarray | None = None
-    r_w: np.ndarray | None = None
-    r_cross: np.ndarray | None = None
     excluded: np.ndarray | None = None        # bool, refit DARE failures
-    diagnostics: list | None = None           # per-k DecompositionDiagnostics (None where excluded)
+    diagnostics: DecompositionDiagnostics | None = None
     score_time: float = 0.0
     refit_time: float | None = None
 
@@ -197,34 +196,17 @@ class ScoreTable:
         return [int(i) for i in np.flatnonzero(self.excluded)]
 
     def to_csv(self, path) -> None:
-        def cell(arr, i):
-            if arr is None or not np.isfinite(arr[i]):
-                return ""
-            return format(float(arr[i]), ".17g")
-
+        diag = self.diagnostics
+        remainders = (None,) * 3 if diag is None else (diag.r_ric, diag.r_w, diag.r_cross)
+        cols = (self.if_fixed, self.if_stoch, self.delta_j_exact, self.direct_trace, *remainders)
+        excl = self.excluded if self.excluded is not None else np.zeros(self.N, dtype=bool)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(SCORE_CSV_HEADER)
-            excl = (
-                self.excluded
-                if self.excluded is not None
-                else np.zeros(self.N, dtype=bool)
-            )
             for i in range(self.N):
-                writer.writerow(
-                    [
-                        i,
-                        int(self.lengths[i]),
-                        format(float(self.if_fixed[i]), ".17g"),
-                        format(float(self.if_stoch[i]), ".17g"),
-                        cell(self.delta_j_exact, i),
-                        format(float(self.direct_trace[i]), ".17g"),
-                        cell(self.r_ric, i),
-                        cell(self.r_w, i),
-                        cell(self.r_cross, i),
-                        int(excl[i]),
-                    ]
-                )
+                writer.writerow([i, int(self.lengths[i])]
+                                + [csv_cell(None if col is None else col[i]) for col in cols]
+                                + [int(excl[i])])
 
 
 def build_score_table(
@@ -253,29 +235,10 @@ def build_score_table(
         raise ValueError("exact sweep needs Q and R")
 
     t0 = perf_counter()
+    sweep = exact_loto_sweep(fit, Q, R)
     base_cost = float(np.trace(art.P0 @ fit.W_hat))
-    N = fit.N
-    delta_j = np.full(N, np.nan)
-    r_ric = np.full(N, np.nan)
-    r_w = np.full(N, np.nan)
-    r_cross = np.full(N, np.nan)
-    excluded = np.zeros(N, dtype=bool)
-    diags: list = [None] * N
-    for k, rec in enumerate(exact_loto_sweep(fit, Q, R)):
-        if rec.P is None:
-            excluded[k] = True
-            continue
-        delta_j[k] = float(np.trace(rec.P @ rec.W)) - base_cost
-        diag = diagnostics_from_record(fit, art, k, rec)
-        diags[k] = diag
-        r_ric[k] = diag.r_ric
-        r_w[k] = diag.r_w
-        r_cross[k] = diag.r_cross
-    table.delta_j_exact = delta_j
-    table.r_ric = r_ric
-    table.r_w = r_w
-    table.r_cross = r_cross
-    table.excluded = excluded
-    table.diagnostics = diags
+    table.delta_j_exact = np.trace(sweep.P @ sweep.W, axis1=1, axis2=2) - base_cost
+    table.excluded = sweep.excluded
+    table.diagnostics = diagnostics_from_record(fit, art, sweep)
     table.refit_time = perf_counter() - t0
     return table

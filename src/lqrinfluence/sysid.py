@@ -400,8 +400,11 @@ def loto_refit(fit: ModelFit):
     return Theta.reshape(N, q * n_x), W
 
 
-def covariance_direct_term(fit: ModelFit, k: int) -> np.ndarray:
-    """Covariance shift from removal alone: (T_k/M_k) (W_hat - W_bar_k)."""
+def covariance_direct_term(fit: ModelFit, k) -> np.ndarray:
+    """Covariance shift from removal alone: (T_k/M_k) (W_hat - W_bar_k).
+
+    For an index array k, entry i is the shift for removing k[i].
+    """
     _check_index(fit, k)
     _, frac = fit.removal_weights
-    return frac[k] * (fit.W_hat - fit.per_traj_cov[k])
+    return frac[k][..., None, None] * (fit.W_hat - fit.per_traj_cov[k])

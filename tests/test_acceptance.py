@@ -173,7 +173,8 @@ def test_criterion_02_exact_identity_suite():
             # reduced-objective gradient at the full-data optimum equals -eta_k
             lhs, rhs = stationary_cost_check(fit.A, fit.B, Q, R, fit.W_hat)
             worst_stat = max(worst_stat, abs(lhs - rhs) / (1 + abs(rhs)))
-            records = exact_loto_sweep(fit, Q, R)
+            sweep = exact_loto_sweep(fit, Q, R)
+            diag = diagnostics_from_record(fit, art, sweep)
             for k in range(fit.N):
                 sl = fit.data.traj_slice(k)
                 keep = np.ones(fit.M, dtype=bool)
@@ -199,15 +200,13 @@ def test_criterion_02_exact_identity_suite():
                 )
 
                 # five-term bookkeeping of the exact cost shift
-                rec = records[k]
-                dj = plug_in_cost(rec.P, rec.W) - base_cost
-                diag = diagnostics_from_record(fit, art, k, rec)
+                dj = plug_in_cost(sweep.P[k], sweep.W[k]) - base_cost
                 total = (
-                    (art.zeta - art.h) @ (rec.theta - fit.theta)
+                    (art.zeta - art.h) @ (sweep.theta[k] - fit.theta)
                     + direct[k]
-                    + diag.r_ric
-                    + diag.r_w
-                    + diag.r_cross
+                    + diag.r_ric[k]
+                    + diag.r_w[k]
+                    + diag.r_cross[k]
                 )
                 worst_terms = max(worst_terms, abs(total - dj) / (1 + abs(dj)))
 
@@ -251,19 +250,20 @@ def test_criterion_03_remainder_bound_suite():
             spec, fit, art, Q, R = _small_fit(kind, seed)
             P_norm = np.linalg.norm(art.P0, 2)
             _, if_stoch = score_all(fit, art)
-            for k, rec in enumerate(exact_loto_sweep(fit, Q, R)):
-                diag = diagnostics_from_record(fit, art, k, rec)
-                dtheta = rec.theta - fit.theta
+            sweep = exact_loto_sweep(fit, Q, R)
+            diag = diagnostics_from_record(fit, art, sweep)
+            bound = modular_error_bound(fit, art, sweep, diag)
+            for k in range(fit.N):
+                dtheta = sweep.theta[k] - fit.theta
                 D = fit.data.Z @ dtheta.reshape(fit.q, fit.n_x)
                 cross = (fit.residuals.T @ D + D.T @ fit.residuals) / fit.M
-                R_w_mat = (rec.W - fit.W_hat) - covariance_direct_term(fit, k) + cross
-                dj = plug_in_cost(rec.P, rec.W) - plug_in_cost(art.P0, fit.W_hat)
-                bound = modular_error_bound(fit, art, k, dtheta, diag)
+                R_w_mat = (sweep.W[k] - fit.W_hat) - covariance_direct_term(fit, k) + cross
+                dj = plug_in_cost(sweep.P[k], sweep.W[k]) - plug_in_cost(art.P0, fit.W_hat)
                 gap = abs(if_stoch[k] - dj)
-                ok = ok and np.linalg.norm(R_w_mat) <= diag.bound_w + 1e-15
-                ok = ok and abs(diag.r_w) <= P_norm * diag.bound_w + 1e-15
-                ok = ok and gap <= bound + 1e-9
-                worst_margin = min(worst_margin, bound + 1e-9 - gap)
+                ok = ok and np.linalg.norm(R_w_mat) <= diag.bound_w[k] + 1e-15
+                ok = ok and abs(diag.r_w[k]) <= P_norm * diag.bound_w[k] + 1e-15
+                ok = ok and gap <= bound[k] + 1e-9
+                worst_margin = min(worst_margin, bound[k] + 1e-9 - gap)
                 checked += 1
     elapsed = time.perf_counter() - t0
     _report(

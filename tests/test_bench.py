@@ -164,6 +164,19 @@ def test_spec_array_overrides_must_match_dimensions(overrides):
         system_spec("dc_motor", **overrides)
 
 
+@pytest.mark.parametrize(
+    "kind, dims",
+    [("dc_motor", {"n_x": 3}), ("msd", {"n_u": 1}), ("uav_hover", {"n_x": 3}),
+     ("uav_mission", {"n_u": 3})],
+)
+def test_generation_rejects_dimensions_the_kind_cannot_honour(kind, dims):
+    spec = system_spec(kind, **dims)   # accepted: next to an external dataset they size Q, R
+    with pytest.raises(InvalidConfig):
+        generate_dataset(spec, GenerationConfig(4, 5, 8))
+    with pytest.raises(InvalidConfig):
+        generate_heldout(spec, 0, 20)
+
+
 def test_generation_config_validation():
     with pytest.raises(InvalidConfig):
         GenerationConfig(n_trajectories=5, t_min=0, t_max=10)

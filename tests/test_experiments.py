@@ -1,6 +1,7 @@
 """Ranking metrics, config parsing, the experiment runner, and the CLI."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -25,7 +26,9 @@ from lqrinfluence.experiments import (
     topk_jaccard,
     write_outputs,
 )
-from lqrinfluence.sysid import TrajectoryDataset, save_dataset
+from lqrinfluence.influence import build_score_table
+from lqrinfluence.lqr import riccati_artifacts
+from lqrinfluence.sysid import TrajectoryDataset, fit_ridge, save_dataset
 
 BASE_DOC = {
     "system": {"kind": "dc_motor"},
@@ -40,8 +43,6 @@ def small_config(**overrides):
         generation=GenerationConfig(8, 5, 12),
         seeds=(0, 1),
     )
-    import dataclasses
-
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
@@ -170,6 +171,24 @@ def test_parse_config_explicit_matrices():
         lambda d: d.update(dataset=7),
         lambda d: d.update(dataset=0),
         lambda d: d.update(dataset=["logs.json"]),
+        lambda d: d.update({"lambda": float("nan")}),
+        lambda d: d.update({"lambda": float("inf")}),
+        lambda d: d["generation"].update(x0_scale=float("nan")),
+        lambda d: d["generation"].update(x0_scale=float("inf")),
+        lambda d: d.update(Q=[[float("nan"), 0.0], [0.0, 1.0]]),
+        lambda d: d.update(R=[[float("inf")]]),
+        lambda d: d.update(Q=[[1.0, 0.5], [0.0, 1.0]]),
+        lambda d: d["system"].update(a_d=[[float("nan"), 0.0], [0.0, 0.5]]),
+        lambda d: d["system"].update(x0_std=[float("inf"), 1.0]),
+        lambda d: d["system"].update(dt="x"),
+        lambda d: d["system"].update(dt=0.0),
+        lambda d: d["system"].update(input_std=float("nan")),
+        lambda d: d["system"].update(n_x="3"),
+        lambda d: d["system"].update(n_u=0),
+        lambda d: d.update(system={"kind": "msd", "sigma_sq_range": [1.0, -1.0]}),
+        lambda d: d.update(system={"kind": "msd", "sigma_sq_range": [-1.0, 1.0]}),
+        lambda d: d.update(system={"kind": "msd", "sigma_sq_range": [1.0, 0.5]}),
+        lambda d: d.update(system={"kind": "msd", "sigma_sq_range": "wide"}),
     ],
 )
 def test_parse_config_rejects_malformed(mutate):
@@ -214,7 +233,7 @@ def test_run_experiment_metrics_and_accounting():
     assert agg["spearman_stoch"]["std"] is not None  # two seeds -> sample std defined
     tables = report.tables.values()
     assert sum(int(np.isfinite(t.delta_j_exact).sum()) for t in tables) == 16
-    assert sum(d is not None for t in tables for d in t.diagnostics) == 16
+    assert sum(int(np.isfinite(t.diagnostics.r_w).sum()) for t in tables) == 16
 
 
 def test_run_experiment_without_exact_sweep():
@@ -374,6 +393,24 @@ def test_cli_wrong_shape_system_matrix_is_config_error(tmp_path, capsys):
     assert "a_d" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"lambda": float("nan")},   # json writes and reads NaN
+        {"Q": [[1.0, 2.0], [0.0, 1.0]]},
+        {"system": {"kind": "dc_motor", "n_x": 3}},
+        {"system": {"kind": "uav_hover", "n_x": 3}},
+        {"system": {"kind": "uav_hover", "n_u": 3}},
+    ],
+    ids=["nan_lambda", "asymmetric_Q", "dc_motor_n_x", "uav_n_x", "uav_n_u"],
+)
+def test_cli_unusable_config_value_is_config_error(tmp_path, capsys, extra):
+    # the dimensions the generator cannot honour are found before any data is drawn
+    cfg_path = write_cli_config(tmp_path, **extra)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert "config error: " in capsys.readouterr().err
+
+
 def test_cli_dataset_dimension_mismatch_is_config_error(tmp_path, capsys):
     # a 1-state dataset under the 2-state dc_motor system
     traj = (np.ones((3, 1)), np.ones((3, 1)), np.ones((3, 1)))
@@ -416,15 +453,31 @@ def read_csv_rows(path):
         return list(csv.DictReader(fh))
 
 
-def test_cli_partial_exclusions_exit_code(tmp_path, capsys):
+def partial_exclusion_dataset():
     # trajectory 0 carries all input excitation; without it the refit sees an
     # uncontrollable unstable model and its removal is excluded, not scored
     rng = np.random.default_rng(0)
     rich = explosive_trajectory(1.5, 0.0, rng.choice([-1.0, 1.0], size=12))
     quiet = [explosive_trajectory(1.5, x0, [0.0] * 6) for x0 in (1.0, -1.2)]
-    data = TrajectoryDataset.from_arrays([rich] + quiet, n_x=1, n_u=1)
+    return TrajectoryDataset.from_arrays([rich] + quiet, n_x=1, n_u=1)
+
+
+def test_excluded_removal_is_nan_in_every_exact_array():
+    fit = fit_ridge(partial_exclusion_dataset(), 1e-3)
+    Q, R = np.eye(1), np.eye(1)
+    table = build_score_table(fit, riccati_artifacts(fit, Q, R, fit.W_hat), Q, R,
+                              with_exact=True)
+    assert table.excluded.tolist() == [True, False, False]
+    assert np.isnan(table.delta_j_exact[0]) and np.isfinite(table.delta_j_exact[1:]).all()
+    for field in dataclasses.fields(table.diagnostics):
+        values = getattr(table.diagnostics, field.name)
+        if values is not None:
+            assert np.isnan(values[0]) and np.isfinite(values[1:]).all(), field.name
+
+
+def test_cli_partial_exclusions_exit_code(tmp_path, capsys):
     ds_path = tmp_path / "data.json"
-    save_dataset(data, ds_path)
+    save_dataset(partial_exclusion_dataset(), ds_path)
     cfg_path = write_cli_config(
         tmp_path,
         system={"kind": "dc_motor", "n_x": 1, "n_u": 1},

@@ -12,6 +12,7 @@ from lqrinfluence.errors import DominantTrajectory
 from lqrinfluence.influence import (
     SCORE_CSV_HEADER,
     DecompositionDiagnostics,
+    LotoSweep,
     build_score_table,
     diagnostics_from_record,
     direct_trace_term,
@@ -57,10 +58,48 @@ def make_problem(seed=0, n_traj=8, noise=0.1, lam=1e-3, lengths=None, n_u=1):
 
 
 def exact_shifts(fit, Q, R):
-    """Every removal's record and dJ_k = Tr(P_k W_k) - Tr(P0 W_hat), from one sweep."""
-    records = exact_loto_sweep(fit, Q, R)
+    """The sweep and every dJ_k = Tr(P_k W_k) - Tr(P0 W_hat), one refit at a time."""
+    sweep = exact_loto_sweep(fit, Q, R)
     base = np.trace(solve_dare(fit.A, fit.B, Q, R) @ fit.W_hat)
-    return records, np.array([np.trace(rec.P @ rec.W) - base for rec in records])
+    return sweep, np.array([np.trace(P_k @ W_k) - base for P_k, W_k in zip(sweep.P, sweep.W)])
+
+
+def diagnostics_oracle(fit, art, k, theta_k, W_k, P_k, L_psi=None, L_P=None):
+    """Removal k's decomposition diagnostics, one removal at a time.
+
+    Returns {field: (value, scale)}; scale sums the magnitudes of the terms
+    the field adds, which bounds the round-off of any summation order.
+    """
+    dtheta = theta_k - fit.theta
+    nd = float(np.linalg.norm(dtheta))
+    dP = P_k - art.P0
+    ric_terms = np.array([np.trace(dP @ fit.W_hat), art.zeta @ dtheta])
+
+    T_k = float(fit.lengths[k])
+    direct_mat = covariance_direct_term(fit, k)
+    DW = W_k - fit.W_hat
+    D = dtheta.reshape(fit.q, fit.n_x)
+    cross_mat = (fit.ZtE.T @ D + D.T @ fit.ZtE) / fit.M
+    R_w_mat = DW - direct_mat + cross_mat
+    abs_R_w = np.abs(DW) + np.abs(direct_mat) + np.abs(cross_mat)
+
+    L_phi, L_e = fit.data_extremes
+    bound_w = L_phi**2 * nd**2 + 4.0 * (T_k / fit.M) * L_e * L_phi * nd
+    out = {
+        "delta_theta_norm": (nd, nd),
+        "r_ric": (ric_terms[0] - ric_terms[1], np.abs(ric_terms).sum()),
+        "r_w": (np.trace(art.P0 @ R_w_mat), np.trace(np.abs(art.P0) @ abs_R_w)),
+        "r_cross": (np.trace(dP @ DW), np.trace(np.abs(dP) @ np.abs(DW))),
+        "bound_w": (bound_w, bound_w),
+    }
+    if L_psi is not None:
+        out["bound_ric"] = (0.5 * L_psi * nd**2,) * 2
+    if L_P is not None:
+        frac = T_k / (fit.M - T_k)
+        bound_cross = L_P * nd * (frac * np.linalg.norm(fit.W_hat - fit.per_traj_cov[k])
+                                  + 2.0 * L_e * L_phi * nd + np.linalg.norm(R_w_mat))
+        out["bound_cross"] = (bound_cross, bound_cross)
+    return out
 
 
 def test_fixed_score_amortized_equals_explicit():
@@ -142,56 +181,57 @@ def test_exact_shift_two_trajectory_hand_case():
 def test_five_term_identity():
     fit, art, Q, R = make_problem(seed=7)
     direct = direct_trace_term(fit, art)
-    records, dj = exact_shifts(fit, Q, R)
-    for k, rec in enumerate(records):
-        diag = diagnostics_from_record(fit, art, k, rec)
-        dtheta = rec.theta - fit.theta
+    sweep, dj = exact_shifts(fit, Q, R)
+    diag = diagnostics_from_record(fit, art, sweep)
+    for k in range(fit.N):
+        dtheta = sweep.theta[k] - fit.theta
         total = (
-            (art.zeta - art.h) @ dtheta + direct[k] + diag.r_ric + diag.r_w + diag.r_cross
+            (art.zeta - art.h) @ dtheta + direct[k] + diag.r_ric[k] + diag.r_w[k]
+            + diag.r_cross[k]
         )
         assert abs(total - dj[k]) <= 1e-9 * (1 + abs(dj[k]))
 
 
 def test_noiseless_diagnostics_vanish():
     fit, art, Q, R = make_problem(noise=0.0, lam=0.0)
-    diag = diagnostics_from_record(fit, art, 0, exact_loto_sweep(fit, Q, R)[0])
-    assert diag.delta_theta_norm < 1e-9
-    assert abs(diag.r_ric) < 1e-12
-    assert abs(diag.r_w) < 1e-12
-    assert abs(diag.r_cross) < 1e-12
+    diag = diagnostics_from_record(fit, art, exact_loto_sweep(fit, Q, R))
+    assert diag.delta_theta_norm[0] < 1e-9
+    assert abs(diag.r_ric[0]) < 1e-12
+    assert abs(diag.r_w[0]) < 1e-12
+    assert abs(diag.r_cross[0]) < 1e-12
 
 
 def test_covariance_remainder_bounds():
     fit, art, Q, R = make_problem(seed=8)
     P_norm = np.linalg.norm(art.P0, 2)
-    for k, rec in enumerate(exact_loto_sweep(fit, Q, R)):
-        diag = diagnostics_from_record(fit, art, k, rec)
-        assert abs(diag.r_w) <= P_norm * diag.bound_w + 1e-15
+    sweep = exact_loto_sweep(fit, Q, R)
+    diag = diagnostics_from_record(fit, art, sweep)
+    for k in range(fit.N):
+        assert abs(diag.r_w[k]) <= P_norm * diag.bound_w[k] + 1e-15
         # the bound also caps the covariance-shift remainder matrix itself
-        dtheta = rec.theta - fit.theta
+        dtheta = sweep.theta[k] - fit.theta
         D = fit.data.Z @ dtheta.reshape(fit.q, fit.n_x)
         cross_mat = (fit.residuals.T @ D + D.T @ fit.residuals) / fit.M
-        R_w_mat = (rec.W - fit.W_hat) - covariance_direct_term(fit, k) + cross_mat
-        assert np.linalg.norm(R_w_mat) <= diag.bound_w + 1e-15
+        R_w_mat = (sweep.W[k] - fit.W_hat) - covariance_direct_term(fit, k) + cross_mat
+        assert np.linalg.norm(R_w_mat) <= diag.bound_w[k] + 1e-15
 
 
 def test_optional_bounds_populated_only_on_request():
     fit, art, Q, R = make_problem(seed=9)
-    rec = exact_loto_sweep(fit, Q, R)[0]
-    diag = diagnostics_from_record(fit, art, 0, rec)
+    sweep = exact_loto_sweep(fit, Q, R)
+    diag = diagnostics_from_record(fit, art, sweep)
     assert diag.bound_ric is None and diag.bound_cross is None
-    diag2 = diagnostics_from_record(fit, art, 0, rec, L_psi=5.0, L_P=2.0)
-    assert diag2.bound_ric == pytest.approx(2.5 * diag2.delta_theta_norm**2)
-    assert diag2.bound_cross is not None and diag2.bound_cross >= 0.0
+    diag2 = diagnostics_from_record(fit, art, sweep, L_psi=5.0, L_P=2.0)
+    assert diag2.bound_ric[0] == pytest.approx(2.5 * diag2.delta_theta_norm[0]**2)
+    assert diag2.bound_cross is not None and diag2.bound_cross[0] >= 0.0
 
 
 def check_modular_error_bound(fit, art, Q, R):
     _, if_stoch = score_all(fit, art)
-    records, dj = exact_shifts(fit, Q, R)
-    for k, rec in enumerate(records):
-        diag = diagnostics_from_record(fit, art, k, rec)
-        bound = modular_error_bound(fit, art, k, rec.theta - fit.theta, diag)
-        assert abs(if_stoch[k] - dj[k]) <= bound + 1e-9
+    sweep, dj = exact_shifts(fit, Q, R)
+    bound = modular_error_bound(fit, art, sweep, diagnostics_from_record(fit, art, sweep))
+    for k in range(fit.N):
+        assert abs(if_stoch[k] - dj[k]) <= bound[k] + 1e-9
 
 
 def test_modular_error_bound_inequality():
@@ -203,17 +243,23 @@ def test_modular_error_bound_degenerate_short_trajectories():
 
 
 def test_modular_error_bound_zero_case():
+    # at theta = 0 the shift theta_k - theta is exactly the surrogate it was set to
     fit, art, _, _ = make_problem(seed=12)
+    fit = dataclasses.replace(fit, theta=np.zeros(fit.p))
+    zero = np.zeros(fit.N)
+    if_m = model_influence(fit, np.arange(fit.N))
+    sweep = LotoSweep(theta=if_m, W=np.zeros((fit.N, 2, 2)), P=np.zeros((fit.N, 2, 2)),
+                      excluded=zero.astype(bool))
     diag = DecompositionDiagnostics(
-        delta_theta_norm=0.0,
-        r_ric=0.0,
-        r_w=0.0,
-        r_cross=0.0,
-        bound_w=0.0,
+        delta_theta_norm=zero,
+        r_ric=zero,
+        r_w=zero,
+        r_cross=zero,
+        bound_w=zero,
         bound_ric=None,
         bound_cross=None,
     )
-    assert modular_error_bound(fit, art, 0, model_influence(fit, 0), diag) == 0.0
+    assert np.all(modular_error_bound(fit, art, sweep, diag) == 0.0)
 
 
 def test_joint_qr_scaling_multiplies_scores():
@@ -266,10 +312,9 @@ def test_build_score_table_with_exact():
     _, dj = exact_shifts(fit, Q, R)
     for k in range(fit.N):
         assert table.delta_j_exact[k] == pytest.approx(dj[k], rel=1e-12)
-        assert table.diagnostics[k] is not None
-        assert np.isfinite(table.r_ric[k])
-        assert np.isfinite(table.r_w[k])
-        assert np.isfinite(table.r_cross[k])
+        assert np.isfinite(table.diagnostics.r_ric[k])
+        assert np.isfinite(table.diagnostics.r_w[k])
+        assert np.isfinite(table.diagnostics.r_cross[k])
 
 
 def test_score_table_csv_round_trip(tmp_path):
@@ -385,12 +430,37 @@ def test_five_term_identity_property(case):
     Q, R = np.eye(fit.n_x), np.eye(fit.n_u)
     direct = direct_trace_term(fit, art)
     base = np.trace(art.P0 @ fit.W_hat)
-    for k, rec in enumerate(exact_loto_sweep(fit, Q, R)):
-        if rec.P is None:
-            continue
-        diag = diagnostics_from_record(fit, art, k, rec)
-        terms = np.array([(art.zeta - art.h) @ (rec.theta - fit.theta), direct[k],
-                          diag.r_ric, diag.r_w, diag.r_cross])
-        refit = np.trace(rec.P @ rec.W)
+    sweep = exact_loto_sweep(fit, Q, R)
+    diag = diagnostics_from_record(fit, art, sweep)
+    for k in np.flatnonzero(~sweep.excluded):
+        terms = np.array([(art.zeta - art.h) @ (sweep.theta[k] - fit.theta), direct[k],
+                          diag.r_ric[k], diag.r_w[k], diag.r_cross[k]])
+        refit = np.trace(sweep.P[k] @ sweep.W[k])
         scale = abs(refit) + abs(base) + np.abs(terms).sum()
         assert abs(terms.sum() - (refit - base)) <= 1e-13 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_corpus(), st.sampled_from([(None, None), (5.0, 2.0)]))
+def test_all_k_diagnostics_match_per_removal_oracle_property(case, lipschitz):
+    # the array form sums in another order than the one-removal formula, so
+    # each field agrees to round-off in the magnitudes of the terms it adds
+    trajs, lam = case
+    fit, art, _ = fit_and_score(trajs, lam)
+    Q, R = np.eye(fit.n_x), np.eye(fit.n_u)
+    sweep = exact_loto_sweep(fit, Q, R)
+    diag = diagnostics_from_record(fit, art, sweep, *lipschitz)
+    for k in range(fit.N):
+        if sweep.excluded[k]:
+            assert all(np.isnan(getattr(diag, f.name)[k])
+                       for f in dataclasses.fields(diag) if getattr(diag, f.name) is not None)
+            continue
+        want = diagnostics_oracle(fit, art, k, sweep.theta[k], sweep.W[k], sweep.P[k],
+                                  *lipschitz)
+        for field in dataclasses.fields(diag):
+            got = getattr(diag, field.name)
+            if field.name not in want:
+                assert got is None
+                continue
+            value, scale = want[field.name]
+            assert abs(got[k] - value) <= 1e-12 * scale, field.name
