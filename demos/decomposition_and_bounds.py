@@ -7,8 +7,8 @@ The exact plug-in cost shift from removing trajectory k splits as
          + R_ric + R_w + R_cross   (Taylor remainders, computed by subtraction)
 
 and the identity holds to machine precision once the remainders are evaluated
-explicitly.  The remainders come with computable bounds, so every score ships
-with a certificate of how wrong it can be.
+explicitly.  R_w has an a priori bound computed from the data; the modular
+bound on the score's error is a posteriori, read off the exact sweep.
 """
 import numpy as np
 
@@ -20,20 +20,19 @@ from lqrinfluence.influence import (
     modular_error_bound,
     score_all,
 )
-from lqrinfluence.lqr import plug_in_cost, riccati_artifacts
+from lqrinfluence.lqr import riccati_artifacts
 from lqrinfluence.sysid import fit_ridge
 
 spec = system_spec("dc_motor")
 data = generate_dataset(spec, GenerationConfig(30, 5, 40, seed=2))
 fit = fit_ridge(data, 1e-3)
-Q, R = np.eye(2), np.eye(1)
-art = riccati_artifacts(fit, Q, R, fit.W_hat)
+art = riccati_artifacts(fit, np.eye(2), np.eye(1))
 
-sweep = exact_loto_sweep(fit, Q, R)   # every removal: one stacked refit, N refit DAREs
+sweep = exact_loto_sweep(fit, art)   # every removal: one stacked refit, N refit DAREs
 diag = diagnostics_from_record(fit, art, sweep)   # every removal's remainders at once
 bound = modular_error_bound(fit, art, sweep, diag)
 k = int(np.argmax(fit.lengths))    # longest trajectory, largest leverage
-dj = plug_in_cost(sweep.P[k], sweep.W[k]) - plug_in_cost(art.P0, fit.W_hat)
+dj = np.trace(sweep.P[k] @ sweep.W[k]) - np.trace(art.P0 @ fit.W_hat)
 
 first_order = (art.zeta - art.h) @ (sweep.theta[k] - fit.theta)
 direct = direct_trace_term(fit, art)[k]

@@ -22,8 +22,7 @@ from lqrinfluence.sysid import eta, fit_ridge, loto_refit
 spec = system_spec("msd")   # sigma_k^2 ~ Uniform(0.01, 1.0) per trajectory
 data = generate_dataset(spec, GenerationConfig(50, 5, 40, seed=0))
 fit = fit_ridge(data, 1e-3)
-Q, R = np.eye(4), np.eye(2)
-art = riccati_artifacts(fit, Q, R, fit.W_hat)
+art = riccati_artifacts(fit, np.eye(4), np.eye(2))
 
 # level 1: the model-side surrogate vs the exact refit parameter shift, every
 # removal at once: one stacked refit and one Hessian solve for all 50 IF_m_k
@@ -34,7 +33,7 @@ print("||IF_m - exact delta_theta|| / ||delta_theta|| over 50 removals: "
       f"median {np.median(rels):.1%}, worst {max(rels):.1%}")
 
 # levels 2 and 3 against exact cost shifts, for every trajectory
-table = build_score_table(fit, art, Q, R, with_exact=True)
+table = build_score_table(fit, art, with_exact=True)
 dj = table.delta_j_exact
 print("\nrank agreement with exact retraining over 50 trajectories:")
 print(f"  fixed-covariance score : Spearman {spearman(table.if_fixed, dj):.3f}, "

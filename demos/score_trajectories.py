@@ -20,11 +20,11 @@ print(f"{data.N} trajectories, {data.M} transitions")
 
 fit = fit_ridge(data, lam=1e-3)
 Q, R = np.eye(spec.n_x), np.eye(spec.n_u)
-art = riccati_artifacts(fit, Q, R, fit.W_hat)
+art = riccati_artifacts(fit, Q, R)
 print(f"plug-in cost Tr(P W) = {np.trace(art.P0 @ fit.W_hat):.4f}")
 
 # score every trajectory, then retrain without each one to get the exact shifts
-table = build_score_table(fit, art, Q, R, with_exact=True)
+table = build_score_table(fit, art, with_exact=True)
 
 order = np.argsort(table.if_stoch)
 print("\nmost cost-reducing removals (most harmful trajectories):")

@@ -33,8 +33,8 @@ for kind in ("uav_hover", "uav_mission"):
 
         data = generate_dataset(spec, dataclasses.replace(GEN[kind], seed=seed))
         fit = fit_ridge(data, 1e-3)
-        art = riccati_artifacts(fit, np.eye(4), np.eye(2), fit.W_hat)
-        table = build_score_table(fit, art, np.eye(4), np.eye(2), with_exact=True)
+        art = riccati_artifacts(fit, np.eye(4), np.eye(2))
+        table = build_score_table(fit, art, with_exact=True)
         mask = np.isfinite(table.delta_j_exact)
         rows.append((
             spearman(table.if_stoch[mask], table.delta_j_exact[mask]),

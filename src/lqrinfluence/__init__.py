@@ -69,7 +69,6 @@ from .linalg import (
 from .lqr import (
     RiccatiArtifacts,
     gain_and_closed_loop,
-    plug_in_cost,
     residual_channel_gradient,
     riccati_artifacts,
     riccati_gradient,

@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidConfig
-from .linalg import expm
+from .errors import InvalidConfig, NotPositiveDefinite
+from .linalg import cholesky_factor, expm
 from .sysid import ModelFit, TrajectoryDataset, model_influence, theta_to_ab
 
 _LINEAR_KINDS = ("dc_motor", "msd")
@@ -46,6 +46,10 @@ _UAV_DRAG = 0.3
 _HOVER_GAINS = (1.2, 1.8)     # kp, kd regulating to the origin
 _MISSION_GAINS = (2.0, 2.8)   # kp, kd tracking the reference
 _MISSION_REFS = ("figure_eight", "descending_s", "circle")
+
+# msd per-trajectory noise variance range; held-out trajectory length
+_MSD_SIGMA_SQ_RANGE = (0.01, 1.0)
+_HELDOUT_TRAJ_LEN = 50
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,7 @@ def dc_motor_spec() -> SystemSpec:
     )
 
 
-def msd_spec(sigma_sq_range=(0.01, 1.0)) -> SystemSpec:
+def msd_spec() -> SystemSpec:
     """Two-mass spring-damper chain, force input per mass, Euler at dt = 0.05."""
     m1 = m2 = 1.0
     k1 = k2 = 2.0
@@ -112,7 +116,7 @@ def msd_spec(sigma_sq_range=(0.01, 1.0)) -> SystemSpec:
     return SystemSpec(
         kind="msd", n_x=4, n_u=2, dt=dt,
         a_d=np.eye(4) + dt * A_c, b_d=dt * B_c,
-        sigma_sq_range=tuple(float(v) for v in sigma_sq_range),
+        sigma_sq_range=_MSD_SIGMA_SQ_RANGE,
         input_std=4.0,
         x0_std=0.5 * np.ones(4),
     )
@@ -175,9 +179,9 @@ def system_spec(kind: str, **overrides) -> SystemSpec:
     n_x/n_u must be positive integers, the scalar fields finite and
     nonnegative (dt positive), and sigma_sq_range a [low, high] pair of
     them. Overridden array fields (a_d, b_d, noise_cov, x0_std) are converted
-    to finite float arrays and must match the resulting n_x/n_u; fields not
-    overridden are left as the kind defines them. Anything else raises
-    InvalidConfig.
+    to finite float arrays and must match the resulting n_x/n_u, noise_cov
+    symmetric positive definite; fields not overridden are left as the kind
+    defines them. Anything else raises InvalidConfig.
     """
     if kind not in _SPEC_FACTORIES:
         raise InvalidConfig(f"unknown system kind {kind!r}")
@@ -214,6 +218,11 @@ def system_spec(kind: str, **overrides) -> SystemSpec:
             raise InvalidConfig(f"system.{name} has non-finite entries")
     spec = replace(spec, **arrays)
     _check_shapes(spec, arrays)
+    if "noise_cov" in arrays:
+        try:
+            cholesky_factor(spec.noise_cov)
+        except (NotPositiveDefinite, ValueError) as exc:   # indefinite or asymmetric
+            raise InvalidConfig("system.noise_cov must be symmetric positive definite") from exc
     return spec
 
 
@@ -247,11 +256,20 @@ def _live(lengths) -> np.ndarray:
     return np.arange(lengths.max())[:, None] < lengths
 
 
+def _diverged(x: np.ndarray, t: int):
+    """Stop a rollout whose states x after step t are not all finite, naming a trajectory."""
+    k = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+    raise InvalidConfig(f"generated trajectory {k} is not finite after step {t}: "
+                        "the configured system diverges")
+
+
+@np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _diverged
 def _rollout_linear(spec: SystemSpec, rngs, lengths, x0_scale: float):
     """Roll trajectory k out for lengths[k] steps from rngs[k], all at once.
 
     Returns time-major (T_max, N, .) arrays X, U, X_next. A trajectory past its
-    end stays frozen at its last state.
+    end stays frozen at its last state. The first step whose state is not
+    finite stops the rollout with InvalidConfig.
     """
     live = _live(lengths)
     T_max, N = live.shape
@@ -276,6 +294,8 @@ def _rollout_linear(spec: SystemSpec, rngs, lengths, x0_scale: float):
     for t in range(T_max):
         X[t] = x
         x = np.where(live[t, :, None], x @ spec.a_d.T + BU[t] + noise[t], x)
+        if not np.isfinite(x).all():
+            _diverged(x, t)
         Xn[t] = x
     return X, U, Xn
 
@@ -344,13 +364,15 @@ def _reference_grid(policies, t) -> np.ndarray:
     return ref
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _diverged
 def _rollout_uav(spec: SystemSpec, x0, policies, ref, lengths, rngs):
     """Roll quadrotor trajectory k out from x0[k] under policies[k], all at once.
 
     Every policy tracks its reference ref (_reference_grid; hover: zero)
     with its gains; rngs[k] draws its (T, 4) excitation and gust normals in
     one call. Returns time-major (T_max, N, .) arrays X, U, X_next. A
-    trajectory past its end stays frozen at its last state.
+    trajectory past its end stays frozen at its last state, and the first
+    step whose state is not finite stops the rollout with InvalidConfig.
     """
     live = _live(lengths)
     T_max, N = live.shape
@@ -380,6 +402,8 @@ def _rollout_uav(spec: SystemSpec, x0, policies, ref, lengths, rngs):
         v_next = v + spec.dt * (u - drag * speed * v + noise[t, :, 2:])
         X[t], U[t] = x, u
         x = np.where(live[t, :, None], np.hstack([p + spec.dt * v, v_next]), x)
+        if not np.isfinite(x).all():
+            _diverged(x, t)
         Xn[t] = x
     return X, U, Xn
 
@@ -501,19 +525,16 @@ def generate_dataset(spec: SystemSpec, cfg: GenerationConfig) -> TrajectoryDatas
     return _simulate(spec, cfg.seed, 1, lengths, cfg.x0_scale)
 
 
-def generate_heldout(spec: SystemSpec, seed: int, size: int = 10_000,
-                     traj_len: int = 50) -> TrajectoryDataset:
+def generate_heldout(spec: SystemSpec, seed: int, size: int = 10_000) -> TrajectoryDataset:
     """Fresh transitions from the same system for prediction-loss validation.
 
-    size transitions in trajectories of traj_len steps, the last one shorter
-    when traj_len does not divide size.
+    size transitions in trajectories of 50 steps, the last one shorter when
+    50 does not divide size.
     """
-    if size < 1 or traj_len < 1:
-        raise InvalidConfig(
-            f"held-out size and traj_len must be positive, got {size} and {traj_len}"
-        )
-    n_full, rest = divmod(size, traj_len)
-    lengths = np.array([traj_len] * n_full + ([rest] if rest else []))
+    if size < 1:
+        raise InvalidConfig(f"held-out size must be positive, got {size}")
+    n_full, rest = divmod(size, _HELDOUT_TRAJ_LEN)
+    lengths = np.array([_HELDOUT_TRAJ_LEN] * n_full + ([rest] if rest else []))
     return _simulate(spec, seed, 2, lengths, 1.0)
 
 

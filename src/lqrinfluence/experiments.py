@@ -273,10 +273,10 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
 
         t0 = time.perf_counter()
         fit = fit_ridge(data, cfg.lam)
-        art = riccati_artifacts(fit, Q, R, fit.W_hat, solver=cfg.solver)
+        art = riccati_artifacts(fit, Q, R, solver=cfg.solver)
         prep_time = time.perf_counter() - t0
 
-        table = build_score_table(fit, art, Q, R, with_exact=cfg.run_exact_loto)
+        table = build_score_table(fit, art, with_exact=cfg.run_exact_loto)
         table.score_time += prep_time  # pipeline time includes fit + Riccati prep
         report.tables[seed] = table
 
@@ -341,7 +341,7 @@ def write_outputs(report: ExperimentReport, out_dir) -> list:
         table.to_csv(path)
         written.append(path)
 
-    cols = ["delta_theta_norm", "r_ric", "r_w", "r_cross", "bound_w", "bound_ric", "bound_cross"]
+    cols = ["delta_theta_norm", "r_ric", "r_w", "r_cross", "bound_w"]
     scatter, diagnostics = out / "scatter.csv", out / "diagnostics.csv"
     with open(scatter, "w") as fs, open(diagnostics, "w") as fd:
         fs.write("seed,k,if_stoch,if_fixed,delta_j_exact\n")
@@ -354,7 +354,7 @@ def write_outputs(report: ExperimentReport, out_dir) -> list:
             # a row per scored removal in each file, in the score file's own strings
             for k in np.flatnonzero(~t.excluded):
                 for fh, arrays in files:
-                    cells = [csv_cell(None if a is None else a[k]) for a in arrays]
+                    cells = [csv_cell(a[k]) for a in arrays]
                     fh.write(",".join([csv_cell(seed), csv_cell(k)] + cells) + "\n")
     written += [scatter, diagnostics]
     return written

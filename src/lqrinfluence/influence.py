@@ -2,7 +2,7 @@
 
 Three quantities per trajectory k:
 
-* fixed-covariance score  zeta^T IF_m_k          (covariance held at Sigma),
+* fixed-covariance score  zeta^T IF_m_k          (covariance held at W_hat),
 * stochastic score        (zeta - h)^T IF_m_k + (T_k/M_k) Tr(P0 (W_hat - W_bar_k)),
 * exact shift             dJ_k = Tr(P(theta_k) W_k) - Tr(P0 W_hat)  by refitting.
 
@@ -10,7 +10,8 @@ Every exact quantity comes from one sweep per fit (exact_loto_sweep), held
 as one LotoSweep of (N, ...) arrays: one sysid.loto_refit call solves the
 retained normal equations of every removal at once from the fit's
 per-trajectory statistics, then loto_record solves one refit DARE per
-removal, its P row NaN where the refit has no stabilizing solution.
+removal at the Q and R the Riccati artifacts were built with, its P row NaN
+where the refit has no stabilizing solution.
 diagnostics_from_record and modular_error_bound read the whole sweep and
 return (N,) arrays, NaN where excluded. Nothing here refits from the raw
 data or redoes the base DARE per trajectory; score_all scores every
@@ -23,7 +24,7 @@ covariance trace. The exact shift decomposes as
   dJ_k = (zeta - h)^T dtheta_k + direct_k + R_ric + R_w + R_cross,
 
 an identity once the three remainders are computed by explicit subtraction;
-diagnostics here evaluate the remainders and their computable bounds.
+diagnostics here evaluate the remainders and the a priori bound on R_w.
 """
 from __future__ import annotations
 
@@ -90,12 +91,12 @@ def loto_record(fit: ModelFit, Q, R, theta_k: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def exact_loto_sweep(fit: ModelFit, Q, R) -> LotoSweep:
-    """Every removal: one stacked refit, then one refit DARE per trajectory."""
+def exact_loto_sweep(fit: ModelFit, art: RiccatiArtifacts) -> LotoSweep:
+    """Every removal: one stacked refit, then one refit DARE per trajectory at art's Q, R."""
     theta, W = loto_refit(fit)
     P = np.full_like(W, np.nan)
     for k, theta_k in enumerate(theta):
-        P_k = loto_record(fit, Q, R, theta_k)
+        P_k = loto_record(fit, art.Q, art.R, theta_k)
         if P_k is not None:
             P[k] = P_k
     return LotoSweep(theta=theta, W=W, P=P, excluded=np.isnan(P[:, 0, 0]))
@@ -110,18 +111,12 @@ class DecompositionDiagnostics:
     r_w: np.ndarray              # Tr(P0 R_w) with R_w the covariance-shift remainder
     r_cross: np.ndarray          # Tr((P_k - P0)(W_k - W_hat))
     bound_w: np.ndarray          # L_phi^2 |dtheta|^2 + 4 (T_k/M) L_e L_phi |dtheta|
-    bound_ric: np.ndarray | None    # (L_psi/2) |dtheta|^2, needs caller-supplied L_psi
-    bound_cross: np.ndarray | None  # L_P |dtheta| (...), needs caller-supplied L_P
 
 
 def diagnostics_from_record(
-    fit: ModelFit,
-    art: RiccatiArtifacts,
-    sweep: LotoSweep,
-    L_psi: float | None = None,
-    L_P: float | None = None,
+    fit: ModelFit, art: RiccatiArtifacts, sweep: LotoSweep
 ) -> DecompositionDiagnostics:
-    """The remainders and their bounds for every removal of the sweep at once."""
+    """The remainders and the bound on R_w for every removal of the sweep at once."""
     # an excluded removal's NaN row carries through every field
     dtheta = np.where(sweep.excluded[:, None], np.nan, sweep.theta - fit.theta)
     nd = np.linalg.norm(dtheta, axis=1)
@@ -140,13 +135,7 @@ def diagnostics_from_record(
 
     L_phi, L_e = fit.data_extremes
     bound_w = L_phi**2 * nd**2 + 4.0 * (T / fit.M) * L_e * L_phi * nd
-    bound_ric = None if L_psi is None else 0.5 * L_psi * nd**2
-    bound_cross = None
-    if L_P is not None:
-        spread = np.linalg.norm(fit.W_hat - fit.per_traj_cov, axis=(1, 2))
-        bound_cross = L_P * nd * (T / (fit.M - T) * spread + 2.0 * L_e * L_phi * nd
-                                  + np.linalg.norm(R_w_mat, axis=(1, 2)))
-    return DecompositionDiagnostics(nd, r_ric, r_w, r_cross, bound_w, bound_ric, bound_cross)
+    return DecompositionDiagnostics(nd, r_ric, r_w, r_cross, bound_w)
 
 
 def modular_error_bound(
@@ -209,14 +198,8 @@ class ScoreTable:
                                 + [int(excl[i])])
 
 
-def build_score_table(
-    fit: ModelFit,
-    art: RiccatiArtifacts,
-    Q=None,
-    R=None,
-    with_exact: bool = False,
-) -> ScoreTable:
-    """Score every trajectory; optionally run the exact removal sweep (needs Q, R)."""
+def build_score_table(fit: ModelFit, art: RiccatiArtifacts, with_exact: bool = False) -> ScoreTable:
+    """Score every trajectory; optionally run the exact removal sweep."""
     t0 = perf_counter()
     direct = direct_trace_term(fit, art)
     if_fixed, if_stoch = _scores(fit, art, direct)
@@ -231,11 +214,9 @@ def build_score_table(
     )
     if not with_exact:
         return table
-    if Q is None or R is None:
-        raise ValueError("exact sweep needs Q and R")
 
     t0 = perf_counter()
-    sweep = exact_loto_sweep(fit, Q, R)
+    sweep = exact_loto_sweep(fit, art)
     base_cost = float(np.trace(art.P0 @ fit.W_hat))
     table.delta_j_exact = np.trace(sweep.P @ sweep.W, axis1=1, axis2=2) - base_cost
     table.excluded = sweep.excluded

@@ -270,17 +270,17 @@ def solve_dare(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np
     return P
 
 
-def solve_dlyap(A_cl: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
-    """Solve X - A_cl X A_cl^T = Sigma for stable A_cl.
+def solve_dlyap(A_cl: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Solve X - A_cl X A_cl^T = W for stable A_cl.
 
     Kronecker vectorization for state dimension at most 8 (the regime here);
     a squaring accumulation fallback above that. Output exactly symmetrized.
     """
     A = _check_square(A_cl, "A_cl")
-    S = _check_symmetric(Sigma, "Sigma")
+    S = _check_symmetric(W, "W")
     n = A.shape[0]
     if S.shape[0] != n:
-        raise DimensionMismatch("Sigma dimension does not match A_cl")
+        raise DimensionMismatch("W dimension does not match A_cl")
     if spectral_radius(A) >= 1.0 - 1e-9:
         raise UnstableClosedLoop("spectral radius of A_cl is not below one")
 
@@ -289,7 +289,7 @@ def solve_dlyap(A_cl: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
         x = np.linalg.solve(lhs, S.ravel(order="F")).reshape((n, n), order="F")
         return symmetrize(x)
 
-    # doubling: X = sum_j A^j Sigma (A^T)^j accumulated in log steps
+    # doubling: X = sum_j A^j W (A^T)^j accumulated in log steps
     X = S.copy()
     Apow = A.copy()
     for _ in range(200):

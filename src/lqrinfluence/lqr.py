@@ -1,11 +1,11 @@
 """Plug-in LQR cost, its Riccati-side gradient, and the residual-channel gradient.
 
 The certainty-equivalent controller for identified (A, B) costs
-J = Tr(P0 Sigma) per stage in steady state, where P0 solves the discrete
-Riccati equation and Sigma is the process noise covariance plugged in. Both
+J = Tr(P0 W_hat) per stage in steady state, where P0 solves the discrete
+Riccati equation and W_hat is the fit's residual covariance plugged in. Both
 gradients of that cost with respect to theta = vec([A B]) are assembled here:
 
-* zeta_Sigma, the gradient through the Riccati solution at fixed Sigma,
+* zeta, the gradient through the Riccati solution at fixed W_hat,
   reconstructed from one extra Lyapunov solve (no per-coordinate resolves);
 * h, the gradient of Tr(P0 W_hat(theta)) through the residual covariance at
   fixed P0, with sign convention grad = -h.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import cg_solve, solve_dare, solve_dlyap, symmetrize
+from .linalg import cg_solve, solve_dare, solve_dlyap
 from .sysid import ModelFit
 
 __all__ = [
@@ -28,20 +28,20 @@ __all__ = [
     "riccati_gradient",
     "residual_channel_gradient",
     "riccati_artifacts",
-    "plug_in_cost",
     "stationary_cost_check",
 ]
 
 
 @dataclass(frozen=True)
 class RiccatiArtifacts:
-    """Everything the per-trajectory scores share: one DARE, one Lyapunov, two solves."""
+    """What the scores and exact shifts share: Q, R, one DARE, one Lyapunov, two solves."""
 
+    Q: np.ndarray         # state weight
+    R: np.ndarray         # input weight
     P0: np.ndarray        # stabilizing Riccati solution
     K0: np.ndarray        # optimal gain
     A_cl: np.ndarray      # A - B K0
-    Sigma: np.ndarray     # covariance the cost was evaluated at
-    zeta: np.ndarray      # grad_theta Tr(P(theta) Sigma)
+    zeta: np.ndarray      # grad_theta Tr(P(theta) W_hat) at fixed W_hat
     h: np.ndarray         # residual channel: grad_theta Tr(P0 W_hat(theta)) = -h
     v_fixed: np.ndarray   # H^-1 zeta
     v_stoch: np.ndarray   # H^-1 (zeta - h)
@@ -54,16 +54,16 @@ def gain_and_closed_loop(A: np.ndarray, B: np.ndarray, P0: np.ndarray, R: np.nda
     return K0, A - B @ K0
 
 
-def riccati_gradient(A, B, P0, K0, A_cl, Sigma) -> np.ndarray:
-    """Gradient of theta -> Tr(P(theta) Sigma) at fixed Sigma.
+def riccati_gradient(A, B, P0, K0, A_cl, W) -> np.ndarray:
+    """Gradient of theta -> Tr(P(theta) W) at fixed W.
 
     Differentiating the Riccati fixed point at the optimal gain leaves only
     the explicit (A, B) dependence (the gain's own derivative drops out), so
-    with Lambda solving Lambda - A_cl Lambda A_cl^T = Sigma the gradient blocks
+    with Lambda solving Lambda - A_cl Lambda A_cl^T = W the gradient blocks
     are  dA = 2 P0 A_cl Lambda  and  dB = -2 P0 A_cl Lambda K0^T,
     stacked column-major like theta itself.
     """
-    Lam = solve_dlyap(A_cl, Sigma)
+    Lam = solve_dlyap(A_cl, W)
     GA = 2.0 * P0 @ A_cl @ Lam
     GB = -GA @ K0.T
     return np.hstack([GA, GB]).ravel(order="F")
@@ -78,20 +78,21 @@ def riccati_artifacts(
     fit: ModelFit,
     Q: np.ndarray,
     R: np.ndarray,
-    Sigma: np.ndarray,
     solver: str = "dense",
     cg_tol: float = 1e-10,
 ) -> RiccatiArtifacts:
     """Solve the DARE once and precompute the shared score vectors.
 
+    The cost is evaluated at the fit's plug-in covariance W_hat; copies of Q
+    and R are kept so the exact sweep refits at the weights the scores use.
     solver picks how H v = rhs is solved: "dense" uses the fit's Gram
     factor (one q x q solve), "cg" runs matrix-free conjugate gradients on the Gram structure.
     """
     A, B = fit.A, fit.B
+    Q, R = np.array(Q, dtype=float), np.array(R, dtype=float)   # not the caller's arrays
     P0 = solve_dare(A, B, Q, R)
     K0, A_cl = gain_and_closed_loop(A, B, P0, R)
-    Sigma = symmetrize(np.asarray(Sigma, dtype=float))
-    zeta = riccati_gradient(A, B, P0, K0, A_cl, Sigma)
+    zeta = riccati_gradient(A, B, P0, K0, A_cl, fit.W_hat)
     h = residual_channel_gradient(fit, P0)
     rhs_stoch = zeta - h   # combined sensitivity of Tr(P(theta) W_hat(theta))
     if solver == "dense":
@@ -104,10 +105,11 @@ def riccati_artifacts(
     else:
         raise ValueError(f"unknown solver {solver!r}")
     return RiccatiArtifacts(
+        Q=Q,
+        R=R,
         P0=P0,
         K0=K0,
         A_cl=A_cl,
-        Sigma=Sigma,
         zeta=zeta,
         h=h,
         v_fixed=v_fixed,
@@ -115,11 +117,6 @@ def riccati_artifacts(
         c_fixed=float(fit.lam * fit.theta @ v_fixed),
         c_stoch=float(fit.lam * fit.theta @ v_stoch),
     )
-
-
-def plug_in_cost(P: np.ndarray, Sigma: np.ndarray) -> float:
-    """Steady-state stage cost Tr(P Sigma)."""
-    return float(np.trace(P @ Sigma))
 
 
 def stationary_cost_check(A, B, Q, R, W):

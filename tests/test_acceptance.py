@@ -39,7 +39,6 @@ from lqrinfluence.influence import (
 from lqrinfluence.linalg import solve_dare, spectral_radius
 from lqrinfluence.lqr import (
     gain_and_closed_loop,
-    plug_in_cost,
     riccati_artifacts,
     riccati_gradient,
     stationary_cost_check,
@@ -115,14 +114,11 @@ def _mean(report, key):
     return report.aggregate[key]["mean"]
 
 
-def _small_fit(kind, seed, with_art=True):
+def _small_fit(kind, seed):
     spec = system_spec(kind)
     data = generate_dataset(spec, dataclasses.replace(_SMALL[kind], seed=seed))
     fit = fit_ridge(data, 1e-3)
-    if not with_art:
-        return spec, fit, None, None, None
-    Q, R = np.eye(spec.n_x), np.eye(spec.n_u)
-    return spec, fit, riccati_artifacts(fit, Q, R, fit.W_hat), Q, R
+    return fit, riccati_artifacts(fit, np.eye(spec.n_x), np.eye(spec.n_u))
 
 
 def test_criterion_01_riccati_gradient_gate():
@@ -148,7 +144,7 @@ def test_criterion_01_riccati_gradient_gate():
 
         def cost(tv):
             Ai, Bi = theta_to_ab(tv, n_x, n_u)
-            return plug_in_cost(solve_dare(Ai, Bi, Q, R), Sigma)
+            return np.trace(solve_dare(Ai, Bi, Q, R) @ Sigma)
 
         fd = (cost(theta + eps * d) - cost(theta - eps * d)) / (2 * eps)
         worst = max(worst, abs(zeta @ d - fd) / (1 + abs(fd)))
@@ -166,14 +162,14 @@ def test_criterion_02_exact_identity_suite():
     worst_grad = worst_direct = worst_stat = worst_terms = worst_red = 0.0
     for kind in KINDS:
         for seed in range(100, 110):
-            spec, fit, art, Q, R = _small_fit(kind, seed)
-            base_cost = plug_in_cost(art.P0, fit.W_hat)
+            fit, art = _small_fit(kind, seed)
+            base_cost = np.trace(art.P0 @ fit.W_hat)
             direct = direct_trace_term(fit, art)
 
             # reduced-objective gradient at the full-data optimum equals -eta_k
-            lhs, rhs = stationary_cost_check(fit.A, fit.B, Q, R, fit.W_hat)
+            lhs, rhs = stationary_cost_check(fit.A, fit.B, art.Q, art.R, fit.W_hat)
             worst_stat = max(worst_stat, abs(lhs - rhs) / (1 + abs(rhs)))
-            sweep = exact_loto_sweep(fit, Q, R)
+            sweep = exact_loto_sweep(fit, art)
             diag = diagnostics_from_record(fit, art, sweep)
             for k in range(fit.N):
                 sl = fit.data.traj_slice(k)
@@ -200,7 +196,7 @@ def test_criterion_02_exact_identity_suite():
                 )
 
                 # five-term bookkeeping of the exact cost shift
-                dj = plug_in_cost(sweep.P[k], sweep.W[k]) - base_cost
+                dj = np.trace(sweep.P[k] @ sweep.W[k]) - base_cost
                 total = (
                     (art.zeta - art.h) @ (sweep.theta[k] - fit.theta)
                     + direct[k]
@@ -247,10 +243,10 @@ def test_criterion_03_remainder_bound_suite():
     worst_margin = np.inf
     for kind in ("dc_motor", "msd"):
         for seed in LINEAR_SEEDS:
-            spec, fit, art, Q, R = _small_fit(kind, seed)
+            fit, art = _small_fit(kind, seed)
             P_norm = np.linalg.norm(art.P0, 2)
             _, if_stoch = score_all(fit, art)
-            sweep = exact_loto_sweep(fit, Q, R)
+            sweep = exact_loto_sweep(fit, art)
             diag = diagnostics_from_record(fit, art, sweep)
             bound = modular_error_bound(fit, art, sweep, diag)
             for k in range(fit.N):
@@ -258,7 +254,7 @@ def test_criterion_03_remainder_bound_suite():
                 D = fit.data.Z @ dtheta.reshape(fit.q, fit.n_x)
                 cross = (fit.residuals.T @ D + D.T @ fit.residuals) / fit.M
                 R_w_mat = (sweep.W[k] - fit.W_hat) - covariance_direct_term(fit, k) + cross
-                dj = plug_in_cost(sweep.P[k], sweep.W[k]) - plug_in_cost(art.P0, fit.W_hat)
+                dj = np.trace(sweep.P[k] @ sweep.W[k]) - np.trace(art.P0 @ fit.W_hat)
                 gap = abs(if_stoch[k] - dj)
                 ok = ok and np.linalg.norm(R_w_mat) <= diag.bound_w[k] + 1e-15
                 ok = ok and abs(diag.r_w[k]) <= P_norm * diag.bound_w[k] + 1e-15
@@ -386,8 +382,8 @@ def test_criterion_08_solver_equivalence():
             )
             fit = fit_ridge(data, 1e-3)
             Q, R = np.eye(spec.n_x), np.eye(spec.n_u)
-            dense = riccati_artifacts(fit, Q, R, fit.W_hat, solver="dense")
-            cg = riccati_artifacts(fit, Q, R, fit.W_hat, solver="cg")
+            dense = riccati_artifacts(fit, Q, R, solver="dense")
+            cg = riccati_artifacts(fit, Q, R, solver="cg")
             for d_art, c_art in ((dense, cg),):
                 fd, sd = score_all(fit, d_art)
                 fc, sc = score_all(fit, c_art)

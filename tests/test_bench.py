@@ -1,5 +1,7 @@
 """Benchmark generators: determinism, hand-integration oracles, held-out validation."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -177,6 +179,21 @@ def test_generation_rejects_dimensions_the_kind_cannot_honour(kind, dims):
         generate_heldout(spec, 0, 20)
 
 
+@pytest.mark.parametrize(
+    "kind, overrides",
+    [("dc_motor", {"a_d": [[50.0, 0.0], [0.0, 50.0]]}), ("uav_hover", {"drag": 1e3})],
+)
+def test_generation_stops_at_the_first_non_finite_step(kind, overrides):
+    # a diverging system ends in InvalidConfig, not in overflow warnings and a
+    # non-finite dataset; the step it names is the first whose state overflows
+    spec = system_spec(kind, **overrides)
+    with pytest.raises(InvalidConfig, match=r"trajectory \d+ is not finite after step") as err:
+        generate_dataset(spec, GenerationConfig(4, 400, 400))
+    t = int(re.search(r"after step (\d+)", str(err.value)).group(1))
+    data = generate_dataset(spec, GenerationConfig(4, t, t))   # steps 0 .. t-1: the same draws
+    assert np.isfinite(data.next_states).all()
+
+
 def test_generation_config_validation():
     with pytest.raises(InvalidConfig):
         GenerationConfig(n_trajectories=5, t_min=0, t_max=10)
@@ -211,8 +228,8 @@ def test_lockstep_generation_matches_serial_rollouts(kind, seed):
     data = generate_dataset(spec, cfg)
     assert len(set(data.lengths.tolist())) > 1   # padded steps are exercised
     assert_matches_serial(data, spec, seed, 1, x0_scale=1.5)
-    for size, traj_len in ((437, 50), (30, 50)):   # last trajectory shorter, or the only one
-        heldout = generate_heldout(spec, seed, size=size, traj_len=traj_len)
+    for size in (437, 30):   # last trajectory shorter, or the only one
+        heldout = generate_heldout(spec, seed, size=size)
         assert heldout.M == size
         assert_matches_serial(heldout, spec, seed, 2)
 
@@ -256,10 +273,10 @@ def test_reference_grid_matches_per_policy_reference():
     assert not grid[:, policies.index({"kind": "hover"})].any()
 
 
-@pytest.mark.parametrize("size, traj_len", [(0, 50), (-3, 50), (100, 0), (100, -1)])
-def test_heldout_rejects_nonpositive_sizes(size, traj_len):
+@pytest.mark.parametrize("size", [0, -3])
+def test_heldout_rejects_nonpositive_sizes(size):
     with pytest.raises(InvalidConfig):
-        generate_heldout(dc_motor_spec(), seed=0, size=size, traj_len=traj_len)
+        generate_heldout(dc_motor_spec(), seed=0, size=size)
 
 
 def test_dc_motor_noise_is_homogeneous():
@@ -288,7 +305,7 @@ def test_msd_collapsed_sigma_is_homogeneous():
             for j in range(i + 1, len(covs))
         )
 
-    flat = msd_spec(sigma_sq_range=(0.1, 0.1))
+    flat = system_spec("msd", sigma_sq_range=[0.1, 0.1])
     spreads = [max_pairwise_spread(flat, s) for s in range(5)]
     ref = float(np.mean(spreads))
     assert all(s < 3.0 * ref for s in spreads)
@@ -406,7 +423,7 @@ def test_heldout_scores_track_exact_shifts():
 
 def test_heldout_scores_reject_a_dominant_trajectory():
     spec = dc_motor_spec()
-    only = generate_heldout(spec, seed=3, size=40, traj_len=40)   # one trajectory, every transition
+    only = generate_heldout(spec, seed=3, size=40)   # one trajectory, every transition
     with pytest.raises(DominantTrajectory):
         heldout_prediction_scores(fit_ridge(only, 1e-3), generate_heldout(spec, seed=4, size=100))
 

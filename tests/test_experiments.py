@@ -189,6 +189,7 @@ def test_parse_config_explicit_matrices():
         lambda d: d.update(system={"kind": "msd", "sigma_sq_range": [-1.0, 1.0]}),
         lambda d: d.update(system={"kind": "msd", "sigma_sq_range": [1.0, 0.5]}),
         lambda d: d.update(system={"kind": "msd", "sigma_sq_range": "wide"}),
+        lambda d: d["system"].update(noise_cov=[[1.0, 0.0], [0.0, -1.0]]),
     ],
 )
 def test_parse_config_rejects_malformed(mutate):
@@ -291,6 +292,16 @@ def test_scatter_csv_shape(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 0 and int(first[1]) == 0
     assert np.isfinite(float(first[2]))
+
+
+def test_diagnostics_csv_fills_every_column(tmp_path):
+    write_outputs(run_experiment(small_config()), tmp_path)
+    with open(tmp_path / "diagnostics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["seed", "k", "delta_theta_norm", "r_ric", "r_w", "r_cross", "bound_w"]
+    assert len(rows) == 1 + 16
+    for row in rows[1:]:
+        assert len(row) == len(rows[0]) and all(np.isfinite(float(cell)) for cell in row)
 
 
 def write_cli_config(tmp_path, **extra):
@@ -401,11 +412,17 @@ def test_cli_wrong_shape_system_matrix_is_config_error(tmp_path, capsys):
         {"system": {"kind": "dc_motor", "n_x": 3}},
         {"system": {"kind": "uav_hover", "n_x": 3}},
         {"system": {"kind": "uav_hover", "n_u": 3}},
+        {"system": {"kind": "dc_motor", "noise_cov": [[1.0, 0.0], [0.0, -1.0]]}},
+        {"system": {"kind": "dc_motor", "a_d": [[50.0, 0.0], [0.0, 50.0]]},
+         "generation": {"n_trajectories": 8, "t_min": 5, "t_max": 400}},
     ],
-    ids=["nan_lambda", "asymmetric_Q", "dc_motor_n_x", "uav_n_x", "uav_n_u"],
+    ids=["nan_lambda", "asymmetric_Q", "dc_motor_n_x", "uav_n_x", "uav_n_u",
+         "indefinite_noise_cov", "overflowing_a_d"],
 )
 def test_cli_unusable_config_value_is_config_error(tmp_path, capsys, extra):
-    # the dimensions the generator cannot honour are found before any data is drawn
+    # dimensions the generator cannot honour are found before any data is drawn,
+    # an indefinite noise covariance when the config is read, and a diverging
+    # system at the first step whose state is no longer finite
     cfg_path = write_cli_config(tmp_path, **extra)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert "config error: " in capsys.readouterr().err
@@ -465,14 +482,12 @@ def partial_exclusion_dataset():
 def test_excluded_removal_is_nan_in_every_exact_array():
     fit = fit_ridge(partial_exclusion_dataset(), 1e-3)
     Q, R = np.eye(1), np.eye(1)
-    table = build_score_table(fit, riccati_artifacts(fit, Q, R, fit.W_hat), Q, R,
-                              with_exact=True)
+    table = build_score_table(fit, riccati_artifacts(fit, Q, R), with_exact=True)
     assert table.excluded.tolist() == [True, False, False]
     assert np.isnan(table.delta_j_exact[0]) and np.isfinite(table.delta_j_exact[1:]).all()
     for field in dataclasses.fields(table.diagnostics):
         values = getattr(table.diagnostics, field.name)
-        if values is not None:
-            assert np.isnan(values[0]) and np.isfinite(values[1:]).all(), field.name
+        assert np.isnan(values[0]) and np.isfinite(values[1:]).all(), field.name
 
 
 def test_cli_partial_exclusions_exit_code(tmp_path, capsys):

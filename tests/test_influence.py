@@ -27,6 +27,7 @@ from lqrinfluence.sysid import (
     covariance_direct_term,
     fit_ridge,
     model_influence,
+    theta_to_ab,
 )
 
 
@@ -53,18 +54,18 @@ def make_problem(seed=0, n_traj=8, noise=0.1, lam=1e-3, lengths=None, n_u=1):
     data = TrajectoryDataset.from_arrays(triples)
     fit = fit_ridge(data, lam)
     Q, R = np.eye(2), np.eye(n_u)
-    art = riccati_artifacts(fit, Q, R, fit.W_hat)
+    art = riccati_artifacts(fit, Q, R)
     return fit, art, Q, R
 
 
 def exact_shifts(fit, Q, R):
     """The sweep and every dJ_k = Tr(P_k W_k) - Tr(P0 W_hat), one refit at a time."""
-    sweep = exact_loto_sweep(fit, Q, R)
+    sweep = exact_loto_sweep(fit, riccati_artifacts(fit, Q, R))
     base = np.trace(solve_dare(fit.A, fit.B, Q, R) @ fit.W_hat)
     return sweep, np.array([np.trace(P_k @ W_k) - base for P_k, W_k in zip(sweep.P, sweep.W)])
 
 
-def diagnostics_oracle(fit, art, k, theta_k, W_k, P_k, L_psi=None, L_P=None):
+def diagnostics_oracle(fit, art, k, theta_k, W_k, P_k):
     """Removal k's decomposition diagnostics, one removal at a time.
 
     Returns {field: (value, scale)}; scale sums the magnitudes of the terms
@@ -85,21 +86,13 @@ def diagnostics_oracle(fit, art, k, theta_k, W_k, P_k, L_psi=None, L_P=None):
 
     L_phi, L_e = fit.data_extremes
     bound_w = L_phi**2 * nd**2 + 4.0 * (T_k / fit.M) * L_e * L_phi * nd
-    out = {
+    return {
         "delta_theta_norm": (nd, nd),
         "r_ric": (ric_terms[0] - ric_terms[1], np.abs(ric_terms).sum()),
         "r_w": (np.trace(art.P0 @ R_w_mat), np.trace(np.abs(art.P0) @ abs_R_w)),
         "r_cross": (np.trace(dP @ DW), np.trace(np.abs(dP) @ np.abs(DW))),
         "bound_w": (bound_w, bound_w),
     }
-    if L_psi is not None:
-        out["bound_ric"] = (0.5 * L_psi * nd**2,) * 2
-    if L_P is not None:
-        frac = T_k / (fit.M - T_k)
-        bound_cross = L_P * nd * (frac * np.linalg.norm(fit.W_hat - fit.per_traj_cov[k])
-                                  + 2.0 * L_e * L_phi * nd + np.linalg.norm(R_w_mat))
-        out["bound_cross"] = (bound_cross, bound_cross)
-    return out
 
 
 def test_fixed_score_amortized_equals_explicit():
@@ -143,7 +136,7 @@ def test_reduction_to_fixed_when_h_suppressed():
     traj = simulate(rng, A, B, 12, 0.1)
     data = TrajectoryDataset.from_arrays([traj] * 6)
     fit = fit_ridge(data, 1e-3)
-    art = riccati_artifacts(fit, np.eye(2), np.eye(1), fit.W_hat)
+    art = riccati_artifacts(fit, np.eye(2), np.eye(1))
     assert np.allclose(direct_trace_term(fit, art), 0.0, atol=1e-14)
     frozen = dataclasses.replace(
         art, h=np.zeros(fit.p), v_stoch=art.v_fixed, c_stoch=art.c_fixed
@@ -193,8 +186,8 @@ def test_five_term_identity():
 
 
 def test_noiseless_diagnostics_vanish():
-    fit, art, Q, R = make_problem(noise=0.0, lam=0.0)
-    diag = diagnostics_from_record(fit, art, exact_loto_sweep(fit, Q, R))
+    fit, art, _, _ = make_problem(noise=0.0, lam=0.0)
+    diag = diagnostics_from_record(fit, art, exact_loto_sweep(fit, art))
     assert diag.delta_theta_norm[0] < 1e-9
     assert abs(diag.r_ric[0]) < 1e-12
     assert abs(diag.r_w[0]) < 1e-12
@@ -202,9 +195,9 @@ def test_noiseless_diagnostics_vanish():
 
 
 def test_covariance_remainder_bounds():
-    fit, art, Q, R = make_problem(seed=8)
+    fit, art, _, _ = make_problem(seed=8)
     P_norm = np.linalg.norm(art.P0, 2)
-    sweep = exact_loto_sweep(fit, Q, R)
+    sweep = exact_loto_sweep(fit, art)
     diag = diagnostics_from_record(fit, art, sweep)
     for k in range(fit.N):
         assert abs(diag.r_w[k]) <= P_norm * diag.bound_w[k] + 1e-15
@@ -216,14 +209,15 @@ def test_covariance_remainder_bounds():
         assert np.linalg.norm(R_w_mat) <= diag.bound_w[k] + 1e-15
 
 
-def test_optional_bounds_populated_only_on_request():
-    fit, art, Q, R = make_problem(seed=9)
-    sweep = exact_loto_sweep(fit, Q, R)
-    diag = diagnostics_from_record(fit, art, sweep)
-    assert diag.bound_ric is None and diag.bound_cross is None
-    diag2 = diagnostics_from_record(fit, art, sweep, L_psi=5.0, L_P=2.0)
-    assert diag2.bound_ric[0] == pytest.approx(2.5 * diag2.delta_theta_norm[0]**2)
-    assert diag2.bound_cross is not None and diag2.bound_cross[0] >= 0.0
+def test_sweep_refits_at_the_artifacts_weights():
+    # the refit DAREs use the Q, R the scores were built with, not identities
+    fit, _, _, _ = make_problem(seed=9)
+    Q, R = np.diag([3.0, 0.5]), np.array([[0.2]])
+    art = riccati_artifacts(fit, Q, R)
+    sweep = exact_loto_sweep(fit, art)
+    for k in range(fit.N):
+        A_k, B_k = theta_to_ab(sweep.theta[k], fit.n_x, fit.n_u)
+        assert np.array_equal(sweep.P[k], solve_dare(A_k, B_k, art.Q, art.R))
 
 
 def check_modular_error_bound(fit, art, Q, R):
@@ -256,8 +250,6 @@ def test_modular_error_bound_zero_case():
         r_w=zero,
         r_cross=zero,
         bound_w=zero,
-        bound_ric=None,
-        bound_cross=None,
     )
     assert np.all(modular_error_bound(fit, art, sweep, diag) == 0.0)
 
@@ -265,7 +257,7 @@ def test_modular_error_bound_zero_case():
 def test_joint_qr_scaling_multiplies_scores():
     fit, art, Q, R = make_problem(seed=13)
     c = 3.7
-    art_c = riccati_artifacts(fit, c * Q, c * R, fit.W_hat)
+    art_c = riccati_artifacts(fit, c * Q, c * R)
     assert np.allclose(art_c.P0, c * art.P0, rtol=1e-10)
     for scaled, base in zip(score_all(fit, art_c), score_all(fit, art)):
         for k in range(fit.N):
@@ -280,7 +272,7 @@ def test_single_trajectory_raises():
     A, B = np.array([[0.5]]), np.array([[1.0]])
     data = TrajectoryDataset.from_arrays([simulate(rng, A, B, 10, 0.1)])
     fit = fit_ridge(data, 1e-3)
-    art = riccati_artifacts(fit, np.eye(1), np.eye(1), fit.W_hat)
+    art = riccati_artifacts(fit, np.eye(1), np.eye(1))
     with pytest.raises(DominantTrajectory):
         score_all(fit, art)
 
@@ -298,15 +290,9 @@ def test_build_score_table_without_exact():
         assert table.if_stoch[k] == pytest.approx(explicit)
 
 
-def test_build_score_table_exact_needs_qr():
-    fit, art, _, _ = make_problem(seed=16)
-    with pytest.raises(ValueError):
-        build_score_table(fit, art, with_exact=True)
-
-
 def test_build_score_table_with_exact():
     fit, art, Q, R = make_problem(seed=17, n_traj=6)
-    table = build_score_table(fit, art, Q, R, with_exact=True)
+    table = build_score_table(fit, art, with_exact=True)
     assert table.refit_time is not None and table.refit_time > 0.0
     assert not table.excluded.any()
     _, dj = exact_shifts(fit, Q, R)
@@ -318,8 +304,8 @@ def test_build_score_table_with_exact():
 
 
 def test_score_table_csv_round_trip(tmp_path):
-    fit, art, Q, R = make_problem(seed=18, n_traj=5)
-    table = build_score_table(fit, art, Q, R, with_exact=True)
+    fit, art, _, _ = make_problem(seed=18, n_traj=5)
+    table = build_score_table(fit, art, with_exact=True)
     path = tmp_path / "scores.csv"
     table.to_csv(path)
     with open(path, newline="") as fh:
@@ -371,8 +357,7 @@ def permuted_corpus(draw):
 
 def fit_and_score(trajs, lam):
     fit = fit_ridge(TrajectoryDataset.from_arrays(trajs), lam)
-    Q, R = np.eye(fit.n_x), np.eye(fit.n_u)
-    art = riccati_artifacts(fit, Q, R, fit.W_hat)
+    art = riccati_artifacts(fit, np.eye(fit.n_x), np.eye(fit.n_u))
     return fit, art, score_all(fit, art)
 
 
@@ -427,10 +412,9 @@ def test_five_term_identity_property(case):
     # explicit differences, so the identity holds to round-off in its terms
     trajs, lam = case
     fit, art, _ = fit_and_score(trajs, lam)
-    Q, R = np.eye(fit.n_x), np.eye(fit.n_u)
     direct = direct_trace_term(fit, art)
     base = np.trace(art.P0 @ fit.W_hat)
-    sweep = exact_loto_sweep(fit, Q, R)
+    sweep = exact_loto_sweep(fit, art)
     diag = diagnostics_from_record(fit, art, sweep)
     for k in np.flatnonzero(~sweep.excluded):
         terms = np.array([(art.zeta - art.h) @ (sweep.theta[k] - fit.theta), direct[k],
@@ -441,26 +425,19 @@ def test_five_term_identity_property(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(random_corpus(), st.sampled_from([(None, None), (5.0, 2.0)]))
-def test_all_k_diagnostics_match_per_removal_oracle_property(case, lipschitz):
+@given(random_corpus())
+def test_all_k_diagnostics_match_per_removal_oracle_property(case):
     # the array form sums in another order than the one-removal formula, so
     # each field agrees to round-off in the magnitudes of the terms it adds
     trajs, lam = case
     fit, art, _ = fit_and_score(trajs, lam)
-    Q, R = np.eye(fit.n_x), np.eye(fit.n_u)
-    sweep = exact_loto_sweep(fit, Q, R)
-    diag = diagnostics_from_record(fit, art, sweep, *lipschitz)
+    sweep = exact_loto_sweep(fit, art)
+    diag = diagnostics_from_record(fit, art, sweep)
     for k in range(fit.N):
         if sweep.excluded[k]:
-            assert all(np.isnan(getattr(diag, f.name)[k])
-                       for f in dataclasses.fields(diag) if getattr(diag, f.name) is not None)
+            assert all(np.isnan(getattr(diag, f.name)[k]) for f in dataclasses.fields(diag))
             continue
-        want = diagnostics_oracle(fit, art, k, sweep.theta[k], sweep.W[k], sweep.P[k],
-                                  *lipschitz)
-        for field in dataclasses.fields(diag):
-            got = getattr(diag, field.name)
-            if field.name not in want:
-                assert got is None
-                continue
-            value, scale = want[field.name]
-            assert abs(got[k] - value) <= 1e-12 * scale, field.name
+        want = diagnostics_oracle(fit, art, k, sweep.theta[k], sweep.W[k], sweep.P[k])
+        assert set(want) == {f.name for f in dataclasses.fields(diag)}
+        for name, (value, scale) in want.items():
+            assert abs(getattr(diag, name)[k] - value) <= 1e-12 * scale, name

@@ -256,6 +256,20 @@ def test_dlyap_satisfies_equation():
     assert np.allclose(x - a @ x @ a.T, s, atol=1e-11)
 
 
+@pytest.mark.parametrize("n", [12, 20])
+@pytest.mark.parametrize("radius", [0.5, 0.99])
+def test_dlyap_squaring_branch_matches_scipy(n, radius):
+    # above n = 8 the Kronecker system gives way to squaring accumulation;
+    # its error grows with the conditioning 1 / (1 - radius^2)
+    rng = np.random.default_rng(n)
+    a = random_stable(rng, n, radius=radius)
+    s = random_spd(rng, n)
+    x = solve_dlyap(a, s)
+    x_ref = sla.solve_discrete_lyapunov(a, s)
+    assert np.linalg.norm(x - x_ref) <= 1e-12 / (1 - radius**2) * np.linalg.norm(x_ref)
+    assert np.linalg.norm(x - a @ x @ a.T - s) <= 1e-12 * np.linalg.norm(x)
+
+
 def test_dlyap_rejects_unstable():
     with pytest.raises(UnstableClosedLoop):
         solve_dlyap(np.array([[1.01]]), np.eye(1))

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from lqrinfluence.errors import DimensionMismatch, UnstableClosedLoop
+from lqrinfluence.errors import UnstableClosedLoop
 from lqrinfluence.linalg import solve_dare, spectral_radius
 from lqrinfluence.lqr import (
     gain_and_closed_loop,
-    plug_in_cost,
     residual_channel_gradient,
     riccati_artifacts,
     riccati_gradient,
@@ -30,7 +29,7 @@ def random_psd(rng, n, scale=1.0):
 
 def riccati_cost(theta, n_x, n_u, Q, R, Sigma):
     A, B = theta_to_ab(theta, n_x, n_u)
-    return plug_in_cost(solve_dare(A, B, Q, R), Sigma)
+    return np.trace(solve_dare(A, B, Q, R) @ Sigma)
 
 
 def make_fit(rng, A, B, n_traj=6, T=10, noise=0.1, lam=1e-3):
@@ -166,7 +165,7 @@ def test_composite_gradient_fd():
     A, B = random_system(rng, 2, 1)
     fit = make_fit(rng, A, B)
     Q, R = np.eye(2), np.eye(1)
-    art = riccati_artifacts(fit, Q, R, fit.W_hat)
+    art = riccati_artifacts(fit, Q, R)
 
     def composite(theta):
         Ai, Bi = theta_to_ab(theta, 2, 1)
@@ -185,7 +184,10 @@ def test_artifacts_fields_consistent():
     A, B = random_system(rng, 3, 2)
     fit = make_fit(rng, A, B)
     Q, R = np.eye(3), np.eye(2)
-    art = riccati_artifacts(fit, Q, R, fit.W_hat)
+    art = riccati_artifacts(fit, Q, R)
+    # zeta at the plug-in covariance
+    zeta = riccati_gradient(fit.A, fit.B, art.P0, art.K0, art.A_cl, fit.W_hat)
+    assert np.array_equal(art.zeta, zeta)
     # gain reproduction
     K0 = np.linalg.solve(R + fit.B.T @ art.P0 @ fit.B, fit.B.T @ art.P0 @ fit.A)
     assert np.allclose(art.K0, K0, atol=1e-10)
@@ -197,29 +199,20 @@ def test_artifacts_fields_consistent():
     assert np.allclose(fit.hessian_matvec(art.v_stoch), art.zeta - art.h, atol=1e-9)
     assert art.c_fixed == pytest.approx(fit.lam * fit.theta @ art.v_fixed)
     assert art.c_stoch == pytest.approx(fit.lam * fit.theta @ art.v_stoch)
+    # the weights it was built with, kept apart from the caller's arrays
+    assert np.array_equal(art.Q, Q) and np.array_equal(art.R, R)
+    Q *= 2.0
+    assert np.array_equal(art.Q, np.eye(3))
 
 
 def test_artifacts_cg_close_to_dense():
     rng = np.random.default_rng(8)
     A, B = random_system(rng, 3, 2)
     fit = make_fit(rng, A, B)
-    d = riccati_artifacts(fit, np.eye(3), np.eye(2), fit.W_hat, solver="dense")
-    c = riccati_artifacts(fit, np.eye(3), np.eye(2), fit.W_hat, solver="cg", cg_tol=1e-13)
+    d = riccati_artifacts(fit, np.eye(3), np.eye(2), solver="dense")
+    c = riccati_artifacts(fit, np.eye(3), np.eye(2), solver="cg", cg_tol=1e-13)
     assert np.allclose(c.v_fixed, d.v_fixed, atol=1e-9 * (1 + np.abs(d.v_fixed).max()))
     assert np.allclose(c.v_stoch, d.v_stoch, atol=1e-9 * (1 + np.abs(d.v_stoch).max()))
-
-
-def test_plug_in_cost_cases():
-    assert plug_in_cost(np.eye(3), np.diag([1.0, 2.0, 3.0])) == pytest.approx(6.0)
-    assert plug_in_cost(np.eye(2), np.zeros((2, 2))) == 0.0
-    rng = np.random.default_rng(9)
-    P, S = random_psd(rng, 4), random_psd(rng, 4)
-    assert plug_in_cost(P, S) == pytest.approx(float((P * S).sum()), rel=1e-12)
-
-
-def test_plug_in_cost_dimension_mismatch():
-    with pytest.raises((DimensionMismatch, ValueError)):
-        plug_in_cost(np.eye(2), np.eye(3))
 
 
 def test_stationary_cost_identity_scalar():
