@@ -20,7 +20,6 @@ config = {
     "Q": "identity",
     "R": "identity",
     "top_k": 5,
-    "solver": "dense",
     "run_exact_loto": True,
 }
 

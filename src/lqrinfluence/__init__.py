@@ -27,7 +27,6 @@ from .bench import (
 from .errors import (
     DegenerateInput,
     DimensionMismatch,
-    DominantTrajectory,
     InvalidConfig,
     LqrInfluenceError,
     NoConvergence,
@@ -57,7 +56,6 @@ from .influence import (
     score_all,
 )
 from .linalg import (
-    cg_solve,
     cholesky_factor,
     dare_residual,
     solve_dare,

@@ -158,6 +158,17 @@ _ARRAY_FIELDS = {
 # scalar fields a config may override, each a finite number >= 0 (dt > 0)
 _SCALAR_FIELDS = ("dt", "input_std", "drag", "gust_std", "excitation_std")
 
+# fields only the linear or only the quadrotor generator reads
+_LINEAR_ONLY = ("a_d", "b_d", "noise_cov", "sigma_sq_range", "input_std")
+_UAV_ONLY = ("drag", "gust_std", "excitation_std")
+
+
+def _unread_fields(spec: SystemSpec) -> tuple:
+    """Fields the generator of spec's kind never reads; with sigma_sq_range, noise_cov too."""
+    if spec.kind in _UAV_KINDS:
+        return _LINEAR_ONLY
+    return _UAV_ONLY + (("noise_cov",) if spec.sigma_sq_range is not None else ())
+
 
 def _nonnegative(value, what: str) -> float:
     # a JSON number; bool is an int subclass, but no number here
@@ -181,7 +192,11 @@ def system_spec(kind: str, **overrides) -> SystemSpec:
     them. Overridden array fields (a_d, b_d, noise_cov, x0_std) are converted
     to finite float arrays and must match the resulting n_x/n_u, noise_cov
     symmetric positive definite; fields not overridden are left as the kind
-    defines them. Anything else raises InvalidConfig.
+    defines them. Anything else raises InvalidConfig, and so does an override
+    of a field the kind's generator never reads: a_d, b_d, noise_cov,
+    sigma_sq_range or input_std on a UAV kind, drag, gust_std or
+    excitation_std on a linear kind, and noise_cov where sigma_sq_range sets
+    the noise.
     """
     if kind not in _SPEC_FACTORIES:
         raise InvalidConfig(f"unknown system kind {kind!r}")
@@ -208,6 +223,12 @@ def system_spec(kind: str, **overrides) -> SystemSpec:
             spec = replace(spec, **overrides)
         except TypeError as exc:
             raise InvalidConfig(f"bad system override: {exc}") from exc
+    unread = [name for name in _unread_fields(spec) if name in overrides]
+    if unread:
+        name = unread[0]
+        heterogeneous = name == "noise_cov" and kind in _LINEAR_KINDS
+        raise InvalidConfig(f"system.{name} is never read by the {kind} generator"
+                            + ("; sigma_sq_range sets its noise" if heterogeneous else ""))
     arrays = {}
     for name in [name for name in _ARRAY_FIELDS if name in overrides]:
         try:

@@ -1,7 +1,6 @@
 """Command-line entry point: run a configured experiment and write its outputs.
 
-    lqr-influence run config.json --out results/ [--solver dense|cg]
-                                                 [--no-exact] [--seeds 0,1,2]
+    lqr-influence run config.json --out results/ [--no-exact] [--seeds 0,1,2]
 
 Exit codes: 0 success, 1 config error (a malformed command line, config,
 dataset file or output directory), 2 numerical failure,
@@ -38,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment from a JSON config")
     run.add_argument("config", help="path to the experiment config (JSON)")
     run.add_argument("--out", default="influence_run", help="output directory")
-    run.add_argument("--solver", choices=["dense", "cg"], default=None,
-                     help="override the config's linear solver")
     run.add_argument("--no-exact", action="store_true",
                      help="skip the exact leave-one-out sweep")
     run.add_argument("--seeds", default=None,
@@ -62,8 +59,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
         overrides = {}
-        if args.solver is not None:
-            overrides["solver"] = args.solver
         if args.no_exact:
             overrides["run_exact_loto"] = False
         if args.seeds is not None:

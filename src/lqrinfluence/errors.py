@@ -14,14 +14,7 @@ class NotPositiveDefinite(LqrInfluenceError):
 
 
 class NoConvergence(LqrInfluenceError):
-    """An iterative solver exhausted its iteration budget.
-
-    The achieved residual norm is stored in ``residual``.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """The squaring accumulation of the Lyapunov solve (solve_dlyap, n > 8) did not converge."""
 
 
 class NoStabilizingSolution(LqrInfluenceError):
@@ -30,10 +23,6 @@ class NoStabilizingSolution(LqrInfluenceError):
 
 class UnstableClosedLoop(LqrInfluenceError):
     """The closed-loop matrix has spectral radius at or above one."""
-
-
-class DominantTrajectory(LqrInfluenceError):
-    """A single trajectory accounts for every transition, so leave-one-out is undefined."""
 
 
 class SingleTrajectory(LqrInfluenceError):

@@ -32,8 +32,6 @@ from .linalg import _check_symmetric
 from .lqr import riccati_artifacts
 from .sysid import fit_ridge, load_dataset
 
-_SOLVERS = ("dense", "cg")
-
 
 def rankdata(a) -> np.ndarray:
     """1-based ranks of a flat array, tied values sharing their average rank.
@@ -94,7 +92,6 @@ class ExperimentConfig:
     Q: np.ndarray | None = None      # None means identity
     R: np.ndarray | None = None
     top_k: int = 5
-    solver: str = "dense"
     run_exact_loto: bool = True
     run_heldout: bool = False
     heldout_size: int = 10_000
@@ -105,8 +102,6 @@ class ExperimentConfig:
             raise InvalidConfig("seeds must be non-empty")
         if not 1 <= self.top_k <= self.generation.n_trajectories:
             raise InvalidConfig("top_k must be in [1, n_trajectories]")
-        if self.solver not in _SOLVERS:
-            raise InvalidConfig(f"solver must be one of {_SOLVERS}")
         if not 0 < self.lam < np.inf:
             raise InvalidConfig("lambda must be positive and finite")
         if self.heldout_size < 2:
@@ -170,7 +165,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
             Q=_parse_matrix(doc.get("Q", "identity"), spec.n_x, "Q"),
             R=_parse_matrix(doc.get("R", "identity"), spec.n_u, "R"),
             top_k=int(doc.get("top_k", 5)),
-            solver=str(doc.get("solver", "dense")),
             run_exact_loto=doc.get("run_exact_loto", True),
             run_heldout=doc.get("run_heldout", False),
             heldout_size=int(doc.get("heldout_size", 10_000)),
@@ -229,7 +223,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
         "Q": Q.tolist(),
         "R": R.tolist(),
         "top_k": cfg.top_k,
-        "solver": cfg.solver,
+        "solver": "dense",   # the one H^-1 method: a solve on the Gram factor
         "run_exact_loto": cfg.run_exact_loto,
         "run_heldout": cfg.run_heldout,
         "heldout_size": cfg.heldout_size,
@@ -261,6 +255,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             f"dataset {cfg.dataset_path} has n_x={external.n_x}, n_u={external.n_u}; "
             f"the config's system has n_x={cfg.system.n_x}, n_u={cfg.system.n_u}"
         )
+    if external is not None and external.N < 2:
+        raise InvalidConfig(f"dataset {cfg.dataset_path} holds a single trajectory; "
+                            "leave-one-trajectory-out scoring needs at least two")
     seeds = cfg.seeds[:1] if external is not None else cfg.seeds
 
     for seed in seeds:
@@ -273,7 +270,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
 
         t0 = time.perf_counter()
         fit = fit_ridge(data, cfg.lam)
-        art = riccati_artifacts(fit, Q, R, solver=cfg.solver)
+        art = riccati_artifacts(fit, Q, R)
         prep_time = time.perf_counter() - t0
 
         table = build_score_table(fit, art, with_exact=cfg.run_exact_loto)

@@ -1,10 +1,10 @@
-"""Dense linear-algebra kernels: SPD factorization, CG, DARE and Lyapunov solvers, expm.
+"""Dense linear-algebra kernels: SPD factorization, DARE and Lyapunov solvers, expm.
 
 Everything here operates on small dense matrices (state dimensions of a few,
 regressor dimensions of a few dozen: the ridge Hessian is factored through
 its q x q Gram, never as the p x p Kronecker product), so simple algorithms
-are preferred: LAPACK Cholesky with a relative pivot floor, plain conjugate
-gradients, and a Kronecker vectorization solve for the Lyapunov equation.
+are preferred: LAPACK Cholesky with a relative pivot floor and a Kronecker
+vectorization solve for the Lyapunov equation.
 The Cholesky factor and its solve also take a (N, n, n) stack of systems,
 each checked on its own, so N small systems cost one call.
 The Riccati equation is solved by structure-preserving doubling, which
@@ -14,7 +14,6 @@ residual. The matrix exponential is Pade scaling and squaring (Higham 2005).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -55,19 +54,6 @@ class SpdFactor:
     @property
     def dim(self) -> int:
         return self.L.shape[-1]
-
-
-@dataclass(frozen=True)
-class LinearOperator:
-    """Matrix-free symmetric operator: dimension plus an apply callable."""
-
-    dim: int
-    apply: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray) -> "LinearOperator":
-        m = np.asarray(mat, dtype=float)
-        return cls(dim=m.shape[0], apply=lambda v: m @ v)
 
 
 def _check_square(mat: np.ndarray, name: str, stacked: bool = False) -> np.ndarray:
@@ -152,50 +138,6 @@ def solve_spd(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
     if factor.L.ndim == 3 and r.ndim == 2:
         return solve_spd(factor, r[..., None])[..., 0]
     return np.linalg.solve(factor.L.swapaxes(-2, -1), np.linalg.solve(factor.L, r))
-
-
-def cg_solve(
-    op: LinearOperator,
-    rhs: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> np.ndarray:
-    """Conjugate gradients for a symmetric positive definite operator, from x = 0.
-
-    Returns x with ||op(x) - rhs|| <= tol * ||rhs||; raises NoConvergence
-    (carrying the final residual norm) when the iteration budget runs out.
-    """
-    b = np.asarray(rhs, dtype=float)
-    if b.shape != (op.dim,):
-        raise DimensionMismatch(f"rhs shape {b.shape} does not match operator dim {op.dim}")
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    if max_iter is None:
-        max_iter = 10 * op.dim
-
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rdotr = r @ r
-    target = (tol * bnorm) ** 2
-    for _ in range(max_iter):
-        if rdotr <= target:
-            break
-        ap = op.apply(p)
-        alpha = rdotr / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        new_rdotr = r @ r
-        p = r + (new_rdotr / rdotr) * p
-        rdotr = new_rdotr
-    true_res = float(np.linalg.norm(op.apply(x) - b))
-    if true_res > tol * bnorm:
-        raise NoConvergence(
-            f"cg residual {true_res:.3e} above {tol * bnorm:.3e} after {max_iter} iterations",
-            residual=true_res,
-        )
-    return x
 
 
 def _max_abs(mat: np.ndarray) -> float:
@@ -298,7 +240,7 @@ def solve_dlyap(A_cl: np.ndarray, W: np.ndarray) -> np.ndarray:
         if np.linalg.norm(incr) <= 1e-16 * max(np.linalg.norm(X), 1e-300):
             return symmetrize(X)
         Apow = Apow @ Apow
-    raise NoConvergence("lyapunov accumulation did not converge", residual=None)
+    raise NoConvergence("lyapunov accumulation did not converge")
 
 
 def expm(mat: np.ndarray) -> np.ndarray:

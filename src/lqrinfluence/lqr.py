@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import cg_solve, solve_dare, solve_dlyap
+from .linalg import solve_dare, solve_dlyap
 from .sysid import ModelFit
 
 __all__ = [
@@ -74,19 +74,12 @@ def residual_channel_gradient(fit: ModelFit, P0: np.ndarray) -> np.ndarray:
     return 2.0 / fit.M * (fit.ZtE @ P0).ravel()
 
 
-def riccati_artifacts(
-    fit: ModelFit,
-    Q: np.ndarray,
-    R: np.ndarray,
-    solver: str = "dense",
-    cg_tol: float = 1e-10,
-) -> RiccatiArtifacts:
+def riccati_artifacts(fit: ModelFit, Q: np.ndarray, R: np.ndarray) -> RiccatiArtifacts:
     """Solve the DARE once and precompute the shared score vectors.
 
     The cost is evaluated at the fit's plug-in covariance W_hat; copies of Q
     and R are kept so the exact sweep refits at the weights the scores use.
-    solver picks how H v = rhs is solved: "dense" uses the fit's Gram
-    factor (one q x q solve), "cg" runs matrix-free conjugate gradients on the Gram structure.
+    Both H^-1 solves are one q x q solve on the fit's Gram factor (hessian_solve).
     """
     A, B = fit.A, fit.B
     Q, R = np.array(Q, dtype=float), np.array(R, dtype=float)   # not the caller's arrays
@@ -94,16 +87,8 @@ def riccati_artifacts(
     K0, A_cl = gain_and_closed_loop(A, B, P0, R)
     zeta = riccati_gradient(A, B, P0, K0, A_cl, fit.W_hat)
     h = residual_channel_gradient(fit, P0)
-    rhs_stoch = zeta - h   # combined sensitivity of Tr(P(theta) W_hat(theta))
-    if solver == "dense":
-        v_fixed = fit.hessian_solve(zeta)
-        v_stoch = fit.hessian_solve(rhs_stoch)
-    elif solver == "cg":
-        op = fit.hessian_operator()
-        v_fixed = cg_solve(op, zeta, tol=cg_tol)
-        v_stoch = cg_solve(op, rhs_stoch, tol=cg_tol)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
+    v_fixed = fit.hessian_solve(zeta)
+    v_stoch = fit.hessian_solve(zeta - h)   # combined sensitivity of Tr(P(theta) W_hat(theta))
     return RiccatiArtifacts(
         Q=Q,
         R=R,

@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, DominantTrajectory, InvalidConfig, SingleTrajectory
-from .linalg import LinearOperator, SpdFactor, cholesky_factor, solve_spd, symmetrize
+from .errors import DimensionMismatch, InvalidConfig, SingleTrajectory
+from .linalg import SpdFactor, cholesky_factor, solve_spd, symmetrize
 
 
 @dataclass(frozen=True)
@@ -246,12 +246,10 @@ class ModelFit:
     @cached_property
     def removal_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """(M/M_k, T_k/M_k) for every trajectory k, with M_k = M - T_k transitions retained."""
+        if self.N < 2:   # every trajectory has a transition, so M_k = 0 only when N = 1
+            raise SingleTrajectory("need at least two trajectories to remove one")
         T = self.lengths.astype(float)
         M_rem = self.M - T
-        if np.any(M_rem == 0):
-            raise DominantTrajectory(
-                "a trajectory holds every transition; leave-one-out is undefined"
-            )
         return self.M / M_rem, T / M_rem
 
     @cached_property
@@ -284,14 +282,6 @@ class ModelFit:
         cols = V.reshape(-1, self.q, self.n_x).transpose(1, 0, 2).reshape(self.q, -1)
         X = solve_spd(self.gram_factor, cols).reshape(self.q, -1, self.n_x)
         return X.transpose(1, 0, 2).reshape(V.shape)
-
-    def hessian_matvec(self, v: np.ndarray) -> np.ndarray:
-        """H v through the Gram structure, never materializing per-step regressors."""
-        V = np.asarray(v, dtype=float).reshape(self.q, self.n_x)
-        return ((self.gram + self.lam * np.eye(self.q)) @ V).ravel()
-
-    def hessian_operator(self) -> LinearOperator:
-        return LinearOperator(dim=self.p, apply=self.hessian_matvec)
 
 
 def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:

@@ -12,8 +12,12 @@ measured values next to the stated tolerance:
  5. Mass-spring-damper reproduction with heterogeneous noise (20 seeds).
  6. UAV hover / mission qualitative reproduction (10 seeds each).
  7. Held-out prediction-loss validation of the model-side influence.
- 8. CG and dense solver paths agree.
  9. Amortized scoring speedup over exact retraining.
+
+Gate 8 compared the conjugate-gradient Hessian solve with the dense one; it
+left with the CG path, and every H^-1 v is now one solve on the fit's Gram
+factor (its check against the dense Kronecker solve is in test_sysid). The
+other gates keep their numbers.
 
 Criteria 6 (mission band) and 7 (strict monotone decline) encode external
 targets this generator does not reach; they fail with the measured values
@@ -369,34 +373,6 @@ def test_criterion_07b_heldout_monotone_decline(
             else " — the mass-spring-damper's heterogeneous noise floors its "
             "held-out agreement below the hover corpus at this scale"
         ),
-    )
-
-
-def test_criterion_08_solver_equivalence():
-    worst = 0.0
-    for kind in KINDS:
-        spec = system_spec(kind)
-        for seed in _SEEDS[kind][:3]:
-            data = generate_dataset(
-                spec, dataclasses.replace(_GENERATION[kind], seed=seed)
-            )
-            fit = fit_ridge(data, 1e-3)
-            Q, R = np.eye(spec.n_x), np.eye(spec.n_u)
-            dense = riccati_artifacts(fit, Q, R, solver="dense")
-            cg = riccati_artifacts(fit, Q, R, solver="cg")
-            for d_art, c_art in ((dense, cg),):
-                fd, sd = score_all(fit, d_art)
-                fc, sc = score_all(fit, c_art)
-                worst = max(
-                    worst,
-                    np.abs(fc - fd).max() / np.abs(fd).max(),
-                    np.abs(sc - sd).max() / np.abs(sd).max(),
-                )
-    _report(
-        "8",
-        worst <= 1e-8,
-        f"matrix-free CG scores match dense-solve scores on every benchmark: "
-        f"worst relative deviation {worst:.1e} (tol 1e-8)",
     )
 
 

@@ -34,7 +34,7 @@ from lqrinfluence.bench import (
     uav_hover_spec,
     uav_mission_spec,
 )
-from lqrinfluence.errors import DominantTrajectory, InvalidConfig
+from lqrinfluence.errors import InvalidConfig, SingleTrajectory
 from lqrinfluence.sysid import TrajectoryDataset, fit_ridge, loto_refit
 
 QUICK = GenerationConfig(n_trajectories=12, t_min=8, t_max=20, seed=0)
@@ -146,6 +146,8 @@ def test_spec_overrides_apply():
     spec = system_spec("dc_motor", a_d=[[0.5, 0.0], [0.0, 0.5]], x0_std=[1.0, 2.0])
     assert isinstance(spec.a_d, np.ndarray) and np.array_equal(spec.a_d, 0.5 * np.eye(2))
     assert np.array_equal(spec.x0_std, [1.0, 2.0])
+    assert system_spec("msd", sigma_sq_range=[0.1, 0.2], input_std=1.0).input_std == 1.0
+    assert system_spec("msd", dt=0.1).dt == 0.1   # not read for msd, but the report echoes it
     # only supplied arrays are checked: dimensions alone may change (external datasets)
     assert system_spec("dc_motor", n_x=20, n_u=5).n_x == 20
 
@@ -164,6 +166,28 @@ def test_spec_overrides_apply():
 def test_spec_array_overrides_must_match_dimensions(overrides):
     with pytest.raises(InvalidConfig):
         system_spec("dc_motor", **overrides)
+
+
+@pytest.mark.parametrize(
+    "kind, overrides, unread",
+    [
+        ("msd", {"noise_cov": np.eye(4).tolist()}, "noise_cov"),
+        ("dc_motor", {"sigma_sq_range": [0.1, 0.2], "noise_cov": np.eye(2).tolist()},
+         "noise_cov"),
+        ("uav_hover", {"noise_cov": np.eye(4).tolist()}, "noise_cov"),
+        ("uav_hover", {"a_d": np.eye(4).tolist()}, "a_d"),
+        ("uav_mission", {"b_d": np.ones((4, 2)).tolist()}, "b_d"),
+        ("uav_mission", {"sigma_sq_range": [0.1, 0.2]}, "sigma_sq_range"),
+        ("uav_hover", {"input_std": 1.0}, "input_std"),
+        ("dc_motor", {"drag": 0.5}, "drag"),
+        ("msd", {"gust_std": 0.5}, "gust_std"),
+        ("dc_motor", {"excitation_std": 0.5}, "excitation_std"),
+    ],
+)
+def test_spec_rejects_fields_the_kind_never_reads(kind, overrides, unread):
+    # the generator would silently ignore them: an msd noise_cov gives the default data
+    with pytest.raises(InvalidConfig, match=f"system.{unread} is never read by the {kind} "):
+        system_spec(kind, **overrides)
 
 
 @pytest.mark.parametrize(
@@ -424,7 +448,7 @@ def test_heldout_scores_track_exact_shifts():
 def test_heldout_scores_reject_a_dominant_trajectory():
     spec = dc_motor_spec()
     only = generate_heldout(spec, seed=3, size=40)   # one trajectory, every transition
-    with pytest.raises(DominantTrajectory):
+    with pytest.raises(SingleTrajectory):
         heldout_prediction_scores(fit_ridge(only, 1e-3), generate_heldout(spec, seed=4, size=100))
 
 

@@ -1,6 +1,9 @@
-"""Every script in demos/ runs to completion against the current library."""
+"""Every script in demos/ runs, and the README's examples match the library."""
 
+import argparse
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import lqrinfluence
+from lqrinfluence.cli import _build_parser
+from lqrinfluence.experiments import parse_config
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -21,3 +26,37 @@ def test_demo_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(lang):
+    """The bodies of the README's fenced code blocks opened with ```lang."""
+    blocks, fence = [], None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            if fence is None:
+                fence = (line[3:], [])
+            else:
+                blocks.append(fence)
+                fence = None
+        elif fence is not None:
+            fence[1].append(line)
+    return ["\n".join(body) for info, body in blocks if info == lang]
+
+
+def test_readme_config_example_parses():
+    (block,) = readme_blocks("json")
+    cfg = parse_config(json.loads(block))
+    assert cfg.system.kind == "dc_motor" and cfg.seeds == (0, 1, 2)
+
+
+def test_readme_cli_usage_matches_parser():
+    (usage,) = [line for block in readme_blocks("") for line in block.splitlines()
+                if line.startswith("lqr-influence run ")]
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {opt for action in subparsers.choices["run"]._actions
+               for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", usage)) == options

@@ -126,7 +126,7 @@ def test_topk_jaccard_affine_invariance():
 def test_parse_config_defaults():
     cfg = parse_config(BASE_DOC)
     assert cfg.system.kind == "dc_motor"
-    assert cfg.lam == 1e-3 and cfg.top_k == 5 and cfg.solver == "dense"
+    assert cfg.lam == 1e-3 and cfg.top_k == 5
     assert cfg.run_exact_loto and not cfg.run_heldout
     assert cfg.heldout_size == 10_000 and cfg.seeds == (0, 1)
     Q, R = cfg.cost_matrices()
@@ -155,7 +155,7 @@ def test_parse_config_explicit_matrices():
         lambda d: d["generation"].pop("t_min"),
         lambda d: d.update(Q=[[1.0]]),
         lambda d: d.update(top_k=99),
-        lambda d: d.update(solver="lu"),
+        lambda d: d["system"].update(drag=0.5),   # a UAV field under dc_motor
         lambda d: d.update({"lambda": 0.0}),
         lambda d: d.update(heldout_size=1),
         lambda d: d.update(seeds=["a"]),
@@ -321,6 +321,7 @@ def test_cli_run_success(tmp_path, capsys):
     assert str(out_dir / "report.json") in printed
     report = json.loads((out_dir / "report.json").read_text())
     assert report["config"]["seeds"] == [0, 1]
+    assert report["config"]["solver"] == "dense"   # the one H^-1 method, echoed
     assert (out_dir / "scores_seed1.csv").exists()
 
 
@@ -347,7 +348,7 @@ def test_cli_bad_seed_override_is_config_error(tmp_path):
                  "--seeds", "a,b"]) == 1
 
 
-@pytest.mark.parametrize("argv", [[], ["run"], ["run", "x.json", "--solver", "foo"]],
+@pytest.mark.parametrize("argv", [[], ["run"], ["run", "x.json", "--solver", "dense"]],
                          ids=["bare", "run-without-config", "unknown-solver"])
 def test_cli_usage_error_is_config_error(argv, capsys):
     # argparse's own exit code 2 is the documented code for a numerical failure
@@ -359,19 +360,20 @@ def test_cli_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "-h"])
     assert exc.value.code == 0
-    assert "--solver" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--no-exact" in out and "--solver" not in out
 
 
 def test_cli_overrides_apply(tmp_path):
-    cfg_path = write_cli_config(tmp_path)
+    # a config that still names the removed "cg" solver runs: parse_config reads no such key
+    cfg_path = write_cli_config(tmp_path, solver="cg")
     out_dir = tmp_path / "o"
-    code = main(["run", str(cfg_path), "--out", str(out_dir),
-                 "--seeds", "5", "--no-exact", "--solver", "cg"])
+    code = main(["run", str(cfg_path), "--out", str(out_dir), "--seeds", "5", "--no-exact"])
     assert code == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert report["config"]["seeds"] == [5]
     assert report["config"]["run_exact_loto"] is False
-    assert report["config"]["solver"] == "cg"
+    assert report["config"]["solver"] == "dense"
     assert (out_dir / "scores_seed5.csv").exists()
 
 
@@ -383,9 +385,11 @@ def test_cli_overrides_apply(tmp_path):
         {"n_x": 1, "n_u": 1},
         {"n_x": 1, "n_u": 1, "trajectories": [[{"x": [np.nan], "u": [0.0], "x_next": [0.0]}]]},
         None,
+        {"n_x": 1, "n_u": 1, "trajectories": [[{"x": [x], "u": [u], "x_next": [0.5 * x + u]}
+                                                for x, u in ((1.0, 0.3), (0.8, -0.2), (0.2, 0.1))]]},
     ],
     ids=["no_trajectories", "empty_trajectory", "missing_trajectories", "non_finite",
-         "missing_file"],
+         "missing_file", "one_trajectory"],
 )
 def test_cli_malformed_dataset_is_config_error(tmp_path, capsys, dataset):
     ds_path = tmp_path / "data.json"
@@ -415,14 +419,17 @@ def test_cli_wrong_shape_system_matrix_is_config_error(tmp_path, capsys):
         {"system": {"kind": "dc_motor", "noise_cov": [[1.0, 0.0], [0.0, -1.0]]}},
         {"system": {"kind": "dc_motor", "a_d": [[50.0, 0.0], [0.0, 50.0]]},
          "generation": {"n_trajectories": 8, "t_min": 5, "t_max": 400}},
+        {"system": {"kind": "msd", "noise_cov": np.eye(4).tolist()}},
+        {"system": {"kind": "uav_hover", "a_d": np.eye(4).tolist()}},
     ],
     ids=["nan_lambda", "asymmetric_Q", "dc_motor_n_x", "uav_n_x", "uav_n_u",
-         "indefinite_noise_cov", "overflowing_a_d"],
+         "indefinite_noise_cov", "overflowing_a_d", "msd_noise_cov", "uav_a_d"],
 )
 def test_cli_unusable_config_value_is_config_error(tmp_path, capsys, extra):
     # dimensions the generator cannot honour are found before any data is drawn,
-    # an indefinite noise covariance when the config is read, and a diverging
-    # system at the first step whose state is no longer finite
+    # an indefinite noise covariance or a field the kind never reads when the
+    # config is read, and a diverging system at the first step whose state is
+    # no longer finite
     cfg_path = write_cli_config(tmp_path, **extra)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert "config error: " in capsys.readouterr().err

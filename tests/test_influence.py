@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqrinfluence.errors import DominantTrajectory
+from lqrinfluence.errors import SingleTrajectory
 from lqrinfluence.influence import (
     SCORE_CSV_HEADER,
     DecompositionDiagnostics,
@@ -273,7 +273,7 @@ def test_single_trajectory_raises():
     data = TrajectoryDataset.from_arrays([simulate(rng, A, B, 10, 0.1)])
     fit = fit_ridge(data, 1e-3)
     art = riccati_artifacts(fit, np.eye(1), np.eye(1))
-    with pytest.raises(DominantTrajectory):
+    with pytest.raises(SingleTrajectory):
         score_all(fit, art)
 
 

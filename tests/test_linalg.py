@@ -1,4 +1,4 @@
-"""Dense/iterative linear algebra kernels against hand and scipy oracles."""
+"""Dense linear algebra kernels against hand and scipy oracles."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,12 @@ import scipy.linalg as sla
 
 from lqrinfluence.errors import (
     DimensionMismatch,
-    NoConvergence,
     NoStabilizingSolution,
     NotPositiveDefinite,
     UnstableClosedLoop,
 )
 from lqrinfluence import linalg
 from lqrinfluence.linalg import (
-    LinearOperator,
-    cg_solve,
     cholesky_factor,
     dare_residual,
     expm,
@@ -124,34 +121,6 @@ def test_solve_spd_dimension_mismatch():
     factor = cholesky_factor(np.eye(3))
     with pytest.raises(DimensionMismatch):
         solve_spd(factor, np.ones(4))
-
-
-def test_cg_matches_dense_solution():
-    rng = np.random.default_rng(2)
-    a = random_spd(rng, 12)
-    b = rng.normal(size=12)
-    x_dense = np.linalg.solve(a, b)
-    x_cg = cg_solve(LinearOperator.from_matrix(a), b, tol=1e-12)
-    assert np.allclose(x_cg, x_dense, atol=1e-9 * np.linalg.norm(x_dense))
-
-
-def test_cg_zero_rhs_returns_zero():
-    op = LinearOperator.from_matrix(np.eye(4))
-    assert np.array_equal(cg_solve(op, np.zeros(4)), np.zeros(4))
-
-
-def test_cg_raises_no_convergence_on_tiny_budget():
-    rng = np.random.default_rng(3)
-    a = random_spd(rng, 20, scale=0.01)
-    b = rng.normal(size=20)
-    with pytest.raises(NoConvergence) as err:
-        cg_solve(LinearOperator.from_matrix(a), b, tol=1e-14, max_iter=2)
-    assert err.value.residual > 0
-
-
-def test_cg_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        cg_solve(LinearOperator.from_matrix(np.eye(3)), np.ones(5))
 
 
 def test_dare_scalar_closed_form():
