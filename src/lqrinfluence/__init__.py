@@ -70,7 +70,6 @@ from .lqr import (
     residual_channel_gradient,
     riccati_artifacts,
     riccati_gradient,
-    stationary_cost_check,
 )
 from .sysid import (
     ModelFit,

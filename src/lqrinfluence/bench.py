@@ -14,13 +14,16 @@ Four systems of increasing identification difficulty:
 All randomness derives from (seed, trajectory index) seed sequences, so
 generating trajectories in parallel or serially yields identical datasets.
 The generators roll every trajectory of a dataset out in lockstep: one loop
-over time advances all N states as (N, .) arrays. Each trajectory first takes
-from its own stream, in this order, what a one-trajectory loop would draw
-before its first step (linear: x0, then the msd noise variance; quadrotor:
-the policy, then x0), then all its per-step normals in one (T, .) call, row t
-holding step t's draws (linear: input then noise; quadrotor: excitation then
-gust). Generator.normal fills sequentially, so these are the draws of a
-serial step-by-step loop; tests/test_bench.py keeps that loop as the oracle.
+over time advances all N states, as (N, .) arrays (linear) or as (., N)
+component rows (quadrotor). Each trajectory first takes from its own stream,
+in this order, what a one-trajectory loop would draw before its first step
+(linear: x0, then the msd noise variance; quadrotor: the mission policy's
+uniforms in one rng.random call, then x0), then all its per-step normals in
+one (T, .) call, row t holding step t's draws (linear: input then noise;
+quadrotor: excitation then gust). Generator.normal and .random fill
+sequentially and uniform(low, high) is low + (high - low) * random(), so
+these are the draws of a serial loop with one scalar call per value;
+tests/test_bench.py keeps that loop as the oracle.
 The quadrotor setup draws nothing else per trajectory: every reference is
 evaluated once on the (T_max, N) time grid, one mission kind at a time with
 its parameters stacked as arrays, and x0 starts from the grid's first row.
@@ -33,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidConfig, NotPositiveDefinite
 from .linalg import cholesky_factor, expm
-from .sysid import ModelFit, TrajectoryDataset, model_influence, theta_to_ab
+from .sysid import ModelFit, TrajectoryDataset, model_influence
 
 _LINEAR_KINDS = ("dc_motor", "msd")
 _UAV_KINDS = ("uav_hover", "uav_mission")
@@ -391,42 +394,47 @@ def _rollout_uav(spec: SystemSpec, x0, policies, ref, lengths, rngs):
 
     Every policy tracks its reference ref (_reference_grid; hover: zero)
     with its gains; rngs[k] draws its (T, 4) excitation and gust normals in
-    one call. Returns time-major (T_max, N, .) arrays X, U, X_next. A
-    trajectory past its end stays frozen at its last state, and the first
-    step whose state is not finite stops the rollout with InvalidConfig.
+    one call. The loop is component-major: states in one (T_max+1, 4, N)
+    buffer whose row t+1 is X_next[t], per-trajectory constants as (N,) rows.
+    Returns time-major (T_max, N, .) views X, U, X_next. A trajectory past
+    its end stays frozen at its last state; a state that is not finite ends
+    in InvalidConfig naming the first step and trajectory where it appears.
     """
     live = _live(lengths)
     T_max, N = live.shape
-    noise = np.zeros((T_max, N, 4))    # excitation, gust
+    noise = np.zeros((T_max, 4, N))    # excitation, gust
     for j, (rng, T) in enumerate(zip(rngs, lengths)):
-        noise[:T, j] = rng.normal(size=(T, 4))
-    hover = np.array([policy["kind"] == "hover" for policy in policies])[:, None]
+        noise[:T, :, j] = rng.normal(size=(T, 4))
+    hover = np.array([policy["kind"] == "hover" for policy in policies])
     kp = np.where(hover, _HOVER_GAINS[0], _MISSION_GAINS[0])
     kd = np.where(hover, _HOVER_GAINS[1], _MISSION_GAINS[1])
 
     def per_policy(name):
-        return np.array([policy.get(name, getattr(spec, name)) for policy in policies])[:, None]
+        return np.array([policy.get(name, getattr(spec, name)) for policy in policies])
 
     drag = per_policy("drag")
-    noise[:, :, :2] *= per_policy("excitation_std")
-    noise[:, :, 2:] *= per_policy("gust_std")
+    noise[:, :2] *= per_policy("excitation_std")
+    noise[:, 2:] *= per_policy("gust_std")
+    ref = ref.transpose(0, 2, 1).copy()   # (T_max, 6, N): p_ref, v_ref, a_ref
 
-    x = np.array(x0, dtype=float)
-    X = np.empty((T_max, N, 4))
-    U = np.empty((T_max, N, 2))
-    Xn = np.empty_like(X)
+    X = np.empty((T_max + 1, 4, N))
+    X[0] = np.transpose(x0)
+    U = np.empty((T_max, 2, N))
+    first_end = min(lengths)
     for t in range(T_max):
-        p, v = x[:, :2], x[:, 2:]
-        r = ref[t]
-        u = r[:, 4:] + kp * (r[:, :2] - p) + kd * (r[:, 2:4] - v) + noise[t, :, :2]
-        speed = np.linalg.norm(v, axis=1, keepdims=True)
-        v_next = v + spec.dt * (u - drag * speed * v + noise[t, :, 2:])
-        X[t], U[t] = x, u
-        x = np.where(live[t, :, None], np.hstack([p + spec.dt * v, v_next]), x)
-        if not np.isfinite(x).all():
-            _diverged(x, t)
-        Xn[t] = x
-    return X, U, Xn
+        x, r, u = X[t], ref[t], U[t]
+        p, v = x[:2], x[2:]
+        u[:] = r[4:] + kp * (r[:2] - p) + kd * (r[2:4] - v) + noise[t, :2]
+        speed = np.sqrt(v[0] * v[0] + v[1] * v[1])
+        X[t + 1, :2] = p + spec.dt * v
+        X[t + 1, 2:] = v + spec.dt * (u - drag * speed * v + noise[t, 2:])
+        if t >= first_end:
+            np.copyto(X[t + 1], x, where=~live[t])
+    finite = np.isfinite(X[1:]).all(axis=1)   # (T_max, N)
+    if not finite.all():
+        t = int(np.flatnonzero(~finite.all(axis=1))[0])
+        _diverged(X[t + 1].T, t)
+    return X[:-1].transpose(0, 2, 1), U.transpose(0, 2, 1), X[1:].transpose(0, 2, 1)
 
 
 def simulate_uav(spec: SystemSpec, x0, policy: dict, T: int, seed) -> tuple:
@@ -461,27 +469,34 @@ def _uav_policy(spec: SystemSpec, k: int, rng) -> dict:
     Mission logs mix two regimes: cruise sorties (small amplitude, slow) and a
     minority of aggressive dashes (large amplitude, fast).  Each trajectory
     gets its own amplitude, frequency, and phase, so single dashes cover
-    velocity regions the rest of the corpus never visits.
+    velocity regions the rest of the corpus never visits. One rng.random call,
+    sized by k's kind, takes every draw, and low + (high - low) * u is what
+    Generator.uniform(low, high) would make of the same draw.
     """
     if spec.kind == "uav_hover":
         return {"kind": "hover"}
     kind = _MISSION_REFS[k % len(_MISSION_REFS)]
-    dash = rng.uniform() < _DASH_FRACTION
-    amp = rng.uniform(7.0, 10.0) if dash else rng.uniform(1.0, 2.5)
-    omega = rng.uniform(1.0, 1.5) if dash else rng.uniform(0.4, 0.8)
+    draws = iter(rng.random(7 if kind == "descending_s" else 4).tolist())
+
+    def uniform(low, high):
+        return low + (high - low) * next(draws)
+
+    dash = next(draws) < _DASH_FRACTION
+    amp = uniform(7.0, 10.0) if dash else uniform(1.0, 2.5)
+    omega = uniform(1.0, 1.5) if dash else uniform(0.4, 0.8)
     policy = {
         "kind": kind,
         "omega": omega,
-        "phase": rng.uniform(0.0, 2.0 * np.pi),
+        "phase": uniform(0.0, 2.0 * np.pi),
     }
     if kind == "figure_eight":
         policy["amp_x"] = amp
         policy["amp_z"] = amp / 2.0
     elif kind == "descending_s":
         policy["amp_x"] = amp
-        policy["z0"] = rng.uniform(4.0, 8.0)
-        policy["rate"] = rng.uniform(0.6, 1.2)
-        policy["t_mid"] = rng.uniform(1.5, 3.0)
+        policy["z0"] = uniform(4.0, 8.0)
+        policy["rate"] = uniform(0.6, 1.2)
+        policy["t_mid"] = uniform(1.5, 3.0)
     else:
         policy["radius"] = amp
     return policy
@@ -502,12 +517,6 @@ def _uav_x0_offset(spec: SystemSpec, policy: dict, rng, x0_scale: float) -> np.n
         far = rng.uniform() < _RECOVERY_FRACTION
         return noise * (_RECOVERY_SCALE if far else _STATION_SCALE)
     return noise
-
-
-def _uav_x0(spec: SystemSpec, policy: dict, rng, x0_scale: float) -> np.ndarray:
-    """One trajectory's x0; _simulate reads the start of every reference off its grid."""
-    p_ref, v_ref, _ = _reference(policy, 0.0)
-    return np.concatenate([p_ref, v_ref]) + _uav_x0_offset(spec, policy, rng, x0_scale)
 
 
 def _simulate(spec: SystemSpec, seed: int, stream: int, lengths,
@@ -616,11 +625,3 @@ def residual_lag1_autocorr(fit: ModelFit) -> float:
     if a.std() == 0 or b.std() == 0:
         return float("nan")
     return float(np.corrcoef(a, b)[0, 1])
-
-
-def true_parameter_error(fit: ModelFit, spec: SystemSpec) -> float:
-    """Frobenius distance between the fitted [A B] and the true discrete dynamics."""
-    if spec.a_d is None:
-        raise InvalidConfig("true dynamics only available for linear kinds")
-    A_hat, B_hat = theta_to_ab(fit.theta, fit.n_x, fit.n_u)
-    return float(np.linalg.norm(np.hstack([A_hat - spec.a_d, B_hat - spec.b_d])))

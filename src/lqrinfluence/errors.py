@@ -14,7 +14,7 @@ class NotPositiveDefinite(LqrInfluenceError):
 
 
 class NoConvergence(LqrInfluenceError):
-    """The squaring accumulation of the Lyapunov solve (solve_dlyap, n > 8) did not converge."""
+    """The Lyapunov solve (solve_dlyap) did not converge or failed its residual certificate."""
 
 
 class NoStabilizingSolution(LqrInfluenceError):

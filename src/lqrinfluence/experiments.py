@@ -134,7 +134,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON document.
 
     A missing entry or a value of the wrong type (a string seed, a null
-    heldout_size, a non-numeric matrix entry) raises InvalidConfig.
+    heldout_size, a non-numeric matrix entry) raises InvalidConfig, and so
+    does a system override that an external dataset leaves unread.
     """
     if not isinstance(doc, dict):
         raise InvalidConfig("config root must be an object")
@@ -146,6 +147,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     kind = sys_doc.pop("kind", None)
     if kind is None:
         raise InvalidConfig("system.kind is required")
+    # nothing is generated then: n_x, n_u size Q and R, dt is echoed, the rest is unread
+    if doc.get("dataset") is not None and doc.get("run_heldout") is not True:
+        unread = [name for name in sys_doc if name not in ("n_x", "n_u", "dt")]
+        if unread:
+            raise InvalidConfig(f"system.{unread[0]} is never read next to an external "
+                                "dataset without run_heldout")
     spec = system_spec(kind, **sys_doc)
     seeds = doc.get("seeds")
     if not isinstance(seeds, (list, tuple)) or not seeds:

@@ -8,8 +8,9 @@ vectorization solve for the Lyapunov equation.
 The Cholesky factor and its solve also take a (N, n, n) stack of systems,
 each checked on its own, so N small systems cost one call.
 The Riccati equation is solved by structure-preserving doubling, which
-converges quadratically, and every solution it returns is certified by its
-residual. The matrix exponential is Pade scaling and squaring (Higham 2005).
+converges quadratically. Every Riccati and Lyapunov solution returned is
+certified by its residual. The matrix exponential is Pade scaling and
+squaring (Higham 2005).
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ _PIVOT_RTOL = 1e-14
 _SYM_RTOL = 1e-10
 # relative DARE residual above which a Riccati solution is rejected
 _DARE_RESIDUAL_MAX = 1e-10
+# relative Lyapunov residual above which a solve_dlyap solution is rejected
+_DLYAP_RESIDUAL_MAX = 1e-10
 # doubling k covers 2^k Riccati steps; 2^64 steps converge for any spectral radius
 # below one that double precision can represent
 _DOUBLING_MAX = 64
@@ -212,35 +215,43 @@ def solve_dare(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np
     return P
 
 
-def solve_dlyap(A_cl: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Solve X - A_cl X A_cl^T = W for stable A_cl.
-
-    Kronecker vectorization for state dimension at most 8 (the regime here);
-    a squaring accumulation fallback above that. Output exactly symmetrized.
-    """
-    A = _check_square(A_cl, "A_cl")
-    S = _check_symmetric(W, "W")
+def _stein_sum(A: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """sum_j A^j S (A^T)^j: Kronecker vectorization for n <= 8, squaring accumulation above."""
     n = A.shape[0]
-    if S.shape[0] != n:
-        raise DimensionMismatch("W dimension does not match A_cl")
-    if spectral_radius(A) >= 1.0 - 1e-9:
-        raise UnstableClosedLoop("spectral radius of A_cl is not below one")
-
     if n * n <= 64:
         lhs = np.eye(n * n) - np.kron(A, A)
-        x = np.linalg.solve(lhs, S.ravel(order="F")).reshape((n, n), order="F")
-        return symmetrize(x)
-
-    # doubling: X = sum_j A^j W (A^T)^j accumulated in log steps
+        return np.linalg.solve(lhs, S.ravel(order="F")).reshape((n, n), order="F")
     X = S.copy()
     Apow = A.copy()
     for _ in range(200):
         incr = Apow @ X @ Apow.T
         X = X + incr
         if np.linalg.norm(incr) <= 1e-16 * max(np.linalg.norm(X), 1e-300):
-            return symmetrize(X)
+            return X
         Apow = Apow @ Apow
     raise NoConvergence("lyapunov accumulation did not converge")
+
+
+def solve_dlyap(A_cl: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Solve X - A_cl X A_cl^T = W for stable A_cl.
+
+    Kronecker vectorization for state dimension at most 8 (the regime here);
+    a squaring accumulation fallback above that. Output exactly symmetrized
+    and certified: a relative residual ||X - A_cl X A_cl^T - W||_F / ||X||_F
+    above _DLYAP_RESIDUAL_MAX raises NoConvergence.
+    """
+    A = _check_square(A_cl, "A_cl")
+    S = _check_symmetric(W, "W")
+    if S.shape[0] != A.shape[0]:
+        raise DimensionMismatch("W dimension does not match A_cl")
+    if spectral_radius(A) >= 1.0 - 1e-9:
+        raise UnstableClosedLoop("spectral radius of A_cl is not below one")
+    X = symmetrize(_stein_sum(A, S))
+    resid = np.linalg.norm(X - A @ X @ A.T - S) / max(np.linalg.norm(X), np.finfo(float).tiny)
+    if not resid <= _DLYAP_RESIDUAL_MAX:
+        raise NoConvergence(f"lyapunov residual {resid:.3e} above certificate bound "
+                            f"{_DLYAP_RESIDUAL_MAX:.0e}")
+    return X
 
 
 def expm(mat: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ __all__ = [
     "riccati_gradient",
     "residual_channel_gradient",
     "riccati_artifacts",
-    "stationary_cost_check",
 ]
 
 
@@ -102,18 +101,3 @@ def riccati_artifacts(fit: ModelFit, Q: np.ndarray, R: np.ndarray) -> RiccatiArt
         c_fixed=float(fit.lam * fit.theta @ v_fixed),
         c_stoch=float(fit.lam * fit.theta @ v_stoch),
     )
-
-
-def stationary_cost_check(A, B, Q, R, W):
-    """Two routes to the stationary cost: Tr((Q + K0'RK0) Sigma_ss) vs Tr(P0 W).
-
-    Sigma_ss is the stationary state covariance of the optimal closed loop
-    driven by noise W. Equality of the two is a consistency check on the
-    DARE and Lyapunov solvers together.
-    """
-    P0 = solve_dare(A, B, Q, R)
-    K0, A_cl = gain_and_closed_loop(A, B, P0, R)
-    Sigma_ss = solve_dlyap(A_cl, np.asarray(W, dtype=float))
-    lhs = float(np.trace((Q + K0.T @ R @ K0) @ Sigma_ss))
-    rhs = float(np.trace(P0 @ W))
-    return lhs, rhs

@@ -181,10 +181,6 @@ def theta_to_ab(theta: np.ndarray, n_x: int, n_u: int):
     return mat[:, :n_x].copy(), mat[:, n_x:].copy()
 
 
-def ab_to_theta(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.hstack([A, B]).ravel(order="F")
-
-
 @dataclass(frozen=True)
 class ModelFit:
     """Ridge fit with the cached pieces every influence quantity reads.

@@ -40,12 +40,11 @@ from lqrinfluence.influence import (
     modular_error_bound,
     score_all,
 )
-from lqrinfluence.linalg import solve_dare, spectral_radius
+from lqrinfluence.linalg import solve_dare, solve_dlyap, spectral_radius
 from lqrinfluence.lqr import (
     gain_and_closed_loop,
     riccati_artifacts,
     riccati_gradient,
-    stationary_cost_check,
 )
 from lqrinfluence.sysid import eta, fit_ridge, theta_to_ab
 
@@ -171,7 +170,10 @@ def test_criterion_02_exact_identity_suite():
             direct = direct_trace_term(fit, art)
 
             # reduced-objective gradient at the full-data optimum equals -eta_k
-            lhs, rhs = stationary_cost_check(fit.A, fit.B, art.Q, art.R, fit.W_hat)
+            # stationary cost two ways: Tr((Q + K0'R K0) Sigma_ss) = Tr(P0 W_hat)
+            Sigma_ss = solve_dlyap(art.A_cl, fit.W_hat)
+            lhs = np.trace((art.Q + art.K0.T @ art.R @ art.K0) @ Sigma_ss)
+            rhs = np.trace(art.P0 @ fit.W_hat)
             worst_stat = max(worst_stat, abs(lhs - rhs) / (1 + abs(rhs)))
             sweep = exact_loto_sweep(fit, art)
             diag = diagnostics_from_record(fit, art, sweep)

@@ -1,6 +1,8 @@
 """Every script in demos/ runs, and the README's examples match the library."""
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import re
@@ -11,10 +13,13 @@ from pathlib import Path
 import pytest
 
 import lqrinfluence
+from lqrinfluence.bench import GenerationConfig, generate_dataset, system_spec
 from lqrinfluence.cli import _build_parser
 from lqrinfluence.experiments import parse_config
+from lqrinfluence.sysid import fit_ridge
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[path.stem for path in DEMOS])
@@ -28,7 +33,7 @@ def test_demo_runs(script, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+README = ROOT / "README.md"
 
 
 def readme_blocks(lang):
@@ -60,3 +65,17 @@ def test_readme_cli_usage_matches_parser():
     options = {opt for action in subparsers.choices["run"]._actions
                for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
     assert set(re.findall(r"--[a-z][a-z-]*", usage)) == options
+
+
+def test_perfbench_traced_names_resolve():
+    # the traced benchmark run (perfbench/run.py --trace 1) wraps every TRACED
+    # name and sizes every fit: a renamed or deleted function breaks it
+    found = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(found)
+    found.loader.exec_module(spans)
+    for mod_name, names in spans.TRACED.items():
+        module = importlib.import_module(f"lqrinfluence.{mod_name}")
+        missing = [name for name in names if not callable(getattr(module, name, None))]
+        assert not missing, f"lqrinfluence.{mod_name} lacks traced {missing}"
+    fit = fit_ridge(generate_dataset(system_spec("dc_motor"), GenerationConfig(6, 5, 10)), 1e-3)
+    assert spans._fit_bytes(fit) >= fit.theta.nbytes + fit.residuals.nbytes

@@ -13,7 +13,7 @@ import pytest
 import scipy.stats
 
 import lqrinfluence
-from lqrinfluence.bench import GenerationConfig, dc_motor_spec
+from lqrinfluence.bench import GenerationConfig, dc_motor_spec, generate_dataset
 from lqrinfluence.cli import main
 from lqrinfluence.errors import DegenerateInput, InvalidConfig
 from lqrinfluence.experiments import (
@@ -204,6 +204,13 @@ def test_parse_config_reads_json_flags_and_dataset():
     assert cfg.run_exact_loto is False and cfg.run_heldout is True
     assert cfg.dataset_path is None
     assert parse_config(dict(BASE_DOC, dataset="logs.json")).dataset_path == "logs.json"
+    # next to a dataset, dt is echoed and n_x/n_u size Q and R; with a held-out
+    # set the generator runs, so its overrides are read
+    sized = {"kind": "dc_motor", "n_x": 3, "n_u": 2, "dt": 0.5}
+    assert parse_config(dict(BASE_DOC, system=sized, dataset="logs.json")).system.dt == 0.5
+    heldout = dict(BASE_DOC, system={"kind": "dc_motor", "input_std": 2.0}, dataset="logs.json",
+                   run_heldout=True)
+    assert parse_config(heldout).system.input_std == 2.0
 
 
 def test_parse_config_rejects_non_object():
@@ -421,18 +428,32 @@ def test_cli_wrong_shape_system_matrix_is_config_error(tmp_path, capsys):
          "generation": {"n_trajectories": 8, "t_min": 5, "t_max": 400}},
         {"system": {"kind": "msd", "noise_cov": np.eye(4).tolist()}},
         {"system": {"kind": "uav_hover", "a_d": np.eye(4).tolist()}},
+        {"system": {"kind": "dc_motor", "a_d": [[50.0, 0.0], [0.0, 50.0]]},
+         "dataset": "data.json"},
+        {"system": {"kind": "dc_motor", "noise_cov": (9 * np.eye(2)).tolist()},
+         "dataset": "data.json"},
     ],
     ids=["nan_lambda", "asymmetric_Q", "dc_motor_n_x", "uav_n_x", "uav_n_u",
-         "indefinite_noise_cov", "overflowing_a_d", "msd_noise_cov", "uav_a_d"],
+         "indefinite_noise_cov", "overflowing_a_d", "msd_noise_cov", "uav_a_d",
+         "dataset_a_d", "dataset_noise_cov"],
 )
 def test_cli_unusable_config_value_is_config_error(tmp_path, capsys, extra):
     # dimensions the generator cannot honour are found before any data is drawn,
     # an indefinite noise covariance or a field the kind never reads when the
     # config is read, and a diverging system at the first step whose state is
-    # no longer finite
+    # no longer finite; next to a usable external dataset nothing is generated,
+    # so a generator override is named as unread
+    if "dataset" in extra:
+        ds_path = tmp_path / extra["dataset"]
+        save_dataset(generate_dataset(dc_motor_spec(), GenerationConfig(6, 5, 10)), ds_path)
+        extra = dict(extra, dataset=str(ds_path))
     cfg_path = write_cli_config(tmp_path, **extra)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
-    assert "config error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: " in err
+    if "dataset" in extra:
+        (unread,) = set(extra["system"]) - {"kind"}
+        assert f"system.{unread} is never read" in err
 
 
 def test_cli_dataset_dimension_mismatch_is_config_error(tmp_path, capsys):

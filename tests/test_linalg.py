@@ -6,6 +6,7 @@ import scipy.linalg as sla
 
 from lqrinfluence.errors import (
     DimensionMismatch,
+    NoConvergence,
     NoStabilizingSolution,
     NotPositiveDefinite,
     UnstableClosedLoop,
@@ -237,6 +238,30 @@ def test_dlyap_squaring_branch_matches_scipy(n, radius):
     x_ref = sla.solve_discrete_lyapunov(a, s)
     assert np.linalg.norm(x - x_ref) <= 1e-12 / (1 - radius**2) * np.linalg.norm(x_ref)
     assert np.linalg.norm(x - a @ x @ a.T - s) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("n", [4, 20])   # the Kronecker and the squaring branch
+@pytest.mark.parametrize("radius", [0.5, 0.99])
+def test_dlyap_residual_is_far_inside_its_certificate(n, radius):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(10):
+        a = random_stable(rng, n, radius=radius)
+        s = random_spd(rng, n)
+        x = solve_dlyap(a, s)
+        resid = np.linalg.norm(x - a @ x @ a.T - s) / np.linalg.norm(x)
+        assert resid <= 1e-4 * linalg._DLYAP_RESIDUAL_MAX
+
+
+@pytest.mark.parametrize("n", [4, 20])
+def test_dlyap_certificate_rejects_inaccurate_solution(monkeypatch, n):
+    # a solution off by 1e-6 relative is still symmetric and positive
+    # definite, so only the residual certificate can reject it
+    rng = np.random.default_rng(n)
+    a, s = random_stable(rng, n, radius=0.9), random_spd(rng, n)
+    stein_sum = linalg._stein_sum
+    monkeypatch.setattr(linalg, "_stein_sum", lambda *args: stein_sum(*args) * (1 + 1e-6))
+    with pytest.raises(NoConvergence, match="residual"):
+        solve_dlyap(a, s)
 
 
 def test_dlyap_rejects_unstable():

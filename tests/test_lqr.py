@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from lqrinfluence.errors import UnstableClosedLoop
-from lqrinfluence.linalg import solve_dare, spectral_radius
+from lqrinfluence.linalg import solve_dare, solve_dlyap, spectral_radius
 from lqrinfluence.lqr import (
     gain_and_closed_loop,
     residual_channel_gradient,
     riccati_artifacts,
     riccati_gradient,
-    stationary_cost_check,
 )
 from lqrinfluence.sysid import TrajectoryDataset, fit_ridge, theta_to_ab
 
@@ -204,6 +203,16 @@ def test_artifacts_fields_consistent():
     assert np.array_equal(art.Q, Q) and np.array_equal(art.R, R)
     Q *= 2.0
     assert np.array_equal(art.Q, np.eye(3))
+
+
+def stationary_cost_check(A, B, Q, R, W):
+    # two routes to the stationary cost: Tr((Q + K0'R K0) Sigma_ss) and Tr(P0 W),
+    # Sigma_ss the closed loop's stationary covariance under noise W; their
+    # equality checks the DARE and Lyapunov solvers together
+    P0 = solve_dare(A, B, Q, R)
+    K0, A_cl = gain_and_closed_loop(A, B, P0, R)
+    Sigma_ss = solve_dlyap(A_cl, np.asarray(W, dtype=float))
+    return float(np.trace((Q + K0.T @ R @ K0) @ Sigma_ss)), float(np.trace(P0 @ W))
 
 
 def test_stationary_cost_identity_scalar():

@@ -18,7 +18,6 @@ from lqrinfluence.linalg import symmetrize
 from lqrinfluence.lqr import residual_channel_gradient
 from lqrinfluence.sysid import (
     TrajectoryDataset,
-    ab_to_theta,
     covariance_direct_term,
     eta,
     fit_ridge,
@@ -28,6 +27,11 @@ from lqrinfluence.sysid import (
     save_dataset,
     theta_to_ab,
 )
+
+
+def ab_to_theta(A, B):
+    # theta = vec([A B]), column-major: the inverse of theta_to_ab
+    return np.hstack([A, B]).ravel(order="F")
 
 
 def simulate_linear(rng, A, B, T, noise=0.1, x0=None):
