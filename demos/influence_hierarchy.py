@@ -17,7 +17,7 @@ from lqrinfluence.bench import GenerationConfig, system_spec, generate_dataset
 from lqrinfluence.experiments import spearman, topk_jaccard
 from lqrinfluence.influence import build_score_table
 from lqrinfluence.lqr import riccati_artifacts
-from lqrinfluence.sysid import eta, fit_ridge, loto_refit
+from lqrinfluence.sysid import fit_ridge, loto_refit, model_influence
 
 spec = system_spec("msd")   # sigma_k^2 ~ Uniform(0.01, 1.0) per trajectory
 data = generate_dataset(spec, GenerationConfig(50, 5, 40, seed=0))
@@ -27,7 +27,7 @@ art = riccati_artifacts(fit, np.eye(4), np.eye(2))
 # level 1: the model-side surrogate vs the exact refit parameter shift, every
 # removal at once: one stacked refit and one Hessian solve for all 50 IF_m_k
 delta_theta = loto_refit(fit)[0] - fit.theta
-if_m = fit.hessian_solve(eta(fit, np.arange(fit.N)))
+if_m = model_influence(fit)
 rels = np.linalg.norm(if_m - delta_theta, axis=1) / np.linalg.norm(delta_theta, axis=1)
 print("||IF_m - exact delta_theta|| / ||delta_theta|| over 50 removals: "
       f"median {np.median(rels):.1%}, worst {max(rels):.1%}")

@@ -75,6 +75,7 @@ from .sysid import (
     ModelFit,
     TrajectoryDataset,
     eta,
+    eta_dot,
     fit_ridge,
     load_dataset,
     loto_refit,

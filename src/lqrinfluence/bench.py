@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidConfig, NotPositiveDefinite
 from .linalg import cholesky_factor, expm
-from .sysid import ModelFit, TrajectoryDataset, model_influence
+from .sysid import ModelFit, TrajectoryDataset, eta_dot, loto_refit
 
 _LINEAR_KINDS = ("dc_motor", "msd")
 _UAV_KINDS = ("uav_hover", "uav_mission")
@@ -356,7 +356,9 @@ def _reference(policy: dict, t):
         return p, v, a
     if kind == "descending_s":
         ax, z0, rate, t_mid = prm["amp_x"], prm["z0"], prm["rate"], prm["t_mid"]
-        s = 1.0 / (1.0 + np.exp(rate * (t - t_mid)))   # sigmoid altitude from z0 down to 0
+        # sigmoid altitude from z0 down to 0; past rate (t - t_mid) = 709 exp is inf, s exactly 0
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(rate * (t - t_mid)))
         ds = -rate * s * (1.0 - s)
         dds = -rate * ds * (1.0 - 2.0 * s)
         p = np.array([ax * np.sin(w * t + ph), z0 * s])
@@ -579,14 +581,13 @@ def prediction_loss(theta: np.ndarray, data: TrajectoryDataset) -> float:
 def heldout_prediction_scores(fit: ModelFit, heldout: TrajectoryDataset):
     """Predicted vs exact held-out loss shifts for every trajectory removal.
 
-    if_pred_k = grad L_pred(theta_hat)^T IF_m_k, every IF_m_k from one Hessian
-    solve with N n_x right sides; delta_l_exact_k refits without trajectory k
-    (one stacked loto_refit). The held-out loss is quadratic in theta, so with
+    if_pred_k = grad L_pred(theta_hat)^T IF_m_k = eta_k^T H^-1 grad, from one
+    Hessian solve with n_x right sides and one eta_dot, so no IF_m_k is
+    formed; delta_l_exact_k refits without trajectory k (one stacked
+    loto_refit). The held-out loss is quadratic in theta, so with
     D = Theta_k - Theta and S_ho the held-out Gram its exact shift is
     grad^T d + (1/2) sum D o (S_ho D), read off one pass over the held-out rows.
     """
-    from .sysid import loto_refit
-
     if heldout.n_x != fit.n_x or heldout.n_u != fit.n_u:
         raise InvalidConfig("held-out dimensions disagree with the training data")
     Z_ho = heldout.Z
@@ -595,7 +596,7 @@ def heldout_prediction_scores(fit: ModelFit, heldout: TrajectoryDataset):
     grad = -(Z_ho.T @ E_ho).ravel() / heldout.M
     S_ho = Z_ho.T @ Z_ho / heldout.M
 
-    if_pred = model_influence(fit, np.arange(fit.N)) @ grad
+    if_pred = eta_dot(fit, fit.hessian_solve(grad))
     D = loto_refit(fit)[0].reshape(fit.N, fit.q, fit.n_x) - Theta
     delta_l = D.reshape(fit.N, fit.p) @ grad + 0.5 * np.sum(D * (S_ho @ D), axis=(1, 2))
     return if_pred, delta_l

@@ -26,9 +26,9 @@ from .bench import (
     residual_lag1_autocorr,
     system_spec,
 )
-from .errors import DegenerateInput, InvalidConfig
+from .errors import DegenerateInput, InvalidConfig, NotPositiveDefinite
 from .influence import ScoreTable, build_score_table, csv_cell
-from .linalg import _check_symmetric
+from .linalg import _check_symmetric, cholesky_factor
 from .lqr import riccati_artifacts
 from .sysid import fit_ridge, load_dataset
 
@@ -118,24 +118,41 @@ class ExperimentConfig:
         return Q, R
 
 
-def _parse_matrix(value, dim: int, name: str):
+def _parse_matrix(value, dim: int, name: str, definite: bool):
+    """A symmetric dim x dim weight: positive definite if definite, else semidefinite."""
     if value is None or value == "identity":
         return None
     M = np.asarray(value, dtype=float)
     if M.shape != (dim, dim):
         raise InvalidConfig(f"{name} must be {dim}x{dim}")
     try:
-        return _check_symmetric(M, name)
-    except ValueError as exc:   # non-finite or asymmetric
+        M = _check_symmetric(M, name)
+        if definite:
+            cholesky_factor(M)   # solve_dare factors R the same way
+        elif np.linalg.eigvalsh(M)[0] < -1e-12 * np.abs(M).max():   # beyond round-off
+            raise ValueError(f"{name} must be positive semidefinite")
+    except NotPositiveDefinite as exc:
+        raise InvalidConfig(f"{name} must be positive definite") from exc
+    except ValueError as exc:   # non-finite, asymmetric or indefinite
         raise InvalidConfig(str(exc)) from exc
+    return M
+
+
+def _json_scalar(value, key: str, number: bool = False):
+    """A JSON integer, or with number any JSON number, as a float; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
+        kind = "a number" if number else "an integer"
+        raise InvalidConfig(f"{key} must be {kind}, got {value!r}")
+    return float(value) if number else value
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON document.
 
-    A missing entry or a value of the wrong type (a string seed, a null
-    heldout_size, a non-numeric matrix entry) raises InvalidConfig, and so
-    does a system override that an external dataset leaves unread.
+    A missing entry, a value of the wrong JSON type (integer fields take
+    integers only, lambda and x0_scale numbers only), a Q that is not positive
+    semidefinite or an R that is not positive definite raises InvalidConfig,
+    and so does a system override that an external dataset leaves unread.
     """
     if not isinstance(doc, dict):
         raise InvalidConfig("config root must be an object")
@@ -159,22 +176,21 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise InvalidConfig("seeds must be a non-empty list of integers")
     try:
         gen = GenerationConfig(
-            n_trajectories=int(gen_doc["n_trajectories"]),
-            t_min=int(gen_doc["t_min"]),
-            t_max=int(gen_doc["t_max"]),
-            x0_scale=float(gen_doc.get("x0_scale", 1.0)),
+            **{key: _json_scalar(gen_doc[key], f"generation.{key}")
+               for key in ("n_trajectories", "t_min", "t_max")},
+            x0_scale=_json_scalar(gen_doc.get("x0_scale", 1.0), "generation.x0_scale", number=True),
         )
         return ExperimentConfig(
             system=spec,
             generation=gen,
-            seeds=tuple(int(s) for s in seeds),
-            lam=float(doc.get("lambda", 1e-3)),
-            Q=_parse_matrix(doc.get("Q", "identity"), spec.n_x, "Q"),
-            R=_parse_matrix(doc.get("R", "identity"), spec.n_u, "R"),
-            top_k=int(doc.get("top_k", 5)),
+            seeds=tuple(_json_scalar(s, "seeds") for s in seeds),
+            lam=_json_scalar(doc.get("lambda", 1e-3), "lambda", number=True),
+            Q=_parse_matrix(doc.get("Q", "identity"), spec.n_x, "Q", definite=False),
+            R=_parse_matrix(doc.get("R", "identity"), spec.n_u, "R", definite=True),
+            top_k=_json_scalar(doc.get("top_k", 5), "top_k"),
             run_exact_loto=doc.get("run_exact_loto", True),
             run_heldout=doc.get("run_heldout", False),
-            heldout_size=int(doc.get("heldout_size", 10_000)),
+            heldout_size=_json_scalar(doc.get("heldout_size", 10_000), "heldout_size"),
             dataset_path=doc.get("dataset"),
         )
     except InvalidConfig:   # a ValueError too, already worded for the user

@@ -14,12 +14,11 @@ removal at the Q and R the Riccati artifacts were built with, its P row NaN
 where the refit has no stabilizing solution.
 diagnostics_from_record and modular_error_bound read the whole sweep and
 return (N,) arrays, NaN where excluded. Nothing here refits from the raw
-data or redoes the base DARE per trajectory; score_all scores every
-trajectory at once.
+data or redoes the base DARE per trajectory.
 
-The amortized forms never materialize IF_m_k: with v = H^-1 rhs precomputed,
-each score is (M/M_k) g_k^T v + (T_k/M_k) lam theta^T v plus the direct
-covariance trace. The exact shift decomposes as
+score_all never materializes IF_m_k: with v = H^-1 rhs from the Riccati
+artifacts, each score is sysid.eta_dot's eta_k^T v for every k at once, plus
+the direct covariance trace for the stochastic one. The exact shift decomposes as
 
   dJ_k = (zeta - h)^T dtheta_k + direct_k + R_ric + R_w + R_cross,
 
@@ -40,6 +39,7 @@ from .lqr import RiccatiArtifacts
 from .sysid import (
     ModelFit,
     covariance_direct_term,
+    eta_dot,
     loto_refit,
     model_influence,
     theta_to_ab,
@@ -59,17 +59,10 @@ def direct_trace_term(fit: ModelFit, art: RiccatiArtifacts) -> np.ndarray:
     return frac * (tr0 - trk)
 
 
-def _scores(fit: ModelFit, art: RiccatiArtifacts, direct: np.ndarray):
-    """(if_fixed, if_stoch) for every trajectory, given its direct trace term."""
-    scale, frac = fit.removal_weights
-    if_fixed = scale * (fit.g @ art.v_fixed) + frac * art.c_fixed
-    if_stoch = scale * (fit.g @ art.v_stoch) + frac * art.c_stoch + direct
-    return if_fixed, if_stoch
-
-
 def score_all(fit: ModelFit, art: RiccatiArtifacts):
-    """Vectorized scores for every trajectory: (if_fixed, if_stoch) arrays."""
-    return _scores(fit, art, direct_trace_term(fit, art))
+    """(if_fixed, if_stoch, direct) for every trajectory: two eta_dot calls and one direct trace."""
+    direct = direct_trace_term(fit, art)
+    return eta_dot(fit, art.v_fixed), eta_dot(fit, art.v_stoch) + direct, direct
 
 
 @dataclass(frozen=True)
@@ -129,7 +122,7 @@ def diagnostics_from_record(
     # the fit's Z^T E instead of a pass over the M transitions
     D = dtheta.reshape(fit.N, fit.q, fit.n_x)
     cross_mat = (fit.ZtE.T @ D + D.swapaxes(1, 2) @ fit.ZtE) / fit.M
-    R_w_mat = DW - covariance_direct_term(fit, np.arange(fit.N)) + cross_mat
+    R_w_mat = DW - covariance_direct_term(fit) + cross_mat
     r_w = np.trace(art.P0 @ R_w_mat, axis1=1, axis2=2)
     r_cross = np.trace(dP @ DW, axis1=1, axis2=2)
 
@@ -145,7 +138,7 @@ def modular_error_bound(
     diag: DecompositionDiagnostics,
 ) -> np.ndarray:
     """Upper bound on |IF_stoch_k - dJ_k| for every k, from the surrogate gap and the remainders."""
-    if_m = model_influence(fit, np.arange(fit.N))
+    if_m = model_influence(fit)
     gap = np.linalg.norm(if_m - (sweep.theta - fit.theta), axis=1)
     sens = float(np.linalg.norm(art.zeta - art.h))
     return sens * gap + abs(diag.r_ric) + abs(diag.r_w) + abs(diag.r_cross)
@@ -201,8 +194,7 @@ class ScoreTable:
 def build_score_table(fit: ModelFit, art: RiccatiArtifacts, with_exact: bool = False) -> ScoreTable:
     """Score every trajectory; optionally run the exact removal sweep."""
     t0 = perf_counter()
-    direct = direct_trace_term(fit, art)
-    if_fixed, if_stoch = _scores(fit, art, direct)
+    if_fixed, if_stoch, direct = score_all(fit, art)
     score_time = perf_counter() - t0
 
     table = ScoreTable(

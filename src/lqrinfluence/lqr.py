@@ -44,8 +44,6 @@ class RiccatiArtifacts:
     h: np.ndarray         # residual channel: grad_theta Tr(P0 W_hat(theta)) = -h
     v_fixed: np.ndarray   # H^-1 zeta
     v_stoch: np.ndarray   # H^-1 (zeta - h)
-    c_fixed: float        # lam theta^T v_fixed
-    c_stoch: float        # lam theta^T v_stoch
 
 
 def gain_and_closed_loop(A: np.ndarray, B: np.ndarray, P0: np.ndarray, R: np.ndarray):
@@ -98,6 +96,4 @@ def riccati_artifacts(fit: ModelFit, Q: np.ndarray, R: np.ndarray) -> RiccatiArt
         h=h,
         v_fixed=v_fixed,
         v_stoch=v_stoch,
-        c_fixed=float(fit.lam * fit.theta @ v_fixed),
-        c_stoch=float(fit.lam * fit.theta @ v_stoch),
     )

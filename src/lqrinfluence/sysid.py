@@ -8,10 +8,12 @@ Hessian is H = (G + lam I) kron I_nx, so its Cholesky factor is the q x q Gram
 factor kron I_nx and every H^-1 v is one q x q solve with n_x right sides
 (ModelFit.hessian_solve); the p x p matrix is never formed on the run path.
 Every per-trajectory statistic is a block of one Gram product [Z_k E_k]^T
-[Z_k E_k]: Z_k^T Z_k, g_k = -Z_k^T E_k / M, W_bar_k = E_k^T E_k / T_k; W_hat
-and Z^T E (which the residual channel reads) are their sums over k. The exact
-leave-one-trajectory-out refits (loto_refit) of every trajectory are one
-stacked (N, q, q) factorization and solve on prefix and suffix sums of them.
+[Z_k E_k], kept as ModelFit.traj_stats: Z_k^T Z_k, g_k = -Z_k^T E_k / M,
+W_bar_k = E_k^T E_k / T_k; W_hat and Z^T E (which the residual channel reads)
+are their sums over k. The exact leave-one-trajectory-out refits (loto_refit)
+of every trajectory are one stacked (N, q, q) factorization and solve on
+prefix and suffix sums of that block. Every removal function returns all N
+removals at once, weighted by M_k = M - T_k retained transitions.
 """
 from __future__ import annotations
 
@@ -200,7 +202,7 @@ class ModelFit:
     W_hat: np.ndarray          # (n_x, n_x)
     per_traj_cov: np.ndarray   # (N, n_x, n_x), rows W_bar_k
     g: np.ndarray              # (N, p), per-trajectory loss gradients
-    traj_gram: np.ndarray      # (N, q, q), rows Z_k^T Z_k
+    traj_stats: np.ndarray     # (N, q+n_x, q+n_x), rows [Z_k E_k]^T [Z_k E_k]
     ZtE: np.ndarray            # (q, n_x), Z^T E = -M sum_k g_k
 
     @property
@@ -315,33 +317,26 @@ def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
         W_hat=symmetrize(EE.sum(axis=0)) / M,
         per_traj_cov=symmetrize(EE) / data.lengths[:, None, None],
         g=np.divide(stats[:, :q, q:], -M).reshape(N, q * n_x),
-        traj_gram=stats[:, :q, :q],
+        traj_stats=stats,
         ZtE=stats[:, :q, q:].sum(axis=0),
     )
 
 
-def _check_index(fit: ModelFit, k) -> None:
-    if np.any((np.asarray(k) < 0) | (np.asarray(k) >= fit.N)):
-        raise IndexError(f"trajectory index {k} out of range for N={fit.N}")
-
-
-def eta(fit: ModelFit, k) -> np.ndarray:
-    """Removal direction eta_k = (M/M_k) g_k + (T_k/M_k) lam theta, M_k = M - T_k.
-
-    For an index array k, row i is eta_(k[i]).
-    """
-    _check_index(fit, k)
+def eta(fit: ModelFit) -> np.ndarray:
+    """Removal directions: row k is eta_k = (M/M_k) g_k + (T_k/M_k) lam theta, M_k = M - T_k."""
     scale, frac = fit.removal_weights
-    return scale[k][..., None] * fit.g[k] + (frac[k] * fit.lam)[..., None] * fit.theta
+    return scale[:, None] * fit.g + (frac * fit.lam)[:, None] * fit.theta
 
 
-def model_influence(fit: ModelFit, k) -> np.ndarray:
-    """First-order surrogate for the leave-one-out parameter shift: H^-1 eta_k.
+def eta_dot(fit: ModelFit, v: np.ndarray) -> np.ndarray:
+    """eta_k^T v for every k, without forming eta: (M/M_k) g_k^T v + (T_k/M_k) lam theta^T v."""
+    scale, frac = fit.removal_weights
+    return scale * (fit.g @ v) + frac * (fit.lam * fit.theta @ v)
 
-    For an index array k, row i is the surrogate for removing k[i], all from
-    one Hessian solve.
-    """
-    return fit.hessian_solve(eta(fit, k))
+
+def model_influence(fit: ModelFit) -> np.ndarray:
+    """Surrogates of the leave-one-out parameter shifts: row k is H^-1 eta_k, all in one solve."""
+    return fit.hessian_solve(eta(fit))
 
 
 def _all_but_one(stats: np.ndarray) -> np.ndarray:
@@ -361,36 +356,32 @@ def loto_refit(fit: ModelFit):
 
     The ridge penalty keeps weight lam. Returns (theta, W): row k of theta
     (N, p) is the refit without trajectory k, and W[k] (N, n_x, n_x) the
-    covariance of its residuals over the retained transitions. The retained
-    statistics come from _all_but_one, so exact zeros in the retained data
-    (say, inputs) stay exact in theta; their right side sum Z_j^T Y_j is
-    sum Z_j^T E_j + S Theta. All N systems are factored and solved as one
-    stack. The retained residuals are
-    E_j - Z_j D, D = Theta_k - Theta, so W comes from the base residual
-    statistics, free of Y^T Y cancellation.
+    covariance of its residuals over the retained transitions. One
+    _all_but_one sum of the fit's traj_stats block gives the retained S =
+    sum Z_j^T Z_j, sum Z_j^T E_j and sum E_j^T E_j, so exact zeros in the
+    retained data (say, inputs) stay exact in theta; the right side sum
+    Z_j^T Y_j is sum Z_j^T E_j + S Theta. All N systems are factored and
+    solved as one stack. The retained residuals are E_j - Z_j D with
+    D = Theta_k - Theta, so W comes from the base residual statistics, free
+    of Y^T Y cancellation.
     """
     if fit.N < 2:
         raise SingleTrajectory("need at least two trajectories to remove one")
     N, q, n_x = fit.N, fit.q, fit.n_x
     M_rem = (fit.M - fit.lengths)[:, None, None]
-    S = _all_but_one(fit.traj_gram)
-    ZE = -fit.M * _all_but_one(fit.g).reshape(N, q, n_x)   # sums of Z_j^T E_j
+    kept = _all_but_one(fit.traj_stats)
+    S, ZE, EE = kept[:, :q, :q], kept[:, :q, q:], kept[:, q:, q:]
     Theta0 = fit.theta.reshape(q, n_x)
 
     gram = symmetrize(S / M_rem) + fit.lam * np.eye(q)
     Theta = solve_spd(cholesky_factor(gram), (ZE + S @ Theta0) / M_rem)
     D = Theta - Theta0
-    EE = _all_but_one(fit.lengths[:, None, None] * fit.per_traj_cov)
     ZEt_D = ZE.swapaxes(1, 2) @ D
     W = symmetrize(EE - ZEt_D - ZEt_D.swapaxes(1, 2) + D.swapaxes(1, 2) @ S @ D) / M_rem
     return Theta.reshape(N, q * n_x), W
 
 
-def covariance_direct_term(fit: ModelFit, k) -> np.ndarray:
-    """Covariance shift from removal alone: (T_k/M_k) (W_hat - W_bar_k).
-
-    For an index array k, entry i is the shift for removing k[i].
-    """
-    _check_index(fit, k)
+def covariance_direct_term(fit: ModelFit) -> np.ndarray:
+    """Covariance shifts from removal alone, (T_k/M_k) (W_hat - W_bar_k): row k of (N, n_x, n_x)."""
     _, frac = fit.removal_weights
-    return frac[k][..., None, None] * (fit.W_hat - fit.per_traj_cov[k])
+    return frac[:, None, None] * (fit.W_hat - fit.per_traj_cov)

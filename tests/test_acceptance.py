@@ -177,6 +177,7 @@ def test_criterion_02_exact_identity_suite():
             worst_stat = max(worst_stat, abs(lhs - rhs) / (1 + abs(rhs)))
             sweep = exact_loto_sweep(fit, art)
             diag = diagnostics_from_record(fit, art, sweep)
+            etas, direct_mats = eta(fit), covariance_direct_term(fit)
             for k in range(fit.N):
                 sl = fit.data.traj_slice(k)
                 keep = np.ones(fit.M, dtype=bool)
@@ -186,7 +187,7 @@ def test_criterion_02_exact_identity_suite():
                     -(fit.data.Z[keep].T @ fit.residuals[keep]).ravel() / M_rem
                     + fit.lam * fit.theta
                 )
-                e_k = eta(fit, k)
+                e_k = etas[k]
                 worst_grad = max(
                     worst_grad,
                     np.linalg.norm(grad_rem + e_k) / (1 + np.linalg.norm(e_k)),
@@ -198,7 +199,7 @@ def test_criterion_02_exact_identity_suite():
                 )
                 worst_direct = max(
                     worst_direct,
-                    np.linalg.norm(W_rem - fit.W_hat - covariance_direct_term(fit, k)),
+                    np.linalg.norm(W_rem - fit.W_hat - direct_mats[k]),
                 )
 
                 # five-term bookkeeping of the exact cost shift
@@ -213,10 +214,8 @@ def test_criterion_02_exact_identity_suite():
                 worst_terms = max(worst_terms, abs(total - dj) / (1 + abs(dj)))
 
             # residual channel off -> stochastic score reduces to the fixed score
-            frozen = dataclasses.replace(
-                art, h=np.zeros(fit.p), v_stoch=art.v_fixed, c_stoch=art.c_fixed
-            )
-            if_fixed, if_stoch = score_all(fit, frozen)
+            frozen = dataclasses.replace(art, h=np.zeros(fit.p), v_stoch=art.v_fixed)
+            if_fixed, if_stoch, _ = score_all(fit, frozen)
             red = if_stoch - direct_trace_term(fit, frozen) - if_fixed
             scale = 1 + np.abs(if_fixed).max()
             worst_red = max(worst_red, np.abs(red).max() / scale)
@@ -251,15 +250,16 @@ def test_criterion_03_remainder_bound_suite():
         for seed in LINEAR_SEEDS:
             fit, art = _small_fit(kind, seed)
             P_norm = np.linalg.norm(art.P0, 2)
-            _, if_stoch = score_all(fit, art)
+            _, if_stoch, _ = score_all(fit, art)
             sweep = exact_loto_sweep(fit, art)
             diag = diagnostics_from_record(fit, art, sweep)
             bound = modular_error_bound(fit, art, sweep, diag)
+            direct_mats = covariance_direct_term(fit)
             for k in range(fit.N):
                 dtheta = sweep.theta[k] - fit.theta
                 D = fit.data.Z @ dtheta.reshape(fit.q, fit.n_x)
                 cross = (fit.residuals.T @ D + D.T @ fit.residuals) / fit.M
-                R_w_mat = (sweep.W[k] - fit.W_hat) - covariance_direct_term(fit, k) + cross
+                R_w_mat = (sweep.W[k] - fit.W_hat) - direct_mats[k] + cross
                 dj = np.trace(sweep.P[k] @ sweep.W[k]) - np.trace(art.P0 @ fit.W_hat)
                 gap = abs(if_stoch[k] - dj)
                 ok = ok and np.linalg.norm(R_w_mat) <= diag.bound_w[k] + 1e-15

@@ -38,7 +38,13 @@ from lqrinfluence.bench import (
     uav_mission_spec,
 )
 from lqrinfluence.errors import InvalidConfig, SingleTrajectory
-from lqrinfluence.sysid import TrajectoryDataset, fit_ridge, loto_refit, theta_to_ab
+from lqrinfluence.sysid import (
+    TrajectoryDataset,
+    fit_ridge,
+    loto_refit,
+    model_influence,
+    theta_to_ab,
+)
 
 QUICK = GenerationConfig(n_trajectories=12, t_min=8, t_max=20, seed=0)
 KINDS = ["dc_motor", "msd", "uav_hover", "uav_mission"]
@@ -323,6 +329,14 @@ def test_simulate_uav_matches_serial_rollout(policy):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
+def test_descending_s_reference_settles_without_overflow_warning():
+    # at the top of the drawn rate range, rate (t - t_mid) passes 709 before t = 700:
+    # exp overflows to inf, the sigmoid is exactly 0, and no warning escapes
+    p, v, a = _reference({"kind": "descending_s", "rate": 1.2}, 700.0)
+    assert p[1] == v[1] == a[1] == 0.0
+    assert np.isfinite(np.concatenate([p, v, a])).all()
+
+
 def test_reference_grid_matches_per_policy_reference():
     # every kind with explicit parameters, with each default left out, and hover
     explicit = [
@@ -490,6 +504,21 @@ def test_heldout_scores_track_exact_shifts():
     from lqrinfluence.experiments import spearman
 
     assert spearman(if_pred, delta_l) > 0.9
+
+
+@pytest.mark.parametrize("kind, gen", [("dc_motor", GenerationConfig(50, 5, 40)),
+                                       ("uav_mission", GenerationConfig(30, 30, 60))])
+def test_heldout_scores_equal_the_explicit_influence_product(kind, gen):
+    # grad^T H^-1 eta_k from one solve against grad and one eta_dot, against
+    # the (N, p) surrogates formed explicitly
+    spec = system_spec(kind)
+    fit = fit_ridge(generate_dataset(spec, gen), 1e-3)
+    heldout = generate_heldout(spec, seed=0, size=2000)
+    if_pred, _ = heldout_prediction_scores(fit, heldout)
+    Z_ho = heldout.Z
+    E_ho = heldout.next_states - Z_ho @ fit.theta.reshape(fit.q, fit.n_x)
+    explicit = model_influence(fit) @ (-(Z_ho.T @ E_ho).ravel() / heldout.M)
+    assert np.abs(if_pred - explicit).max() <= 1e-12 * np.abs(explicit).max()
 
 
 def test_heldout_scores_reject_a_dominant_trajectory():

@@ -140,6 +140,9 @@ def test_parse_config_explicit_matrices():
     assert np.array_equal(Q, np.diag([2.0, 1.0]))
     assert np.array_equal(R, np.eye(1))
     assert cfg.top_k == 3
+    # a singular Q is semidefinite: its zero eigenvalue, up to round-off, is accepted
+    for singular in ([[0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]], [[0.1, 0.3], [0.3, 0.9]]):
+        assert np.array_equal(parse_config(dict(BASE_DOC, Q=singular)).Q, singular)
 
 
 @pytest.mark.parametrize(
@@ -190,6 +193,22 @@ def test_parse_config_explicit_matrices():
         lambda d: d.update(system={"kind": "msd", "sigma_sq_range": [1.0, 0.5]}),
         lambda d: d.update(system={"kind": "msd", "sigma_sq_range": "wide"}),
         lambda d: d["system"].update(noise_cov=[[1.0, 0.0], [0.0, -1.0]]),
+        # integer fields take JSON integers only, lambda and x0_scale numbers only
+        lambda d: d.update(seeds=[1.5]),
+        lambda d: d.update(seeds=[True]),
+        lambda d: d.update(top_k="3"),
+        lambda d: d.update(heldout_size="7"),
+        lambda d: d["generation"].update(n_trajectories=6.9),
+        lambda d: d["generation"].update(t_min=True),
+        lambda d: d.update({"lambda": "0.01"}),
+        lambda d: d.update({"lambda": True}),
+        lambda d: d["generation"].update(x0_scale="1.0"),
+        lambda d: d["generation"].update(x0_scale=True),
+        # R positive definite, Q positive semidefinite
+        lambda d: d.update(R=[[0.0]]),
+        lambda d: d.update(R=[[-1.0]]),
+        lambda d: d.update(Q=[[-1.0, 0.0], [0.0, -1.0]]),
+        lambda d: d.update(Q=[[1.0, 2.0], [2.0, 1.0]]),
     ],
 )
 def test_parse_config_rejects_malformed(mutate):
@@ -432,10 +451,13 @@ def test_cli_wrong_shape_system_matrix_is_config_error(tmp_path, capsys):
          "dataset": "data.json"},
         {"system": {"kind": "dc_motor", "noise_cov": (9 * np.eye(2)).tolist()},
          "dataset": "data.json"},
+        {"R": [[0.0]]},
+        {"R": [[-1.0]]},
+        {"Q": [[-1.0, 0.0], [0.0, -1.0]]},
     ],
     ids=["nan_lambda", "asymmetric_Q", "dc_motor_n_x", "uav_n_x", "uav_n_u",
          "indefinite_noise_cov", "overflowing_a_d", "msd_noise_cov", "uav_a_d",
-         "dataset_a_d", "dataset_noise_cov"],
+         "dataset_a_d", "dataset_noise_cov", "R_zero", "R_negative", "Q_indefinite"],
 )
 def test_cli_unusable_config_value_is_config_error(tmp_path, capsys, extra):
     # dimensions the generator cannot honour are found before any data is drawn,
@@ -454,6 +476,8 @@ def test_cli_unusable_config_value_is_config_error(tmp_path, capsys, extra):
     if "dataset" in extra:
         (unread,) = set(extra["system"]) - {"kind"}
         assert f"system.{unread} is never read" in err
+    for weight in {"Q", "R"} & set(extra):   # the message names the matrix
+        assert f" {weight} " in err
 
 
 def test_cli_dataset_dimension_mismatch_is_config_error(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lqrinfluence import influence
 from lqrinfluence.errors import SingleTrajectory
 from lqrinfluence.influence import (
     SCORE_CSV_HEADER,
@@ -77,7 +78,7 @@ def diagnostics_oracle(fit, art, k, theta_k, W_k, P_k):
     ric_terms = np.array([np.trace(dP @ fit.W_hat), art.zeta @ dtheta])
 
     T_k = float(fit.lengths[k])
-    direct_mat = covariance_direct_term(fit, k)
+    direct_mat = covariance_direct_term(fit)[k]
     DW = W_k - fit.W_hat
     D = dtheta.reshape(fit.q, fit.n_x)
     cross_mat = (fit.ZtE.T @ D + D.T @ fit.ZtE) / fit.M
@@ -97,18 +98,21 @@ def diagnostics_oracle(fit, art, k, theta_k, W_k, P_k):
 
 def test_fixed_score_amortized_equals_explicit():
     fit, art, _, _ = make_problem()
-    if_fixed, _ = score_all(fit, art)
+    if_fixed, _, _ = score_all(fit, art)
+    if_m = model_influence(fit)
     for k in range(fit.N):
-        explicit = art.zeta @ model_influence(fit, k)
+        explicit = art.zeta @ if_m[k]
         assert if_fixed[k] == pytest.approx(explicit, abs=1e-12, rel=1e-12)
 
 
 def test_stochastic_score_amortized_equals_explicit():
     fit, art, _, _ = make_problem()
     direct = direct_trace_term(fit, art)
-    _, if_stoch = score_all(fit, art)
+    _, if_stoch, direct_out = score_all(fit, art)
+    assert np.array_equal(direct_out, direct)
+    if_m = model_influence(fit)
     for k in range(fit.N):
-        explicit = (art.zeta - art.h) @ model_influence(fit, k) + direct[k]
+        explicit = (art.zeta - art.h) @ if_m[k] + direct[k]
         assert if_stoch[k] == pytest.approx(explicit, abs=1e-12, rel=1e-12)
 
 
@@ -122,9 +126,10 @@ def test_score_difference_is_residual_channel():
     # stoch - fixed = -h^T IF_m_k + direct trace, by construction of v_stoch
     fit, art, _, _ = make_problem(seed=3)
     direct = direct_trace_term(fit, art)
-    if_fixed, if_stoch = score_all(fit, art)
+    if_fixed, if_stoch, _ = score_all(fit, art)
+    if_m = model_influence(fit)
     for k in range(fit.N):
-        expected = -art.h @ model_influence(fit, k) + direct[k]
+        expected = -art.h @ if_m[k] + direct[k]
         assert if_stoch[k] - if_fixed[k] == pytest.approx(expected, abs=1e-13, rel=1e-10)
 
 
@@ -138,10 +143,8 @@ def test_reduction_to_fixed_when_h_suppressed():
     fit = fit_ridge(data, 1e-3)
     art = riccati_artifacts(fit, np.eye(2), np.eye(1))
     assert np.allclose(direct_trace_term(fit, art), 0.0, atol=1e-14)
-    frozen = dataclasses.replace(
-        art, h=np.zeros(fit.p), v_stoch=art.v_fixed, c_stoch=art.c_fixed
-    )
-    if_fixed, if_stoch = score_all(fit, frozen)
+    frozen = dataclasses.replace(art, h=np.zeros(fit.p), v_stoch=art.v_fixed)
+    if_fixed, if_stoch, _ = score_all(fit, frozen)
     for k in range(fit.N):
         assert if_stoch[k] == pytest.approx(if_fixed[k], abs=1e-14)
 
@@ -205,7 +208,7 @@ def test_covariance_remainder_bounds():
         dtheta = sweep.theta[k] - fit.theta
         D = fit.data.Z @ dtheta.reshape(fit.q, fit.n_x)
         cross_mat = (fit.residuals.T @ D + D.T @ fit.residuals) / fit.M
-        R_w_mat = (sweep.W[k] - fit.W_hat) - covariance_direct_term(fit, k) + cross_mat
+        R_w_mat = (sweep.W[k] - fit.W_hat) - covariance_direct_term(fit)[k] + cross_mat
         assert np.linalg.norm(R_w_mat) <= diag.bound_w[k] + 1e-15
 
 
@@ -221,7 +224,7 @@ def test_sweep_refits_at_the_artifacts_weights():
 
 
 def check_modular_error_bound(fit, art, Q, R):
-    _, if_stoch = score_all(fit, art)
+    _, if_stoch, _ = score_all(fit, art)
     sweep, dj = exact_shifts(fit, Q, R)
     bound = modular_error_bound(fit, art, sweep, diagnostics_from_record(fit, art, sweep))
     for k in range(fit.N):
@@ -241,7 +244,7 @@ def test_modular_error_bound_zero_case():
     fit, art, _, _ = make_problem(seed=12)
     fit = dataclasses.replace(fit, theta=np.zeros(fit.p))
     zero = np.zeros(fit.N)
-    if_m = model_influence(fit, np.arange(fit.N))
+    if_m = model_influence(fit)
     sweep = LotoSweep(theta=if_m, W=np.zeros((fit.N, 2, 2)), P=np.zeros((fit.N, 2, 2)),
                       excluded=zero.astype(bool))
     diag = DecompositionDiagnostics(
@@ -285,9 +288,27 @@ def test_build_score_table_without_exact():
     assert np.isfinite(table.if_fixed).all() and np.isfinite(table.if_stoch).all()
     assert table.score_time >= 0.0 and table.refit_time is None
     direct = direct_trace_term(fit, art)
+    if_m = model_influence(fit)
     for k in range(fit.N):
-        explicit = (art.zeta - art.h) @ model_influence(fit, k) + direct[k]
+        explicit = (art.zeta - art.h) @ if_m[k] + direct[k]
         assert table.if_stoch[k] == pytest.approx(explicit)
+
+
+def test_build_score_table_scores_through_score_all(monkeypatch):
+    # the CLI path reaches the public scorer, so a trace of score_all sees its time
+    fit, art, _, _ = make_problem(seed=16)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return score_all(*args)
+
+    monkeypatch.setattr(influence, "score_all", counted)
+    table = build_score_table(fit, art)
+    assert len(calls) == 1
+    for column, expected in zip((table.if_fixed, table.if_stoch, table.direct_trace),
+                                score_all(fit, art)):
+        assert np.array_equal(column, expected)
 
 
 def test_build_score_table_with_exact():
@@ -363,9 +384,9 @@ def fit_and_score(trajs, lam):
 
 def score_term_magnitudes(fit, art):
     """Per trajectory, the summed magnitudes of the terms score_all adds, for
-    (if_fixed, if_stoch): scale g_k.v, frac c and the two direct traces.
+    (if_fixed, if_stoch): scale g_k.v, frac lam theta.v and the two direct traces.
 
-    A dot product enters as sum |g_ki v_i| (and lam sum |theta_i v_i| for c):
+    A dot product enters as sum |g_ki v_i| (and lam sum |theta_i v_i|):
     its round-off scales with that sum, which can far exceed |g_k.v| when the
     products cancel.
     """

@@ -197,8 +197,6 @@ def test_artifacts_fields_consistent():
     H = np.kron(fit.gram + fit.lam * np.eye(fit.q), np.eye(fit.n_x))
     assert np.allclose(H @ art.v_fixed, art.zeta, atol=1e-9)
     assert np.allclose(H @ art.v_stoch, art.zeta - art.h, atol=1e-9)
-    assert art.c_fixed == pytest.approx(fit.lam * fit.theta @ art.v_fixed)
-    assert art.c_stoch == pytest.approx(fit.lam * fit.theta @ art.v_stoch)
     # the weights it was built with, kept apart from the caller's arrays
     assert np.array_equal(art.Q, Q) and np.array_equal(art.R, R)
     Q *= 2.0

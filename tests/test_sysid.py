@@ -20,6 +20,7 @@ from lqrinfluence.sysid import (
     TrajectoryDataset,
     covariance_direct_term,
     eta,
+    eta_dot,
     fit_ridge,
     load_dataset,
     loto_refit,
@@ -181,7 +182,7 @@ def test_eta_scaling_cases():
         [simulate_linear(rng, A0, B0, 8) for _ in range(2)]
     )
     fit = fit_ridge(data, 0.0)
-    assert np.allclose(eta(fit, 0), 2.0 * fit.g[0], atol=1e-14)
+    assert np.allclose(eta(fit)[0], 2.0 * fit.g[0], atol=1e-14)
 
 
 def test_eta_dominant_trajectory():
@@ -189,7 +190,7 @@ def test_eta_dominant_trajectory():
     data = TrajectoryDataset.from_arrays([simulate_linear(rng, A0, B0, 10)])
     fit = fit_ridge(data, 1e-3)
     with pytest.raises(SingleTrajectory):
-        eta(fit, 0)
+        eta(fit)
 
 
 def test_covariance_exact_mixture():
@@ -210,7 +211,7 @@ def test_covariance_direct_term_formula():
     k = 2
     T_k = int(fit.lengths[k])
     expected = (T_k / (fit.M - T_k)) * (fit.W_hat - fit.per_traj_cov[k])
-    assert np.allclose(covariance_direct_term(fit, k), expected, atol=1e-15)
+    assert np.allclose(covariance_direct_term(fit)[k], expected, atol=1e-15)
 
 
 def test_loto_gradient_identity():
@@ -218,6 +219,7 @@ def test_loto_gradient_identity():
     rng = np.random.default_rng(13)
     data = make_dataset(rng, A0, B0)
     fit = fit_ridge(data, 1e-3)
+    every = eta(fit)
     for k in range(data.N):
         sl = data.traj_slice(k)
         keep = np.ones(data.M, dtype=bool)
@@ -229,7 +231,7 @@ def test_loto_gradient_identity():
         T_k = int(fit.lengths[k])
         expected = -(fit.M / M_rem) * fit.g[k] - (T_k / M_rem) * fit.lam * fit.theta
         assert np.allclose(grad_direct, expected, atol=1e-11)
-        assert np.allclose(grad_direct, -eta(fit, k), atol=1e-11)
+        assert np.allclose(grad_direct, -every[k], atol=1e-11)
 
 
 def test_influence_matches_sherman_morrison_on_unit_trajectories():
@@ -251,7 +253,7 @@ def test_influence_matches_sherman_morrison_on_unit_trajectories():
     b_k = b - np.outer(z_k, y_k)
     theta_exact = np.linalg.solve(G_k, b_k).ravel()
     delta = theta_exact - fit.theta
-    if_m = model_influence(fit, k)
+    if_m = model_influence(fit)[k]
     # agreement to O(1/M) relative
     assert np.linalg.norm(if_m - delta) <= 10.0 / M * np.linalg.norm(delta)
 
@@ -371,16 +373,18 @@ def test_loto_refit_keeps_unexcited_input_exactly_zero():
 def test_stacked_eta_and_hessian_solve_match_per_trajectory():
     rng = np.random.default_rng(22)
     fit = fit_ridge(make_dataset(rng, A0, B0, n_traj=7), 1e-2)
-    every = eta(fit, np.arange(fit.N))
+    every = eta(fit)
     solved = fit.hessian_solve(every)
     assert every.shape == solved.shape == (fit.N, fit.p)
+    scale, frac = fit.removal_weights
     for k in range(fit.N):
-        assert np.array_equal(every[k], eta(fit, k))
-        one = fit.hessian_solve(eta(fit, k))
+        assert np.array_equal(every[k], scale[k] * fit.g[k] + (frac[k] * fit.lam) * fit.theta)
+        one = fit.hessian_solve(every[k])
         assert np.linalg.norm(solved[k] - one) <= 1e-15 * np.linalg.norm(one)
-    assert np.array_equal(model_influence(fit, np.arange(fit.N)), solved)
-    with pytest.raises(IndexError):
-        eta(fit, np.array([0, fit.N]))
+    assert np.array_equal(model_influence(fit), solved)
+    # the amortized dot products, against the formed directions
+    v = rng.normal(size=fit.p)
+    assert np.abs(eta_dot(fit, v) - every @ v).max() <= 1e-14 * (np.abs(every) @ np.abs(v)).max()
 
 
 # the acceptance suite's corpus for each benchmark kind
@@ -423,7 +427,8 @@ def test_gram_stack_matches_per_slice_loop_property(case, draw):
     data = dataclasses.replace(data, inputs=inputs)
     fit = fit_ridge(data, lam)
     E = fit.residuals
-    for new, old in zip((fit.traj_gram, fit.g, fit.per_traj_cov, fit.W_hat),
+    traj_gram = fit.traj_stats[:, :fit.q, :fit.q]
+    for new, old in zip((traj_gram, fit.g, fit.per_traj_cov, fit.W_hat),
                         per_slice_statistics(data, E)):
         assert new.shape == old.shape
         assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
@@ -431,7 +436,7 @@ def test_gram_stack_matches_per_slice_loop_property(case, draw):
     assert np.abs(fit.ZtE - Z.T @ E).max() <= 1e-14 * (np.abs(Z).T @ np.abs(E)).max()
     # no product with the dead column is anything but an exact zero
     col = data.n_x + dead
-    assert np.all(fit.traj_gram[:, col, :] == 0.0) and np.all(fit.traj_gram[:, :, col] == 0.0)
+    assert np.all(traj_gram[:, col, :] == 0.0) and np.all(traj_gram[:, :, col] == 0.0)
     assert np.all(fit.g.reshape(fit.N, fit.q, fit.n_x)[:, col] == 0.0)
     assert np.all(fit.ZtE[col] == 0.0)
     # the residual channel read off Z^T E equals the pass over the M rows; at
