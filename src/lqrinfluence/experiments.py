@@ -30,7 +30,7 @@ from .errors import DegenerateInput, InvalidConfig, NotPositiveDefinite
 from .influence import ScoreTable, build_score_table, csv_cell
 from .linalg import _check_symmetric, cholesky_factor
 from .lqr import riccati_artifacts
-from .sysid import fit_ridge, load_dataset
+from .sysid import _json_scalar, fit_ridge, load_dataset
 
 
 def rankdata(a) -> np.ndarray:
@@ -100,6 +100,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.seeds) == 0:
             raise InvalidConfig("seeds must be non-empty")
+        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise InvalidConfig(f"seeds must be distinct and non-negative, got {list(self.seeds)}")
         if not 1 <= self.top_k <= self.generation.n_trajectories:
             raise InvalidConfig("top_k must be in [1, n_trajectories]")
         if not 0 < self.lam < np.inf:
@@ -136,14 +138,6 @@ def _parse_matrix(value, dim: int, name: str, definite: bool):
     except ValueError as exc:   # non-finite, asymmetric or indefinite
         raise InvalidConfig(str(exc)) from exc
     return M
-
-
-def _json_scalar(value, key: str, number: bool = False):
-    """A JSON integer, or with number any JSON number, as a float; a bool is neither."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
-        kind = "a number" if number else "an integer"
-        raise InvalidConfig(f"{key} must be {kind}, got {value!r}")
-    return float(value) if number else value
 
 
 def parse_config(doc: dict) -> ExperimentConfig:

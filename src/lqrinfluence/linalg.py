@@ -108,12 +108,16 @@ def cholesky_factor(mat: np.ndarray) -> SpdFactor:
     failing system of a stack, when LAPACK finds it indefinite or a squared
     pivot diag(L)^2 falls at or below 1e-14 times its largest diagonal entry.
     """
-    h = _check_symmetric(mat, "matrix", stacked=True)
+    return _cholesky(_check_symmetric(mat, "matrix", stacked=True), "matrix")
+
+
+def _cholesky(h: np.ndarray, name: str) -> SpdFactor:
+    # cholesky_factor past the symmetry check, its errors naming the matrix name
     try:
         L = np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
-            f"{_system(h, _first_unfactorable(h))}matrix is not positive definite: {exc}"
+            f"{_system(h, _first_unfactorable(h))}{name} is not positive definite: {exc}"
         ) from exc
     piv = L.diagonal(axis1=-2, axis2=-1) ** 2
     floor = _PIVOT_RTOL * h.diagonal(axis1=-2, axis2=-1).max(axis=-1, initial=0.0)
@@ -121,7 +125,7 @@ def cholesky_factor(mat: np.ndarray) -> SpdFactor:
     if low.any():
         n = h.shape[-1]
         i, j = divmod(int(np.argmax(low)), n)
-        raise NotPositiveDefinite(f"{_system(h, i)}pivot {piv.reshape(-1, n)[i, j]:.3e} "
+        raise NotPositiveDefinite(f"{_system(h, i)}{name} pivot {piv.reshape(-1, n)[i, j]:.3e} "
                                   f"at column {j} under floor {floor.reshape(-1)[i]:.3e}")
     return SpdFactor(L=L)
 
@@ -143,16 +147,17 @@ def solve_spd(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(factor.L.swapaxes(-2, -1), np.linalg.solve(factor.L, r))
 
 
-def _max_abs(mat: np.ndarray) -> float:
-    # the max-entry norm squares nothing, so it cannot overflow where a Frobenius norm would
-    return float(np.abs(mat).max(initial=0.0))
+def _dare_certificate(A, B, Q, R, P):
+    """Gain (R + B'PB)^-1 B'PA and relative DARE residual of P, both from one solve."""
+    apb = A.T @ P @ B
+    gain = np.linalg.solve(R + B.T @ P @ B, apb.T)
+    resid = Q + A.T @ P @ A - apb @ gain - P
+    return gain, float(np.linalg.norm(resid) / max(np.linalg.norm(P), np.finfo(float).tiny))
 
 
 def dare_residual(A, B, Q, R, P) -> float:
     """Relative DARE residual ||Q + A'PA - A'PB (R + B'PB)^-1 B'PA - P||_F / ||P||_F."""
-    apb = A.T @ P @ B
-    resid = Q + A.T @ P @ A - apb @ np.linalg.solve(R + B.T @ P @ B, apb.T) - P
-    return float(np.linalg.norm(resid) / max(np.linalg.norm(P), np.finfo(float).tiny))
+    return _dare_certificate(A, B, Q, R, P)[1]
 
 
 def _doubling(A: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -161,25 +166,40 @@ def _doubling(A: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
     H_k equals the fixed-point iterate P_(2^k) started from P_0 = 0, so it
     converges quadratically (Lin & Xu 2006); it stops once a doubling moves H
     by less than round-off.  Raises NoStabilizingSolution when an iterate
-    entry grows past _DOUBLING_BOUND, before any product can overflow, or
-    when _DOUBLING_MAX doublings do not converge.
+    entry is NaN or grows past _DOUBLING_BOUND, before any product can
+    overflow, or when _DOUBLING_MAX doublings do not converge.  It writes
+    only its own copies of the arguments.
     """
     n = A.shape[0]
     eye = np.eye(n)
+    eps = np.finfo(float).eps
+    # [A, G] is the solve's right-hand side in place; H and its last step are
+    # stacked so that one reduction reads both maxima
+    AG = np.empty((n, 2 * n))
+    HS = np.empty((2, n, n))
+    AG[:, :n], AG[:, n:], HS[0] = A, G, H
+    A, G = AG[:, :n], AG[:, n:]
+    H, step = HS
     for k in range(_DOUBLING_MAX):
         # W^-1 [A, G] with W = I + G H; eigenvalues of W are >= 1 since G, H are PSD
-        X = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
-        step = symmetrize(A.T @ H @ X[:, :n])
-        G = symmetrize(G + A @ X[:, n:] @ A.T)
-        A = A @ X[:, :n]
-        H = H + step
-        size = max(_max_abs(A), _max_abs(G), _max_abs(H))
-        if not size <= _DOUBLING_BOUND:
+        X = np.linalg.solve(eye + G @ H, AG)
+        AX = X[:, :n]
+        S = A.T @ H @ AX
+        np.divide(S + S.T, 2.0, out=step)
+        S = G + A @ X[:, n:] @ A.T
+        np.divide(S + S.T, 2.0, out=G)
+        np.matmul(A, AX, out=A)   # numpy reads A before it overwrites it
+        H += step
+        size = np.abs(AG).max()
+        h, s = np.abs(HS).max(axis=(1, 2))
+        # max-entry norms square nothing, so they cannot overflow; each meets the
+        # bound on its own, so a NaN fails its comparison wherever it sits
+        if not (size <= _DOUBLING_BOUND and h <= _DOUBLING_BOUND):
             raise NoStabilizingSolution(
-                f"riccati doubling diverged: iterate entries reached {size:.3e} "
+                f"riccati doubling diverged: iterate entries reached {np.maximum(size, h):.3e} "
                 f"after {k + 1} doublings"
             )
-        if _max_abs(step) <= np.finfo(float).eps * _max_abs(H):
+        if s <= eps * h:
             return H
     raise NoStabilizingSolution(f"riccati doubling did not converge in {_DOUBLING_MAX} doublings")
 
@@ -190,7 +210,8 @@ def solve_dare(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np
     Structure-preserving doubling on G = B R^-1 B'.  The returned P carries a
     certificate: its relative residual (dare_residual) is at most
     _DARE_RESIDUAL_MAX and its closed loop A - B K is stable; otherwise, or
-    when the doubling diverges, NoStabilizingSolution is raised.
+    when the doubling diverges, NoStabilizingSolution is raised.  No argument
+    is written.
     """
     A = _check_square(A, "A")
     n = A.shape[0]
@@ -201,15 +222,14 @@ def solve_dare(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np
     R = _check_symmetric(R, "R")
     if Q.shape[0] != n or R.shape[0] != B.shape[1]:
         raise DimensionMismatch("Q/R dimensions do not match A/B")
-    L_inv_bt = np.linalg.solve(cholesky_factor(R).L, B.T)
+    L_inv_bt = np.linalg.solve(_cholesky(R, "R").L, B.T)
     P = _doubling(A, L_inv_bt.T @ L_inv_bt, symmetrize(Q))
 
-    resid = dare_residual(A, B, Q, R, P)
+    gain, resid = _dare_certificate(A, B, Q, R, P)
     if resid > _DARE_RESIDUAL_MAX:
         raise NoStabilizingSolution(
             f"riccati residual {resid:.3e} above certificate bound {_DARE_RESIDUAL_MAX:.0e}"
         )
-    gain = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
     if spectral_radius(A - B @ gain) >= 1.0:
         raise NoStabilizingSolution("closed loop from the Riccati solution is not stable")
     return P

@@ -134,12 +134,21 @@ def save_dataset(data: TrajectoryDataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_scalar(value, key: str, number: bool = False):
+    """A JSON integer, or with number any JSON number, as a float; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
+        kind = "a number" if number else "an integer"
+        raise InvalidConfig(f"{key} must be {kind}, got {value!r}")
+    return float(value) if number else value
+
+
 def load_dataset(path) -> TrajectoryDataset:
     """Read a dataset written by save_dataset.
 
-    A file that is not JSON, lacks n_x/n_u/trajectories, holds no trajectory,
-    an empty one or a non-finite entry, or has entries whose sizes disagree
-    with the declared n_x/n_u raises InvalidConfig: it is input to fix, not a
+    A file that is not JSON, lacks n_x/n_u/trajectories, declares an n_x or
+    n_u that is not a positive JSON integer, holds no trajectory, an empty one
+    or a non-finite entry, or has entries whose sizes disagree with the
+    declared n_x/n_u raises InvalidConfig: it is input to fix, not a
     numerical failure.
     """
     with open(path) as fh:
@@ -148,10 +157,13 @@ def load_dataset(path) -> TrajectoryDataset:
         except json.JSONDecodeError as exc:
             raise InvalidConfig(f"dataset {path} is not valid JSON: {exc}") from exc
     try:
-        n_x, n_u = int(doc["n_x"]), int(doc["n_u"])
+        n_x, n_u = doc["n_x"], doc["n_u"]
         trajs = list(doc["trajectories"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidConfig(f"malformed dataset file {path}: missing or bad {exc}") from exc
+    for key, value in (("n_x", n_x), ("n_u", n_u)):
+        if _json_scalar(value, f"dataset {path}: {key}") < 1:
+            raise InvalidConfig(f"dataset {path}: {key} must be positive, got {value}")
     if not trajs:
         raise InvalidConfig(f"dataset {path} has no trajectories")
     triples = []

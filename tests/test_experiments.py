@@ -374,6 +374,21 @@ def test_cli_bad_seed_override_is_config_error(tmp_path):
                  "--seeds", "a,b"]) == 1
 
 
+@pytest.mark.parametrize("seeds, argv", [
+    ([-1], []),
+    ([0], ["--seeds=-1"]),
+    ([0], ["--seeds", "1,1"]),
+    ([3, 0, 3], []),
+], ids=["negative", "negative-override", "duplicate-override", "duplicate"])
+def test_cli_negative_or_duplicate_seeds_are_config_errors(tmp_path, capsys, seeds, argv):
+    # a negative seed reached SeedSequence; a repeated one was scored and aggregated twice
+    cfg_path = write_cli_config(tmp_path, seeds=seeds)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [[], ["run"], ["run", "x.json", "--solver", "dense"]],
                          ids=["bare", "run-without-config", "unknown-solver"])
 def test_cli_usage_error_is_config_error(argv, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from lqrinfluence.bench import GenerationConfig, generate_dataset, system_spec
 from lqrinfluence.errors import (
     DimensionMismatch,
     NoConvergence,
@@ -22,6 +23,7 @@ from lqrinfluence.linalg import (
     spectral_radius,
     symmetrize,
 )
+from lqrinfluence.sysid import fit_ridge, loto_refit, theta_to_ab
 
 
 def random_spd(rng, n, scale=1.0):
@@ -32,6 +34,65 @@ def random_spd(rng, n, scale=1.0):
 def random_stable(rng, n, radius=0.9):
     m = rng.normal(size=(n, n))
     return m * (radius / spectral_radius(m))
+
+
+def max_abs(mat):
+    return float(np.abs(mat).max(initial=0.0))
+
+
+def oracle_doubling(A, G, H):
+    """The doubling as written before its buffers: a fresh array per step, five maxima."""
+    n = A.shape[0]
+    eye = np.eye(n)
+    for k in range(linalg._DOUBLING_MAX):
+        X = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+        step = symmetrize(A.T @ H @ X[:, :n])
+        G = symmetrize(G + A @ X[:, n:] @ A.T)
+        A = A @ X[:, :n]
+        H = H + step
+        size = max(max_abs(A), max_abs(G), max_abs(H))
+        if not size <= linalg._DOUBLING_BOUND:
+            raise NoStabilizingSolution(
+                f"riccati doubling diverged: iterate entries reached {size:.3e} "
+                f"after {k + 1} doublings"
+            )
+        if max_abs(step) <= np.finfo(float).eps * max_abs(H):
+            return H
+    raise NoStabilizingSolution(
+        f"riccati doubling did not converge in {linalg._DOUBLING_MAX} doublings")
+
+
+def oracle_solve_dare(A, B, Q, R):
+    """solve_dare as written before the shared certificate solve, on valid input."""
+    L_inv_bt = np.linalg.solve(np.linalg.cholesky(R), B.T)
+    P = oracle_doubling(A, L_inv_bt.T @ L_inv_bt, symmetrize(Q))
+    apb = A.T @ P @ B
+    resid = Q + A.T @ P @ A - apb @ np.linalg.solve(R + B.T @ P @ B, apb.T) - P
+    resid = np.linalg.norm(resid) / max(np.linalg.norm(P), np.finfo(float).tiny)
+    if resid > linalg._DARE_RESIDUAL_MAX:
+        raise NoStabilizingSolution(
+            f"riccati residual {resid:.3e} above certificate bound "
+            f"{linalg._DARE_RESIDUAL_MAX:.0e}")
+    gain = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+    if spectral_radius(A - B @ gain) >= 1.0:
+        raise NoStabilizingSolution("closed loop from the Riccati solution is not stable")
+    return P
+
+
+def outcome(solve, *args):
+    """The solution, or the message a NoStabilizingSolution carries."""
+    try:
+        return solve(*args)
+    except NoStabilizingSolution as exc:
+        return str(exc)
+
+
+def assert_same_as_oracle(A, B, Q, R):
+    got, want = outcome(solve_dare, A, B, Q, R), outcome(oracle_solve_dare, A, B, Q, R)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_symmetrize_is_exactly_symmetric():
@@ -187,14 +248,80 @@ def test_dare_certificate_rejects_inaccurate_solution(monkeypatch):
 
 def test_dare_unstabilizable_raises():
     # unstable mode with no control authority: the doubling diverges
+    args = np.array([[2.0]]), np.array([[0.0]]), np.eye(1), np.eye(1)
     with pytest.raises(NoStabilizingSolution, match="diverged"):
-        solve_dare(np.array([[2.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
+        solve_dare(*args)
+    assert_same_as_oracle(*args)   # the same message, iterate size and doubling count
 
 
 def test_dare_marginal_mode_without_control_raises():
     # a unit-circle mode no input reaches: no doubling count converges
-    with pytest.raises(NoStabilizingSolution):
-        solve_dare(np.eye(1), np.array([[0.0]]), np.eye(1), np.eye(1))
+    args = np.eye(1), np.array([[0.0]]), np.eye(1), np.eye(1)
+    with pytest.raises(NoStabilizingSolution, match="did not converge in 64 doublings"):
+        solve_dare(*args)
+    assert_same_as_oracle(*args)
+
+
+@pytest.mark.parametrize("where", ["A", "G", "H"])
+def test_doubling_nan_iterate_raises_diverged(where):
+    # a NaN compares false against the bound wherever it sits
+    args = {"A": 0.5 * np.eye(2), "G": np.eye(2), "H": np.eye(2)}
+    args[where][1, 0] = np.nan
+    with pytest.raises(NoStabilizingSolution, match="diverged: iterate entries reached nan"):
+        linalg._doubling(args["A"], args["G"], args["H"])
+
+
+@pytest.mark.parametrize("A, B, Q", [
+    (np.array([[2.0]]), np.array([[0.0]]), np.array([[0.0]])),
+    (np.diag([2.0, 0.5]), np.array([[0.0], [1.0]]), np.diag([0.0, 1.0])),
+], ids=["scalar", "unobserved-unstable-mode"])
+def test_dare_certificate_rejects_unstable_closed_loop(A, B, Q):
+    # the unstable mode is neither controlled nor weighted, so the doubling
+    # converges to a P with zero residual; only the stability half rejects it
+    R = np.eye(1)
+    P = linalg._doubling(A, B @ B.T, Q)   # G = B R^-1 B'
+    assert dare_residual(A, B, Q, R, P) == 0.0
+    with pytest.raises(NoStabilizingSolution, match="closed loop .* is not stable"):
+        solve_dare(A, B, Q, R)
+
+
+def test_dare_matches_oracle_bitwise_on_random_systems():
+    # rho(A) up to 1.5; every other system in Fortran order, which the
+    # kernel's buffers re-lay in C order
+    rng = np.random.default_rng(12)
+    for i in range(200):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, n + 1))
+        a = random_stable(rng, n, radius=rng.uniform(0.1, 1.5))
+        b = rng.normal(size=(n, m))
+        if i % 2:
+            a, b = np.asfortranarray(a), np.asfortranarray(b)
+        assert_same_as_oracle(a, b, random_spd(rng, n, scale=0.1), random_spd(rng, m, scale=0.5))
+
+
+@pytest.mark.parametrize("kind", ["dc_motor", "msd"])
+def test_dare_matches_oracle_bitwise_on_gate_refits(kind):
+    # every full fit and leave-one-out refit of the DC motor and
+    # mass-spring-damper gates (N=50, T in [5, 40], seeds 0-19)
+    spec = system_spec(kind)
+    Q, R = np.eye(spec.n_x), np.eye(spec.n_u)
+    for seed in range(20):
+        fit = fit_ridge(generate_dataset(spec, GenerationConfig(50, 5, 40, seed=seed)), 1e-3)
+        assert_same_as_oracle(fit.A, fit.B, Q, R)
+        for theta_k in loto_refit(fit)[0]:
+            assert_same_as_oracle(*theta_to_ab(theta_k, fit.n_x, fit.n_u), Q, R)
+
+
+def test_dare_never_writes_its_arguments():
+    rng = np.random.default_rng(13)
+    args = (random_stable(rng, 3, radius=1.2), rng.normal(size=(3, 2)),
+            random_spd(rng, 3), random_spd(rng, 2))
+    before = [a.copy() for a in args]
+    for a in args:
+        a.flags.writeable = False
+    solve_dare(*args)
+    for a, b in zip(args, before):
+        assert np.array_equal(a, b)
 
 
 def test_dare_rejects_semidefinite_r():

@@ -1,6 +1,7 @@
 """Ridge trajectory fits: recovery, stationarity, gradients, exact removal."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from lqrinfluence.bench import GenerationConfig, generate_dataset, system_spec
 from lqrinfluence.errors import (
     DimensionMismatch,
+    InvalidConfig,
     NotPositiveDefinite,
     SingleTrajectory,
 )
@@ -507,6 +509,21 @@ def test_dataset_json_round_trip(tmp_path):
     assert np.array_equal(back.inputs, data.inputs)
     assert np.array_equal(back.next_states, data.next_states)
     assert np.array_equal(back.offsets, data.offsets)
+
+
+@pytest.mark.parametrize("key", ["n_x", "n_u"])
+@pytest.mark.parametrize("value", [True, 1.0, "1", None, [1], 0, -1],
+                         ids=["bool", "float", "string", "null", "list", "zero", "negative"])
+def test_load_dataset_takes_positive_json_integer_dimensions(tmp_path, key, value):
+    # int() read true, 1.0 and "1" as 1; the file must say 1
+    path = tmp_path / "data.json"
+    traj = (np.ones((3, 1)), np.ones((3, 1)), np.ones((3, 1)))
+    save_dataset(TrajectoryDataset.from_arrays([traj, traj]), path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidConfig, match=f"{key} must be"):
+        load_dataset(path)
 
 
 @st.composite
