@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidConfig, NotPositiveDefinite
 from .linalg import cholesky_factor, expm
-from .sysid import ModelFit, TrajectoryDataset, eta_dot, loto_refit
+from .sysid import ModelFit, TrajectoryDataset, _json_array, eta_dot, loto_refit
 
 _LINEAR_KINDS = ("dc_motor", "msd")
 _UAV_KINDS = ("uav_hover", "uav_mission")
@@ -192,17 +192,18 @@ def system_spec(kind: str, **overrides) -> SystemSpec:
 
     n_x/n_u must be positive integers, the scalar fields finite and
     nonnegative (dt positive), and sigma_sq_range a [low, high] pair of
-    them. Overridden array fields (a_d, b_d, noise_cov, x0_std) are converted
-    to finite float arrays and must match the resulting n_x/n_u, noise_cov
-    symmetric positive definite; fields not overridden are left as the kind
+    them. Overridden array fields (a_d, b_d, noise_cov, x0_std) must hold
+    numbers only (a bool or a string is neither), be finite and match the
+    resulting n_x/n_u, noise_cov symmetric positive definite; they are
+    converted to float arrays, and fields not overridden are left as the kind
     defines them. Anything else raises InvalidConfig, and so does an override
     of a field the kind's generator never reads: a_d, b_d, noise_cov,
     sigma_sq_range or input_std on a UAV kind, drag, gust_std or
     excitation_std on a linear kind, and noise_cov where sigma_sq_range sets
     the noise.
     """
-    if kind not in _SPEC_FACTORIES:
-        raise InvalidConfig(f"unknown system kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _SPEC_FACTORIES:   # a list is unhashable
+        raise InvalidConfig(f"unknown system kind {kind!r}; known: {', '.join(_SPEC_FACTORIES)}")
     for name in ("n_x", "n_u"):
         value = overrides.get(name, 1)
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -232,12 +233,9 @@ def system_spec(kind: str, **overrides) -> SystemSpec:
         heterogeneous = name == "noise_cov" and kind in _LINEAR_KINDS
         raise InvalidConfig(f"system.{name} is never read by the {kind} generator"
                             + ("; sigma_sq_range sets its noise" if heterogeneous else ""))
-    arrays = {}
-    for name in [name for name in _ARRAY_FIELDS if name in overrides]:
-        try:
-            arrays[name] = np.asarray(overrides[name], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidConfig(f"system.{name} is not a numeric array: {exc}") from exc
+    arrays = {name: _json_array(overrides[name], f"system.{name}")
+              for name in _ARRAY_FIELDS if name in overrides}
+    for name in arrays:
         if not np.isfinite(arrays[name]).all():
             raise InvalidConfig(f"system.{name} has non-finite entries")
     spec = replace(spec, **arrays)
@@ -395,9 +393,10 @@ def _rollout_uav(spec: SystemSpec, x0, policies, ref, lengths, rngs):
     """Roll quadrotor trajectory k out from x0[k] under policies[k], all at once.
 
     Every policy tracks its reference ref (_reference_grid; hover: zero)
-    with its gains; rngs[k] draws its (T, 4) excitation and gust normals in
-    one call. The loop is component-major: states in one (T_max+1, 4, N)
-    buffer whose row t+1 is X_next[t], per-trajectory constants as (N,) rows.
+    with its gains, at the spec's drag and noise scales; rngs[k] draws its
+    (T, 4) excitation and gust normals in one call. The loop is
+    component-major: states in one (T_max+1, 4, N) buffer whose row t+1 is
+    X_next[t], per-trajectory gains as (N,) rows.
     Returns time-major (T_max, N, .) views X, U, X_next. A trajectory past
     its end stays frozen at its last state; a state that is not finite ends
     in InvalidConfig naming the first step and trajectory where it appears.
@@ -410,13 +409,8 @@ def _rollout_uav(spec: SystemSpec, x0, policies, ref, lengths, rngs):
     hover = np.array([policy["kind"] == "hover" for policy in policies])
     kp = np.where(hover, _HOVER_GAINS[0], _MISSION_GAINS[0])
     kd = np.where(hover, _HOVER_GAINS[1], _MISSION_GAINS[1])
-
-    def per_policy(name):
-        return np.array([policy.get(name, getattr(spec, name)) for policy in policies])
-
-    drag = per_policy("drag")
-    noise[:, :2] *= per_policy("excitation_std")
-    noise[:, 2:] *= per_policy("gust_std")
+    noise[:, :2] *= spec.excitation_std
+    noise[:, 2:] *= spec.gust_std
     ref = ref.transpose(0, 2, 1).copy()   # (T_max, 6, N): p_ref, v_ref, a_ref
 
     X = np.empty((T_max + 1, 4, N))
@@ -429,7 +423,7 @@ def _rollout_uav(spec: SystemSpec, x0, policies, ref, lengths, rngs):
         u[:] = r[4:] + kp * (r[:2] - p) + kd * (r[2:4] - v) + noise[t, :2]
         speed = np.sqrt(v[0] * v[0] + v[1] * v[1])
         X[t + 1, :2] = p + spec.dt * v
-        X[t + 1, 2:] = v + spec.dt * (u - drag * speed * v + noise[t, 2:])
+        X[t + 1, 2:] = v + spec.dt * (u - spec.drag * speed * v + noise[t, 2:])
         if t >= first_end:
             np.copyto(X[t + 1], x, where=~live[t])
     finite = np.isfinite(X[1:]).all(axis=1)   # (T_max, N)
@@ -445,14 +439,19 @@ def simulate_uav(spec: SystemSpec, x0, policy: dict, T: int, seed) -> tuple:
     State (p_x, p_z, v_x, v_z); commanded accelerations (a_x, a_z) with gravity
     already compensated; dynamics v' = u - drag * ||v|| v + gust, Euler at dt.
     policy: {"kind": "hover"} or a mission reference
-    ({"kind": "figure_eight" | "descending_s" | "circle", ...}).
+    ({"kind": "figure_eight" | "descending_s" | "circle", ...}) holding only
+    keys its reference reads; drag and noise scales come from spec.
     Returns arrays (X, U, X_next) of the recorded transitions: the one-trajectory
     case of the lockstep rollout the generators use.
     """
     if spec.kind not in _UAV_KINDS:
         raise InvalidConfig(f"simulate_uav needs a uav spec, got kind {spec.kind!r}")
-    if policy.get("kind") not in ("hover",) + _MISSION_REFS:
-        raise InvalidConfig(f"unknown policy kind {policy.get('kind')!r}")
+    kind = policy.get("kind")
+    if kind not in ("hover",) + _MISSION_REFS:
+        raise InvalidConfig(f"unknown policy kind {kind!r}")
+    unread = sorted(set(policy) - {"kind", *_REFERENCE_DEFAULTS.get(kind, ())})
+    if unread:
+        raise InvalidConfig(f"policy key {unread[0]!r} is never read by the {kind} reference")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     ref = _reference_grid([policy], np.arange(T) * spec.dt)
     X, U, Xn = _rollout_uav(spec, [x0], [policy], ref, [T], [rng])

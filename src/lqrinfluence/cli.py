@@ -65,14 +65,9 @@ def main(argv=None) -> int:
             overrides["seeds"] = _parse_seeds(args.seeds)
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
-    except (InvalidConfig, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         report = run_experiment(cfg, progress=lambda msg: print(msg, file=sys.stderr))
         written = write_outputs(report, args.out)
-    except (InvalidConfig, OSError) as exc:  # a bad dataset file or output directory
+    except (InvalidConfig, OSError) as exc:  # the command line, config, dataset or output directory
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LqrInfluenceError as exc:

@@ -27,10 +27,10 @@ from .bench import (
     system_spec,
 )
 from .errors import DegenerateInput, InvalidConfig, NotPositiveDefinite
-from .influence import ScoreTable, build_score_table, csv_cell
+from .influence import DecompositionDiagnostics, build_score_table, write_csv
 from .linalg import _check_symmetric, cholesky_factor
 from .lqr import riccati_artifacts
-from .sysid import _json_scalar, fit_ridge, load_dataset
+from .sysid import _json_array, _json_scalar, fit_ridge, load_dataset
 
 
 def rankdata(a) -> np.ndarray:
@@ -124,7 +124,7 @@ def _parse_matrix(value, dim: int, name: str, definite: bool):
     """A symmetric dim x dim weight: positive definite if definite, else semidefinite."""
     if value is None or value == "identity":
         return None
-    M = np.asarray(value, dtype=float)
+    M = _json_array(value, name)
     if M.shape != (dim, dim):
         raise InvalidConfig(f"{name} must be {dim}x{dim}")
     try:
@@ -144,20 +144,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON document.
 
     A missing entry, a value of the wrong JSON type (integer fields take
-    integers only, lambda and x0_scale numbers only), a Q that is not positive
-    semidefinite or an R that is not positive definite raises InvalidConfig,
-    and so does a system override that an external dataset leaves unread.
+    integers only, lambda and x0_scale numbers only, array entries numbers
+    only), a Q that is not positive semidefinite or an R that is not positive
+    definite raises InvalidConfig, and so does a system override that an
+    external dataset leaves unread.
     """
     if not isinstance(doc, dict):
         raise InvalidConfig("config root must be an object")
-    try:
-        sys_doc = dict(doc["system"])
-        gen_doc = dict(doc["generation"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidConfig(f"config needs 'system' and 'generation' objects: {exc}") from exc
+    if not all(isinstance(doc.get(key), dict) for key in ("system", "generation")):
+        raise InvalidConfig("config needs 'system' and 'generation' objects")
+    sys_doc, gen_doc = dict(doc["system"]), doc["generation"]
     kind = sys_doc.pop("kind", None)
-    if kind is None:
-        raise InvalidConfig("system.kind is required")
     # nothing is generated then: n_x, n_u size Q and R, dt is echoed, the rest is unread
     if doc.get("dataset") is not None and doc.get("run_heldout") is not True:
         unread = [name for name in sys_doc if name not in ("n_x", "n_u", "dt")]
@@ -196,11 +193,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidConfig(f"config is not valid UTF-8 JSON: {exc}") from exc
     return parse_config(doc)
 
 
@@ -291,8 +288,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         prep_time = time.perf_counter() - t0
 
         table = build_score_table(fit, art, with_exact=cfg.run_exact_loto)
-        table.score_time += prep_time  # pipeline time includes fit + Riccati prep
         report.tables[seed] = table
+        pipeline_time = prep_time + table.score_time   # fit + Riccati prep + scores
 
         entry = {
             "seed": seed,
@@ -302,7 +299,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             "scored_count": fit.N - len(table.excluded_indices()),
             "residual_autocorr": _finite_or_none(residual_lag1_autocorr(fit)),
         }
-        timing = {"seed": seed, "score_pipeline_s": table.score_time}
+        timing = {"seed": seed, "score_pipeline_s": pipeline_time}
 
         if cfg.run_exact_loto:
             mask = np.isfinite(table.delta_j_exact)
@@ -313,8 +310,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             entry["jaccard_stoch"] = topk_jaccard(table.if_stoch[mask], dj, k_eff)
             entry["jaccard_fixed"] = topk_jaccard(table.if_fixed[mask], dj, k_eff)
             timing["exact_sweep_s"] = table.refit_time
-            timing["speedup"] = (table.refit_time / table.score_time
-                                 if table.score_time > 0 else None)
+            timing["speedup"] = table.refit_time / pipeline_time if pipeline_time > 0 else None
 
         if cfg.run_heldout:
             heldout = generate_heldout(cfg.system, seed, cfg.heldout_size)
@@ -355,20 +351,16 @@ def write_outputs(report: ExperimentReport, out_dir) -> list:
         table.to_csv(path)
         written.append(path)
 
-    cols = ["delta_theta_norm", "r_ric", "r_w", "r_cross", "bound_w"]
+    # a row per scored removal in each file, in the score file's own strings
+    exact = [(seed, t, np.flatnonzero(~t.excluded))
+             for seed, t in report.tables.items() if t.diagnostics is not None]
+    cols = [f.name for f in dataclasses.fields(DecompositionDiagnostics)]
     scatter, diagnostics = out / "scatter.csv", out / "diagnostics.csv"
-    with open(scatter, "w") as fs, open(diagnostics, "w") as fd:
-        fs.write("seed,k,if_stoch,if_fixed,delta_j_exact\n")
-        fd.write(",".join(["seed", "k"] + cols) + "\n")
-        for seed, t in report.tables.items():
-            if t.diagnostics is None:
-                continue
-            files = ((fs, (t.if_stoch, t.if_fixed, t.delta_j_exact)),
-                     (fd, [getattr(t.diagnostics, c) for c in cols]))
-            # a row per scored removal in each file, in the score file's own strings
-            for k in np.flatnonzero(~t.excluded):
-                for fh, arrays in files:
-                    cells = [csv_cell(a[k]) for a in arrays]
-                    fh.write(",".join([csv_cell(seed), csv_cell(k)] + cells) + "\n")
+    write_csv(scatter, ["seed", "k", "if_stoch", "if_fixed", "delta_j_exact"],
+              ([seed, k, t.if_stoch[k], t.if_fixed[k], t.delta_j_exact[k]]
+               for seed, t, kept in exact for k in kept))
+    write_csv(diagnostics, ["seed", "k"] + cols,
+              ([seed, k] + [getattr(t.diagnostics, c)[k] for c in cols]
+               for seed, t, kept in exact for k in kept))
     written += [scatter, diagnostics]
     return written

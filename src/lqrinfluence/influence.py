@@ -154,7 +154,15 @@ def csv_cell(x) -> str:
     return format(x, ".17g") if np.isfinite(x) else ""
 
 
-@dataclass
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: the header, then each row as csv_cell strings; every line ends in LF."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([csv_cell(x) for x in row] for row in rows)
+
+
+@dataclass(frozen=True)
 class ScoreTable:
     """Per-trajectory scores plus, when the exact sweep ran, the exact shifts and remainders."""
 
@@ -165,8 +173,8 @@ class ScoreTable:
     delta_j_exact: np.ndarray | None = None   # nan where excluded
     excluded: np.ndarray | None = None        # bool, refit DARE failures
     diagnostics: DecompositionDiagnostics | None = None
-    score_time: float = 0.0
-    refit_time: float | None = None
+    score_time: float = 0.0                   # score_all alone
+    refit_time: float | None = None           # the exact sweep and its diagnostics
 
     @property
     def N(self) -> int:
@@ -182,13 +190,9 @@ class ScoreTable:
         remainders = (None,) * 3 if diag is None else (diag.r_ric, diag.r_w, diag.r_cross)
         cols = (self.if_fixed, self.if_stoch, self.delta_j_exact, self.direct_trace, *remainders)
         excl = self.excluded if self.excluded is not None else np.zeros(self.N, dtype=bool)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SCORE_CSV_HEADER)
-            for i in range(self.N):
-                writer.writerow([i, int(self.lengths[i])]
-                                + [csv_cell(None if col is None else col[i]) for col in cols]
-                                + [int(excl[i])])
+        write_csv(path, SCORE_CSV_HEADER,
+                  ([i, self.lengths[i]] + [None if col is None else col[i] for col in cols]
+                   + [int(excl[i])] for i in range(self.N)))
 
 
 def build_score_table(fit: ModelFit, art: RiccatiArtifacts, with_exact: bool = False) -> ScoreTable:
@@ -197,21 +201,16 @@ def build_score_table(fit: ModelFit, art: RiccatiArtifacts, with_exact: bool = F
     if_fixed, if_stoch, direct = score_all(fit, art)
     score_time = perf_counter() - t0
 
-    table = ScoreTable(
-        lengths=fit.lengths.copy(),
-        if_fixed=if_fixed,
-        if_stoch=if_stoch,
-        direct_trace=direct,
-        score_time=score_time,
-    )
-    if not with_exact:
-        return table
-
-    t0 = perf_counter()
-    sweep = exact_loto_sweep(fit, art)
-    base_cost = float(np.trace(art.P0 @ fit.W_hat))
-    table.delta_j_exact = np.trace(sweep.P @ sweep.W, axis1=1, axis2=2) - base_cost
-    table.excluded = sweep.excluded
-    table.diagnostics = diagnostics_from_record(fit, art, sweep)
-    table.refit_time = perf_counter() - t0
-    return table
+    exact = {}
+    if with_exact:
+        t0 = perf_counter()
+        sweep = exact_loto_sweep(fit, art)
+        base_cost = float(np.trace(art.P0 @ fit.W_hat))
+        exact = {
+            "delta_j_exact": np.trace(sweep.P @ sweep.W, axis1=1, axis2=2) - base_cost,
+            "excluded": sweep.excluded,
+            "diagnostics": diagnostics_from_record(fit, art, sweep),
+            "refit_time": perf_counter() - t0,
+        }
+    return ScoreTable(lengths=fit.lengths.copy(), if_fixed=if_fixed, if_stoch=if_stoch,
+                      direct_trace=direct, score_time=score_time, **exact)

@@ -23,14 +23,6 @@ import numpy as np
 from .linalg import solve_dare, solve_dlyap
 from .sysid import ModelFit
 
-__all__ = [
-    "RiccatiArtifacts",
-    "riccati_gradient",
-    "residual_channel_gradient",
-    "riccati_artifacts",
-]
-
-
 @dataclass(frozen=True)
 class RiccatiArtifacts:
     """What the scores and exact shifts share: Q, R, one DARE, one Lyapunov, two solves."""

@@ -142,20 +142,35 @@ def _json_scalar(value, key: str, number: bool = False):
     return float(value) if number else value
 
 
+def _json_array(value, key: str) -> np.ndarray:
+    """Nested lists of numbers, or a numeric array, as floats; a bool or a string is neither."""
+    def numeric(v):   # entry by entry: np.asarray([1, True]) would be an int array
+        if isinstance(v, (list, tuple)):
+            return all(numeric(w) for w in v)
+        return np.asarray(v).dtype.kind in "iuf"
+
+    if not numeric(value):
+        raise InvalidConfig(f"{key} must be an array of numbers, got {value!r}")
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError as exc:   # ragged
+        raise InvalidConfig(f"{key} is not a rectangular array: {exc}") from exc
+
+
 def load_dataset(path) -> TrajectoryDataset:
     """Read a dataset written by save_dataset.
 
-    A file that is not JSON, lacks n_x/n_u/trajectories, declares an n_x or
+    A file that is not UTF-8 JSON, lacks n_x/n_u/trajectories, declares an n_x or
     n_u that is not a positive JSON integer, holds no trajectory, an empty one
     or a non-finite entry, or has entries whose sizes disagree with the
     declared n_x/n_u raises InvalidConfig: it is input to fix, not a
     numerical failure.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"dataset {path} is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidConfig(f"dataset {path} is not valid UTF-8 JSON: {exc}") from exc
     try:
         n_x, n_u = doc["n_x"], doc["n_u"]
         trajs = list(doc["trajectories"])

@@ -76,9 +76,6 @@ def serial_linear(spec, rng, T, x0_scale):
 def serial_uav(spec, x0, policy, T, rng):
     hover = policy["kind"] == "hover"
     kp, kd = _HOVER_GAINS if hover else _MISSION_GAINS
-    exc = policy.get("excitation_std", spec.excitation_std)
-    drag = policy.get("drag", spec.drag)
-    gust_std = policy.get("gust_std", spec.gust_std)
     x = np.asarray(x0, dtype=float).copy()
     X, U, Xn = np.empty((T, 4)), np.empty((T, 2)), np.empty((T, 4))
     for t in range(T):
@@ -88,9 +85,9 @@ def serial_uav(spec, x0, policy, T, rng):
         else:
             p_ref, v_ref, a_ref = _reference(policy, t * spec.dt)
             u = a_ref + kp * (p_ref - p) + kd * (v_ref - v)
-        u = u + exc * rng.normal(size=2)
-        gust = gust_std * rng.normal(size=2)
-        v_next = v + spec.dt * (u - drag * np.linalg.norm(v) * v + gust)
+        u = u + spec.excitation_std * rng.normal(size=2)
+        gust = spec.gust_std * rng.normal(size=2)
+        v_next = v + spec.dt * (u - spec.drag * np.linalg.norm(v) * v + gust)
         X[t], U[t] = x, u
         x = np.concatenate([p + spec.dt * v, v_next])
         Xn[t] = x
@@ -177,6 +174,9 @@ def test_spec_dispatch_dimensions():
 def test_spec_dispatch_rejects_unknown():
     with pytest.raises(InvalidConfig):
         system_spec("pendulum")
+    for kind in (["msd"], None, 3):   # a list used to fail the dict lookup as unhashable
+        with pytest.raises(InvalidConfig, match="unknown system kind"):
+            system_spec(kind)
     with pytest.raises(InvalidConfig):
         system_spec("dc_motor", not_a_field=3)
 
@@ -312,16 +312,17 @@ def test_uav_policy_matches_scalar_draw_oracle(kind):
 
 
 @pytest.mark.parametrize(
-    "policy",
+    "policy",   # the reference policy, and the drag and noise overrides of the spec
     [
-        {"kind": "hover", "excitation_std": 0.7, "gust_std": 0.0, "drag": 1.1},
-        {"kind": "circle", "radius": 6.0, "omega": 1.3, "gust_std": 0.9, "drag": 0.0},
-        {"kind": "descending_s", "amp_x": 3.0, "z0": 5.0, "excitation_std": 0.0},
-        {"kind": "figure_eight", "amp_x": 8.0, "amp_z": 4.0, "omega": 1.2, "phase": 0.4},
+        ({"kind": "hover"}, {"excitation_std": 0.7, "gust_std": 0.0, "drag": 1.1}),
+        ({"kind": "circle", "radius": 6.0, "omega": 1.3}, {"gust_std": 0.9, "drag": 0.0}),
+        ({"kind": "descending_s", "amp_x": 3.0, "z0": 5.0}, {"excitation_std": 0.0}),
+        ({"kind": "figure_eight", "amp_x": 8.0, "amp_z": 4.0, "omega": 1.2, "phase": 0.4}, {}),
     ],
 )
 def test_simulate_uav_matches_serial_rollout(policy):
-    spec = uav_mission_spec()
+    policy, physics = policy
+    spec = system_spec("uav_mission", **physics)
     x0 = np.array([0.5, -0.3, 2.0, 1.0])
     got = simulate_uav(spec, x0, policy, 40, seed=5)
     want = serial_uav(spec, x0, policy, 40, np.random.default_rng(5))
@@ -399,9 +400,8 @@ def test_msd_collapsed_sigma_is_homogeneous():
 
 
 def test_uav_equilibrium_at_origin():
-    spec = system_spec("uav_hover")
-    policy = {"kind": "hover", "excitation_std": 0.0, "gust_std": 0.0, "drag": 0.0}
-    X, U, Xn = simulate_uav(spec, np.zeros(4), policy, 10, seed=0)
+    spec = system_spec("uav_hover", excitation_std=0.0, gust_std=0.0, drag=0.0)
+    X, U, Xn = simulate_uav(spec, np.zeros(4), {"kind": "hover"}, 10, seed=0)
     assert np.array_equal(X, np.zeros((10, 4)))
     assert np.array_equal(U, np.zeros((10, 2)))
     assert np.array_equal(Xn, np.zeros((10, 4)))
@@ -410,21 +410,20 @@ def test_uav_equilibrium_at_origin():
 def test_uav_one_step_hand_integration():
     # x0 = (0,0,1,0), hover gains (kp,kd)=(1.2,1.8), no noise:
     # u = -kd*v = (-1.8, 0); v_x' = 1 + dt*(u_x - 0.3*|v|*v_x) = 1 + 0.1*(-2.1)
-    spec = system_spec("uav_hover")
+    spec = system_spec("uav_hover", excitation_std=0.0, gust_std=0.0)
     x0 = np.array([0.0, 0.0, 1.0, 0.0])
-    policy = {"kind": "hover", "excitation_std": 0.0, "gust_std": 0.0}
-    X, U, Xn = simulate_uav(spec, x0, policy, 1, seed=0)
+    X, U, Xn = simulate_uav(spec, x0, {"kind": "hover"}, 1, seed=0)
     assert U[0] == pytest.approx([-1.8, 0.0])
     assert Xn[0] == pytest.approx([0.1, 0.0, 1.0 + 0.1 * (-1.8 - 0.3), 0.0])
 
 
 def test_uav_drag_term_isolated():
     # same rollout with and without drag differs exactly by -dt*c_d*|v|*v
-    spec = system_spec("uav_hover")
+    quiet = {"excitation_std": 0.0, "gust_std": 0.0}
     x0 = np.array([0.0, 0.0, 1.0, 0.0])
-    base = {"kind": "hover", "excitation_std": 0.0, "gust_std": 0.0}
-    _, _, with_drag = simulate_uav(spec, x0, base, 1, seed=0)
-    _, _, no_drag = simulate_uav(spec, x0, {**base, "drag": 0.0}, 1, seed=0)
+    hover = {"kind": "hover"}
+    _, _, with_drag = simulate_uav(system_spec("uav_hover", **quiet), x0, hover, 1, seed=0)
+    _, _, no_drag = simulate_uav(system_spec("uav_hover", drag=0.0, **quiet), x0, hover, 1, seed=0)
     assert with_drag[0, 2] - no_drag[0, 2] == pytest.approx(-0.1 * 0.3 * 1.0 * 1.0)
     assert with_drag[0, 3] - no_drag[0, 3] == pytest.approx(0.0)
 
@@ -434,6 +433,13 @@ def test_uav_requires_uav_spec_and_known_policy():
         simulate_uav(dc_motor_spec(), np.zeros(2), {"kind": "hover"}, 5, seed=0)
     with pytest.raises(InvalidConfig):
         simulate_uav(uav_hover_spec(), np.zeros(4), {"kind": "spiral"}, 5, seed=0)
+    # drag and the noise scales come from the spec alone; a policy key would be ignored
+    for policy, key in (({"kind": "hover", "drag": 0.0}, "drag"),
+                        ({"kind": "circle", "gust_std": 0.9}, "gust_std"),
+                        ({"kind": "hover", "omega": 1.0}, "omega"),
+                        ({"kind": "figure_eight", "radius": 6.0}, "radius")):
+        with pytest.raises(InvalidConfig, match=f"policy key '{key}' is never read"):
+            simulate_uav(uav_mission_spec(), np.zeros(4), policy, 5, seed=0)
 
 
 def test_mission_reaches_velocities_hover_never_sees():

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -209,6 +210,19 @@ def test_parse_config_explicit_matrices():
         lambda d: d.update(R=[[-1.0]]),
         lambda d: d.update(Q=[[-1.0, 0.0], [0.0, -1.0]]),
         lambda d: d.update(Q=[[1.0, 2.0], [2.0, 1.0]]),
+        # an object is a JSON object, and system.kind a string
+        lambda d: d["system"].update(kind=["dc_motor"]),
+        lambda d: d["system"].update(kind={"name": "dc_motor"}),
+        lambda d: d.update(system=[["kind", "dc_motor"]]),
+        lambda d: d.update(generation=[["n_trajectories", 8], ["t_min", 5], ["t_max", 12]]),
+        # array entries take JSON numbers only
+        lambda d: d.update(Q=[["1", "0"], ["0", "1"]]),
+        lambda d: d.update(R=[[True]]),
+        lambda d: d.update(R=[["1"]]),
+        lambda d: d["system"].update(a_d=[["0.5", 0.0], [0.0, 0.5]]),
+        lambda d: d["system"].update(b_d=[[True], [0.0]]),
+        lambda d: d["system"].update(noise_cov=[["1", 0], [0, 1]]),
+        lambda d: d["system"].update(x0_std=[True, 1.0]),
     ],
 )
 def test_parse_config_rejects_malformed(mutate):
@@ -241,6 +255,9 @@ def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     with pytest.raises(InvalidConfig):
+        load_config(path)
+    path.write_bytes(b"\xff\xfe" + json.dumps(BASE_DOC).encode("utf-16-le"))   # not UTF-8
+    with pytest.raises(InvalidConfig, match="UTF-8"):
         load_config(path)
 
 
@@ -428,13 +445,16 @@ def test_cli_overrides_apply(tmp_path):
         None,
         {"n_x": 1, "n_u": 1, "trajectories": [[{"x": [x], "u": [u], "x_next": [0.5 * x + u]}
                                                 for x, u in ((1.0, 0.3), (0.8, -0.2), (0.2, 0.1))]]},
+        b"\xff\xfe" + '{"n_x": 1, "n_u": 1, "trajectories": []}'.encode("utf-16-le"),
     ],
     ids=["no_trajectories", "empty_trajectory", "missing_trajectories", "non_finite",
-         "missing_file", "one_trajectory"],
+         "missing_file", "one_trajectory", "not_utf8"],
 )
 def test_cli_malformed_dataset_is_config_error(tmp_path, capsys, dataset):
     ds_path = tmp_path / "data.json"
-    if dataset is not None:
+    if isinstance(dataset, bytes):
+        ds_path.write_bytes(dataset)
+    elif dataset is not None:
         ds_path.write_text(json.dumps(dataset))
     cfg_path = write_cli_config(
         tmp_path, system={"kind": "dc_motor", "n_x": 1, "n_u": 1}, dataset=str(ds_path)
@@ -469,10 +489,18 @@ def test_cli_wrong_shape_system_matrix_is_config_error(tmp_path, capsys):
         {"R": [[0.0]]},
         {"R": [[-1.0]]},
         {"Q": [[-1.0, 0.0], [0.0, -1.0]]},
+        # a list kind failed system_spec's dict lookup as unhashable, and a
+        # list of pairs passed through dict() as if it were an object
+        {"system": {"kind": ["dc_motor"]}},
+        {"system": [["kind", "dc_motor"]]},
+        {"generation": [["n_trajectories", 8], ["t_min", 5], ["t_max", 12]]},
+        {"Q": [["1", "0"], ["0", "1"]]},
+        {"R": [[True]]},
     ],
     ids=["nan_lambda", "asymmetric_Q", "dc_motor_n_x", "uav_n_x", "uav_n_u",
          "indefinite_noise_cov", "overflowing_a_d", "msd_noise_cov", "uav_a_d",
-         "dataset_a_d", "dataset_noise_cov", "R_zero", "R_negative", "Q_indefinite"],
+         "dataset_a_d", "dataset_noise_cov", "R_zero", "R_negative", "Q_indefinite",
+         "list_kind", "system_pairs", "generation_pairs", "string_Q_entries", "bool_R"],
 )
 def test_cli_unusable_config_value_is_config_error(tmp_path, capsys, extra):
     # dimensions the generator cannot honour are found before any data is drawn,
@@ -609,3 +637,35 @@ def test_cli_run_imports_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, str(cfg_path), str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(lqrinfluence.__path__))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    # a fresh interpreter imports one module and only what it needs: an eager
+    # package __init__ would import everything first and could hide a cycle
+    script = (
+        "import sys, types\n"
+        f"import lqrinfluence.{module}\n"
+        "pkg = sys.modules['lqrinfluence']\n"
+        "print(pkg.__version__, sorted(name for name, value in vars(pkg).items()\n"
+        "      if not name.startswith('__') and not isinstance(value, types.ModuleType)))\n"
+    )
+    src = Path(lqrinfluence.__file__).resolve().parents[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0.1.0 []"
+
+
+def test_every_csv_ends_lines_with_lf(tmp_path):
+    cfg_path = write_cli_config(tmp_path, seeds=[0])
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    paths = sorted((tmp_path / "o").glob("*.csv"))
+    assert [p.name for p in paths] == ["diagnostics.csv", "scatter.csv", "scores_seed0.csv"]
+    for path in paths:
+        data = path.read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, path.name

@@ -316,6 +316,8 @@ def test_build_score_table_with_exact():
     table = build_score_table(fit, art, with_exact=True)
     assert table.refit_time is not None and table.refit_time > 0.0
     assert not table.excluded.any()
+    with pytest.raises(dataclasses.FrozenInstanceError):   # built once, complete
+        table.score_time = 0.0
     _, dj = exact_shifts(fit, Q, R)
     for k in range(fit.N):
         assert table.delta_j_exact[k] == pytest.approx(dj[k], rel=1e-12)
