@@ -34,9 +34,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidConfig, NotPositiveDefinite
-from .linalg import cholesky_factor, expm
-from .sysid import ModelFit, TrajectoryDataset, _json_array, eta_dot, loto_refit
+from .errors import InvalidConfig
+from .linalg import expm
+from .sysid import (ModelFit, TrajectoryDataset, _json_array, _json_keys, _json_scalar,
+                    eta_dot, loto_refit)
 
 _LINEAR_KINDS = ("dc_motor", "msd")
 _UAV_KINDS = ("uav_hover", "uav_mission")
@@ -149,42 +150,29 @@ _SPEC_FACTORIES = {
 }
 
 
-# array fields a config may override, with their shapes in terms of the spec's dimensions
+# array fields a config may override: their shapes in terms of n_x/n_u, and
+# whether they must be symmetric positive definite
 _ARRAY_FIELDS = {
-    "a_d": ("n_x", "n_x"),
-    "b_d": ("n_x", "n_u"),
-    "noise_cov": ("n_x", "n_x"),
-    "x0_std": ("n_x",),
+    "a_d": (("n_x", "n_x"), None),
+    "b_d": (("n_x", "n_u"), None),
+    "noise_cov": (("n_x", "n_x"), True),
+    "x0_std": (("n_x",), None),
 }
-
 
 # scalar fields a config may override, each a finite number >= 0 (dt > 0)
 _SCALAR_FIELDS = ("dt", "input_std", "drag", "gust_std", "excitation_std")
 
-# fields only the linear or only the quadrotor generator reads
+# fields the generators read: every kind, only the linear ones, only the quadrotor ones
+_COMMON_FIELDS = ("n_x", "n_u", "dt", "x0_std")
 _LINEAR_ONLY = ("a_d", "b_d", "noise_cov", "sigma_sq_range", "input_std")
 _UAV_ONLY = ("drag", "gust_std", "excitation_std")
 
 
-def _unread_fields(spec: SystemSpec) -> tuple:
-    """Fields the generator of spec's kind never reads; with sigma_sq_range, noise_cov too."""
-    if spec.kind in _UAV_KINDS:
-        return _LINEAR_ONLY
-    return _UAV_ONLY + (("noise_cov",) if spec.sigma_sq_range is not None else ())
-
-
-def _nonnegative(value, what: str) -> float:
-    # a JSON number; bool is an int subclass, but no number here
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < np.inf:
-        raise InvalidConfig(f"{what} must be a finite nonnegative number, got {value!r}")
-    return float(value)
-
-
-def _check_shapes(spec: SystemSpec, names) -> None:
-    for name in names:
-        arr, shape = getattr(spec, name), tuple(getattr(spec, d) for d in _ARRAY_FIELDS[name])
-        if arr is not None and arr.shape != shape:
-            raise InvalidConfig(f"system.{name} must have shape {shape}, got {arr.shape}")
+def _read_arrays(dims: dict, values: dict) -> dict:
+    """The array fields set in values, read as float arrays shaped by dims' n_x and n_u."""
+    return {name: _json_array(values[name], f"system.{name}",
+                              tuple(dims[d] for d in shape), definite)
+            for name, (shape, definite) in _ARRAY_FIELDS.items() if values.get(name) is not None}
 
 
 def system_spec(kind: str, **overrides) -> SystemSpec:
@@ -197,55 +185,34 @@ def system_spec(kind: str, **overrides) -> SystemSpec:
     resulting n_x/n_u, noise_cov symmetric positive definite; they are
     converted to float arrays, and fields not overridden are left as the kind
     defines them. Anything else raises InvalidConfig, and so does an override
-    of a field the kind's generator never reads: a_d, b_d, noise_cov,
-    sigma_sq_range or input_std on a UAV kind, drag, gust_std or
-    excitation_std on a linear kind, and noise_cov where sigma_sq_range sets
-    the noise.
+    the kind's generator never reads: a_d, b_d, noise_cov, sigma_sq_range or
+    input_std on a UAV kind, drag, gust_std or excitation_std on a linear
+    kind, noise_cov where sigma_sq_range sets the noise, and any name that is
+    not a field.
     """
     if not isinstance(kind, str) or kind not in _SPEC_FACTORIES:   # a list is unhashable
         raise InvalidConfig(f"unknown system kind {kind!r}; known: {', '.join(_SPEC_FACTORIES)}")
-    for name in ("n_x", "n_u"):
-        value = overrides.get(name, 1)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise InvalidConfig(f"system.{name} must be a positive integer, got {value!r}")
-    for name in _SCALAR_FIELDS:
-        if name in overrides:
-            _nonnegative(overrides[name], f"system.{name}")
-    if overrides.get("dt") == 0:
+    spec = _SPEC_FACTORIES[kind]()
+    read = set(_COMMON_FIELDS + (_UAV_ONLY if kind in _UAV_KINDS else _LINEAR_ONLY))
+    if spec.sigma_sq_range is not None or "sigma_sq_range" in overrides:   # it sets the noise
+        read.discard("noise_cov")
+    _json_keys(overrides, read, "system.", f" by the {kind} generator")
+    fields = {name: _json_scalar(overrides[name], f"system.{name}", low=1)
+              for name in ("n_x", "n_u") if name in overrides}
+    fields.update((name, _json_scalar(overrides[name], f"system.{name}", number=True, low=0))
+                  for name in _SCALAR_FIELDS if name in overrides)
+    if fields.get("dt") == 0:
         raise InvalidConfig("system.dt must be positive")
     if "sigma_sq_range" in overrides:
         pair = overrides["sigma_sq_range"]
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InvalidConfig(f"system.sigma_sq_range must be [low, high], got {pair!r}")
-        low, high = (_nonnegative(v, "system.sigma_sq_range") for v in pair)
+        low, high = (_json_scalar(v, "system.sigma_sq_range", number=True, low=0) for v in pair)
         if low > high:
             raise InvalidConfig(f"system.sigma_sq_range needs low <= high, got {pair!r}")
-        overrides = {**overrides, "sigma_sq_range": (low, high)}
-    spec = _SPEC_FACTORIES[kind]()
-    if overrides:
-        try:
-            spec = replace(spec, **overrides)
-        except TypeError as exc:
-            raise InvalidConfig(f"bad system override: {exc}") from exc
-    unread = [name for name in _unread_fields(spec) if name in overrides]
-    if unread:
-        name = unread[0]
-        heterogeneous = name == "noise_cov" and kind in _LINEAR_KINDS
-        raise InvalidConfig(f"system.{name} is never read by the {kind} generator"
-                            + ("; sigma_sq_range sets its noise" if heterogeneous else ""))
-    arrays = {name: _json_array(overrides[name], f"system.{name}")
-              for name in _ARRAY_FIELDS if name in overrides}
-    for name in arrays:
-        if not np.isfinite(arrays[name]).all():
-            raise InvalidConfig(f"system.{name} has non-finite entries")
-    spec = replace(spec, **arrays)
-    _check_shapes(spec, arrays)
-    if "noise_cov" in arrays:
-        try:
-            cholesky_factor(spec.noise_cov)
-        except (NotPositiveDefinite, ValueError) as exc:   # indefinite or asymmetric
-            raise InvalidConfig("system.noise_cov must be symmetric positive definite") from exc
-    return spec
+        fields["sigma_sq_range"] = (low, high)
+    dims = {name: fields.get(name, getattr(spec, name)) for name in ("n_x", "n_u")}
+    return replace(spec, **fields, **_read_arrays(dims, overrides))
 
 
 @dataclass(frozen=True)
@@ -528,7 +495,7 @@ def _simulate(spec: SystemSpec, seed: int, stream: int, lengths,
     # checked here, not in system_spec: with an external dataset n_x/n_u only size Q and R
     if spec.kind in _UAV_KINDS and (spec.n_x, spec.n_u) != (4, 2):
         raise InvalidConfig(f"{spec.kind} has n_x=4, n_u=2, not n_x={spec.n_x}, n_u={spec.n_u}")
-    _check_shapes(spec, _ARRAY_FIELDS)
+    _read_arrays(vars(spec), vars(spec))   # every array, the kind's own too, against n_x/n_u
     rngs = [_traj_rng(seed, k, stream) for k in range(len(lengths))]
     if spec.kind in _LINEAR_KINDS:
         X, U, Xn = _rollout_linear(spec, rngs, lengths, x0_scale)

@@ -26,11 +26,10 @@ from .bench import (
     residual_lag1_autocorr,
     system_spec,
 )
-from .errors import DegenerateInput, InvalidConfig, NotPositiveDefinite
+from .errors import DegenerateInput, InvalidConfig
 from .influence import DecompositionDiagnostics, build_score_table, write_csv
-from .linalg import _check_symmetric, cholesky_factor
 from .lqr import riccati_artifacts
-from .sysid import _json_array, _json_scalar, fit_ridge, load_dataset
+from .sysid import _json_array, _json_keys, _json_scalar, fit_ridge, load_dataset, load_json
 
 
 def rankdata(a) -> np.ndarray:
@@ -111,7 +110,8 @@ class ExperimentConfig:
         # bool("false") is True and open(7) opens a file descriptor: take no other type
         if not isinstance(self.run_exact_loto, bool) or not isinstance(self.run_heldout, bool):
             raise InvalidConfig("run_exact_loto and run_heldout must be true or false")
-        if not isinstance(self.dataset_path, (str, type(None))):
+        # "" is no path: the runner would read it as no dataset, parse_config as one
+        if not isinstance(self.dataset_path, (str, type(None))) or self.dataset_path == "":
             raise InvalidConfig(f"dataset must be a path string or null, not {self.dataset_path!r}")
 
     def cost_matrices(self):
@@ -120,85 +120,64 @@ class ExperimentConfig:
         return Q, R
 
 
-def _parse_matrix(value, dim: int, name: str, definite: bool):
-    """A symmetric dim x dim weight: positive definite if definite, else semidefinite."""
-    if value is None or value == "identity":
-        return None
-    M = _json_array(value, name)
-    if M.shape != (dim, dim):
-        raise InvalidConfig(f"{name} must be {dim}x{dim}")
-    try:
-        M = _check_symmetric(M, name)
-        if definite:
-            cholesky_factor(M)   # solve_dare factors R the same way
-        elif np.linalg.eigvalsh(M)[0] < -1e-12 * np.abs(M).max():   # beyond round-off
-            raise ValueError(f"{name} must be positive semidefinite")
-    except NotPositiveDefinite as exc:
-        raise InvalidConfig(f"{name} must be positive definite") from exc
-    except ValueError as exc:   # non-finite, asymmetric or indefinite
-        raise InvalidConfig(str(exc)) from exc
-    return M
+# the config keys parse_config reads; the removed "solver" key is still accepted and ignored
+_CONFIG_KEYS = ("system", "generation", "seeds", "lambda", "Q", "R", "top_k", "run_exact_loto",
+                "run_heldout", "heldout_size", "dataset", "solver")
+
+
+def _weight(doc: dict, name: str, dim: int, definite: bool):
+    """Q or R: None for identity, else a symmetric dim x dim positive (semi)definite matrix."""
+    value = doc.get(name)
+    return None if value in (None, "identity") else _json_array(value, name, (dim, dim), definite)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON document.
 
-    A missing entry, a value of the wrong JSON type (integer fields take
-    integers only, lambda and x0_scale numbers only, array entries numbers
-    only), a Q that is not positive semidefinite or an R that is not positive
-    definite raises InvalidConfig, and so does a system override that an
-    external dataset leaves unread.
+    A missing entry, a key nothing reads, a value of the wrong JSON type
+    (integer fields take integers only, lambda and x0_scale numbers only,
+    array entries numbers only), a Q that is not positive semidefinite or an
+    R that is not positive definite raises InvalidConfig, and so does a
+    system override that an external dataset leaves unread.
     """
     if not isinstance(doc, dict):
         raise InvalidConfig("config root must be an object")
+    _json_keys(doc, _CONFIG_KEYS, "")
     if not all(isinstance(doc.get(key), dict) for key in ("system", "generation")):
         raise InvalidConfig("config needs 'system' and 'generation' objects")
     sys_doc, gen_doc = dict(doc["system"]), doc["generation"]
+    _json_keys(gen_doc, ("n_trajectories", "t_min", "t_max", "x0_scale"), "generation.")
     kind = sys_doc.pop("kind", None)
     # nothing is generated then: n_x, n_u size Q and R, dt is echoed, the rest is unread
     if doc.get("dataset") is not None and doc.get("run_heldout") is not True:
-        unread = [name for name in sys_doc if name not in ("n_x", "n_u", "dt")]
-        if unread:
-            raise InvalidConfig(f"system.{unread[0]} is never read next to an external "
-                                "dataset without run_heldout")
+        _json_keys(sys_doc, ("n_x", "n_u", "dt"), "system.",
+                   " next to an external dataset without run_heldout")
     spec = system_spec(kind, **sys_doc)
     seeds = doc.get("seeds")
     if not isinstance(seeds, (list, tuple)) or not seeds:
         raise InvalidConfig("seeds must be a non-empty list of integers")
-    try:
-        gen = GenerationConfig(
-            **{key: _json_scalar(gen_doc[key], f"generation.{key}")
-               for key in ("n_trajectories", "t_min", "t_max")},
-            x0_scale=_json_scalar(gen_doc.get("x0_scale", 1.0), "generation.x0_scale", number=True),
-        )
-        return ExperimentConfig(
-            system=spec,
-            generation=gen,
-            seeds=tuple(_json_scalar(s, "seeds") for s in seeds),
-            lam=_json_scalar(doc.get("lambda", 1e-3), "lambda", number=True),
-            Q=_parse_matrix(doc.get("Q", "identity"), spec.n_x, "Q", definite=False),
-            R=_parse_matrix(doc.get("R", "identity"), spec.n_u, "R", definite=True),
-            top_k=_json_scalar(doc.get("top_k", 5), "top_k"),
-            run_exact_loto=doc.get("run_exact_loto", True),
-            run_heldout=doc.get("run_heldout", False),
-            heldout_size=_json_scalar(doc.get("heldout_size", 10_000), "heldout_size"),
-            dataset_path=doc.get("dataset"),
-        )
-    except InvalidConfig:   # a ValueError too, already worded for the user
-        raise
-    except KeyError as exc:
-        raise InvalidConfig(f"generation needs n_trajectories, t_min, t_max: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"config value has the wrong type: {exc}") from exc
+    gen = GenerationConfig(
+        **{key: _json_scalar(gen_doc.get(key), f"generation.{key}")
+           for key in ("n_trajectories", "t_min", "t_max")},
+        x0_scale=_json_scalar(gen_doc.get("x0_scale", 1.0), "generation.x0_scale", number=True),
+    )
+    return ExperimentConfig(
+        system=spec,
+        generation=gen,
+        seeds=tuple(_json_scalar(s, "seeds") for s in seeds),
+        lam=_json_scalar(doc.get("lambda", 1e-3), "lambda", number=True),
+        Q=_weight(doc, "Q", spec.n_x, definite=False),
+        R=_weight(doc, "R", spec.n_u, definite=True),
+        top_k=_json_scalar(doc.get("top_k", 5), "top_k"),
+        run_exact_loto=doc.get("run_exact_loto", True),
+        run_heldout=doc.get("run_heldout", False),
+        heldout_size=_json_scalar(doc.get("heldout_size", 10_000), "heldout_size"),
+        dataset_path=doc.get("dataset"),
+    )
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise InvalidConfig(f"config is not valid UTF-8 JSON: {exc}") from exc
-    return parse_config(doc)
+    return parse_config(load_json(path, "config"))
 
 
 @dataclass

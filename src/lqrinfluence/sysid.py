@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, SingleTrajectory
-from .linalg import SpdFactor, cholesky_factor, solve_spd, symmetrize
+from .errors import DimensionMismatch, InvalidConfig, NotPositiveDefinite, SingleTrajectory
+from .linalg import SpdFactor, _check_symmetric, cholesky_factor, solve_spd, symmetrize
 
 
 @dataclass(frozen=True)
@@ -101,49 +101,55 @@ class TrajectoryDataset:
         return slice(int(self.offsets[k]), int(self.offsets[k + 1]))
 
 
-def _emit_float(v) -> str:
-    # %.17g guarantees exact binary64 round-trip through decimal; its "-0"
-    # would read back as the integer 0, so a negative zero keeps a float form
-    text = format(float(v), ".17g")
-    return "-0.0" if text == "-0" else text
-
-
-def _emit_floats(arr) -> str:
-    return "[" + ", ".join(_emit_float(v) for v in arr) + "]"
-
-
 def save_dataset(data: TrajectoryDataset, path) -> None:
-    """Write the dataset as JSON with 17-significant-digit floats."""
-    lines = ['{"n_x": %d, "n_u": %d, "trajectories": [' % (data.n_x, data.n_u)]
-    for k in range(data.N):
-        sl = data.traj_slice(k)
-        rows = []
-        for s in range(sl.start, sl.stop):
-            rows.append(
-                '{"x": %s, "u": %s, "x_next": %s}'
-                % (
-                    _emit_floats(data.states[s]),
-                    _emit_floats(data.inputs[s]),
-                    _emit_floats(data.next_states[s]),
-                )
-            )
-        tail = "," if k + 1 < data.N else ""
-        lines.append("[" + ", ".join(rows) + "]" + tail)
-    lines.append("]}")
+    """Write the dataset as JSON; Python's shortest float repr reads back to the same bits."""
+    trajs = []
+    for sl in map(data.traj_slice, range(data.N)):
+        rows = zip(data.states[sl].tolist(), data.inputs[sl].tolist(), data.next_states[sl].tolist())
+        trajs.append([{"x": x, "u": u, "x_next": xn} for x, u, xn in rows])
+    doc = {"n_x": int(data.n_x), "n_u": int(data.n_u), "trajectories": trajs}
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(json.dumps(doc))   # json.dump would stream through the slower pure-Python encoder
 
 
-def _json_scalar(value, key: str, number: bool = False):
-    """A JSON integer, or with number any JSON number, as a float; a bool is neither."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
-        kind = "a number" if number else "an integer"
-        raise InvalidConfig(f"{key} must be {kind}, got {value!r}")
-    return float(value) if number else value
+def load_json(path, what: str):
+    """The JSON document in the file at path; one that is not UTF-8 JSON raises InvalidConfig."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidConfig(f"{what} is not valid UTF-8 JSON: {exc}") from exc
 
 
-def _json_array(value, key: str) -> np.ndarray:
-    """Nested lists of numbers, or a numeric array, as floats; a bool or a string is neither."""
+def _json_keys(doc: dict, read, where: str, why: str = "") -> None:
+    """InvalidConfig naming the first key of doc that is not in read: nothing would read it."""
+    unread = [key for key in doc if key not in read]
+    if unread:
+        raise InvalidConfig(f"{where}{unread[0]} is never read{why}")
+
+
+def _json_scalar(value, key: str, number: bool = False, low=None):
+    """A JSON integer, or with number any JSON number, as a float; a bool is neither.
+
+    With low, the value must also be finite and at least low.
+    """
+    if (not isinstance(value, bool) and isinstance(value, (int, float) if number else int)
+            and (low is None or low <= value < np.inf)):
+        try:
+            return float(value) if number else value
+        except OverflowError:   # an integer beyond binary64
+            pass
+    kind = "an integer" if not number else "a number" if low is None else "a finite number"
+    raise InvalidConfig(f"{key} must be {kind}{'' if low is None else f' >= {low}'}, got {value!r}")
+
+
+def _json_array(value, key: str, shape: tuple, definite: bool | None = None) -> np.ndarray:
+    """Nested lists of numbers, or a numeric array, as a finite float array of the given shape.
+
+    A bool or a string is not a number. With definite True the array must be
+    a symmetric positive definite matrix, with definite False symmetric
+    positive semidefinite up to round-off.
+    """
     def numeric(v):   # entry by entry: np.asarray([1, True]) would be an int array
         if isinstance(v, (list, tuple)):
             return all(numeric(w) for w in v)
@@ -152,9 +158,24 @@ def _json_array(value, key: str) -> np.ndarray:
     if not numeric(value):
         raise InvalidConfig(f"{key} must be an array of numbers, got {value!r}")
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except ValueError as exc:   # ragged
         raise InvalidConfig(f"{key} is not a rectangular array: {exc}") from exc
+    if arr.shape != shape:
+        raise InvalidConfig(f"{key} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidConfig(f"{key} has non-finite entries")
+    if definite is not None:
+        kind = "definite" if definite else "semidefinite"
+        try:
+            _check_symmetric(arr, key)
+            if definite:
+                cholesky_factor(arr)   # solve_dare factors R the same way
+            elif np.linalg.eigvalsh(arr)[0] < -1e-12 * np.abs(arr).max():   # beyond round-off
+                raise ValueError(kind)
+        except (NotPositiveDefinite, ValueError) as exc:
+            raise InvalidConfig(f"{key} must be symmetric positive {kind}") from exc
+    return arr
 
 
 def load_dataset(path) -> TrajectoryDataset:
@@ -166,19 +187,14 @@ def load_dataset(path) -> TrajectoryDataset:
     declared n_x/n_u raises InvalidConfig: it is input to fix, not a
     numerical failure.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise InvalidConfig(f"dataset {path} is not valid UTF-8 JSON: {exc}") from exc
+    doc = load_json(path, f"dataset {path}")
     try:
         n_x, n_u = doc["n_x"], doc["n_u"]
         trajs = list(doc["trajectories"])
     except (KeyError, TypeError) as exc:
         raise InvalidConfig(f"malformed dataset file {path}: missing or bad {exc}") from exc
     for key, value in (("n_x", n_x), ("n_u", n_u)):
-        if _json_scalar(value, f"dataset {path}: {key}") < 1:
-            raise InvalidConfig(f"dataset {path}: {key} must be positive, got {value}")
+        _json_scalar(value, f"dataset {path}: {key}", low=1)
     if not trajs:
         raise InvalidConfig(f"dataset {path} has no trajectories")
     triples = []

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqrinfluence
 from lqrinfluence.bench import GenerationConfig, dc_motor_spec, generate_dataset
@@ -19,6 +21,7 @@ from lqrinfluence.cli import main
 from lqrinfluence.errors import DegenerateInput, InvalidConfig
 from lqrinfluence.experiments import (
     ExperimentConfig,
+    _config_echo,
     load_config,
     parse_config,
     rankdata,
@@ -223,6 +226,16 @@ def test_parse_config_explicit_matrices():
         lambda d: d["system"].update(b_d=[[True], [0.0]]),
         lambda d: d["system"].update(noise_cov=[["1", 0], [0, 1]]),
         lambda d: d["system"].update(x0_std=[True, 1.0]),
+        # a number beyond binary64 raised OverflowError
+        lambda d: d.update({"lambda": 10**400}),
+        lambda d: d["generation"].update(x0_scale=-(10**400)),
+        # a key nothing reads: run_exact_lotto=false still ran the exact sweep
+        lambda d: d["generation"].update(seed=3),
+        lambda d: d["generation"].update(n_trajectory=8),
+        lambda d: d.update(run_exact_lotto=False),
+        lambda d: d.update(lamda=5),
+        lambda d: d["system"].update(mass=2.0),
+        lambda d: d.update(dataset=""),   # it ran on generated data
     ],
 )
 def test_parse_config_rejects_malformed(mutate):
@@ -230,6 +243,74 @@ def test_parse_config_rejects_malformed(mutate):
     mutate(doc)
     with pytest.raises(InvalidConfig):
         parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "mutate, key",
+    [
+        (lambda d: d["generation"].update(seed=3), "generation.seed"),
+        (lambda d: d["generation"].update(n_trajectory=8), "generation.n_trajectory"),
+        (lambda d: d.update(run_exact_lotto=False), "run_exact_lotto"),
+        (lambda d: d.update(lamda=5), "lamda"),
+        (lambda d: d["system"].update(mass=2.0), "system.mass"),
+    ],
+)
+def test_parse_config_names_the_unread_key(mutate, key):
+    doc = json.loads(json.dumps(BASE_DOC))
+    mutate(doc)
+    with pytest.raises(InvalidConfig, match=f"^{key} is never read") as err:
+        parse_config(doc)
+    assert "__init__" not in str(err.value)   # not dataclasses.replace's TypeError
+
+
+def test_parse_config_ignores_the_old_solver_key():
+    assert _config_echo(parse_config(dict(BASE_DOC, solver="cg"))) == _config_echo(
+        parse_config(BASE_DOC))
+
+
+# every value of a full config, at any depth, may be replaced by any JSON value
+FULL_DOC = dict(BASE_DOC, system={"kind": "dc_motor", "n_x": 2, "n_u": 1, "dt": 0.1,
+                                  "x0_std": [1.0, 1.0], "a_d": [[0.5, 0.0], [0.0, 0.5]]},
+                generation=dict(BASE_DOC["generation"], x0_scale=1.0),
+                Q=[[1.0, 0.0], [0.0, 1.0]], R="identity", top_k=3, run_exact_loto=True,
+                run_heldout=False, heldout_size=100, dataset=None, solver="dense",
+                **{"lambda": 1e-3})
+
+
+def _value_paths(doc, prefix=()):
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _value_paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(_value_paths(FULL_DOC))), JSON_VALUES),
+                min_size=1, max_size=3))
+def test_parse_config_raises_only_invalid_config_property(replacements):
+    # the README promises a config error, never a traceback, for any config
+    doc = json.loads(json.dumps(FULL_DOC))
+    for path, value in replacements:
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):   # an earlier replacement removed it
+            continue
+        parent[path[-1]] = value
+    try:
+        parse_config(doc)
+    except InvalidConfig:
+        pass
 
 
 def test_parse_config_reads_json_flags_and_dataset():
@@ -433,6 +514,34 @@ def test_cli_overrides_apply(tmp_path):
     assert report["config"]["run_exact_loto"] is False
     assert report["config"]["solver"] == "dense"
     assert (out_dir / "scores_seed5.csv").exists()
+
+
+def test_cli_unread_key_is_config_error(tmp_path, capsys):
+    # "lamda" left lambda at its default and the run exited 0
+    cfg_path = write_cli_config(tmp_path, lamda=5)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert "config error: lamda is never read" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"system": {"kind": "msd"}, "generation": {"n_trajectories": 6, "t_min": 5, "t_max": 9},
+         "seeds": [2]},
+        {"system": {"kind": "uav_mission"},
+         "generation": {"n_trajectories": 6, "t_min": 5, "t_max": 9, "x0_scale": 0.5},
+         "seeds": [1], "run_exact_loto": False, "run_heldout": True, "heldout_size": 40},
+    ],
+    ids=["msd", "uav_mission_heldout"],
+)
+def test_config_echo_round_trips(tmp_path, doc):
+    # every key the report echoes is one parse_config reads, to the same value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) in (0, 3)
+    echo = json.loads((tmp_path / "o" / "report.json").read_text())["config"]
+    assert json.loads(json.dumps(_config_echo(parse_config(echo)))) == echo
 
 
 @pytest.mark.parametrize(

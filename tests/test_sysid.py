@@ -526,6 +526,31 @@ def test_load_dataset_takes_positive_json_integer_dimensions(tmp_path, key, valu
         load_dataset(path)
 
 
+# a file in the earlier layout: %.17g floats, one trajectory per line
+OLD_LAYOUT_DATASET = """\
+{"n_x": 2, "n_u": 1, "trajectories": [
+[{"x": [0.10000000000000001, -0.0], "u": [-2.5000000000000171e-310], "x_next": [-0.0, 2]}, \
+{"x": [0.33333333333333331, 4.9406564584124654e-324], "u": [1e+308], \
+"x_next": [0.69999999999999996, -1.0000000000000001e-05]}],
+[{"x": [3, 1e-300], "u": [-0.0], "x_next": [2.2250738585072014e-308, -7]}]
+]}
+"""
+
+
+def test_old_layout_dataset_loads_bit_exactly(tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text(OLD_LAYOUT_DATASET)
+    back = load_dataset(path)
+    want = TrajectoryDataset.from_arrays([
+        ([[0.1, -0.0], [1 / 3, 5e-324]], [[-2.5e-310], [1e308]], [[-0.0, 2.0], [0.7, -1e-5]]),
+        ([[3.0, 1e-300]], [[-0.0]], [[2.2250738585072014e-308, -7.0]]),
+    ])
+    assert (back.n_x, back.n_u) == (2, 1) and np.array_equal(back.offsets, [0, 2, 3])
+    for name in ("states", "inputs", "next_states"):   # tobytes tells -0.0 from 0.0
+        assert getattr(back, name).tobytes() == getattr(want, name).tobytes()
+    assert np.signbit(back.inputs[2, 0]) and back.states[1, 1] == 5e-324
+
+
 @st.composite
 def any_corpus(draw):
     """Trajectories of arbitrary finite binary64 entries: signed zeros,
