@@ -15,15 +15,16 @@ All randomness derives from (seed, trajectory index) seed sequences, so
 generating trajectories in parallel or serially yields identical datasets.
 The generators roll every trajectory of a dataset out in lockstep: one loop
 over time advances all N states, as (N, .) arrays (linear) or as (., N)
-component rows (quadrotor). Each trajectory first takes from its own stream,
-in this order, what a one-trajectory loop would draw before its first step
-(linear: x0, then the msd noise variance; quadrotor: the mission policy's
-uniforms in one rng.random call, then x0), then all its per-step normals in
-one (T, .) call, row t holding step t's draws (linear: input then noise;
-quadrotor: excitation then gust). Generator.normal and .random fill
-sequentially and uniform(low, high) is low + (high - low) * random(), so
-these are the draws of a serial loop with one scalar call per value;
-tests/test_bench.py keeps that loop as the oracle.
+component rows (quadrotor), and one finiteness check (_transitions) reads
+both state buffers. A per-trajectory loop only draws. Each trajectory first
+takes from its own stream, in this order, what a one-trajectory loop would
+draw before its first step (linear: x0, then the msd noise variance;
+quadrotor: the mission policy's uniforms in one rng.random call, then x0),
+then all its per-step normals in one (T, .) call (_step_normals), row t
+holding step t's draws (linear: input then noise; quadrotor: excitation then
+gust). Generator.normal and .random fill sequentially and uniform(low, high)
+is low + (high - low) * random(), so these are the draws of a serial loop
+with one scalar call per value; tests/test_bench.py keeps it as the oracle.
 The quadrotor setup draws nothing else per trajectory: every reference is
 evaluated once on the (T_max, N) time grid, one mission kind at a time with
 its parameters stacked as arrays, and x0 starts from the grid's first row.
@@ -245,48 +246,55 @@ def _live(lengths) -> np.ndarray:
     return np.arange(lengths.max())[:, None] < lengths
 
 
-def _diverged(x: np.ndarray, t: int):
-    """Stop a rollout whose states x after step t are not all finite, naming a trajectory."""
-    k = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
-    raise InvalidConfig(f"generated trajectory {k} is not finite after step {t}: "
-                        "the configured system diverges")
+def _step_normals(rngs, lengths, width: int) -> np.ndarray:
+    """(T_max, N, width): rngs[k]'s next (lengths[k], width) normals in one call, 0 past its end."""
+    draws = np.zeros((max(lengths), len(lengths), width))
+    for k, (rng, T) in enumerate(zip(rngs, lengths)):
+        draws[:T, k] = rng.normal(size=(T, width))
+    return draws
 
 
-@np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _diverged
+def _transitions(X: np.ndarray, U: np.ndarray):
+    """(X, U, X_next) of the (T_max+1, N, n) state buffer X, whose row t+1 is X_next[t].
+
+    A state that is not finite raises InvalidConfig naming the first step
+    where one appears, and the first trajectory within it.
+    """
+    diverged = ~np.isfinite(X[1:]).all(axis=2)
+    if diverged.any():
+        t, k = np.argwhere(diverged)[0]
+        raise InvalidConfig(f"generated trajectory {k} is not finite after step {t}: "
+                            "the configured system diverges")
+    return X[:-1], U, X[1:]
+
+
+@np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _transitions
 def _rollout_linear(spec: SystemSpec, rngs, lengths, x0_scale: float):
     """Roll trajectory k out for lengths[k] steps from rngs[k], all at once.
 
-    Returns time-major (T_max, N, .) arrays X, U, X_next. A trajectory past its
-    end stays frozen at its last state. The first step whose state is not
-    finite stops the rollout with InvalidConfig.
+    Returns _transitions' time-major (T_max, N, .) arrays X, U, X_next. A
+    trajectory past its end stays frozen at its last state.
     """
     live = _live(lengths)
     T_max, N = live.shape
-    n_x, n_u = spec.n_x, spec.n_u
-    x = np.empty((N, n_x))
-    U = np.zeros((T_max, N, n_u))
-    noise = np.zeros((T_max, N, n_x))
-    heterogeneous = spec.sigma_sq_range is not None
-    if not heterogeneous:
-        noise_chol = np.linalg.cholesky(spec.noise_cov)
-    for k, (rng, T) in enumerate(zip(rngs, lengths)):
-        x[k] = rng.normal(size=n_x) * spec.x0_std * x0_scale
-        if heterogeneous:
-            noise_std = np.sqrt(rng.uniform(*spec.sigma_sq_range))
-        draws = rng.normal(size=(T, n_u + n_x))   # per step: input, then noise
-        U[:T, k] = draws[:, :n_u] * spec.input_std
-        w = draws[:, n_u:]
-        noise[:T, k] = w * noise_std if heterogeneous else w @ noise_chol.T
+    X = np.empty((T_max + 1, N, spec.n_x))
+    noise_std = np.empty((N, 1))
+    for k, rng in enumerate(rngs):
+        X[0, k] = rng.normal(size=spec.n_x) * spec.x0_std * x0_scale
+        if spec.sigma_sq_range is not None:
+            noise_std[k] = np.sqrt(rng.uniform(*spec.sigma_sq_range))
+    draws = _step_normals(rngs, lengths, spec.n_u + spec.n_x)   # per step: input, then noise
+    U = draws[..., :spec.n_u] * spec.input_std
+    if spec.sigma_sq_range is not None:
+        noise = draws[..., spec.n_u:] * noise_std
+    else:
+        # one 2-D product, so every row, a length-1 trajectory's too, takes the same route
+        w = draws[..., spec.n_u:].reshape(T_max * N, spec.n_x)
+        noise = (w @ np.linalg.cholesky(spec.noise_cov).T).reshape(T_max, N, spec.n_x)
     BU = U @ spec.b_d.T
-    X = np.empty((T_max, N, n_x))
-    Xn = np.empty_like(X)
     for t in range(T_max):
-        X[t] = x
-        x = np.where(live[t, :, None], x @ spec.a_d.T + BU[t] + noise[t], x)
-        if not np.isfinite(x).all():
-            _diverged(x, t)
-        Xn[t] = x
-    return X, U, Xn
+        X[t + 1] = np.where(live[t, :, None], X[t] @ spec.a_d.T + BU[t] + noise[t], X[t])
+    return _transitions(X, U)
 
 
 # each mission reference's parameters, with the value a policy that omits one gets
@@ -296,6 +304,11 @@ _REFERENCE_DEFAULTS = {
                      "t_mid": 2.0},
     "circle": {"radius": 4.0, "omega": 0.8, "phase": 0.0},
 }
+
+
+def _wave(amp, arg, rate, f=np.sin, df=np.cos):
+    """Position, velocity, acceleration of amp * f(arg) whose argument advances at rate."""
+    return amp * f(arg), amp * rate * df(arg), -amp * rate * rate * f(arg)
 
 
 def _reference(policy: dict, t):
@@ -311,30 +324,22 @@ def _reference(policy: dict, t):
     if kind not in _REFERENCE_DEFAULTS:
         raise InvalidConfig(f"unknown reference kind {kind!r}")
     prm = {**_REFERENCE_DEFAULTS[kind], **policy}
-    ph, w = prm["phase"], prm["omega"]
+    w = prm["omega"]
+    arg = w * t + prm["phase"]
     if kind == "figure_eight":
-        ax, az = prm["amp_x"], prm["amp_z"]
-        p = np.array([ax * np.sin(w * t + ph), az * np.sin(2 * (w * t + ph))])
-        v = np.array([ax * w * np.cos(w * t + ph), 2 * az * w * np.cos(2 * (w * t + ph))])
-        a = np.array([-ax * w * w * np.sin(w * t + ph),
-                      -4 * az * w * w * np.sin(2 * (w * t + ph))])
-        return p, v, a
-    if kind == "descending_s":
-        ax, z0, rate, t_mid = prm["amp_x"], prm["z0"], prm["rate"], prm["t_mid"]
+        x, z = _wave(prm["amp_x"], arg, w), _wave(prm["amp_z"], 2 * arg, 2 * w)
+    elif kind == "descending_s":
+        z0, rate = prm["z0"], prm["rate"]
         # sigmoid altitude from z0 down to 0; past rate (t - t_mid) = 709 exp is inf, s exactly 0
         with np.errstate(over="ignore"):
-            s = 1.0 / (1.0 + np.exp(rate * (t - t_mid)))
+            s = 1.0 / (1.0 + np.exp(rate * (t - prm["t_mid"])))
         ds = -rate * s * (1.0 - s)
         dds = -rate * ds * (1.0 - 2.0 * s)
-        p = np.array([ax * np.sin(w * t + ph), z0 * s])
-        v = np.array([ax * w * np.cos(w * t + ph), z0 * ds])
-        a = np.array([-ax * w * w * np.sin(w * t + ph), z0 * dds])
-        return p, v, a
-    r = prm["radius"]
-    p = np.array([r * np.cos(w * t + ph), r * np.sin(w * t + ph)])
-    v = np.array([-r * w * np.sin(w * t + ph), r * w * np.cos(w * t + ph)])
-    a = np.array([-r * w * w * np.cos(w * t + ph), -r * w * w * np.sin(w * t + ph)])
-    return p, v, a
+        x, z = _wave(prm["amp_x"], arg, w), (z0 * s, z0 * ds, z0 * dds)
+    else:
+        r = prm["radius"]
+        x, z = _wave(r, arg, w, np.cos, lambda a: -np.sin(a)), _wave(r, arg, w)
+    return tuple(np.array(pair) for pair in zip(x, z))
 
 
 def _reference_grid(policies, t) -> np.ndarray:
@@ -355,29 +360,23 @@ def _reference_grid(policies, t) -> np.ndarray:
     return ref
 
 
-@np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _diverged
+@np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _transitions
 def _rollout_uav(spec: SystemSpec, x0, policies, ref, lengths, rngs):
     """Roll quadrotor trajectory k out from x0[k] under policies[k], all at once.
 
     Every policy tracks its reference ref (_reference_grid; hover: zero)
-    with its gains, at the spec's drag and noise scales; rngs[k] draws its
-    (T, 4) excitation and gust normals in one call. The loop is
+    with its gains, at the spec's drag and noise scales. The loop is
     component-major: states in one (T_max+1, 4, N) buffer whose row t+1 is
-    X_next[t], per-trajectory gains as (N,) rows.
-    Returns time-major (T_max, N, .) views X, U, X_next. A trajectory past
-    its end stays frozen at its last state; a state that is not finite ends
-    in InvalidConfig naming the first step and trajectory where it appears.
+    X_next[t], per-trajectory gains as (N,) rows. Returns _transitions'
+    time-major (T_max, N, .) views; a trajectory past its end stays frozen.
     """
     live = _live(lengths)
     T_max, N = live.shape
-    noise = np.zeros((T_max, 4, N))    # excitation, gust
-    for j, (rng, T) in enumerate(zip(rngs, lengths)):
-        noise[:T, :, j] = rng.normal(size=(T, 4))
+    scale = np.repeat([spec.excitation_std, spec.gust_std], 2)   # per step: excitation, gust
+    noise = (_step_normals(rngs, lengths, 4) * scale).transpose(0, 2, 1).copy()
     hover = np.array([policy["kind"] == "hover" for policy in policies])
     kp = np.where(hover, _HOVER_GAINS[0], _MISSION_GAINS[0])
     kd = np.where(hover, _HOVER_GAINS[1], _MISSION_GAINS[1])
-    noise[:, :2] *= spec.excitation_std
-    noise[:, 2:] *= spec.gust_std
     ref = ref.transpose(0, 2, 1).copy()   # (T_max, 6, N): p_ref, v_ref, a_ref
 
     X = np.empty((T_max + 1, 4, N))
@@ -393,11 +392,7 @@ def _rollout_uav(spec: SystemSpec, x0, policies, ref, lengths, rngs):
         X[t + 1, 2:] = v + spec.dt * (u - spec.drag * speed * v + noise[t, 2:])
         if t >= first_end:
             np.copyto(X[t + 1], x, where=~live[t])
-    finite = np.isfinite(X[1:]).all(axis=1)   # (T_max, N)
-    if not finite.all():
-        t = int(np.flatnonzero(~finite.all(axis=1))[0])
-        _diverged(X[t + 1].T, t)
-    return X[:-1].transpose(0, 2, 1), U.transpose(0, 2, 1), X[1:].transpose(0, 2, 1)
+    return _transitions(X.transpose(0, 2, 1), U.transpose(0, 2, 1))
 
 
 def simulate_uav(spec: SystemSpec, x0, policy: dict, T: int, seed) -> tuple:
@@ -487,15 +482,20 @@ def _uav_x0_offset(spec: SystemSpec, policy: dict, rng, x0_scale: float) -> np.n
     return noise
 
 
-def _simulate(spec: SystemSpec, seed: int, stream: int, lengths,
-              x0_scale: float) -> TrajectoryDataset:
-    """Trajectory k, lengths[k] steps, from stream (seed, stream, k); all k in lockstep."""
+def _check_generable(spec: SystemSpec) -> None:
+    """InvalidConfig unless the generators can honour spec's kind, n_x, n_u and arrays."""
     if spec.kind not in _LINEAR_KINDS + _UAV_KINDS:
         raise InvalidConfig(f"unknown system kind {spec.kind!r}")
     # checked here, not in system_spec: with an external dataset n_x/n_u only size Q and R
     if spec.kind in _UAV_KINDS and (spec.n_x, spec.n_u) != (4, 2):
         raise InvalidConfig(f"{spec.kind} has n_x=4, n_u=2, not n_x={spec.n_x}, n_u={spec.n_u}")
     _read_arrays(vars(spec), vars(spec))   # every array, the kind's own too, against n_x/n_u
+
+
+def _simulate(spec: SystemSpec, seed: int, stream: int, lengths,
+              x0_scale: float) -> TrajectoryDataset:
+    """Trajectory k, lengths[k] steps, from stream (seed, stream, k); all k in lockstep."""
+    _check_generable(spec)
     rngs = [_traj_rng(seed, k, stream) for k in range(len(lengths))]
     if spec.kind in _LINEAR_KINDS:
         X, U, Xn = _rollout_linear(spec, rngs, lengths, x0_scale)
@@ -507,8 +507,7 @@ def _simulate(spec: SystemSpec, seed: int, stream: int, lengths,
         X, U, Xn = _rollout_uav(spec, x0, policies, ref, lengths, rngs)
     rows = _live(lengths).T   # (N, T_max): the dataset stores trajectory after trajectory
     return TrajectoryDataset(
-        n_x=spec.n_x,
-        n_u=spec.n_u,
+        n_x=spec.n_x, n_u=spec.n_u,
         states=X.swapaxes(0, 1)[rows],
         inputs=U.swapaxes(0, 1)[rows],
         next_states=Xn.swapaxes(0, 1)[rows],
@@ -577,18 +576,11 @@ def residual_lag1_autocorr(fit: ModelFit) -> float:
     differ in noise scale do not register as non-white.
     """
     norms = np.linalg.norm(fit.residuals, axis=1)
-    first, second = [], []
-    for k in range(fit.N):
-        sl = fit.data.traj_slice(k)
-        r = norms[sl]
-        if r.size >= 2:
-            r = r - r.mean()
-            first.append(r[:-1])
-            second.append(r[1:])
-    if not first:
-        return float("nan")
-    a = np.concatenate(first)
-    b = np.concatenate(second)
-    if a.std() == 0 or b.std() == 0:
+    offsets, T = fit.data.offsets, fit.lengths
+    r = norms - np.repeat(np.add.reduceat(norms, offsets[:-1]) / T, T)
+    pairs = np.ones(fit.M - 1, dtype=bool)   # rows s and s+1 lie in one trajectory
+    pairs[offsets[1:-1] - 1] = False
+    a, b = r[:-1][pairs], r[1:][pairs]
+    if a.size == 0 or a.std() == 0 or b.std() == 0:
         return float("nan")
     return float(np.corrcoef(a, b)[0, 1])

@@ -20,6 +20,7 @@ import numpy as np
 from .bench import (
     GenerationConfig,
     SystemSpec,
+    _check_generable,
     generate_dataset,
     generate_heldout,
     heldout_prediction_scores,
@@ -101,7 +102,9 @@ class ExperimentConfig:
             raise InvalidConfig("seeds must be non-empty")
         if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
             raise InvalidConfig(f"seeds must be distinct and non-negative, got {list(self.seeds)}")
-        if not 1 <= self.top_k <= self.generation.n_trajectories:
+        # next to a dataset run_experiment checks top_k against the dataset's N instead
+        n_max = self.generation.n_trajectories if self.dataset_path is None else np.inf
+        if not 1 <= self.top_k <= n_max:
             raise InvalidConfig("top_k must be in [1, n_trajectories]")
         if not 0 < self.lam < np.inf:
             raise InvalidConfig("lambda must be positive and finite")
@@ -199,10 +202,10 @@ class ExperimentReport:
         }
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
+def _config_echo(cfg: ExperimentConfig, seeds, Q: np.ndarray, R: np.ndarray) -> dict:
+    """The effective config: the seeds that run and the Q, R the controller uses."""
     spec = cfg.system
     sys_echo = {"kind": spec.kind, "n_x": spec.n_x, "n_u": spec.n_u, "dt": spec.dt}
-    Q, R = cfg.cost_matrices()
     return {
         "system": sys_echo,
         "generation": {
@@ -211,7 +214,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
             "t_max": cfg.generation.t_max,
             "x0_scale": cfg.generation.x0_scale,
         },
-        "seeds": list(cfg.seeds),
+        "seeds": list(seeds),
         "lambda": cfg.lam,
         "Q": Q.tolist(),
         "R": R.tolist(),
@@ -239,9 +242,7 @@ def _mean_std(values: list) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
-    """Run the score pipeline (and optional exact sweep) for every seed."""
-    Q, R = cfg.cost_matrices()
-    report = ExperimentReport(config_echo=_config_echo(cfg))
+    """Run the score pipeline (and optional exact sweep) per seed; next to a dataset, the first only."""
     external = load_dataset(cfg.dataset_path) if cfg.dataset_path else None
     if external is not None and (external.n_x, external.n_u) != (cfg.system.n_x, cfg.system.n_u):
         raise InvalidConfig(
@@ -251,15 +252,20 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
     if external is not None and external.N < 2:
         raise InvalidConfig(f"dataset {cfg.dataset_path} holds a single trajectory; "
                             "leave-one-trajectory-out scoring needs at least two")
+    if external is not None and cfg.top_k > external.N:
+        raise InvalidConfig(f"top_k {cfg.top_k} exceeds the {external.N} trajectories "
+                            f"of dataset {cfg.dataset_path}")
+    if external is None or cfg.run_heldout:
+        _check_generable(cfg.system)
     seeds = cfg.seeds[:1] if external is not None else cfg.seeds
+    Q, R = cfg.cost_matrices()   # only now: n_x and n_u size nothing before they are checked
+    report = ExperimentReport(config_echo=_config_echo(cfg, seeds, Q, R))
 
     for seed in seeds:
         if progress:
             progress(f"seed {seed}")
-        if external is not None:
-            data = external
-        else:
-            data = generate_dataset(cfg.system, dataclasses.replace(cfg.generation, seed=seed))
+        data = external if external is not None else generate_dataset(
+            cfg.system, dataclasses.replace(cfg.generation, seed=seed))
 
         t0 = time.perf_counter()
         fit = fit_ridge(data, cfg.lam)

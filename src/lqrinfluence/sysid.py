@@ -103,10 +103,10 @@ class TrajectoryDataset:
 
 def save_dataset(data: TrajectoryDataset, path) -> None:
     """Write the dataset as JSON; Python's shortest float repr reads back to the same bits."""
-    trajs = []
-    for sl in map(data.traj_slice, range(data.N)):
-        rows = zip(data.states[sl].tolist(), data.inputs[sl].tolist(), data.next_states[sl].tolist())
-        trajs.append([{"x": x, "u": u, "x_next": xn} for x, u, xn in rows])
+    rows = [{"x": x, "u": u, "x_next": xn} for x, u, xn in
+            zip(data.states.tolist(), data.inputs.tolist(), data.next_states.tolist())]
+    bounds = data.offsets.tolist()
+    trajs = [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     doc = {"n_x": int(data.n_x), "n_u": int(data.n_u), "trajectories": trajs}
     with open(path, "w") as fh:
         fh.write(json.dumps(doc))   # json.dump would stream through the slower pure-Python encoder

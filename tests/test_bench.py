@@ -299,6 +299,13 @@ def test_lockstep_generation_matches_serial_rollouts(kind, seed):
         assert_matches_serial(heldout, spec, seed, 2)
 
 
+def test_correlated_noise_matches_serial_rollouts():
+    # the default noise covariances are diagonal; only an off-diagonal one
+    # shows whether the lockstep product applies the Cholesky factor, not its transpose
+    spec = system_spec("dc_motor", noise_cov=[[0.3, 0.12], [0.12, 0.2]])
+    assert_matches_serial(generate_dataset(spec, GenerationConfig(9, 1, 6, seed=4)), spec, 4, 1)
+
+
 @pytest.mark.parametrize("kind", ["uav_hover", "uav_mission"])
 def test_uav_policy_matches_scalar_draw_oracle(kind):
     # one batched draw per policy gives the values of one scalar draw per
@@ -576,3 +583,34 @@ def test_residual_autocorr_degenerate():
     data = generate_dataset(spec, GenerationConfig(8, 1, 1, seed=0))
     fit = fit_ridge(data, 1e-3)
     assert np.isnan(residual_lag1_autocorr(fit))
+
+
+def serial_autocorr(fit):
+    # the per-trajectory loop the diagnostic replaced: slice, center, pair within the slice
+    norms = np.linalg.norm(fit.residuals, axis=1)
+    first, second = [], []
+    for k in range(fit.N):
+        r = norms[fit.data.traj_slice(k)]
+        if r.size >= 2:
+            r = r - r.mean()
+            first.append(r[:-1])
+            second.append(r[1:])
+    if not first:
+        return float("nan")
+    a, b = np.concatenate(first), np.concatenate(second)
+    if a.std() == 0 or b.std() == 0:
+        return float("nan")
+    return float(np.corrcoef(a, b)[0, 1])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed, t_min, t_max",
+                         [(0, 1, 1), (1, 1, 1), (0, 1, 2), (1, 1, 3), (2, 1, 40), (3, 5, 40)])
+def test_residual_autocorr_matches_per_trajectory_loop(kind, seed, t_min, t_max):
+    # the per-trajectory means are summed in another order: the value moves in its
+    # last bits only; all length-1 trajectories leave no pair, and the value is NaN
+    data = generate_dataset(system_spec(kind), GenerationConfig(30, t_min, t_max, seed=seed))
+    fit = fit_ridge(data, 1e-3)
+    got, want = residual_lag1_autocorr(fit), serial_autocorr(fit)
+    assert np.isnan(got) == np.isnan(want) == (t_max == 1)
+    assert np.isnan(want) or abs(got - want) <= 1e-15

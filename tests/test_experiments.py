@@ -264,8 +264,9 @@ def test_parse_config_names_the_unread_key(mutate, key):
 
 
 def test_parse_config_ignores_the_old_solver_key():
-    assert _config_echo(parse_config(dict(BASE_DOC, solver="cg"))) == _config_echo(
-        parse_config(BASE_DOC))
+    def echo(cfg):
+        return _config_echo(cfg, cfg.seeds, *cfg.cost_matrices())
+    assert echo(parse_config(dict(BASE_DOC, solver="cg"))) == echo(parse_config(BASE_DOC))
 
 
 # every value of a full config, at any depth, may be replaced by any JSON value
@@ -541,7 +542,8 @@ def test_config_echo_round_trips(tmp_path, doc):
     cfg_path.write_text(json.dumps(doc))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) in (0, 3)
     echo = json.loads((tmp_path / "o" / "report.json").read_text())["config"]
-    assert json.loads(json.dumps(_config_echo(parse_config(echo)))) == echo
+    cfg = parse_config(echo)
+    assert json.loads(json.dumps(_config_echo(cfg, cfg.seeds, *cfg.cost_matrices()))) == echo
 
 
 @pytest.mark.parametrize(
@@ -576,6 +578,13 @@ def test_cli_wrong_shape_system_matrix_is_config_error(tmp_path, capsys):
     cfg_path = write_cli_config(tmp_path, system={"kind": "dc_motor", "a_d": np.eye(3).tolist()})
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert "a_d" in capsys.readouterr().err
+
+
+def write_dc_motor_dataset(tmp_path):
+    # six dc_motor trajectories of 5-10 steps, as data.json
+    ds_path = tmp_path / "data.json"
+    save_dataset(generate_dataset(dc_motor_spec(), GenerationConfig(6, 5, 10)), ds_path)
+    return str(ds_path)
 
 
 @pytest.mark.parametrize(
@@ -618,9 +627,7 @@ def test_cli_unusable_config_value_is_config_error(tmp_path, capsys, extra):
     # no longer finite; next to a usable external dataset nothing is generated,
     # so a generator override is named as unread
     if "dataset" in extra:
-        ds_path = tmp_path / extra["dataset"]
-        save_dataset(generate_dataset(dc_motor_spec(), GenerationConfig(6, 5, 10)), ds_path)
-        extra = dict(extra, dataset=str(ds_path))
+        extra = dict(extra, dataset=write_dc_motor_dataset(tmp_path))
     cfg_path = write_cli_config(tmp_path, **extra)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -641,6 +648,38 @@ def test_cli_dataset_dimension_mismatch_is_config_error(tmp_path, capsys):
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "n_x=1" in err
+
+
+@pytest.mark.parametrize("argv, ran", [([], 4), (["--seeds", "7,8"], 7)],
+                         ids=["config_seeds", "cli_seeds"])
+def test_cli_dataset_run_echoes_the_seed_that_ran(tmp_path, argv, ran):
+    # next to a dataset only the first seed runs, and the echo names only that seed
+    cfg_path = write_cli_config(tmp_path, dataset=write_dc_motor_dataset(tmp_path), seeds=[4, 5, 6])
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")] + argv) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["config"]["seeds"] == [e["seed"] for e in report["per_seed"]] == [ran]
+
+
+@pytest.mark.parametrize("top_k, code", [(7, 1), (6, 0)])
+def test_cli_top_k_is_checked_against_the_dataset(tmp_path, capsys, top_k, code):
+    # next to a 6-trajectory dataset top_k is bounded by those 6, not by the
+    # unread generation.n_trajectories 3
+    cfg_path = write_cli_config(tmp_path, dataset=write_dc_motor_dataset(tmp_path), top_k=top_k,
+                                generation={"n_trajectories": 3, "t_min": 5, "t_max": 12})
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+    if code:
+        assert "config error: top_k 7 exceeds the 6 trajectories" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_x, with_dataset", [(2**62, False), (10**400, True)],
+                         ids=["generated", "dataset"])
+def test_cli_huge_n_x_is_config_error(tmp_path, capsys, n_x, with_dataset):
+    # n_x sizes Q = I only after the generator or the dataset has accepted it;
+    # neither size would fit in memory, so neither may reach numpy.eye
+    extra = {"dataset": write_dc_motor_dataset(tmp_path)} if with_dataset else {}
+    cfg_path = write_cli_config(tmp_path, system={"kind": "dc_motor", "n_x": n_x}, **extra)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert "config error: " in capsys.readouterr().err
 
 
 def explosive_trajectory(a, x0, inputs):
