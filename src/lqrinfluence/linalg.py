@@ -8,9 +8,10 @@ vectorization solve for the Lyapunov equation.
 The Cholesky factor and its solve also take a (N, n, n) stack of systems,
 each checked on its own, so N small systems cost one call.
 The Riccati equation is solved by structure-preserving doubling, which
-converges quadratically. Every Riccati and Lyapunov solution returned is
-certified by its residual. The matrix exponential is Pade scaling and
-squaring (Higham 2005).
+converges quadratically; the exact sweep runs solve_dare's kernel past its
+checks (_certified_dare) after forming every G_k at once. Every Riccati and
+Lyapunov solution returned is certified by its residual. The matrix
+exponential is Pade scaling and squaring (Higham 2005).
 """
 from __future__ import annotations
 
@@ -222,9 +223,18 @@ def solve_dare(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np
     R = _check_symmetric(R, "R")
     if Q.shape[0] != n or R.shape[0] != B.shape[1]:
         raise DimensionMismatch("Q/R dimensions do not match A/B")
-    L_inv_bt = np.linalg.solve(_cholesky(R, "R").L, B.T)
-    P = _doubling(A, L_inv_bt.T @ L_inv_bt, symmetrize(Q))
+    return _certified_dare(A, B, Q, R, _input_gram(B, R), symmetrize(Q))
 
+
+def _input_gram(B: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """G = B R^-1 B' through R's Cholesky factor, for one B or each of a (N, n, m) stack."""
+    L_inv_bt = np.linalg.solve(_cholesky(R, "R").L, B.swapaxes(-2, -1))
+    return L_inv_bt.swapaxes(-2, -1) @ L_inv_bt
+
+
+def _certified_dare(A, B, Q, R, G, H) -> np.ndarray:
+    """solve_dare past its argument checks, given G = _input_gram(B, R) and H = symmetrize(Q)."""
+    P = _doubling(A, G, H)
     gain, resid = _dare_certificate(A, B, Q, R, P)
     if resid > _DARE_RESIDUAL_MAX:
         raise NoStabilizingSolution(

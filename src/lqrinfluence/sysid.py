@@ -178,14 +178,33 @@ def _json_array(value, key: str, shape: tuple, definite: bool | None = None) -> 
     return arr
 
 
+def _transition_arrays(rows, n_x: int, n_u: int) -> list[np.ndarray]:
+    """The x, u and x_next entries of a list of transitions as (T, n) float arrays.
+
+    ValueError, saying what is wrong, when a row is not a transition, an
+    array holds anything but numbers, or a size disagrees with n_x/n_u.
+    """
+    try:
+        # no dtype: numpy then says whether every entry is a number
+        arrays = [np.array([t[key] for t in rows]) for key in ("x", "u", "x_next")]
+    except (KeyError, TypeError, ValueError) as exc:   # ValueError: ragged
+        raise ValueError(f"is malformed: {exc}") from exc
+    for key, arr, n in zip(("x", "u", "x_next"), arrays, (n_x, n_u, n_x)):
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"has {key} entries that are not all numbers")
+        if arr.shape != (len(rows), n):
+            raise ValueError(f"disagrees with declared n_x={n_x}, n_u={n_u}")
+    return [arr.astype(float, copy=False) for arr in arrays]
+
+
 def load_dataset(path) -> TrajectoryDataset:
     """Read a dataset written by save_dataset.
 
     A file that is not UTF-8 JSON, lacks n_x/n_u/trajectories, declares an n_x or
-    n_u that is not a positive JSON integer, holds no trajectory, an empty one
-    or a non-finite entry, or has entries whose sizes disagree with the
-    declared n_x/n_u raises InvalidConfig: it is input to fix, not a
-    numerical failure.
+    n_u that is not a positive JSON integer, holds no trajectory, an empty one,
+    a string, null, bool-only or out-of-range integer array or a non-finite
+    entry, or has entries whose sizes disagree with the declared n_x/n_u
+    raises InvalidConfig: it is input to fix, not a numerical failure.
     """
     doc = load_json(path, f"dataset {path}")
     try:
@@ -197,33 +216,31 @@ def load_dataset(path) -> TrajectoryDataset:
         _json_scalar(value, f"dataset {path}: {key}", low=1)
     if not trajs:
         raise InvalidConfig(f"dataset {path} has no trajectories")
-    triples = []
     for k, traj in enumerate(trajs):
-        try:
-            X = np.array([t["x"] for t in traj], dtype=float)
-            U = np.array([t["u"] for t in traj], dtype=float)
-            Xn = np.array([t["x_next"] for t in traj], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidConfig(f"trajectory {k} in {path} is malformed: {exc}") from exc
-        T = len(traj)
-        if T == 0:
-            raise InvalidConfig(f"trajectory {k} in {path} has no transitions")
-        if X.shape != (T, n_x) or Xn.shape != (T, n_x) or U.shape != (T, n_u):
-            raise InvalidConfig(
-                f"trajectory {k} in {path} disagrees with declared n_x={n_x}, n_u={n_u}"
-            )
-        triples.append((X, U, Xn))
+        if not isinstance(traj, list) or not traj:
+            raise InvalidConfig(f"trajectory {k} in {path} must be a non-empty list of "
+                                "transitions")
     try:
-        return TrajectoryDataset.from_arrays(triples, n_x=n_x, n_u=n_u)
+        X, U, Xn = _transition_arrays([t for traj in trajs for t in traj], n_x, n_u)
+    except ValueError as exc:
+        for k, traj in enumerate(trajs):   # only to name the first bad trajectory
+            try:
+                _transition_arrays(traj, n_x, n_u)
+            except ValueError as bad:
+                raise InvalidConfig(f"trajectory {k} in {path} {bad}") from bad
+        raise InvalidConfig(f"dataset {path} {exc}") from exc
+    offsets = np.concatenate([[0], np.cumsum([len(traj) for traj in trajs])])
+    try:
+        return TrajectoryDataset(n_x, n_u, X, U, Xn, offsets)
     except ValueError as exc:  # non-finite entries
         raise InvalidConfig(f"dataset {path}: {exc}") from exc
 
 
 def theta_to_ab(theta: np.ndarray, n_x: int, n_u: int):
-    """Unstack theta = vec([A B]) (column-major) into (A, B)."""
-    q = n_x + n_u
-    mat = np.asarray(theta, dtype=float).reshape(q, n_x).T
-    return mat[:, :n_x].copy(), mat[:, n_x:].copy()
+    """Unstack theta = vec([A B]) (column-major) into (A, B); a (N, p) stack into (N, ...) stacks."""
+    theta = np.asarray(theta, dtype=float)
+    mat = theta.reshape(theta.shape[:-1] + (n_x + n_u, n_x)).swapaxes(-2, -1)
+    return mat[..., :n_x].copy(), mat[..., n_x:].copy()
 
 
 @dataclass(frozen=True)

@@ -574,6 +574,34 @@ def test_cli_malformed_dataset_is_config_error(tmp_path, capsys, dataset):
     assert "config error" in capsys.readouterr().err
 
 
+def numeric_entries_dataset():
+    # two trajectories of the scalar system x+ = 0.5 x + u, integers allowed
+    rows = [{"x": [x], "u": [u], "x_next": [0.5 * x + u]} for x, u in ((1, 0.3), (0.8, -2))]
+    return {"n_x": 1, "n_u": 1, "trajectories": [rows[:1], rows[1:]]}
+
+
+@pytest.mark.parametrize(
+    "key, values, bad",
+    [("x", ["1.0", 0.8], 0), ("x_next", [0.8, None], 1), ("u", [True, False], 0),
+     ("x", [1, 10**20], 1)],
+    ids=["string", "null", "all_bool", "beyond_uint64"],
+)
+def test_cli_dataset_entries_must_be_numbers(tmp_path, capsys, key, values, bad):
+    # np.array(..., dtype=float) read "1.0" as 1.0 and true as 1.0; each is an
+    # error now, naming the first trajectory that holds one
+    doc = numeric_entries_dataset()
+    for (row,), value in zip(doc["trajectories"], values):
+        row[key] = [value]
+    ds_path = tmp_path / "data.json"
+    ds_path.write_text(json.dumps(doc))
+    cfg_path = write_cli_config(
+        tmp_path, system={"kind": "dc_motor", "n_x": 1, "n_u": 1}, dataset=str(ds_path)
+    )
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"trajectory {bad} " in err and f"{key} entries" in err
+
+
 def test_cli_wrong_shape_system_matrix_is_config_error(tmp_path, capsys):
     cfg_path = write_cli_config(tmp_path, system={"kind": "dc_motor", "a_d": np.eye(3).tolist()})
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
@@ -682,17 +710,7 @@ def test_cli_huge_n_x_is_config_error(tmp_path, capsys, n_x, with_dataset):
     assert "config error: " in capsys.readouterr().err
 
 
-def explosive_trajectory(a, x0, inputs):
-    X, U, Xn = [], [], []
-    x = x0
-    for u in inputs:
-        xn = a * x + u
-        X.append([x]), U.append([u]), Xn.append([xn])
-        x = xn
-    return np.array(X), np.array(U), np.array(Xn)
-
-
-def test_cli_unstabilizable_fit_is_numerical_failure(tmp_path):
+def test_cli_unstabilizable_fit_is_numerical_failure(tmp_path, explosive_trajectory):
     # open-loop unstable, input never moves: no stabilizing controller exists
     trajs = [explosive_trajectory(2.0, x0, [0.0] * 6) for x0 in (0.01, -0.02, 0.015)]
     data = TrajectoryDataset.from_arrays(trajs, n_x=1, n_u=1)
@@ -713,17 +731,8 @@ def read_csv_rows(path):
         return list(csv.DictReader(fh))
 
 
-def partial_exclusion_dataset():
-    # trajectory 0 carries all input excitation; without it the refit sees an
-    # uncontrollable unstable model and its removal is excluded, not scored
-    rng = np.random.default_rng(0)
-    rich = explosive_trajectory(1.5, 0.0, rng.choice([-1.0, 1.0], size=12))
-    quiet = [explosive_trajectory(1.5, x0, [0.0] * 6) for x0 in (1.0, -1.2)]
-    return TrajectoryDataset.from_arrays([rich] + quiet, n_x=1, n_u=1)
-
-
-def test_excluded_removal_is_nan_in_every_exact_array():
-    fit = fit_ridge(partial_exclusion_dataset(), 1e-3)
+def test_excluded_removal_is_nan_in_every_exact_array(partial_exclusion_dataset):
+    fit = fit_ridge(partial_exclusion_dataset, 1e-3)
     Q, R = np.eye(1), np.eye(1)
     table = build_score_table(fit, riccati_artifacts(fit, Q, R), with_exact=True)
     assert table.excluded.tolist() == [True, False, False]
@@ -733,9 +742,9 @@ def test_excluded_removal_is_nan_in_every_exact_array():
         assert np.isnan(values[0]) and np.isfinite(values[1:]).all(), field.name
 
 
-def test_cli_partial_exclusions_exit_code(tmp_path, capsys):
+def test_cli_partial_exclusions_exit_code(tmp_path, capsys, partial_exclusion_dataset):
     ds_path = tmp_path / "data.json"
-    save_dataset(partial_exclusion_dataset(), ds_path)
+    save_dataset(partial_exclusion_dataset, ds_path)
     cfg_path = write_cli_config(
         tmp_path,
         system={"kind": "dc_motor", "n_x": 1, "n_u": 1},

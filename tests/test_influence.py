@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqrinfluence import influence
-from lqrinfluence.errors import SingleTrajectory
+from lqrinfluence import influence, linalg
+from lqrinfluence.bench import GenerationConfig, generate_dataset, system_spec
+from lqrinfluence.errors import NoStabilizingSolution, SingleTrajectory
 from lqrinfluence.influence import (
     SCORE_CSV_HEADER,
     DecompositionDiagnostics,
@@ -212,15 +213,50 @@ def test_covariance_remainder_bounds():
         assert np.linalg.norm(R_w_mat) <= diag.bound_w[k] + 1e-15
 
 
-def test_sweep_refits_at_the_artifacts_weights():
-    # the refit DAREs use the Q, R the scores were built with, not identities
-    fit, _, _, _ = make_problem(seed=9)
-    Q, R = np.diag([3.0, 0.5]), np.array([[0.2]])
-    art = riccati_artifacts(fit, Q, R)
+def test_sweep_refits_at_the_artifacts_weights(partial_exclusion_dataset):
+    # every refit P is the public solve_dare's at the Q, R the scores were built
+    # with, bit for bit, and a removal is excluded exactly where solve_dare
+    # raises: generated corpora of every kind, and one with an excluded removal
+    generated = [generate_dataset(system_spec(kind), GenerationConfig(12, 5, 20, seed=seed))
+                 for kind in ("dc_motor", "msd", "uav_hover", "uav_mission") for seed in range(3)]
+    fits = [make_problem(seed=9)[0], fit_ridge(partial_exclusion_dataset, 1e-3)] + [
+        fit_ridge(data, 1e-3) for data in generated]
+    excluded = []
+    for fit in fits:
+        # not identities, so a refit at other weights would show
+        Q = np.diag(np.linspace(3.0, 0.5, fit.n_x))
+        R = np.diag(np.linspace(0.2, 0.7, fit.n_u))
+        art = riccati_artifacts(fit, Q, R)
+        sweep = exact_loto_sweep(fit, art)
+        raised = []
+        for k in range(fit.N):
+            A_k, B_k = theta_to_ab(sweep.theta[k], fit.n_x, fit.n_u)
+            try:
+                P_k = solve_dare(A_k, B_k, art.Q, art.R)
+            except NoStabilizingSolution:
+                raised.append(k)
+                assert np.isnan(sweep.P[k]).all()
+            else:
+                assert np.array_equal(sweep.P[k], P_k)
+        assert np.flatnonzero(sweep.excluded).tolist() == raised
+        excluded.append(raised)
+    assert excluded == [[], [0]] + [[]] * len(generated)
+
+
+@pytest.mark.parametrize("n_traj", [2, 9])
+def test_sweep_factors_r_once(monkeypatch, n_traj):
+    # what the refit DAREs share is formed once per sweep, whatever N is
+    fit, art, _, _ = make_problem(seed=20, n_traj=n_traj)
+    names = []
+    factor = linalg._cholesky
+
+    def counted(h, name):
+        names.append(name)
+        return factor(h, name)
+
+    monkeypatch.setattr(linalg, "_cholesky", counted)
     sweep = exact_loto_sweep(fit, art)
-    for k in range(fit.N):
-        A_k, B_k = theta_to_ab(sweep.theta[k], fit.n_x, fit.n_u)
-        assert np.array_equal(sweep.P[k], solve_dare(A_k, B_k, art.Q, art.R))
+    assert names.count("R") == 1 and not sweep.excluded.any()
 
 
 def check_modular_error_bound(fit, art, Q, R):
@@ -342,6 +378,24 @@ def test_score_table_csv_round_trip(tmp_path):
         assert float(row[3]) == table.if_stoch[i]
         assert float(row[4]) == table.delta_j_exact[i]
         assert row[9] == "0"
+
+
+@pytest.mark.parametrize(
+    "value, cell",
+    [(float("nan"), ""), (np.inf, ""), (-np.inf, ""), (None, ""), (-0.0, "-0"),
+     (np.int64(-7), "-7"), (3, "3"), (np.float64(0.1), "0.10000000000000001"),
+     (True, "1")],
+    ids=["nan", "inf", "-inf", "none", "-0.0", "int64", "int", "float64", "bool"],
+)
+def test_csv_cell_strings(value, cell):
+    assert influence.csv_cell(value) == cell
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_csv_cell_round_trips_every_finite_float_property(x):
+    assert float(influence.csv_cell(x)).hex() == x.hex()
+    assert float(influence.csv_cell(np.float64(x))).hex() == x.hex()
 
 
 def test_score_table_csv_empty_cells_without_exact(tmp_path):
