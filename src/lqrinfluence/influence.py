@@ -9,12 +9,11 @@ Three quantities per trajectory k:
 Every exact quantity comes from one sweep per fit (exact_loto_sweep), held
 as one LotoSweep of (N, ...) arrays: one sysid.loto_refit call solves the
 retained normal equations of every removal at once from the fit's
-per-trajectory statistics. The sweep then does what the refit DAREs share
-once: it unpacks every (A_k, B_k), factors R and forms every
-G_k = B_k R^-1 B_k' in one stacked solve, and symmetrizes Q. loto_record
-runs only removal k's doubling and certificate, linalg's one Riccati kernel,
-at the Q and R the Riccati artifacts were built with; its P row is NaN where
-the refit has no stabilizing solution.
+per-trajectory statistics and one reshape unpacks every (A_k, B_k), then
+loto_record solves one refit DARE per removal at the Q and R the Riccati
+artifacts were built with (solve_dare reuses their checks and R's factor
+across the sweep), its P row NaN where the refit has no stabilizing
+solution.
 diagnostics_from_record and modular_error_bound read the whole sweep and
 return (N,) arrays, NaN where excluded. Nothing here refits from the raw
 data or redoes the base DARE per trajectory.
@@ -38,7 +37,7 @@ from time import perf_counter
 import numpy as np
 
 from .errors import NoStabilizingSolution
-from .linalg import _certified_dare, _input_gram, symmetrize
+from .linalg import solve_dare
 from .lqr import RiccatiArtifacts
 from .sysid import (
     ModelFit,
@@ -79,26 +78,21 @@ class LotoSweep:
     excluded: np.ndarray   # (N,) bool, the refit DARE has no stabilizing solution
 
 
-def loto_record(art: RiccatiArtifacts, H, A_k, B_k, G_k) -> np.ndarray | None:
-    """One refit DARE at art's Q, R from H = sym(Q) and G_k; None if no solution stabilizes."""
+def loto_record(A_k, B_k, Q, R) -> np.ndarray | None:
+    """One removal's refit DARE; None if it has no stabilizing solution."""
     try:
-        return _certified_dare(A_k, B_k, art.Q, art.R, G_k, H)
+        return solve_dare(A_k, B_k, Q, R)
     except NoStabilizingSolution:
         return None
 
 
 def exact_loto_sweep(fit: ModelFit, art: RiccatiArtifacts) -> LotoSweep:
-    """Every removal: one stacked refit, then one refit DARE per trajectory at art's Q, R.
-
-    art.Q and art.R were checked when riccati_artifacts solved the base DARE.
-    """
+    """Every removal: one stacked refit, then one refit DARE per trajectory at art's Q, R."""
     theta, W = loto_refit(fit)
     A, B = theta_to_ab(theta, fit.n_x, fit.n_u)
-    G = _input_gram(B, art.R)
-    H = symmetrize(art.Q)
     P = np.full_like(W, np.nan)
     for k in range(fit.N):
-        P_k = loto_record(art, H, A[k], B[k], G[k])
+        P_k = loto_record(A[k], B[k], art.Q, art.R)
         if P_k is not None:
             P[k] = P_k
     return LotoSweep(theta=theta, W=W, P=P, excluded=np.isnan(P[:, 0, 0]))

@@ -8,13 +8,14 @@ vectorization solve for the Lyapunov equation.
 The Cholesky factor and its solve also take a (N, n, n) stack of systems,
 each checked on its own, so N small systems cost one call.
 The Riccati equation is solved by structure-preserving doubling, which
-converges quadratically; the exact sweep runs solve_dare's kernel past its
-checks (_certified_dare) after forming every G_k at once. Every Riccati and
-Lyapunov solution returned is certified by its residual. The matrix
-exponential is Pade scaling and squaring (Higham 2005).
+converges quadratically; its checked Q and R and R's factor are kept for the
+next call at equal weights, since the exact sweep solves N DAREs at one
+(Q, R). Every Riccati and Lyapunov solution returned is certified by its
+residual. The matrix exponential is Pade scaling and squaring (Higham 2005).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,22 +220,10 @@ def solve_dare(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != n:
         raise DimensionMismatch(f"B shape {B.shape} incompatible with A shape {A.shape}")
-    Q = _check_symmetric(Q, "Q")
-    R = _check_symmetric(R, "R")
-    if Q.shape[0] != n or R.shape[0] != B.shape[1]:
-        raise DimensionMismatch("Q/R dimensions do not match A/B")
-    return _certified_dare(A, B, Q, R, _input_gram(B, R), symmetrize(Q))
+    Q, R, H, L = _dare_weights(B.shape, *_shape_and_bytes(Q), *_shape_and_bytes(R))
+    L_inv_bt = np.linalg.solve(L, B.T)
+    P = _doubling(A, L_inv_bt.T @ L_inv_bt, H)
 
-
-def _input_gram(B: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """G = B R^-1 B' through R's Cholesky factor, for one B or each of a (N, n, m) stack."""
-    L_inv_bt = np.linalg.solve(_cholesky(R, "R").L, B.swapaxes(-2, -1))
-    return L_inv_bt.swapaxes(-2, -1) @ L_inv_bt
-
-
-def _certified_dare(A, B, Q, R, G, H) -> np.ndarray:
-    """solve_dare past its argument checks, given G = _input_gram(B, R) and H = symmetrize(Q)."""
-    P = _doubling(A, G, H)
     gain, resid = _dare_certificate(A, B, Q, R, P)
     if resid > _DARE_RESIDUAL_MAX:
         raise NoStabilizingSolution(
@@ -243,6 +232,28 @@ def _certified_dare(A, B, Q, R, G, H) -> np.ndarray:
     if spectral_radius(A - B @ gain) >= 1.0:
         raise NoStabilizingSolution("closed loop from the Riccati solution is not stable")
     return P
+
+
+def _shape_and_bytes(mat) -> tuple:
+    m = np.asarray(mat, dtype=float)
+    return m.shape, m.tobytes()
+
+
+@functools.lru_cache(maxsize=1)
+def _dare_weights(b_shape: tuple, q_shape: tuple, q: bytes, r_shape: tuple, r: bytes) -> tuple:
+    """solve_dare's checks of Q and R against B's shape, then sym(Q) and R's
+    Cholesky factor: (Q, R, sym(Q), L), all read-only.
+
+    Keyed on the values of Q and R, so a call at equal weights reuses the
+    checks and the factor: the exact sweep solves N refit DAREs at one (Q, R).
+    """
+    Q = _check_symmetric(np.frombuffer(q).reshape(q_shape), "Q")
+    R = _check_symmetric(np.frombuffer(r).reshape(r_shape), "R")
+    if Q.shape[0] != b_shape[0] or R.shape[0] != b_shape[1]:
+        raise DimensionMismatch("Q/R dimensions do not match A/B")
+    H, L = symmetrize(Q), _cholesky(R, "R").L
+    H.flags.writeable = L.flags.writeable = False
+    return Q, R, H, L
 
 
 def _stein_sum(A: np.ndarray, S: np.ndarray) -> np.ndarray:

@@ -178,25 +178,6 @@ def _json_array(value, key: str, shape: tuple, definite: bool | None = None) -> 
     return arr
 
 
-def _transition_arrays(rows, n_x: int, n_u: int) -> list[np.ndarray]:
-    """The x, u and x_next entries of a list of transitions as (T, n) float arrays.
-
-    ValueError, saying what is wrong, when a row is not a transition, an
-    array holds anything but numbers, or a size disagrees with n_x/n_u.
-    """
-    try:
-        # no dtype: numpy then says whether every entry is a number
-        arrays = [np.array([t[key] for t in rows]) for key in ("x", "u", "x_next")]
-    except (KeyError, TypeError, ValueError) as exc:   # ValueError: ragged
-        raise ValueError(f"is malformed: {exc}") from exc
-    for key, arr, n in zip(("x", "u", "x_next"), arrays, (n_x, n_u, n_x)):
-        if arr.dtype.kind not in "iuf":
-            raise ValueError(f"has {key} entries that are not all numbers")
-        if arr.shape != (len(rows), n):
-            raise ValueError(f"disagrees with declared n_x={n_x}, n_u={n_u}")
-    return [arr.astype(float, copy=False) for arr in arrays]
-
-
 def load_dataset(path) -> TrajectoryDataset:
     """Read a dataset written by save_dataset.
 
@@ -216,22 +197,28 @@ def load_dataset(path) -> TrajectoryDataset:
         _json_scalar(value, f"dataset {path}: {key}", low=1)
     if not trajs:
         raise InvalidConfig(f"dataset {path} has no trajectories")
+    triples = []
     for k, traj in enumerate(trajs):
-        if not isinstance(traj, list) or not traj:
-            raise InvalidConfig(f"trajectory {k} in {path} must be a non-empty list of "
-                                "transitions")
+        try:
+            # no dtype: numpy then says whether every entry is a number
+            triple = [np.array([t[key] for t in traj]) for key in ("x", "u", "x_next")]
+        except (KeyError, TypeError, ValueError) as exc:   # ValueError: ragged
+            raise InvalidConfig(f"trajectory {k} in {path} is malformed: {exc}") from exc
+        T = len(traj)
+        if T == 0:
+            raise InvalidConfig(f"trajectory {k} in {path} has no transitions")
+        for key, arr in zip(("x", "u", "x_next"), triple):
+            if arr.dtype.kind not in "iuf":
+                raise InvalidConfig(
+                    f"trajectory {k} in {path} has {key} entries that are not all numbers")
+        X, U, Xn = triple
+        if X.shape != (T, n_x) or Xn.shape != (T, n_x) or U.shape != (T, n_u):
+            raise InvalidConfig(
+                f"trajectory {k} in {path} disagrees with declared n_x={n_x}, n_u={n_u}"
+            )
+        triples.append(triple)
     try:
-        X, U, Xn = _transition_arrays([t for traj in trajs for t in traj], n_x, n_u)
-    except ValueError as exc:
-        for k, traj in enumerate(trajs):   # only to name the first bad trajectory
-            try:
-                _transition_arrays(traj, n_x, n_u)
-            except ValueError as bad:
-                raise InvalidConfig(f"trajectory {k} in {path} {bad}") from bad
-        raise InvalidConfig(f"dataset {path} {exc}") from exc
-    offsets = np.concatenate([[0], np.cumsum([len(traj) for traj in trajs])])
-    try:
-        return TrajectoryDataset(n_x, n_u, X, U, Xn, offsets)
+        return TrajectoryDataset.from_arrays(triples, n_x=n_x, n_u=n_u)
     except ValueError as exc:  # non-finite entries
         raise InvalidConfig(f"dataset {path}: {exc}") from exc
 

@@ -583,12 +583,13 @@ def numeric_entries_dataset():
 @pytest.mark.parametrize(
     "key, values, bad",
     [("x", ["1.0", 0.8], 0), ("x_next", [0.8, None], 1), ("u", [True, False], 0),
-     ("x", [1, 10**20], 1)],
-    ids=["string", "null", "all_bool", "beyond_uint64"],
+     ("u", [True, 0.5], 0), ("x", [1, 10**20], 1)],
+    ids=["string", "null", "all_bool", "bool_trajectory", "beyond_uint64"],
 )
 def test_cli_dataset_entries_must_be_numbers(tmp_path, capsys, key, values, bad):
     # np.array(..., dtype=float) read "1.0" as 1.0 and true as 1.0; each is an
-    # error now, naming the first trajectory that holds one
+    # error now, naming the first trajectory that holds one, whatever the
+    # other trajectories hold
     doc = numeric_entries_dataset()
     for (row,), value in zip(doc["trajectories"], values):
         row[key] = [value]

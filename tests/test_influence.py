@@ -216,7 +216,8 @@ def test_covariance_remainder_bounds():
 def test_sweep_refits_at_the_artifacts_weights(partial_exclusion_dataset):
     # every refit P is the public solve_dare's at the Q, R the scores were built
     # with, bit for bit, and a removal is excluded exactly where solve_dare
-    # raises: generated corpora of every kind, and one with an excluded removal
+    # raises: generated corpora of every kind, and one with an excluded removal.
+    # The sweep reuses the weights' checks and factor; the reference does not.
     generated = [generate_dataset(system_spec(kind), GenerationConfig(12, 5, 20, seed=seed))
                  for kind in ("dc_motor", "msd", "uav_hover", "uav_mission") for seed in range(3)]
     fits = [make_problem(seed=9)[0], fit_ridge(partial_exclusion_dataset, 1e-3)] + [
@@ -231,6 +232,7 @@ def test_sweep_refits_at_the_artifacts_weights(partial_exclusion_dataset):
         raised = []
         for k in range(fit.N):
             A_k, B_k = theta_to_ab(sweep.theta[k], fit.n_x, fit.n_u)
+            linalg._dare_weights.cache_clear()
             try:
                 P_k = solve_dare(A_k, B_k, art.Q, art.R)
             except NoStabilizingSolution:
@@ -247,6 +249,7 @@ def test_sweep_refits_at_the_artifacts_weights(partial_exclusion_dataset):
 def test_sweep_factors_r_once(monkeypatch, n_traj):
     # what the refit DAREs share is formed once per sweep, whatever N is
     fit, art, _, _ = make_problem(seed=20, n_traj=n_traj)
+    linalg._dare_weights.cache_clear()
     names = []
     factor = linalg._cholesky
 

@@ -329,6 +329,21 @@ def test_dare_rejects_semidefinite_r():
         solve_dare(np.eye(2) * 0.5, np.eye(2), np.eye(2), np.zeros((2, 2)))
 
 
+def test_dare_rechecks_weights_written_between_calls():
+    # the weights' checks and R's factor are reused by value, not by identity
+    A, B, Q, R = 0.5 * np.eye(2), np.eye(2), np.eye(2), np.eye(2)
+    P = solve_dare(A, B, Q, R)
+    R *= 4.0
+    assert np.array_equal(solve_dare(A, B, Q, R), solve_dare(A, B, Q, R.copy()))
+    assert not np.array_equal(solve_dare(A, B, Q, R), P)
+    R[0, 0] = 0.0
+    with pytest.raises(NotPositiveDefinite):
+        solve_dare(A, B, Q, R)
+    Q[0, 1] = 1.0
+    with pytest.raises(ValueError, match="Q is not symmetric"):
+        solve_dare(A, B, Q, np.eye(2))
+
+
 def test_dlyap_scalar_closed_form():
     # a=0.5, sigma=1: lambda = 1 / (1 - 0.25) = 4/3
     lam = solve_dlyap(np.array([[0.5]]), np.eye(1))
