@@ -76,23 +76,25 @@ class SystemSpec:
     excitation_std: float = 0.0            # policy excitation (uav kinds)
 
 
-def _zoh_discretize(A_c, B_c, dt):
+def _discretize(A_c, B_c, dt: float, zoh: bool):
+    """(a_d, b_d) of x' = A_c x + B_c u at step dt: zero-order hold through expm, or Euler."""
     n, m = B_c.shape
-    block = np.zeros((n + m, n + m))
-    block[:n, :n] = A_c * dt
-    block[:n, n:] = B_c * dt
-    eblock = expm(block)
+    with np.errstate(over="ignore"):
+        block = np.vstack([np.hstack([A_c, B_c]), np.zeros((m, n + m))]) * dt
+    if not np.isfinite(block).all():
+        raise InvalidConfig(f"system.dt {dt!r} overflows the continuous-time dynamics")
+    eblock = expm(block) if zoh else np.eye(n + m) + block
     return eblock[:n, :n], eblock[:n, n:]
 
 
-def dc_motor_spec() -> SystemSpec:
-    """Two-state DC motor (angular velocity, armature current), voltage input."""
+def dc_motor_spec(dt: float = 0.1) -> SystemSpec:
+    """Two-state DC motor (angular velocity, armature current), voltage input, ZOH at dt."""
     A_c = np.array([[-_DC_B / _DC_J, _DC_K / _DC_J],
                     [-_DC_K / _DC_LA, -_DC_RA / _DC_LA]])
     B_c = np.array([[0.0], [1.0 / _DC_LA]])
-    A_d, B_d = _zoh_discretize(A_c, B_c, dt=0.1)
+    A_d, B_d = _discretize(A_c, B_c, dt, zoh=True)
     return SystemSpec(
-        kind="dc_motor", n_x=2, n_u=1, dt=0.1,
+        kind="dc_motor", n_x=2, n_u=1, dt=dt,
         a_d=A_d, b_d=B_d,
         noise_cov=0.1 * np.eye(2),
         input_std=0.25,
@@ -100,8 +102,8 @@ def dc_motor_spec() -> SystemSpec:
     )
 
 
-def msd_spec() -> SystemSpec:
-    """Two-mass spring-damper chain, force input per mass, Euler at dt = 0.05."""
+def msd_spec(dt: float = 0.05) -> SystemSpec:
+    """Two-mass spring-damper chain, force input per mass, Euler at dt."""
     m1 = m2 = 1.0
     k1 = k2 = 2.0
     c1 = c2 = 1.0
@@ -117,27 +119,27 @@ def msd_spec() -> SystemSpec:
         [1.0 / m1, 0.0],
         [0.0, 1.0 / m2],
     ])
-    dt = 0.05
+    A_d, B_d = _discretize(A_c, B_c, dt, zoh=False)
     return SystemSpec(
         kind="msd", n_x=4, n_u=2, dt=dt,
-        a_d=np.eye(4) + dt * A_c, b_d=dt * B_c,
+        a_d=A_d, b_d=B_d,
         sigma_sq_range=_MSD_SIGMA_SQ_RANGE,
         input_std=4.0,
         x0_std=0.5 * np.ones(4),
     )
 
 
-def uav_hover_spec() -> SystemSpec:
+def uav_hover_spec(dt: float = 0.1) -> SystemSpec:
     return SystemSpec(
-        kind="uav_hover", n_x=4, n_u=2, dt=0.1,
+        kind="uav_hover", n_x=4, n_u=2, dt=dt,
         drag=_UAV_DRAG, gust_std=0.3, excitation_std=0.25,
         x0_std=np.array([0.6, 0.6, 0.15, 0.15]),
     )
 
 
-def uav_mission_spec() -> SystemSpec:
+def uav_mission_spec(dt: float = 0.1) -> SystemSpec:
     return SystemSpec(
-        kind="uav_mission", n_x=4, n_u=2, dt=0.1,
+        kind="uav_mission", n_x=4, n_u=2, dt=dt,
         drag=_UAV_DRAG, gust_std=0.5, excitation_std=0.25,
         x0_std=np.array([0.3, 0.3, 0.2, 0.2]),
     )
@@ -204,6 +206,8 @@ def system_spec(kind: str, **overrides) -> SystemSpec:
                   for name in _SCALAR_FIELDS if name in overrides)
     if fields.get("dt") == 0:
         raise InvalidConfig("system.dt must be positive")
+    if "dt" in fields:   # the linear kinds discretize at it
+        spec = _SPEC_FACTORIES[kind](fields["dt"])
     if "sigma_sq_range" in overrides:
         pair = overrides["sigma_sq_range"]
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:

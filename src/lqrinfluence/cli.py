@@ -39,32 +39,24 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="influence_run", help="output directory")
     run.add_argument("--no-exact", action="store_true",
                      help="skip the exact leave-one-out sweep")
-    run.add_argument("--seeds", default=None,
+    run.add_argument("--seeds", type=seed_list,
                      help="comma-separated seed override, e.g. 0,1,2")
     return parser
 
 
-def _parse_seeds(text: str) -> tuple:
-    try:
-        seeds = tuple(int(s) for s in text.split(",") if s.strip() != "")
-    except ValueError as exc:
-        raise InvalidConfig(f"bad --seeds value {text!r}") from exc
-    if not seeds:
-        raise InvalidConfig("--seeds must name at least one seed")
-    return seeds
+def seed_list(text: str) -> tuple:
+    """--seeds' integers; argparse reports the ValueError of one that is not as a usage error."""
+    return tuple(int(s) for s in text.split(",") if s.strip())
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
-        overrides = {}
         if args.no_exact:
-            overrides["run_exact_loto"] = False
-        if args.seeds is not None:
-            overrides["seeds"] = _parse_seeds(args.seeds)
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
+            cfg = dataclasses.replace(cfg, run_exact_loto=False)
+        if args.seeds is not None:   # ExperimentConfig rejects an empty list
+            cfg = dataclasses.replace(cfg, seeds=args.seeds)
         report = run_experiment(cfg, progress=lambda msg: print(msg, file=sys.stderr))
         written = write_outputs(report, args.out)
     except (InvalidConfig, OSError) as exc:  # the command line, config, dataset or output directory

@@ -41,15 +41,9 @@ def rankdata(a) -> np.ndarray:
     a = np.asarray(a, dtype=float).ravel()
     if np.isnan(a).any():
         return np.full(a.size, np.nan)
-    order = np.argsort(a, kind="stable")
-    ordered = a[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    bounds = np.r_[starts, a.size]
-    # a tie group occupying sorted positions [lo, hi) holds ranks lo+1 .. hi
-    group_rank = 0.5 * (bounds[:-1] + 1 + bounds[1:])
-    ranks = np.empty(a.size)
-    ranks[order] = np.repeat(group_rank, np.diff(bounds))
-    return ranks
+    _, group, counts = np.unique(a, return_inverse=True, return_counts=True)
+    # the c values of a tie group ending at rank hi hold ranks hi-c+1 .. hi
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
 def spearman(a, b) -> float:
@@ -62,9 +56,7 @@ def spearman(a, b) -> float:
         raise DegenerateInput("need at least two observations")
     if np.ptp(a) == 0 or np.ptp(b) == 0:
         raise DegenerateInput("constant input has no rank ordering")
-    ra = rankdata(a)
-    rb = rankdata(b)
-    return float(np.corrcoef(ra, rb)[0, 1])
+    return float(np.corrcoef(rankdata(a), rankdata(b))[0, 1])
 
 
 def topk_jaccard(a, b, k: int) -> float:

@@ -149,17 +149,20 @@ def solve_spd(factor: SpdFactor, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(factor.L.swapaxes(-2, -1), np.linalg.solve(factor.L, r))
 
 
-def _dare_certificate(A, B, Q, R, P):
-    """Gain (R + B'PB)^-1 B'PA and relative DARE residual of P, both from one solve."""
-    apb = A.T @ P @ B
-    gain = np.linalg.solve(R + B.T @ P @ B, apb.T)
-    resid = Q + A.T @ P @ A - apb @ gain - P
-    return gain, float(np.linalg.norm(resid) / max(np.linalg.norm(P), np.finfo(float).tiny))
+def gain_and_closed_loop(A: np.ndarray, B: np.ndarray, P: np.ndarray, R: np.ndarray):
+    """Gain K = (R + B'PB)^-1 B'PA and closed loop A - B K: the one place either is formed."""
+    K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+    return K, A - B @ K
+
+
+def _dare_residual(A, Q, P, A_cl) -> float:
+    resid = Q + A.T @ P @ A_cl - P
+    return float(np.linalg.norm(resid) / max(np.linalg.norm(P), np.finfo(float).tiny))
 
 
 def dare_residual(A, B, Q, R, P) -> float:
-    """Relative DARE residual ||Q + A'PA - A'PB (R + B'PB)^-1 B'PA - P||_F / ||P||_F."""
-    return _dare_certificate(A, B, Q, R, P)[1]
+    """Relative DARE residual ||Q + A'P A_cl - P||_F / ||P||_F, A_cl from gain_and_closed_loop."""
+    return _dare_residual(A, Q, P, gain_and_closed_loop(A, B, P, R)[1])
 
 
 def _doubling(A: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -169,8 +172,8 @@ def _doubling(A: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
     converges quadratically (Lin & Xu 2006); it stops once a doubling moves H
     by less than round-off.  Raises NoStabilizingSolution when an iterate
     entry is NaN or grows past _DOUBLING_BOUND, before any product can
-    overflow, or when _DOUBLING_MAX doublings do not converge.  It writes
-    only its own copies of the arguments.
+    overflow, when I + G H is numerically singular, or when _DOUBLING_MAX
+    doublings do not converge.  It writes only its own copies of the arguments.
     """
     n = A.shape[0]
     eye = np.eye(n)
@@ -183,8 +186,12 @@ def _doubling(A: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
     A, G = AG[:, :n], AG[:, n:]
     H, step = HS
     for k in range(_DOUBLING_MAX):
-        # W^-1 [A, G] with W = I + G H; eigenvalues of W are >= 1 since G, H are PSD
-        X = np.linalg.solve(eye + G @ H, AG)
+        # W^-1 [A, G], W = I + G H: G, H PSD give W eigenvalues >= 1 only in exact arithmetic
+        try:
+            X = np.linalg.solve(eye + G @ H, AG)
+        except np.linalg.LinAlgError as exc:
+            raise NoStabilizingSolution(
+                f"riccati doubling step {k + 1} failed: I + GH is singular") from exc
         AX = X[:, :n]
         S = A.T @ H @ AX
         np.divide(S + S.T, 2.0, out=step)
@@ -210,10 +217,10 @@ def solve_dare(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np
     """Stabilizing solution of P = Q + A'PA - A'PB (R + B'PB)^-1 B'PA.
 
     Structure-preserving doubling on G = B R^-1 B'.  The returned P carries a
-    certificate: its relative residual (dare_residual) is at most
-    _DARE_RESIDUAL_MAX and its closed loop A - B K is stable; otherwise, or
-    when the doubling diverges, NoStabilizingSolution is raised.  No argument
-    is written.
+    certificate read off the closed loop A_cl of gain_and_closed_loop, the one
+    the scores use: its relative residual (dare_residual) is at most
+    _DARE_RESIDUAL_MAX and A_cl is stable; otherwise, or when the doubling
+    fails, NoStabilizingSolution is raised.  No argument is written.
     """
     A = _check_square(A, "A")
     n = A.shape[0]
@@ -224,12 +231,13 @@ def solve_dare(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np
     L_inv_bt = np.linalg.solve(L, B.T)
     P = _doubling(A, L_inv_bt.T @ L_inv_bt, H)
 
-    gain, resid = _dare_certificate(A, B, Q, R, P)
+    A_cl = gain_and_closed_loop(A, B, P, R)[1]
+    resid = _dare_residual(A, Q, P, A_cl)
     if resid > _DARE_RESIDUAL_MAX:
         raise NoStabilizingSolution(
             f"riccati residual {resid:.3e} above certificate bound {_DARE_RESIDUAL_MAX:.0e}"
         )
-    if spectral_radius(A - B @ gain) >= 1.0:
+    if spectral_radius(A_cl) >= 1.0:
         raise NoStabilizingSolution("closed loop from the Riccati solution is not stable")
     return P
 

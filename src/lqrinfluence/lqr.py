@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import solve_dare, solve_dlyap
+from .linalg import gain_and_closed_loop, solve_dare, solve_dlyap
 from .sysid import ModelFit
 
 @dataclass(frozen=True)
@@ -38,12 +38,7 @@ class RiccatiArtifacts:
     v_stoch: np.ndarray   # H^-1 (zeta - h)
 
 
-def gain_and_closed_loop(A: np.ndarray, B: np.ndarray, P0: np.ndarray, R: np.ndarray):
-    K0 = np.linalg.solve(R + B.T @ P0 @ B, B.T @ P0 @ A)
-    return K0, A - B @ K0
-
-
-def riccati_gradient(A, B, P0, K0, A_cl, W) -> np.ndarray:
+def riccati_gradient(P0, K0, A_cl, W) -> np.ndarray:
     """Gradient of theta -> Tr(P(theta) W) at fixed W.
 
     Differentiating the Riccati fixed point at the optimal gain leaves only
@@ -74,7 +69,7 @@ def riccati_artifacts(fit: ModelFit, Q: np.ndarray, R: np.ndarray) -> RiccatiArt
     Q, R = np.array(Q, dtype=float), np.array(R, dtype=float)   # not the caller's arrays
     P0 = solve_dare(A, B, Q, R)
     K0, A_cl = gain_and_closed_loop(A, B, P0, R)
-    zeta = riccati_gradient(A, B, P0, K0, A_cl, fit.W_hat)
+    zeta = riccati_gradient(P0, K0, A_cl, fit.W_hat)
     h = residual_channel_gradient(fit, P0)
     v_fixed = fit.hessian_solve(zeta)
     v_stoch = fit.hessian_solve(zeta - h)   # combined sensitivity of Tr(P(theta) W_hat(theta))

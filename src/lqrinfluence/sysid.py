@@ -23,7 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, NotPositiveDefinite, SingleTrajectory
+from .errors import (DimensionMismatch, InvalidConfig, LqrInfluenceError, NotPositiveDefinite,
+                     SingleTrajectory)
 from .linalg import SpdFactor, _check_symmetric, cholesky_factor, solve_spd, symmetrize
 
 
@@ -329,11 +330,18 @@ class ModelFit:
         return X.transpose(1, 0, 2).reshape(V.shape)
 
 
+def _finite_sum(total: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(total).all():
+        raise LqrInfluenceError(f"the data's {name} overflows double precision")
+    return total
+
+
+@np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _finite_sum
 def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
     """Solve the ridge normal equations and cache residual/gradient structure.
 
     lam = 0 is allowed only when the Gram matrix is positive definite
-    (NotPositiveDefinite otherwise).
+    (NotPositiveDefinite otherwise); an overflowing Gram, W_hat or Z^T E raises LqrInfluenceError.
     """
     if lam < 0:
         raise ValueError("ridge weight must be nonnegative")
@@ -343,7 +351,7 @@ def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
     blk = np.hstack([data.states, data.inputs, data.next_states])
     Z, E = blk[:, :q], blk[:, q:]
 
-    gram = symmetrize(Z.T @ Z / M)
+    gram = _finite_sum(symmetrize(Z.T @ Z / M), "Gram matrix")
     gram_factor = cholesky_factor(gram + lam * np.eye(q))
     Theta = solve_spd(gram_factor, Z.T @ E / M)   # (q, n_x)
     E -= Z @ Theta
@@ -361,11 +369,11 @@ def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
         gram=gram,
         gram_factor=gram_factor,
         residuals=E,
-        W_hat=symmetrize(EE.sum(axis=0)) / M,
+        W_hat=_finite_sum(symmetrize(EE.sum(axis=0)) / M, "residual covariance"),
         per_traj_cov=symmetrize(EE) / data.lengths[:, None, None],
         g=np.divide(stats[:, :q, q:], -M).reshape(N, q * n_x),
         traj_stats=stats,
-        ZtE=stats[:, :q, q:].sum(axis=0),
+        ZtE=_finite_sum(stats[:, :q, q:].sum(axis=0), "Z^T E"),
     )
 
 

@@ -40,9 +40,8 @@ from lqrinfluence.influence import (
     modular_error_bound,
     score_all,
 )
-from lqrinfluence.linalg import solve_dare, solve_dlyap, spectral_radius
+from lqrinfluence.linalg import gain_and_closed_loop, solve_dare, solve_dlyap, spectral_radius
 from lqrinfluence.lqr import (
-    gain_and_closed_loop,
     riccati_artifacts,
     riccati_gradient,
 )
@@ -139,7 +138,7 @@ def test_criterion_01_riccati_gradient_gate():
         Q, R = np.eye(n_x), np.eye(n_u)
         P0 = solve_dare(A, B, Q, R)
         K0, A_cl = gain_and_closed_loop(A, B, P0, R)
-        zeta = riccati_gradient(A, B, P0, K0, A_cl, Sigma)
+        zeta = riccati_gradient(P0, K0, A_cl, Sigma)
         theta = np.hstack([A, B]).ravel(order="F")
         d = rng.normal(size=theta.size)
         d /= np.linalg.norm(d)

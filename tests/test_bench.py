@@ -24,7 +24,7 @@ from lqrinfluence.bench import (
     _reference_grid,
     _traj_rng,
     _uav_policy,
-    _zoh_discretize,
+    _discretize,
     dc_motor_spec,
     generate_dataset,
     generate_heldout,
@@ -146,12 +146,46 @@ def assert_matches_serial(data, spec, seed, stream, x0_scale=1.0):
 def test_dc_motor_zoh_block_matches_scipy_expm():
     A_c = np.array([[-_DC_B / _DC_J, _DC_K / _DC_J], [-_DC_K / _DC_LA, -_DC_RA / _DC_LA]])
     B_c = np.array([[0.0], [1.0 / _DC_LA]])
-    block = np.zeros((3, 3))
-    block[:2, :2], block[:2, 2:] = 0.1 * A_c, 0.1 * B_c
-    want = sla.expm(block)
-    A_d, B_d = _zoh_discretize(A_c, B_c, 0.1)
-    for got, ref in ((A_d, want[:2, :2]), (B_d, want[:2, 2:])):
-        assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+    for dt in (0.1, 0.05):   # the default step and a configured one
+        block = np.zeros((3, 3))
+        block[:2, :2], block[:2, 2:] = dt * A_c, dt * B_c
+        want = sla.expm(block)
+        spec = system_spec("dc_motor", dt=dt)
+        assert spec.dt == dt
+        for got, ref in ((spec.a_d, want[:2, :2]), (spec.b_d, want[:2, 2:])):
+            assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_default_dt_override_is_the_default_spec(kind):
+    # bitwise: the benchmark's stored references hold only if the default step is unchanged
+    base = system_spec(kind)
+    spec = system_spec(kind, dt=base.dt)
+    for name, value in vars(base).items():
+        assert np.array_equal(getattr(spec, name), value), name
+        if isinstance(value, np.ndarray):
+            assert getattr(spec, name).tobytes() == value.tobytes(), name
+
+
+def test_msd_discretizes_at_the_configured_dt():
+    A_c = (msd_spec().a_d - np.eye(4)) / 0.05
+    spec = system_spec("msd", dt=0.01)
+    assert np.allclose(spec.a_d, np.eye(4) + 0.01 * A_c, rtol=0, atol=1e-13)
+    assert np.allclose(spec.b_d, 0.01 / 0.05 * msd_spec().b_d, rtol=0, atol=1e-15)
+    fine, base = (generate_dataset(s, QUICK) for s in (spec, msd_spec()))
+    assert np.array_equal(fine.inputs, base.inputs)   # the same draws
+    assert not np.array_equal(fine.next_states, base.next_states)
+    # an explicit a_d, b_d still wins over the discretization
+    a_d = 0.5 * np.eye(4)
+    assert np.array_equal(system_spec("msd", dt=0.01, a_d=a_d.tolist()).a_d, a_d)
+
+
+def test_dt_that_overflows_the_dynamics_is_config_error():
+    with pytest.raises(InvalidConfig, match="system.dt"):
+        system_spec("dc_motor", dt=1e308)
+    # a finite block is discretized, however coarse: the ZOH of a stable motor stays finite
+    a_d, b_d = _discretize(-np.eye(1), np.eye(1), 1e300, zoh=True)
+    assert np.isfinite(a_d).all() and np.isfinite(b_d).all()
 
 
 def test_dc_motor_discretization_unchanged():
@@ -188,7 +222,7 @@ def test_spec_overrides_apply():
     assert isinstance(spec.a_d, np.ndarray) and np.array_equal(spec.a_d, 0.5 * np.eye(2))
     assert np.array_equal(spec.x0_std, [1.0, 2.0])
     assert system_spec("msd", sigma_sq_range=[0.1, 0.2], input_std=1.0).input_std == 1.0
-    assert system_spec("msd", dt=0.1).dt == 0.1   # not read for msd, but the report echoes it
+    assert system_spec("msd", dt=0.1).dt == 0.1
     # only supplied arrays are checked: dimensions alone may change (external datasets)
     assert system_spec("dc_motor", n_x=20, n_u=5).n_x == 20
 

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -467,10 +468,80 @@ def test_cli_integer_dataset_is_config_error(tmp_path, capsys):
     assert "dataset" in capsys.readouterr().err
 
 
-def test_cli_bad_seed_override_is_config_error(tmp_path):
+def test_cli_bad_seed_override_is_config_error(tmp_path, capsys):
     cfg_path = write_cli_config(tmp_path)
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"),
-                 "--seeds", "a,b"]) == 1
+    for seeds, message in (
+        ("a,b", "argument --seeds: invalid seed_list value: 'a,b'"),   # argparse's usage error
+        (",", "seeds must be non-empty"),                              # ExperimentConfig's rule
+    ):
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o"), "--seeds", seeds]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+# finite input whose sums overflow, and a doubling step that is singular in floating point
+_OVERFLOW_DATASET = {"n_x": 1, "n_u": 1, "trajectories": [
+    [{"x": [s * 1e200], "u": [-s * 1e200], "x_next": [s * 1e200]}] for s in (1, -1)]}
+_NUMERICAL_REPROS = {
+    "gram-overflow": ({"system": {"kind": "dc_motor", "input_std": 1e300},
+                       "generation": {"n_trajectories": 3, "t_min": 1, "t_max": 6},
+                       "seeds": [33], "top_k": 1}, "Gram matrix overflows"),
+    "dataset-overflow": ({"system": {"kind": "dc_motor", "n_x": 1, "n_u": 1},
+                          "generation": {"n_trajectories": 2, "t_min": 1, "t_max": 1},
+                          "seeds": [0], "top_k": 1, "dataset": "big.json"}, "Gram matrix overflows"),
+    "singular-doubling": ({"system": {"kind": "msd", "sigma_sq_range": [1e160, 2e160]},
+                           "generation": {"n_trajectories": 5, "t_min": 1, "t_max": 1,
+                                          "x0_scale": 1e5},
+                           "seeds": [32], "top_k": 1}, "doubling step 1 failed"),
+}
+
+
+@pytest.mark.parametrize("name", list(_NUMERICAL_REPROS))
+def test_cli_numerical_extremes_are_numerical_failures(tmp_path, monkeypatch, capsys, name):
+    # each escaped main as a bare ValueError or LinAlgError after RuntimeWarning lines
+    doc, message = _NUMERICAL_REPROS[name]
+    monkeypatch.chdir(tmp_path)
+    Path("big.json").write_text(json.dumps(_OVERFLOW_DATASET))
+    Path("config.json").write_text(json.dumps(doc))
+    assert main(["run", "config.json", "--out", "o"]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]   # after the "seed N" progress line
+    assert last.startswith("numerical failure: ") and message in last
+
+
+_MAGNITUDES = (0.0, 1e-300, 1.0, 1e160, 1e300)
+
+
+@st.composite
+def extreme_run_configs(draw):
+    """Small configs whose noise, excitation and drag scales are drawn from _MAGNITUDES."""
+    kind = draw(st.sampled_from(["dc_motor", "msd", "uav_hover", "uav_mission"]))
+    n_x = 2 if kind == "dc_motor" else 4
+    names = (["x0_std", "drag", "gust_std", "excitation_std"] if kind.startswith("uav")
+             else ["x0_std", "input_std", "sigma_sq_range"] + ["noise_cov"] * (kind == "dc_motor"))
+    system = {"kind": kind}
+    for name in draw(st.lists(st.sampled_from(names), unique=True)):
+        m = draw(st.sampled_from(_MAGNITUDES))
+        system[name] = {"x0_std": [m] * n_x, "sigma_sq_range": [m, 2 * m],
+                        "noise_cov": (m * np.eye(n_x)).tolist()}.get(name, m)
+    t_min = draw(st.integers(1, 5))
+    doc = {"system": system,
+           "generation": {"n_trajectories": draw(st.integers(2, 5)), "t_min": t_min,
+                          "t_max": draw(st.integers(t_min, 5)),
+                          "x0_scale": draw(st.sampled_from([1.0, 1e5]))},
+           "seeds": [draw(st.integers(0, 40))], "top_k": 1,
+           "run_exact_loto": draw(st.booleans())}
+    if draw(st.booleans()):
+        doc.update(run_heldout=True, heldout_size=draw(st.integers(2, 50)))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(extreme_run_configs())
+def test_cli_run_never_raises(doc):
+    # every outcome is a documented exit code; a RuntimeWarning is an error in this suite
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", str(cfg_path), "--out", str(Path(tmp) / "o")]) in (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("seeds, argv", [

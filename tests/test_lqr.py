@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from lqrinfluence.errors import UnstableClosedLoop
-from lqrinfluence.linalg import solve_dare, solve_dlyap, spectral_radius
+from lqrinfluence.linalg import gain_and_closed_loop, solve_dare, solve_dlyap, spectral_radius
 from lqrinfluence.lqr import (
-    gain_and_closed_loop,
     residual_channel_gradient,
     riccati_artifacts,
     riccati_gradient,
@@ -57,7 +56,7 @@ def test_riccati_gradient_scalar_fd():
     A, B = np.array([[a]]), np.array([[b]])
     P0 = solve_dare(A, B, Q, R)
     K0, A_cl = gain_and_closed_loop(A, B, P0, R)
-    zeta = riccati_gradient(A, B, P0, K0, A_cl, Sigma)
+    zeta = riccati_gradient(P0, K0, A_cl, Sigma)
     theta = np.array([a, b])
     eps = 1e-6
     for i in range(2):
@@ -77,7 +76,7 @@ def test_riccati_gradient_fd_random_directions():
     Sigma = random_psd(rng, 3)
     P0 = solve_dare(A, B, Q, R)
     K0, A_cl = gain_and_closed_loop(A, B, P0, R)
-    zeta = riccati_gradient(A, B, P0, K0, A_cl, Sigma)
+    zeta = riccati_gradient(P0, K0, A_cl, Sigma)
     theta = np.hstack([A, B]).ravel(order="F")
     eps = 1e-6 * (1 + np.abs(theta).max())
     for _ in range(20):
@@ -96,7 +95,7 @@ def test_riccati_gradient_zero_sigma():
     P0 = solve_dare(A, B, np.eye(3), np.eye(1))
     K0, A_cl = gain_and_closed_loop(A, B, P0, np.eye(1))
     assert np.array_equal(
-        riccati_gradient(A, B, P0, K0, A_cl, np.zeros((3, 3))), np.zeros(12)
+        riccati_gradient(P0, K0, A_cl, np.zeros((3, 3))), np.zeros(12)
     )
 
 
@@ -106,17 +105,15 @@ def test_riccati_gradient_linear_in_sigma():
     P0 = solve_dare(A, B, np.eye(3), np.eye(2))
     K0, A_cl = gain_and_closed_loop(A, B, P0, np.eye(2))
     s1, s2 = random_psd(rng, 3), random_psd(rng, 3)
-    z1 = riccati_gradient(A, B, P0, K0, A_cl, s1)
-    z2 = riccati_gradient(A, B, P0, K0, A_cl, s2)
-    z12 = riccati_gradient(A, B, P0, K0, A_cl, 2.0 * s1 + 0.5 * s2)
+    z1 = riccati_gradient(P0, K0, A_cl, s1)
+    z2 = riccati_gradient(P0, K0, A_cl, s2)
+    z12 = riccati_gradient(P0, K0, A_cl, 2.0 * s1 + 0.5 * s2)
     assert np.allclose(z12, 2.0 * z1 + 0.5 * z2, atol=1e-10 * (1 + np.abs(z12).max()))
 
 
 def test_riccati_gradient_rejects_unstable_loop():
     with pytest.raises(UnstableClosedLoop):
-        riccati_gradient(
-            np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)), 1.1 * np.eye(2), np.eye(2)
-        )
+        riccati_gradient(np.eye(2), np.zeros((2, 2)), 1.1 * np.eye(2), np.eye(2))
 
 
 def test_residual_channel_gradient_fd():
@@ -185,7 +182,7 @@ def test_artifacts_fields_consistent():
     Q, R = np.eye(3), np.eye(2)
     art = riccati_artifacts(fit, Q, R)
     # zeta at the plug-in covariance
-    zeta = riccati_gradient(fit.A, fit.B, art.P0, art.K0, art.A_cl, fit.W_hat)
+    zeta = riccati_gradient(art.P0, art.K0, art.A_cl, fit.W_hat)
     assert np.array_equal(art.zeta, zeta)
     # gain reproduction
     K0 = np.linalg.solve(R + fit.B.T @ art.P0 @ fit.B, fit.B.T @ art.P0 @ fit.A)
