@@ -11,8 +11,13 @@ Four systems of increasing identification difficulty:
 * uav_mission— same vehicle tracking aggressive references (figure-eight,
                descending-S, circle), far outside the linear regime.
 
-All randomness derives from (seed, trajectory index) seed sequences, so
-generating trajectories in parallel or serially yields identical datasets.
+All randomness derives from (seed, stream, k) keyed NumPy streams, so
+generating trajectories in parallel or serially yields identical datasets:
+stream 0 draws a dataset's lengths, trajectory k of a dataset draws from
+stream (seed, 1, k) and held-out trajectory k from (seed, 2, k). Each is
+default_rng(SeedSequence(entropy=seed, spawn_key=(stream, k))) bit for bit,
+but _generators builds all of a call's streams in one vectorized pass of
+SeedSequence's hashing and hands each PCG64 its seeding words directly.
 The generators roll every trajectory of a dataset out in lockstep: one loop
 over time advances all N states, as (N, .) arrays (linear) or as (., N)
 component rows (quadrotor), and one finiteness check (_transitions) reads
@@ -31,6 +36,8 @@ its parameters stacked as arrays, and x0 starts from the grid's first row.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -239,9 +246,93 @@ class GenerationConfig:
             raise InvalidConfig("x0_scale must be positive and finite")
 
 
-def _traj_rng(seed: int, k: int, stream: int = 1) -> np.random.Generator:
-    # (seed, trajectory index) keyed streams: parallel generation == serial
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream, k)))
+# NumPy's SeedSequence hashing (NEP 19): the pool and generate_state constants
+_WORD = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(h: int, mult: int):
+    """SeedSequence's running hash constant: each hash xors with it, advances it, multiplies."""
+    while True:
+        xor, h = h, h * mult & _WORD
+        yield xor, h
+
+
+def _hashmix(v, key):
+    xor, mul = key
+    v = (v ^ xor) * mul & _WORD
+    return v ^ (v >> 16)
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _WORD
+    return r ^ (r >> 16)
+
+
+@functools.cache
+def _seed_words_type():
+    """An ISeedSequence handing PCG64 its four precomputed seeding words.
+
+    Built on first use, so importing this module does not import numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("SeedWords holds only PCG64's four 64-bit seeding words")
+            return self.words
+
+    return SeedWords
+
+
+def _generators(seed: int, counts: dict) -> list:
+    """Generators of the streams (seed, s, k), k < counts[s], in counts' order then k's.
+
+    Each is default_rng(SeedSequence(entropy=seed, spawn_key=(s, k))) bit for
+    bit. SeedSequence mixes the seed's uint32 words (lowest first, padded to
+    its pool of four) and then the spawn key's into the pool, with constants
+    that depend only on how many words came before. So the seed part is
+    hashed once, in Python integers, and only (s, k) run as uint32 arrays,
+    through the same _hashmix and _mix. A negative seed raises ValueError, as
+    SeedSequence does; a count above 2**32 raises InvalidConfig before
+    anything is allocated, since its k would take two words.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"expected non-negative integer seed, got {seed}")
+    if max(counts.values()) > 2**32:
+        raise InvalidConfig(f"at most 2**32 trajectories per stream, got {max(counts.values())}")
+    words = [seed >> shift & _WORD for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+
+    keys = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, next(keys)) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(keys)))
+    for w in words[4:]:   # a seed of 2**128 or more has words past the pool's four
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(w, next(keys)))
+    streams = np.repeat(np.array(list(counts), dtype=np.uint32), list(counts.values()))
+    ks = np.concatenate([np.arange(n, dtype=np.uint32) for n in counts.values()])
+    pool = [np.full(ks.size, w, dtype=np.uint32) for w in pool]
+    for w in (streams, ks):
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(w, next(keys)))
+
+    keys = _hash_constants(_INIT_B, _MULT_B)
+    state = [_hashmix(pool[i % 4], next(keys)).astype(np.uint64) for i in range(8)]
+    rows = np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])], axis=1)
+    from numpy.random import PCG64, Generator
+    SeedWords = _seed_words_type()
+    return [Generator(PCG64(SeedWords(row))) for row in rows]
 
 
 def _live(lengths) -> np.ndarray:
@@ -496,11 +587,9 @@ def _check_generable(spec: SystemSpec) -> None:
     _read_arrays(vars(spec), vars(spec))   # every array, the kind's own too, against n_x/n_u
 
 
-def _simulate(spec: SystemSpec, seed: int, stream: int, lengths,
-              x0_scale: float) -> TrajectoryDataset:
-    """Trajectory k, lengths[k] steps, from stream (seed, stream, k); all k in lockstep."""
+def _simulate(spec: SystemSpec, rngs, lengths, x0_scale: float) -> TrajectoryDataset:
+    """Trajectory k, lengths[k] steps, from rngs[k]; all k in lockstep."""
     _check_generable(spec)
-    rngs = [_traj_rng(seed, k, stream) for k in range(len(lengths))]
     if spec.kind in _LINEAR_KINDS:
         X, U, Xn = _rollout_linear(spec, rngs, lengths, x0_scale)
     else:
@@ -521,9 +610,9 @@ def _simulate(spec: SystemSpec, seed: int, stream: int, lengths,
 
 def generate_dataset(spec: SystemSpec, cfg: GenerationConfig) -> TrajectoryDataset:
     """Simulate cfg.n_trajectories trajectories with (seed, index)-keyed streams."""
-    len_rng = _traj_rng(cfg.seed, 0, stream=0)
+    len_rng, *rngs = _generators(cfg.seed, {0: 1, 1: cfg.n_trajectories})
     lengths = len_rng.integers(cfg.t_min, cfg.t_max + 1, size=cfg.n_trajectories)
-    return _simulate(spec, cfg.seed, 1, lengths, cfg.x0_scale)
+    return _simulate(spec, rngs, lengths, cfg.x0_scale)
 
 
 def generate_heldout(spec: SystemSpec, seed: int, size: int = 10_000) -> TrajectoryDataset:
@@ -535,8 +624,9 @@ def generate_heldout(spec: SystemSpec, seed: int, size: int = 10_000) -> Traject
     if size < 1:
         raise InvalidConfig(f"held-out size must be positive, got {size}")
     n_full, rest = divmod(size, _HELDOUT_TRAJ_LEN)
+    rngs = _generators(seed, {2: n_full + (rest > 0)})
     lengths = np.array([_HELDOUT_TRAJ_LEN] * n_full + ([rest] if rest else []))
-    return _simulate(spec, seed, 2, lengths, 1.0)
+    return _simulate(spec, rngs, lengths, 1.0)
 
 
 def prediction_loss(theta: np.ndarray, data: TrajectoryDataset) -> float:

@@ -3,7 +3,7 @@
     lqr-influence run config.json --out results/ [--no-exact] [--seeds 0,1,2]
 
 Exit codes: 0 success, 1 config error (a malformed command line, config,
-dataset file or output directory), 2 numerical failure,
+dataset file or output directory, or sizes too large to allocate), 2 numerical failure,
 3 success with some trajectories excluded (their refit had no stabilizing
 controller; they are listed in the report and flagged in the score CSVs).
 """
@@ -61,6 +61,9 @@ def main(argv=None) -> int:
         written = write_outputs(report, args.out)
     except (InvalidConfig, OSError) as exc:  # the command line, config, dataset or output directory
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:   # configured sizes no allocation can hold
+        print(f"config error: the configured sizes do not fit in memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LqrInfluenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

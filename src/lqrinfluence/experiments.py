@@ -5,7 +5,8 @@ seed, fit the ridge model, build the Riccati artifacts, score every
 trajectory, optionally run the exact leave-one-out sweep, and aggregate
 rank-agreement metrics across seeds.  Outputs are deterministic given the
 config: the report is byte-identical across runs except for its separate
-"timings" section.
+"timings" section, on the same NumPy/BLAS build at the same BLAS thread count
+(a threaded BLAS may sum a product over all transitions in another order).
 """
 from __future__ import annotations
 
@@ -224,6 +225,14 @@ def _finite_or_none(x) -> float | None:
     return x if np.isfinite(x) else None
 
 
+def _rank_agreement(a, b) -> float | None:
+    """spearman(a, b), or None where either side has no rank ordering to compare."""
+    try:
+        return _finite_or_none(spearman(a, b))
+    except DegenerateInput:   # constant, or fewer than two kept removals
+        return None
+
+
 def _mean_std(values: list) -> dict:
     vals = np.asarray([v for v in values if v is not None], dtype=float)
     if vals.size == 0:
@@ -281,8 +290,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         if cfg.run_exact_loto:
             mask = np.isfinite(table.delta_j_exact)
             dj = table.delta_j_exact[mask]
-            entry["spearman_stoch"] = _finite_or_none(spearman(table.if_stoch[mask], dj))
-            entry["spearman_fixed"] = _finite_or_none(spearman(table.if_fixed[mask], dj))
+            entry["spearman_stoch"] = _rank_agreement(table.if_stoch[mask], dj)
+            entry["spearman_fixed"] = _rank_agreement(table.if_fixed[mask], dj)
             k_eff = min(cfg.top_k, int(mask.sum()))
             entry["jaccard_stoch"] = topk_jaccard(table.if_stoch[mask], dj, k_eff)
             entry["jaccard_fixed"] = topk_jaccard(table.if_fixed[mask], dj, k_eff)
@@ -292,7 +301,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         if cfg.run_heldout:
             heldout = generate_heldout(cfg.system, seed, cfg.heldout_size)
             if_pred, delta_l = heldout_prediction_scores(fit, heldout)
-            entry["spearman_pred"] = _finite_or_none(spearman(if_pred, delta_l))
+            entry["spearman_pred"] = _rank_agreement(if_pred, delta_l)
 
         report.per_seed.append(entry)
         report.timings.setdefault("per_seed", []).append(timing)

@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lqrinfluence.bench import (
     _DC_B,
@@ -22,9 +24,9 @@ from lqrinfluence.bench import (
     GenerationConfig,
     _reference,
     _reference_grid,
-    _traj_rng,
     _uav_policy,
     _discretize,
+    _generators,
     dc_motor_spec,
     generate_dataset,
     generate_heldout,
@@ -48,6 +50,11 @@ from lqrinfluence.sysid import (
 
 QUICK = GenerationConfig(n_trajectories=12, t_min=8, t_max=20, seed=0)
 KINDS = ["dc_motor", "msd", "uav_hover", "uav_mission"]
+
+
+def stream_rng(seed, k, stream=1):
+    # the (seed, stream, k) stream as NumPy defines it, one SeedSequence per trajectory
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream, k)))
 
 
 # Serial oracles: one trajectory, one step and one draw at a time, the way the
@@ -127,7 +134,7 @@ def scalar_draw_x0(spec, policy, rng, x0_scale):
 
 
 def serial_trajectory(spec, seed, k, stream, T, x0_scale=1.0):
-    rng = _traj_rng(seed, k, stream)
+    rng = stream_rng(seed, k, stream)
     if spec.kind in ("dc_motor", "msd"):
         return serial_linear(spec, rng, T, x0_scale)
     policy = scalar_draw_policy(spec, k, rng)
@@ -304,6 +311,36 @@ def test_generation_config_validation():
         GenerationConfig(n_trajectories=5, t_min=5, t_max=10, x0_scale=0.0)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**200 - 1),
+       st.dictionaries(st.integers(0, 2), st.integers(1, 5000), min_size=1),
+       st.integers(0, 4999))
+@example(2**32, {0: 1, 1: 40}, 7)   # a seed of two words
+@example(2**130 + 3, {2: 3}, 1)      # five words: one past the pool
+@example(2**200 - 1, {1: 2, 0: 1}, 0)
+def test_seeding_pass_matches_seed_sequence(seed, counts, k):
+    # one vectorized pass gives every stream NumPy's own SeedSequence gives it
+    rngs = iter(_generators(seed, counts))
+    for stream, n in counts.items():
+        for j, rng in enumerate(next(rngs) for _ in range(n)):
+            if j in (0, k % n, n - 1):
+                oracle = stream_rng(seed, j, stream)
+                assert rng.bit_generator.state == oracle.bit_generator.state
+                assert rng.integers(2**63, size=3).tolist() == oracle.integers(2**63, size=3).tolist()
+                assert rng.normal() == oracle.normal()
+    assert next(rngs, None) is None
+
+
+def test_seeding_pass_rejects_what_seed_sequence_cannot_key():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        _generators(-1, {1: 2})
+    # k = 2**32 would take two spawn-key words: refused before any allocation
+    with pytest.raises(InvalidConfig, match="2\\*\\*32"):
+        _generators(0, {0: 1, 1: 2**32 + 1})
+
+
 @pytest.mark.parametrize("kind", ["dc_motor", "msd", "uav_hover", "uav_mission"])
 def test_generation_deterministic(kind):
     spec = system_spec(kind)
@@ -325,6 +362,7 @@ def test_lockstep_generation_matches_serial_rollouts(kind, seed):
     spec = system_spec(kind)
     cfg = GenerationConfig(9, 3, 25, seed=seed, x0_scale=1.5)
     data = generate_dataset(spec, cfg)
+    assert np.array_equal(data.lengths, stream_rng(seed, 0, 0).integers(3, 26, size=9))
     assert len(set(data.lengths.tolist())) > 1   # padded steps are exercised
     assert_matches_serial(data, spec, seed, 1, x0_scale=1.5)
     for size in (437, 30):   # last trajectory shorter, or the only one
@@ -347,7 +385,7 @@ def test_uav_policy_matches_scalar_draw_oracle(kind):
     spec = system_spec(kind)
     for seed in range(5):
         for k in range(300):
-            rng, oracle_rng = _traj_rng(seed, k), _traj_rng(seed, k)
+            rng, oracle_rng = stream_rng(seed, k), stream_rng(seed, k)
             assert _uav_policy(spec, k, rng) == scalar_draw_policy(spec, k, oracle_rng)
             assert rng.random() == oracle_rng.random()
 

@@ -544,6 +544,26 @@ def test_cli_run_never_raises(doc):
         assert main(["run", str(cfg_path), "--out", str(Path(tmp) / "o")]) in (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_cli_constant_shifts_give_null_rank_metrics(tmp_path, capsys, exact):
+    # every held-out and exact shift is 0, so no rank ordering exists: spearman
+    # raised, the run exited 2 and wrote no score file
+    doc = {"system": {"kind": "msd", "input_std": 1e-300, "sigma_sq_range": [0.0, 0.0],
+                      "x0_std": [1e-300] * 4},
+           "generation": {"n_trajectories": 3, "t_min": 1, "t_max": 5}, "seeds": [12],
+           "top_k": 1, "run_exact_loto": exact, "run_heldout": True, "heldout_size": 47}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert "numerical failure" not in capsys.readouterr().err
+    assert (tmp_path / "o" / "scores_seed12.csv").exists()
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    nulls = ["spearman_pred"] + ["spearman_stoch", "spearman_fixed"] * exact
+    for key in nulls:
+        assert report["per_seed"][0][key] is None
+        assert report["aggregate"][key] == {"mean": None, "std": None}
+
+
 @pytest.mark.parametrize("seeds, argv", [
     ([-1], []),
     ([0], ["--seeds=-1"]),
@@ -714,11 +734,16 @@ def write_dc_motor_dataset(tmp_path):
         {"generation": [["n_trajectories", 8], ["t_min", 5], ["t_max", 12]]},
         {"Q": [["1", "0"], ["0", "1"]]},
         {"R": [[True]]},
+        # the rollout's (T_max, N) step mask would take 7.11 PiB: a MemoryError
+        # escaped main as a traceback; the allocation fails before touching memory
+        {"system": {"kind": "msd"}, "top_k": 1,
+         "generation": {"n_trajectories": 2, "t_min": 10**15, "t_max": 10**15}},
     ],
     ids=["nan_lambda", "asymmetric_Q", "dc_motor_n_x", "uav_n_x", "uav_n_u",
          "indefinite_noise_cov", "overflowing_a_d", "msd_noise_cov", "uav_a_d",
          "dataset_a_d", "dataset_noise_cov", "R_zero", "R_negative", "Q_indefinite",
-         "list_kind", "system_pairs", "generation_pairs", "string_Q_entries", "bool_R"],
+         "list_kind", "system_pairs", "generation_pairs", "string_Q_entries", "bool_R",
+         "unallocatable_length"],
 )
 def test_cli_unusable_config_value_is_config_error(tmp_path, capsys, extra):
     # dimensions the generator cannot honour are found before any data is drawn,
@@ -881,6 +906,8 @@ def test_module_imports_alone(module):
         "pkg = sys.modules['lqrinfluence']\n"
         "print(pkg.__version__, sorted(name for name, value in vars(pkg).items()\n"
         "      if not name.startswith('__') and not isinstance(value, types.ModuleType)))\n"
+        # numpy loads numpy.random lazily; importing it costs every fresh interpreter
+        "assert 'numpy.random' not in sys.modules\n"
     )
     src = Path(lqrinfluence.__file__).resolve().parents[1]
     env = dict(os.environ,
