@@ -18,21 +18,18 @@ stream (seed, 1, k) and held-out trajectory k from (seed, 2, k). Each is
 default_rng(SeedSequence(entropy=seed, spawn_key=(stream, k))) bit for bit,
 but _generators builds all of a call's streams in one vectorized pass of
 SeedSequence's hashing and hands each PCG64 its seeding words directly.
-The generators roll every trajectory of a dataset out in lockstep: one loop
-over time advances all N states, as (N, .) arrays (linear) or as (., N)
-component rows (quadrotor), and one finiteness check (_transitions) reads
-both state buffers. A per-trajectory loop only draws. Each trajectory first
-takes from its own stream, in this order, what a one-trajectory loop would
-draw before its first step (linear: x0, then the msd noise variance;
-quadrotor: the mission policy's uniforms in one rng.random call, then x0),
-then all its per-step normals in one (T, .) call (_step_normals), row t
-holding step t's draws (linear: input then noise; quadrotor: excitation then
-gust). Generator.normal and .random fill sequentially and uniform(low, high)
-is low + (high - low) * random(), so these are the draws of a serial loop
-with one scalar call per value; tests/test_bench.py keeps it as the oracle.
-The quadrotor setup draws nothing else per trajectory: every reference is
-evaluated once on the (T_max, N) time grid, one mission kind at a time with
-its parameters stacked as arrays, and x0 starts from the grid's first row.
+_simulate reads a call's streams in one loop: trajectory k takes, in this
+order, what a one-trajectory loop would draw before its first step (linear:
+x0, then the msd noise variance; quadrotor: the mission policy's uniforms in
+one rng.random call, then x0, then hover's recovery uniform), then all its
+per-step normals in one (T, .) call, row t holding step t's draws (linear:
+input then noise; quadrotor: excitation then gust). Generator.normal and
+.random fill sequentially and uniform(low, high) is low + (high - low) *
+random(), so these are a serial loop's draws with one scalar call per value;
+tests/test_bench.py keeps that loop as the oracle. The rollouts draw nothing:
+array kernels advance all N states in lockstep, as (N, .) arrays (linear) or
+(., N) component rows (quadrotor) tracking references evaluated once on the
+(T_max, N) time grid, and one finiteness check (_transitions) reads the states.
 """
 from __future__ import annotations
 
@@ -337,16 +334,7 @@ def _generators(seed: int, counts: dict) -> list:
 
 def _live(lengths) -> np.ndarray:
     """(T_max, N) mask of recorded steps: step t of trajectory k is live while t < lengths[k]."""
-    lengths = np.asarray(lengths)
-    return np.arange(lengths.max())[:, None] < lengths
-
-
-def _step_normals(rngs, lengths, width: int) -> np.ndarray:
-    """(T_max, N, width): rngs[k]'s next (lengths[k], width) normals in one call, 0 past its end."""
-    draws = np.zeros((max(lengths), len(lengths), width))
-    for k, (rng, T) in enumerate(zip(rngs, lengths)):
-        draws[:T, k] = rng.normal(size=(T, width))
-    return draws
+    return np.arange(np.max(lengths))[:, None] < np.asarray(lengths)
 
 
 def _transitions(X: np.ndarray, U: np.ndarray):
@@ -364,23 +352,19 @@ def _transitions(X: np.ndarray, U: np.ndarray):
 
 
 @np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _transitions
-def _rollout_linear(spec: SystemSpec, rngs, lengths, x0_scale: float):
-    """Roll trajectory k out for lengths[k] steps from rngs[k], all at once.
+def _rollout_linear(spec: SystemSpec, x0, noise_std, draws, live):
+    """Roll trajectory k out from x0[k] while live[:, k] (_live), all at once.
 
-    Returns _transitions' time-major (T_max, N, .) arrays X, U, X_next. A
-    trajectory past its end stays frozen at its last state.
+    draws (T_max, N, n_u + n_x) holds each step's input, then noise normals;
+    noise_std (N, 1) scales the noise, or is None for the spec's noise_cov.
+    Returns _transitions' time-major (T_max, N, .) X, U, X_next; a trajectory
+    past its end stays frozen at its last state.
     """
-    live = _live(lengths)
     T_max, N = live.shape
     X = np.empty((T_max + 1, N, spec.n_x))
-    noise_std = np.empty((N, 1))
-    for k, rng in enumerate(rngs):
-        X[0, k] = rng.normal(size=spec.n_x) * spec.x0_std * x0_scale
-        if spec.sigma_sq_range is not None:
-            noise_std[k] = np.sqrt(rng.uniform(*spec.sigma_sq_range))
-    draws = _step_normals(rngs, lengths, spec.n_u + spec.n_x)   # per step: input, then noise
+    X[0] = x0
     U = draws[..., :spec.n_u] * spec.input_std
-    if spec.sigma_sq_range is not None:
+    if noise_std is not None:
         noise = draws[..., spec.n_u:] * noise_std
     else:
         # one 2-D product, so every row, a length-1 trajectory's too, takes the same route
@@ -456,20 +440,18 @@ def _reference_grid(policies, t) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _transitions
-def _rollout_uav(spec: SystemSpec, x0, policies, ref, lengths, rngs):
-    """Roll quadrotor trajectory k out from x0[k] under policies[k], all at once.
+def _rollout_uav(spec: SystemSpec, x0, hover, ref, draws, live):
+    """Roll quadrotor trajectory k out from x0[k] while live[:, k] (_live), all at once.
 
-    Every policy tracks its reference ref (_reference_grid; hover: zero)
-    with its gains, at the spec's drag and noise scales. The loop is
-    component-major: states in one (T_max+1, 4, N) buffer whose row t+1 is
-    X_next[t], per-trajectory gains as (N,) rows. Returns _transitions'
-    time-major (T_max, N, .) views; a trajectory past its end stays frozen.
+    Trajectory k tracks ref[:, k] (_reference_grid; hover: zero) with the hover
+    gains where hover (a bool, or (N,) bools) holds, at the spec's drag and noise
+    scales; draws (T_max, N, 4) holds each step's excitation, then gust normals.
+    States and scaled draws sit in component-major (., 4, N) buffers. Returns
+    _transitions' time-major (T_max, N, .) views; a trajectory past its end stays frozen.
     """
-    live = _live(lengths)
     T_max, N = live.shape
     scale = np.repeat([spec.excitation_std, spec.gust_std], 2)   # per step: excitation, gust
-    noise = (_step_normals(rngs, lengths, 4) * scale).transpose(0, 2, 1).copy()
-    hover = np.array([policy["kind"] == "hover" for policy in policies])
+    noise = np.multiply(draws.transpose(0, 2, 1), scale[:, None], out=np.empty((T_max, 4, N)))
     kp = np.where(hover, _HOVER_GAINS[0], _MISSION_GAINS[0])
     kd = np.where(hover, _HOVER_GAINS[1], _MISSION_GAINS[1])
     ref = ref.transpose(0, 2, 1).copy()   # (T_max, 6, N): p_ref, v_ref, a_ref
@@ -477,7 +459,7 @@ def _rollout_uav(spec: SystemSpec, x0, policies, ref, lengths, rngs):
     X = np.empty((T_max + 1, 4, N))
     X[0] = np.transpose(x0)
     U = np.empty((T_max, 2, N))
-    first_end = min(lengths)
+    ended = ~live.all(axis=1)   # steps past some trajectory's end
     for t in range(T_max):
         x, r, u = X[t], ref[t], U[t]
         p, v = x[:2], x[2:]
@@ -485,7 +467,7 @@ def _rollout_uav(spec: SystemSpec, x0, policies, ref, lengths, rngs):
         speed = np.sqrt(v[0] * v[0] + v[1] * v[1])
         X[t + 1, :2] = p + spec.dt * v
         X[t + 1, 2:] = v + spec.dt * (u - spec.drag * speed * v + noise[t, 2:])
-        if t >= first_end:
+        if ended[t]:
             np.copyto(X[t + 1], x, where=~live[t])
     return _transitions(X.transpose(0, 2, 1), U.transpose(0, 2, 1))
 
@@ -509,9 +491,9 @@ def simulate_uav(spec: SystemSpec, x0, policy: dict, T: int, seed) -> tuple:
     unread = sorted(set(policy) - {"kind", *_REFERENCE_DEFAULTS.get(kind, ())})
     if unread:
         raise InvalidConfig(f"policy key {unread[0]!r} is never read by the {kind} reference")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     ref = _reference_grid([policy], np.arange(T) * spec.dt)
-    X, U, Xn = _rollout_uav(spec, [x0], [policy], ref, [T], [rng])
+    draws = np.random.default_rng(seed).normal(size=(T, 1, 4))   # a Generator seed is used as is
+    X, U, Xn = _rollout_uav(spec, [x0], kind == "hover", ref, draws, _live([T]))
     return X[:, 0], U[:, 0], Xn[:, 0]
 
 
@@ -542,11 +524,7 @@ def _uav_policy(spec: SystemSpec, k: int, rng) -> dict:
     dash = next(draws) < _DASH_FRACTION
     amp = uniform(7.0, 10.0) if dash else uniform(1.0, 2.5)
     omega = uniform(1.0, 1.5) if dash else uniform(0.4, 0.8)
-    policy = {
-        "kind": kind,
-        "omega": omega,
-        "phase": uniform(0.0, 2.0 * np.pi),
-    }
+    policy = {"kind": kind, "omega": omega, "phase": uniform(0.0, 2.0 * np.pi)}
     if kind == "figure_eight":
         policy["amp_x"] = amp
         policy["amp_z"] = amp / 2.0
@@ -568,15 +546,6 @@ _RECOVERY_SCALE = 8.0
 _STATION_SCALE = 0.3
 
 
-def _uav_x0_offset(spec: SystemSpec, policy: dict, rng, x0_scale: float) -> np.ndarray:
-    """x0 minus the reference's start: scaled normals, and for hover a recovery draw."""
-    noise = rng.normal(size=4) * spec.x0_std * x0_scale
-    if policy["kind"] == "hover":
-        far = rng.uniform() < _RECOVERY_FRACTION
-        return noise * (_RECOVERY_SCALE if far else _STATION_SCALE)
-    return noise
-
-
 def _check_generable(spec: SystemSpec) -> None:
     """InvalidConfig unless the generators can honour spec's kind, n_x, n_u and arrays."""
     if spec.kind not in _LINEAR_KINDS + _UAV_KINDS:
@@ -588,17 +557,34 @@ def _check_generable(spec: SystemSpec) -> None:
 
 
 def _simulate(spec: SystemSpec, rngs, lengths, x0_scale: float) -> TrajectoryDataset:
-    """Trajectory k, lengths[k] steps, from rngs[k]; all k in lockstep."""
+    """Trajectory k, lengths[k] steps, from rngs[k]; all k in lockstep, all draws in one loop."""
     _check_generable(spec)
-    if spec.kind in _LINEAR_KINDS:
-        X, U, Xn = _rollout_linear(spec, rngs, lengths, x0_scale)
+    live = _live(lengths)
+    linear = spec.kind in _LINEAR_KINDS
+    width = spec.n_u + spec.n_x if linear else 4
+    # after x0 a trajectory draws the msd noise variance, or hover's recovery uniform
+    bounds = spec.sigma_sq_range if linear else (0.0, 1.0) if spec.kind == "uav_hover" else None
+    draws = np.zeros(live.shape + (width,))
+    policies, normals, uniforms = [], [], []
+    for k, (rng, T) in enumerate(zip(rngs, lengths)):
+        if not linear:
+            policies.append(_uav_policy(spec, k, rng))
+        normals.append(rng.normal(size=spec.n_x))
+        if bounds is not None:
+            uniforms.append(rng.uniform(*bounds))
+        draws[:T, k] = rng.normal(size=(T, width))
+    x0 = np.array(normals) * spec.x0_std * x0_scale
+    if linear:
+        noise_std = None if bounds is None else np.sqrt(uniforms)[:, None]
+        X, U, Xn = _rollout_linear(spec, x0, noise_std, draws, live)
     else:
-        policies = [_uav_policy(spec, k, rng) for k, rng in enumerate(rngs)]
-        ref = _reference_grid(policies, np.arange(max(lengths)) * spec.dt)
-        x0 = ref[0, :, :4] + [_uav_x0_offset(spec, policy, rng, x0_scale)
-                              for policy, rng in zip(policies, rngs)]
-        X, U, Xn = _rollout_uav(spec, x0, policies, ref, lengths, rngs)
-    rows = _live(lengths).T   # (N, T_max): the dataset stores trajectory after trajectory
+        hover = bounds is not None
+        if hover:
+            far = np.array(uniforms) < _RECOVERY_FRACTION
+            x0 = x0 * np.where(far, _RECOVERY_SCALE, _STATION_SCALE)[:, None]
+        ref = _reference_grid(policies, np.arange(live.shape[0]) * spec.dt)
+        X, U, Xn = _rollout_uav(spec, ref[0, :, :4] + x0, hover, ref, draws, live)
+    rows = live.T   # (N, T_max): the dataset stores trajectory after trajectory
     return TrajectoryDataset(
         n_x=spec.n_x, n_u=spec.n_u,
         states=X.swapaxes(0, 1)[rows],
@@ -624,15 +610,13 @@ def generate_heldout(spec: SystemSpec, seed: int, size: int = 10_000) -> Traject
     if size < 1:
         raise InvalidConfig(f"held-out size must be positive, got {size}")
     n_full, rest = divmod(size, _HELDOUT_TRAJ_LEN)
-    rngs = _generators(seed, {2: n_full + (rest > 0)})
     lengths = np.array([_HELDOUT_TRAJ_LEN] * n_full + ([rest] if rest else []))
-    return _simulate(spec, rngs, lengths, 1.0)
+    return _simulate(spec, _generators(seed, {2: lengths.size}), lengths, 1.0)
 
 
 def prediction_loss(theta: np.ndarray, data: TrajectoryDataset) -> float:
     """(1/2M) sum ||x_next - [A B] z||^2 at the given parameters."""
-    n_x = data.n_x
-    Theta = np.asarray(theta).reshape(data.n_x + data.n_u, n_x)
+    Theta = np.asarray(theta).reshape(data.n_x + data.n_u, data.n_x)
     E = data.next_states - data.Z @ Theta
     return float(0.5 * np.sum(E * E) / data.M)
 

@@ -198,9 +198,8 @@ class ExperimentReport:
 def _config_echo(cfg: ExperimentConfig, seeds, Q: np.ndarray, R: np.ndarray) -> dict:
     """The effective config: the seeds that run and the Q, R the controller uses."""
     spec = cfg.system
-    sys_echo = {"kind": spec.kind, "n_x": spec.n_x, "n_u": spec.n_u, "dt": spec.dt}
     return {
-        "system": sys_echo,
+        "system": {"kind": spec.kind, "n_x": spec.n_x, "n_u": spec.n_u, "dt": spec.dt},
         "generation": {
             "n_trajectories": cfg.generation.n_trajectories,
             "t_min": cfg.generation.t_min,
@@ -237,9 +236,7 @@ def _mean_std(values: list) -> dict:
     vals = np.asarray([v for v in values if v is not None], dtype=float)
     if vals.size == 0:
         return {"mean": None, "std": None}
-    mean = float(vals.mean())
-    std = float(vals.std(ddof=1)) if vals.size > 1 else None
-    return {"mean": mean, "std": std}
+    return {"mean": float(vals.mean()), "std": float(vals.std(ddof=1)) if vals.size > 1 else None}
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
@@ -324,13 +321,9 @@ def write_outputs(report: ExperimentReport, out_dir) -> list:
     """Write report.json, per-seed score CSVs, scatter.csv, diagnostics.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
     path = out / "report.json"
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-    written.append(path)
+    path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+    written = [path]
 
     for seed, table in report.tables.items():
         path = out / f"scores_seed{seed}.csv"

@@ -184,9 +184,7 @@ class ScoreTable:
         return len(self.if_fixed)
 
     def excluded_indices(self) -> list[int]:
-        if self.excluded is None:
-            return []
-        return [int(i) for i in np.flatnonzero(self.excluded)]
+        return [] if self.excluded is None else np.flatnonzero(self.excluded).tolist()
 
     def to_csv(self, path) -> None:
         diag = self.diagnostics

@@ -264,6 +264,17 @@ def _dare_weights(b_shape: tuple, q_shape: tuple, q: bytes, r_shape: tuple, r: b
     return Q, R, H, L
 
 
+def _norms(*mats) -> list:
+    """Frobenius norms of mats; where one overflows, all of them after one exact power-of-two
+    scaling that brings their largest entry into [0.5, 1), so that their ratios stay exact."""
+    with np.errstate(over="ignore"):
+        norms = [np.linalg.norm(m) for m in mats]
+    if np.isfinite(norms).all():
+        return norms
+    exponent = np.frexp(np.max([np.abs(m).max() for m in mats]))[1]
+    return [np.linalg.norm(np.ldexp(m, -exponent)) for m in mats]
+
+
 def _stein_sum(A: np.ndarray, S: np.ndarray) -> np.ndarray:
     """sum_j A^j S (A^T)^j: Kronecker vectorization for n <= 8, squaring accumulation above."""
     n = A.shape[0]
@@ -275,7 +286,8 @@ def _stein_sum(A: np.ndarray, S: np.ndarray) -> np.ndarray:
     for _ in range(200):
         incr = Apow @ X @ Apow.T
         X = X + incr
-        if np.linalg.norm(incr) <= 1e-16 * max(np.linalg.norm(X), 1e-300):
+        incr_norm, X_norm = _norms(incr, X)
+        if incr_norm <= 1e-16 * max(X_norm, 1e-300):
             return X
         Apow = Apow @ Apow
     raise NoConvergence("lyapunov accumulation did not converge")
@@ -287,7 +299,7 @@ def solve_dlyap(A_cl: np.ndarray, W: np.ndarray) -> np.ndarray:
     Kronecker vectorization for state dimension at most 8 (the regime here);
     a squaring accumulation fallback above that. Output exactly symmetrized
     and certified: a relative residual ||X - A_cl X A_cl^T - W||_F / ||X||_F
-    above _DLYAP_RESIDUAL_MAX raises NoConvergence.
+    above _DLYAP_RESIDUAL_MAX raises NoConvergence; no norm here overflows (_norms).
     """
     A = _check_square(A_cl, "A_cl")
     S = _check_symmetric(W, "W")
@@ -296,7 +308,8 @@ def solve_dlyap(A_cl: np.ndarray, W: np.ndarray) -> np.ndarray:
     if spectral_radius(A) >= 1.0 - 1e-9:
         raise UnstableClosedLoop("spectral radius of A_cl is not below one")
     X = symmetrize(_stein_sum(A, S))
-    resid = np.linalg.norm(X - A @ X @ A.T - S) / max(np.linalg.norm(X), np.finfo(float).tiny)
+    R_norm, X_norm = _norms(X - A @ X @ A.T - S, X)
+    resid = R_norm / max(X_norm, np.finfo(float).tiny)
     if not resid <= _DLYAP_RESIDUAL_MAX:
         raise NoConvergence(f"lyapunov residual {resid:.3e} above certificate bound "
                             f"{_DLYAP_RESIDUAL_MAX:.0e}")

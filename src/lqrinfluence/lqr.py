@@ -71,8 +71,8 @@ def riccati_artifacts(fit: ModelFit, Q: np.ndarray, R: np.ndarray) -> RiccatiArt
     K0, A_cl = gain_and_closed_loop(A, B, P0, R)
     zeta = riccati_gradient(P0, K0, A_cl, fit.W_hat)
     h = residual_channel_gradient(fit, P0)
-    v_fixed = fit.hessian_solve(zeta)
-    v_stoch = fit.hessian_solve(zeta - h)   # combined sensitivity of Tr(P(theta) W_hat(theta))
+    # v_stoch is the combined sensitivity of Tr(P(theta) W_hat(theta))
+    v_fixed, v_stoch = fit.hessian_solve(np.stack([zeta, zeta - h]))
     return RiccatiArtifacts(
         Q=Q,
         R=R,

@@ -299,6 +299,26 @@ class ModelFit:
         return self.M / M_rem, T / M_rem
 
     @cached_property
+    def loto_refits(self) -> tuple[np.ndarray, np.ndarray]:
+        """loto_refit's (theta, W), computed on first use."""
+        if self.N < 2:
+            raise SingleTrajectory("need at least two trajectories to remove one")
+        q, n_x = self.q, self.n_x
+        M_rem = (self.M - self.lengths)[:, None, None]
+        kept = _all_but_one(self.traj_stats)
+        S, ZE, EE = kept[:, :q, :q], kept[:, :q, q:], kept[:, q:, q:]
+        Theta0 = self.theta.reshape(q, n_x)
+
+        gram = symmetrize(S / M_rem) + self.lam * np.eye(q)
+        Theta = solve_spd(cholesky_factor(gram), (ZE + S @ Theta0) / M_rem)
+        D = Theta - Theta0
+        ZEt_D = ZE.swapaxes(1, 2) @ D
+        W = symmetrize(EE - ZEt_D - ZEt_D.swapaxes(1, 2) + D.swapaxes(1, 2) @ S @ D) / M_rem
+        theta = Theta.reshape(self.N, q * n_x)
+        theta.flags.writeable = W.flags.writeable = False
+        return theta, W
+
+    @cached_property
     def data_extremes(self) -> tuple[float, float]:
         """(L_phi, L_e): largest regressor row norm and largest residual norm.
 
@@ -416,24 +436,12 @@ def loto_refit(fit: ModelFit):
     sum Z_j^T Z_j, sum Z_j^T E_j and sum E_j^T E_j, so exact zeros in the
     retained data (say, inputs) stay exact in theta; the right side sum
     Z_j^T Y_j is sum Z_j^T E_j + S Theta. All N systems are factored and
-    solved as one stack. The retained residuals are E_j - Z_j D with
-    D = Theta_k - Theta, so W comes from the base residual statistics, free
-    of Y^T Y cancellation.
+    solved as one stack, once per fit (ModelFit.loto_refits, read-only, shared
+    by the exact and held-out sweeps). The retained residuals are E_j - Z_j D,
+    D = Theta_k - Theta, so W comes from the base residual statistics, free of
+    Y^T Y cancellation.
     """
-    if fit.N < 2:
-        raise SingleTrajectory("need at least two trajectories to remove one")
-    N, q, n_x = fit.N, fit.q, fit.n_x
-    M_rem = (fit.M - fit.lengths)[:, None, None]
-    kept = _all_but_one(fit.traj_stats)
-    S, ZE, EE = kept[:, :q, :q], kept[:, :q, q:], kept[:, q:, q:]
-    Theta0 = fit.theta.reshape(q, n_x)
-
-    gram = symmetrize(S / M_rem) + fit.lam * np.eye(q)
-    Theta = solve_spd(cholesky_factor(gram), (ZE + S @ Theta0) / M_rem)
-    D = Theta - Theta0
-    ZEt_D = ZE.swapaxes(1, 2) @ D
-    W = symmetrize(EE - ZEt_D - ZEt_D.swapaxes(1, 2) + D.swapaxes(1, 2) @ S @ D) / M_rem
-    return Theta.reshape(N, q * n_x), W
+    return fit.loto_refits
 
 
 def covariance_direct_term(fit: ModelFit) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lqrinfluence
@@ -33,6 +33,7 @@ from lqrinfluence.experiments import (
 )
 from lqrinfluence.influence import build_score_table
 from lqrinfluence.lqr import riccati_artifacts
+from lqrinfluence import sysid
 from lqrinfluence.sysid import TrajectoryDataset, fit_ridge, save_dataset
 
 BASE_DOC = {
@@ -507,7 +508,8 @@ def test_cli_numerical_extremes_are_numerical_failures(tmp_path, monkeypatch, ca
     assert last.startswith("numerical failure: ") and message in last
 
 
-_MAGNITUDES = (0.0, 1e-300, 1.0, 1e160, 1e300)
+# 1e100 makes Lyapunov solutions whose entries pass 1e154, where ||X||_F's square overflowed
+_MAGNITUDES = (0.0, 1e-300, 1.0, 1e100, 1e160, 1e300)
 
 
 @st.composite
@@ -536,6 +538,10 @@ def extreme_run_configs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(extreme_run_configs())
+# the Lyapunov solution's entries reach 1e169: its certificate's norms overflowed
+@example({"system": {"kind": "dc_motor", "input_std": 1e100},
+          "generation": {"n_trajectories": 5, "t_min": 3, "t_max": 6},
+          "seeds": [0], "top_k": 1, "run_exact_loto": False})
 def test_cli_run_never_raises(doc):
     # every outcome is a documented exit code; a RuntimeWarning is an error in this suite
     with tempfile.TemporaryDirectory() as tmp:
@@ -925,3 +931,68 @@ def test_every_csv_ends_lines_with_lf(tmp_path):
     for path in paths:
         data = path.read_bytes()
         assert data.endswith(b"\n") and b"\r" not in data, path.name
+
+
+def test_exact_and_heldout_run_factors_the_refit_stack_once_per_seed(tmp_path, monkeypatch):
+    # the exact sweep and the held-out sweep both read loto_refit; the (N, q, q)
+    # stack is factored once per fit and shared
+    stacks = []
+    factor = sysid.cholesky_factor
+
+    def counting(mat):
+        if np.ndim(mat) == 3:
+            stacks.append(len(mat))
+        return factor(mat)
+
+    monkeypatch.setattr(sysid, "cholesky_factor", counting)
+    cfg_path = write_cli_config(tmp_path, seeds=[0, 1, 2], run_heldout=True, heldout_size=120)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert stacks == [BASE_DOC["generation"]["n_trajectories"]] * 3
+
+
+def _logs_sized_dataset(path):
+    """A 20-state, 5-input stable system's 200 trajectories, 10,000 transitions, from one stream."""
+    rng = np.random.default_rng(2024)
+    n_x, n_u, N = 20, 5, 200
+    A = rng.normal(size=(n_x, n_x))
+    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    B = rng.normal(size=(n_x, n_u)) / np.sqrt(n_x)
+    lengths = np.full(N, 50)
+    lengths[::2] += rng.integers(-30, 31, size=N // 2)
+    lengths[1::2] = 100 - lengths[::2]   # pairs sum to 100: M is exactly 10,000
+    triples = []
+    for T in lengths:
+        x, X, U, Xn = rng.normal(size=n_x), [], rng.normal(size=(T, n_u)), []
+        for u in U:
+            X.append(x)
+            x = A @ x + B @ u + 0.1 * rng.normal(size=n_x)
+            Xn.append(x)
+        triples.append((np.array(X), U, np.array(Xn)))
+    save_dataset(TrajectoryDataset.from_arrays(triples, n_x=n_x, n_u=n_u), path)
+
+
+def test_outputs_are_byte_reproducible_at_one_blas_thread_count(tmp_path):
+    # the documented contract: every CSV, and report.json outside "timings", is
+    # byte-identical across runs on one NumPy/BLAS build at one BLAS thread count
+    _logs_sized_dataset(tmp_path / "logs.json")
+    cfg_path = write_cli_config(tmp_path, system={"kind": "dc_motor", "n_x": 20, "n_u": 5},
+                                seeds=[0], dataset="logs.json", run_exact_loto=False)
+    src = Path(lqrinfluence.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        runs = []
+        for attempt in range(2):
+            out = tmp_path / f"out-{threads}-{attempt}"
+            subprocess.run([sys.executable, "-m", "lqrinfluence.cli", "run", str(cfg_path),
+                            "--out", str(out)], cwd=tmp_path, env=env, check=True,
+                           capture_output=True)
+            raw = (out / "report.json").read_text()
+            report = json.loads(raw)
+            assert raw == json.dumps(report, indent=2) + "\n"   # its bytes follow its values
+            assert report.pop("timings")
+            files = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+            assert len(files) == 3
+            runs.append((files, report))
+        assert runs[0] == runs[1], f"{threads} BLAS thread(s)"

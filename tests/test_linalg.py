@@ -406,6 +406,36 @@ def test_dlyap_certificate_rejects_inaccurate_solution(monkeypatch, n):
         solve_dlyap(a, s)
 
 
+@pytest.mark.parametrize("n", [2, 10])   # the Kronecker and the squaring branch
+def test_dlyap_certifies_entries_whose_squares_overflow(monkeypatch, n):
+    # X's entries pass 1e154, so ||X||_F squared to inf: the Kronecker branch's
+    # certificate divided by inf and passed any residual, the squaring loop
+    # stopped after one term and its certificate read NaN
+    rng = np.random.default_rng(n)
+    a = random_stable(rng, n, radius=0.9)
+    s = 1e170 * np.eye(n)
+    x = solve_dlyap(a, s)
+    assert np.isfinite(x).all() and max_abs(x) > 1e170
+    assert max_abs(x - a @ x @ a.T - s) <= 1e-10 * max_abs(x)
+    # a wrong solution of that size still fails its certificate
+    stein_sum = linalg._stein_sum
+    monkeypatch.setattr(linalg, "_stein_sum", lambda *args: stein_sum(*args) * (1 + 1e-6))
+    with pytest.raises(NoConvergence, match="residual"):
+        solve_dlyap(a, s)
+
+
+@pytest.mark.parametrize("shift", [-300, 0, 300, 600, 1000])
+def test_norm_ratios_are_exact_where_squares_overflow(shift):
+    # scaled by 2**shift, the ratio of two Frobenius norms is the unscaled one
+    # bit for bit, past 2**512 too, where the squares overflow
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        a, b = rng.normal(size=(6, 6)), 1e-3 * rng.normal(size=(6, 6))
+        na, nb = linalg._norms(np.ldexp(a, shift), np.ldexp(b, shift))
+        assert na / nb == np.linalg.norm(a) / np.linalg.norm(b)
+    assert linalg._norms(np.zeros((2, 2)), np.full((2, 2), np.inf))[0] == 0.0
+
+
 def test_dlyap_rejects_unstable():
     with pytest.raises(UnstableClosedLoop):
         solve_dlyap(np.array([[1.01]]), np.eye(1))

@@ -452,6 +452,20 @@ def test_gram_stack_matches_per_slice_loop_property(case, draw):
     assert np.linalg.norm(h - rows) <= 1e-12 * np.linalg.norm(terms)
 
 
+def test_loto_refit_is_computed_once_per_fit_and_read_only():
+    fit = fit_ridge(make_dataset(np.random.default_rng(23), A0, B0, n_traj=9), 1e-2)
+    theta, W = loto_refit(fit)
+    again = loto_refit(fit)
+    assert again[0] is theta and again[1] is W
+    # a copy of the fit caches nothing: its refit is computed anew, bit for bit the same
+    fresh = loto_refit(dataclasses.replace(fit))
+    assert fresh[0] is not theta
+    assert np.array_equal(fresh[0], theta) and np.array_equal(fresh[1], W)
+    for arr in (theta, W):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_loto_refit_single_trajectory_raises():
     rng = np.random.default_rng(17)
     data = TrajectoryDataset.from_arrays([simulate_linear(rng, A0, B0, 10)])
