@@ -36,6 +36,8 @@ _SYM_RTOL = 1e-10
 _DARE_RESIDUAL_MAX = 1e-10
 # relative Lyapunov residual above which a solve_dlyap solution is rejected
 _DLYAP_RESIDUAL_MAX = 1e-10
+# the square root of the smallest normal: below it, a Frobenius norm's squares may underflow
+_NORM_MIN = np.sqrt(np.finfo(float).tiny)
 # doubling k covers 2^k Riccati steps; 2^64 steps converge for any spectral radius
 # below one that double precision can represent
 _DOUBLING_MAX = 64
@@ -70,9 +72,9 @@ def _check_square(mat: np.ndarray, name: str, stacked: bool = False) -> np.ndarr
     return m
 
 
-def _system(m: np.ndarray, i: int) -> str:
+def _system(m: np.ndarray, i: int, label: str = "system") -> str:
     # names system i of a stack in an error message; a single matrix needs no name
-    return f"system {i}: " if m.ndim == 3 else ""
+    return f"{label} {i}: " if m.ndim == 3 else ""
 
 
 def _check_symmetric(mat: np.ndarray, name: str, stacked: bool = False) -> np.ndarray:
@@ -103,23 +105,24 @@ def _first_unfactorable(h: np.ndarray) -> int:
     return i
 
 
-def cholesky_factor(mat: np.ndarray) -> SpdFactor:
+def cholesky_factor(mat: np.ndarray, name: str = "matrix", label: str = "system") -> SpdFactor:
     """Factor a symmetric positive definite matrix, or each of a (N, n, n) stack, as L L^T.
 
     Every system is checked on its own: NotPositiveDefinite, naming the
-    failing system of a stack, when LAPACK finds it indefinite or a squared
-    pivot diag(L)^2 falls at or below 1e-14 times its largest diagonal entry.
+    failing system of a stack as "<label> <index>: <name>", when LAPACK finds
+    it indefinite or a squared pivot diag(L)^2 falls at or below 1e-14 times
+    its largest diagonal entry.
     """
-    return _cholesky(_check_symmetric(mat, "matrix", stacked=True), "matrix")
+    return _cholesky(_check_symmetric(mat, name, stacked=True), name, label)
 
 
-def _cholesky(h: np.ndarray, name: str) -> SpdFactor:
+def _cholesky(h: np.ndarray, name: str, label: str = "system") -> SpdFactor:
     # cholesky_factor past the symmetry check, its errors naming the matrix name
     try:
         L = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:   # its message repeats ours
         raise NotPositiveDefinite(
-            f"{_system(h, _first_unfactorable(h))}{name} is not positive definite: {exc}"
+            f"{_system(h, _first_unfactorable(h), label)}{name} is not positive definite"
         ) from exc
     piv = L.diagonal(axis1=-2, axis2=-1) ** 2
     floor = _PIVOT_RTOL * h.diagonal(axis1=-2, axis2=-1).max(axis=-1, initial=0.0)
@@ -127,8 +130,9 @@ def _cholesky(h: np.ndarray, name: str) -> SpdFactor:
     if low.any():
         n = h.shape[-1]
         i, j = divmod(int(np.argmax(low)), n)
-        raise NotPositiveDefinite(f"{_system(h, i)}{name} pivot {piv.reshape(-1, n)[i, j]:.3e} "
-                                  f"at column {j} under floor {floor.reshape(-1)[i]:.3e}")
+        raise NotPositiveDefinite(f"{_system(h, i, label)}{name} pivot "
+                                  f"{piv.reshape(-1, n)[i, j]:.3e} at column {j} "
+                                  f"under floor {floor.reshape(-1)[i]:.3e}")
     return SpdFactor(L=L)
 
 
@@ -156,8 +160,7 @@ def gain_and_closed_loop(A: np.ndarray, B: np.ndarray, P: np.ndarray, R: np.ndar
 
 
 def _dare_residual(A, Q, P, A_cl) -> float:
-    resid = Q + A.T @ P @ A_cl - P
-    return float(np.linalg.norm(resid) / max(np.linalg.norm(P), np.finfo(float).tiny))
+    return _relative(Q + A.T @ P @ A_cl - P, P)
 
 
 def dare_residual(A, B, Q, R, P) -> float:
@@ -264,15 +267,22 @@ def _dare_weights(b_shape: tuple, q_shape: tuple, q: bytes, r_shape: tuple, r: b
     return Q, R, H, L
 
 
+@np.errstate(over="ignore")   # as a decorator it costs half of a with block, on every certificate
 def _norms(*mats) -> list:
-    """Frobenius norms of mats; where one overflows, all of them after one exact power-of-two
-    scaling that brings their largest entry into [0.5, 1), so that their ratios stay exact."""
-    with np.errstate(over="ignore"):
-        norms = [np.linalg.norm(m) for m in mats]
-    if np.isfinite(norms).all():
+    """Frobenius norms of mats; where one overflows or falls below _NORM_MIN (its
+    squares may have underflowed), all of them after one exact power-of-two scaling
+    that brings their largest entry into [0.5, 1), so that their ratios stay exact."""
+    norms = [np.linalg.norm(m) for m in mats]
+    if _NORM_MIN <= min(norms) and max(norms) < np.inf:
         return norms
     exponent = np.frexp(np.max([np.abs(m).max() for m in mats]))[1]
     return [np.linalg.norm(np.ldexp(m, -exponent)) for m in mats]
+
+
+def _relative(resid: np.ndarray, X: np.ndarray) -> float:
+    """||resid||_F / ||X||_F through _norms, so no square over- or underflows; 0 when both are 0."""
+    resid_norm, X_norm = _norms(resid, X)
+    return float(resid_norm / max(X_norm, np.finfo(float).tiny))
 
 
 def _stein_sum(A: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -299,7 +309,7 @@ def solve_dlyap(A_cl: np.ndarray, W: np.ndarray) -> np.ndarray:
     Kronecker vectorization for state dimension at most 8 (the regime here);
     a squaring accumulation fallback above that. Output exactly symmetrized
     and certified: a relative residual ||X - A_cl X A_cl^T - W||_F / ||X||_F
-    above _DLYAP_RESIDUAL_MAX raises NoConvergence; no norm here overflows (_norms).
+    above _DLYAP_RESIDUAL_MAX raises NoConvergence; no norm here over- or underflows (_norms).
     """
     A = _check_square(A_cl, "A_cl")
     S = _check_symmetric(W, "W")
@@ -308,8 +318,7 @@ def solve_dlyap(A_cl: np.ndarray, W: np.ndarray) -> np.ndarray:
     if spectral_radius(A) >= 1.0 - 1e-9:
         raise UnstableClosedLoop("spectral radius of A_cl is not below one")
     X = symmetrize(_stein_sum(A, S))
-    R_norm, X_norm = _norms(X - A @ X @ A.T - S, X)
-    resid = R_norm / max(X_norm, np.finfo(float).tiny)
+    resid = _relative(X - A @ X @ A.T - S, X)
     if not resid <= _DLYAP_RESIDUAL_MAX:
         raise NoConvergence(f"lyapunov residual {resid:.3e} above certificate bound "
                             f"{_DLYAP_RESIDUAL_MAX:.0e}")

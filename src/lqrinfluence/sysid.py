@@ -14,6 +14,12 @@ are their sums over k. The exact leave-one-trajectory-out refits (loto_refit)
 of every trajectory are one stacked (N, q, q) factorization and solve on
 prefix and suffix sums of that block. Every removal function returns all N
 removals at once, weighted by M_k = M - T_k retained transitions.
+
+Datasets are read and written as JSON (load_dataset, save_dataset). The
+reader (datafile) decodes the trajectories one at a time, each turned into
+arrays before the next is read: a load peaks at about twice the file while
+its text is read, then holds the text, the arrays and one trajectory's Python
+objects, never the whole JSON tree.
 """
 from __future__ import annotations
 
@@ -113,12 +119,16 @@ def save_dataset(data: TrajectoryDataset, path) -> None:
         fh.write(json.dumps(doc))   # json.dump would stream through the slower pure-Python encoder
 
 
-def load_json(path, what: str):
-    """The JSON document in the file at path; one that is not UTF-8 JSON raises InvalidConfig."""
+def load_json(path, what: str, decode=json.loads):
+    """decode(text) of the file at path, by default its JSON document.
+
+    Text that is not UTF-8 JSON, or that nests deeper than the decoder can
+    recurse, raises InvalidConfig naming what.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            return decode(fh.read())
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InvalidConfig(f"{what} is not valid UTF-8 JSON: {exc}") from exc
 
 
@@ -152,9 +162,14 @@ def _json_array(value, key: str, shape: tuple, definite: bool | None = None) -> 
     positive semidefinite up to round-off.
     """
     def numeric(v):   # entry by entry: np.asarray([1, True]) would be an int array
-        if isinstance(v, (list, tuple)):
-            return all(numeric(w) for w in v)
-        return np.asarray(v).dtype.kind in "iuf"
+        stack = [v]   # not recursion: a list nested a few hundred deep would exhaust it
+        while stack:
+            v = stack.pop()
+            if isinstance(v, (list, tuple)):
+                stack.extend(v)
+            elif np.asarray(v).dtype.kind not in "iuf":
+                return False
+        return True
 
     if not numeric(value):
         raise InvalidConfig(f"{key} must be an array of numbers, got {value!r}")
@@ -182,13 +197,22 @@ def _json_array(value, key: str, shape: tuple, definite: bool | None = None) -> 
 def load_dataset(path) -> TrajectoryDataset:
     """Read a dataset written by save_dataset.
 
-    A file that is not UTF-8 JSON, lacks n_x/n_u/trajectories, declares an n_x or
-    n_u that is not a positive JSON integer, holds no trajectory, an empty one,
-    a string, null, bool-only or out-of-range integer array or a non-finite
-    entry, or has entries whose sizes disagree with the declared n_x/n_u
-    raises InvalidConfig: it is input to fix, not a numerical failure.
+    The file's text is read whole, then the trajectories are decoded one at a
+    time, each turned into its arrays before the next is read
+    (datafile.decode_dataset). Memory peaks at about twice the file while it is
+    read (its bytes and its text); after that it holds the text, the arrays
+    and one trajectory's Python objects.
+
+    A file that is not UTF-8 JSON, nests too deep, repeats a top-level member,
+    lacks n_x/n_u/trajectories, declares an n_x or n_u that is not a positive
+    JSON integer, holds no trajectory, an empty one, a string, null, bool-only
+    or out-of-range integer array or a non-finite entry, or has entries whose
+    sizes disagree with the declared n_x/n_u raises InvalidConfig: it is input
+    to fix, not a numerical failure.
     """
-    doc = load_json(path, f"dataset {path}")
+    from .datafile import decode_dataset, trajectory_arrays   # see datafile on why here
+
+    doc = load_json(path, f"dataset {path}", lambda text: decode_dataset(text, path))
     try:
         n_x, n_u = doc["n_x"], doc["n_u"]
         trajs = list(doc["trajectories"])
@@ -198,28 +222,19 @@ def load_dataset(path) -> TrajectoryDataset:
         _json_scalar(value, f"dataset {path}: {key}", low=1)
     if not trajs:
         raise InvalidConfig(f"dataset {path} has no trajectories")
-    triples = []
     for k, traj in enumerate(trajs):
-        try:
-            # no dtype: numpy then says whether every entry is a number
-            triple = [np.array([t[key] for t in traj]) for key in ("x", "u", "x_next")]
-        except (KeyError, TypeError, ValueError) as exc:   # ValueError: ragged
-            raise InvalidConfig(f"trajectory {k} in {path} is malformed: {exc}") from exc
-        T = len(traj)
-        if T == 0:
-            raise InvalidConfig(f"trajectory {k} in {path} has no transitions")
-        for key, arr in zip(("x", "u", "x_next"), triple):
-            if arr.dtype.kind not in "iuf":
-                raise InvalidConfig(
-                    f"trajectory {k} in {path} has {key} entries that are not all numbers")
-        X, U, Xn = triple
+        if isinstance(traj, InvalidConfig):   # the first one decode_dataset could not convert
+            raise traj
+        if not isinstance(traj, tuple):   # an item of a trajectories value that is not an array
+            trajs[k] = traj = trajectory_arrays(traj, k, path)
+        X, U, Xn = traj
+        T = len(X)
         if X.shape != (T, n_x) or Xn.shape != (T, n_x) or U.shape != (T, n_u):
             raise InvalidConfig(
                 f"trajectory {k} in {path} disagrees with declared n_x={n_x}, n_u={n_u}"
             )
-        triples.append(triple)
     try:
-        return TrajectoryDataset.from_arrays(triples, n_x=n_x, n_u=n_u)
+        return TrajectoryDataset.from_arrays(trajs, n_x=n_x, n_u=n_u)
     except ValueError as exc:  # non-finite entries
         raise InvalidConfig(f"dataset {path}: {exc}") from exc
 
@@ -310,7 +325,8 @@ class ModelFit:
         Theta0 = self.theta.reshape(q, n_x)
 
         gram = symmetrize(S / M_rem) + self.lam * np.eye(q)
-        Theta = solve_spd(cholesky_factor(gram), (ZE + S @ Theta0) / M_rem)
+        factor = cholesky_factor(gram, "retained Gram + lam I", "refit without trajectory")
+        Theta = solve_spd(factor, (ZE + S @ Theta0) / M_rem)
         D = Theta - Theta0
         ZEt_D = ZE.swapaxes(1, 2) @ D
         W = symmetrize(EE - ZEt_D - ZEt_D.swapaxes(1, 2) + D.swapaxes(1, 2) @ S @ D) / M_rem

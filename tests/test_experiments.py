@@ -654,9 +654,10 @@ def test_config_echo_round_trips(tmp_path, doc):
         {"n_x": 1, "n_u": 1, "trajectories": [[{"x": [x], "u": [u], "x_next": [0.5 * x + u]}
                                                 for x, u in ((1.0, 0.3), (0.8, -0.2), (0.2, 0.1))]]},
         b"\xff\xfe" + '{"n_x": 1, "n_u": 1, "trajectories": []}'.encode("utf-16-le"),
+        b"[" * 100_000,   # json's scanner raised RecursionError
     ],
     ids=["no_trajectories", "empty_trajectory", "missing_trajectories", "non_finite",
-         "missing_file", "one_trajectory", "not_utf8"],
+         "missing_file", "one_trajectory", "not_utf8", "deeply_nested"],
 )
 def test_cli_malformed_dataset_is_config_error(tmp_path, capsys, dataset):
     ds_path = tmp_path / "data.json"
@@ -669,6 +670,78 @@ def test_cli_malformed_dataset_is_config_error(tmp_path, capsys, dataset):
     )
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+_CONTRACT_ROWS = [[{"x": [1.0], "u": [0.3], "x_next": [0.8]}],
+                  [{"x": [0.8], "u": [-2], "x_next": [-1.6]}]]
+_CONTRACT_DOC = {"n_x": 1, "n_u": 1, "trajectories": _CONTRACT_ROWS}
+_BAD = "config error: malformed dataset file data.json: missing or bad "
+_TRAJ_0 = "config error: trajectory 0 in data.json is malformed: "
+
+
+@pytest.mark.parametrize("text, code, last", [
+    (json.dumps({"trajectories": _CONTRACT_ROWS, "n_u": 1, "n_x": 1}), 0, "seed 0"),
+    (json.dumps(_CONTRACT_DOC, indent=2), 0, "seed 0"),
+    (json.dumps({**_CONTRACT_DOC, "rig": {"id": [1, 2]}}), 0, "seed 0"),
+    (json.dumps(_CONTRACT_DOC).replace("0.8]", "NaN]", 1), 1,
+     "config error: dataset data.json: dataset has non-finite entries"),
+    (json.dumps({"n_x": 1, "n_u": 1, "trajectories": {"a": _CONTRACT_ROWS}}), 1,
+     _TRAJ_0 + "string indices must be integers, not 'str'"),
+    (json.dumps({"n_x": 1, "n_u": 1, "trajectories": "abc"}), 1,
+     _TRAJ_0 + "string indices must be integers, not 'str'"),
+    (json.dumps({"n_x": 1, "n_u": 1, "trajectories": 5}), 1,
+     _BAD + "'int' object is not iterable"),
+    (json.dumps({"n_x": 1, "n_u": 1, "trajectories": None}), 1,
+     _BAD + "'NoneType' object is not iterable"),
+    (json.dumps([_CONTRACT_DOC]), 1, _BAD + "list indices must be integers or slices, not str"),
+    (json.dumps(_CONTRACT_DOC) + " {}", 1, "config error: dataset data.json is not valid "
+                                           "UTF-8 JSON: Extra data: line 1 column 130 (char 129)"),
+    ('{"n_x": 1, "n_u": 1, "n_x": 1, "trajectories": %s}' % json.dumps(_CONTRACT_ROWS), 1,
+     "config error: dataset data.json repeats the top-level member 'n_x'"),
+], ids=["reordered", "indented", "extra_member", "nan", "trajectories_object",
+        "trajectories_string", "trajectories_number", "trajectories_null", "top_level_array",
+        "trailing_data", "repeated_member"])
+def test_cli_dataset_reader_contract(tmp_path, monkeypatch, capsys, text, code, last):
+    # the reader walks the file itself and reads one trajectory at a time; each
+    # outcome is json.load's, but a repeated member, which json.load let the
+    # last one win, is an error
+    monkeypatch.chdir(tmp_path)
+    Path("data.json").write_text(text)
+    cfg_path = write_cli_config(tmp_path, system={"kind": "dc_motor", "n_x": 1, "n_u": 1},
+                                dataset="data.json", seeds=[0], top_k=1)
+    assert main(["run", str(cfg_path), "--out", "o"]) == code
+    assert capsys.readouterr().err.splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("which", ["file", "value"])
+def test_cli_deeply_nested_config_is_config_error(tmp_path, capsys, which):
+    # 100,000 nested [ escaped main as a RecursionError from json's scanner; an
+    # array 500 deep, which json reads, exhausted the entry-type check's recursion
+    cfg_path = write_cli_config(tmp_path)
+    if which == "file":
+        cfg_path.write_text("[" * 100_000)
+    else:
+        cfg_path.write_text(cfg_path.read_text()[:-1] + ', "Q": ' + "[" * 500 + "1"
+                            + "]" * 500 + "}")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and (
+        "maximum recursion depth exceeded" if which == "file" else "Q is not a rectangular") in err
+
+
+def test_cli_unfactorable_refit_names_the_removed_trajectory(tmp_path, capsys):
+    # the refit without trajectory 2 retains a Gram that is singular at entries near
+    # 1e150; the message named "system 2" of the stack
+    rows = [((1e150, 1e150), 5e149), ((2e150, 2e150), 1e150), ((1e150, -1e150), 3e149)]
+    ds_path = tmp_path / "data.json"
+    ds_path.write_text(json.dumps({"n_x": 1, "n_u": 1, "trajectories": [
+        [{"x": [x], "u": [u], "x_next": [xn]}] for (x, u), xn in rows]}))
+    cfg_path = write_cli_config(tmp_path, system={"kind": "dc_motor", "n_x": 1, "n_u": 1},
+                                dataset=str(ds_path), seeds=[0], top_k=1, run_exact_loto=True)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "numerical failure: refit without trajectory 2: retained Gram + lam I pivot "
+        "5.948e+284 at column 1 under floor 2.500e+286")
 
 
 def numeric_entries_dataset():
@@ -939,10 +1012,10 @@ def test_exact_and_heldout_run_factors_the_refit_stack_once_per_seed(tmp_path, m
     stacks = []
     factor = sysid.cholesky_factor
 
-    def counting(mat):
+    def counting(mat, *names):
         if np.ndim(mat) == 3:
             stacks.append(len(mat))
-        return factor(mat)
+        return factor(mat, *names)
 
     monkeypatch.setattr(sysid, "cholesky_factor", counting)
     cfg_path = write_cli_config(tmp_path, seeds=[0, 1, 2], run_heldout=True, heldout_size=120)

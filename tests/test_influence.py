@@ -253,9 +253,9 @@ def test_sweep_factors_r_once(monkeypatch, n_traj):
     names = []
     factor = linalg._cholesky
 
-    def counted(h, name):
+    def counted(h, name, *label):
         names.append(name)
-        return factor(h, name)
+        return factor(h, name, *label)
 
     monkeypatch.setattr(linalg, "_cholesky", counted)
     sweep = exact_loto_sweep(fit, art)

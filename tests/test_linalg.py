@@ -436,6 +436,49 @@ def test_norm_ratios_are_exact_where_squares_overflow(shift):
     assert linalg._norms(np.zeros((2, 2)), np.full((2, 2), np.inf))[0] == 0.0
 
 
+@pytest.mark.parametrize("shift", [-600, -1000])
+def test_norm_ratios_are_exact_where_squares_underflow(shift):
+    # below 1e-154 the squares underflow: ||X||_F read 0 and a ratio read 0 or inf
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        a, b = rng.normal(size=(6, 6)), 1e-3 * rng.normal(size=(6, 6))
+        na, nb = linalg._norms(np.ldexp(a, shift), np.ldexp(b, shift))
+        assert na / nb == np.linalg.norm(a) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n", [2, 10])   # the Kronecker and the squaring branch
+def test_dlyap_certificate_holds_where_squares_underflow(monkeypatch, n):
+    # at W = 1e-170 I the certificate's norms read 0, so it passed any X: a
+    # 1.5x-scaled solution, whose relative residual is 0.25, was returned
+    rng = np.random.default_rng(n)
+    a = random_stable(rng, n, radius=0.9)
+    s = 1e-170 * np.eye(n)
+    x = solve_dlyap(a, s)
+    assert max_abs(x - a @ x @ a.T - s) <= 1e-10 * max_abs(x)
+    stein_sum = linalg._stein_sum
+    monkeypatch.setattr(linalg, "_stein_sum", lambda *args: 1.5 * stein_sum(*args))
+    with pytest.raises(NoConvergence, match="residual"):
+        solve_dlyap(a, s)
+
+
+def test_dare_certificate_holds_where_squares_underflow(monkeypatch):
+    # at Q = 1e-170 I the residual's norm and P's read 0: a 1.5x-scaled P was returned
+    a, b, q, r = np.array([[0.9, 0.2], [0.0, 0.7]]), np.eye(2)[:, :1], 1e-170 * np.eye(2), np.eye(1)
+    p = solve_dare(a, b, q, r)
+    assert 1e-171 < p[0, 0] < 1e-169
+    doubling = linalg._doubling
+    monkeypatch.setattr(linalg, "_doubling", lambda *args: 1.5 * doubling(*args))
+    with pytest.raises(NoStabilizingSolution, match="residual"):
+        solve_dare(a, b, q, r)
+
+
+def test_stacked_cholesky_names_systems_as_told_without_lapack_repeat():
+    stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+    with pytest.raises(NotPositiveDefinite) as exc:
+        cholesky_factor(stack, "retained Gram", "refit without trajectory")
+    assert str(exc.value) == "refit without trajectory 1: retained Gram is not positive definite"
+
+
 def test_dlyap_rejects_unstable():
     with pytest.raises(UnstableClosedLoop):
         solve_dlyap(np.array([[1.01]]), np.eye(1))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -589,3 +590,68 @@ def test_dataset_json_round_trip_is_bit_exact_property(tmp_path_factory, data):
     assert np.array_equal(back.offsets, data.offsets)
     for name in ("states", "inputs", "next_states"):
         assert getattr(back, name).tobytes() == getattr(data, name).tobytes()
+
+
+@pytest.mark.parametrize("n_x, n_u, M", [(20, 5, 2200), (2, 1, 4600)], ids=["wide", "narrow"])
+def test_load_dataset_peak_memory_stays_near_twice_the_file(tmp_path, n_x, n_u, M):
+    # the whole file's JSON tree once set the peak: 2.97x the file when wide, 5.39x when narrow
+    rng = np.random.default_rng(20)
+    lengths = np.full(M // 50, 50)
+    data = TrajectoryDataset.from_arrays(
+        [tuple(rng.normal(size=(T, n)) for n in (n_x, n_u, n_x)) for T in lengths])
+    path = tmp_path / "data.json"
+    save_dataset(data, path)
+    tracemalloc.start()
+    try:
+        back = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.states.tobytes() == data.states.tobytes()
+    assert peak <= 2.5 * path.stat().st_size
+
+
+_JSON_PIECES = list('{}[],:" \n0123456789.-eE') + ["true", "null", "NaN", '"x"', '"u"',
+                                                   '"trajectories"', "\ufeff", "\\", "\x01"]
+
+
+def _outcome(path):
+    """load_dataset's arrays as bytes, or its error message."""
+    try:
+        data = load_dataset(path)
+    except InvalidConfig as exc:
+        return str(exc)
+    return [getattr(data, name).tobytes() for name in ("states", "inputs", "next_states",
+                                                       "offsets")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_x=st.integers(1, 2), rows=st.lists(st.integers(0, 2), max_size=3),
+       order=st.permutations(["n_x", "n_u", "trajectories", "extra"]),
+       indent=st.sampled_from([None, 2]), edits=st.lists(
+           st.tuples(st.floats(0, 1), st.sampled_from(["delete", "insert", "replace", "cut"]),
+                     st.sampled_from(_JSON_PIECES)), max_size=3))
+def test_load_dataset_reads_any_text_as_json_loads_does_property(tmp_path_factory, n_x, rows,
+                                                                 order, indent, edits):
+    # the reader walks the top level and the trajectories array itself; a JSON error is
+    # json.loads's own, at the same place, and valid JSON reads as its compact re-dump does
+    row = {"x": [0.5] * n_x, "u": [1], "x_next": [-2.25] * n_x}
+    members = {"n_x": n_x, "n_u": 1, "trajectories": [[row] * T for T in rows], "extra": [{}]}
+    text = json.dumps({key: members[key] for key in order}, indent=indent)
+    for where, edit, piece in edits:
+        i = int(where * len(text))
+        text = {"delete": text[:i] + text[i + 1:], "insert": text[:i] + piece + text[i:],
+                "replace": text[:i] + piece + text[i + 1:], "cut": text[:i]}[edit]
+    path = tmp_path_factory.mktemp("text") / "data.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        doc = json.loads(text, object_pairs_hook=lambda pairs: pairs)
+    except json.JSONDecodeError as exc:
+        assert _outcome(path) == f"dataset {path} is not valid UTF-8 JSON: {exc}"
+        return
+    got = _outcome(path)
+    if text.lstrip(" \t\n\r").startswith("{") and len({key for key, _ in doc}) < len(doc):
+        assert got.startswith(f"dataset {path} repeats the top-level member ")
+        return
+    path.write_text(json.dumps(json.loads(text)), encoding="utf-8")
+    assert got == _outcome(path)
