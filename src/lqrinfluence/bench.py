@@ -18,18 +18,18 @@ stream (seed, 1, k) and held-out trajectory k from (seed, 2, k). Each is
 default_rng(SeedSequence(entropy=seed, spawn_key=(stream, k))) bit for bit,
 but _generators builds all of a call's streams in one vectorized pass of
 SeedSequence's hashing and hands each PCG64 its seeding words directly.
-_simulate reads a call's streams in one loop: trajectory k takes, in this
-order, what a one-trajectory loop would draw before its first step (linear:
-x0, then the msd noise variance; quadrotor: the mission policy's uniforms in
-one rng.random call, then x0, then hover's recovery uniform), then all its
-per-step normals in one (T, .) call, row t holding step t's draws (linear:
-input then noise; quadrotor: excitation then gust). Generator.normal and
-.random fill sequentially and uniform(low, high) is low + (high - low) *
-random(), so these are a serial loop's draws with one scalar call per value;
-tests/test_bench.py keeps that loop as the oracle. The rollouts draw nothing:
-array kernels advance all N states in lockstep, as (N, .) arrays (linear) or
-(., N) component rows (quadrotor) tracking references evaluated once on the
-(T_max, N) time grid, and one finiteness check (_transitions) reads the states.
+_simulate reads a call's streams in one loop: trajectory k takes, in a serial
+loop's order, a mission policy's uniforms (one rng.random call), then its x0
+and per-step normals (step t: input then noise, or excitation then gust) into
+row k of one zero-padded buffer, in one standard_normal call where nothing is
+drawn between them, around the msd noise variance or hover's recovery uniform
+otherwise. Generator fills sequentially, standard_normal draws what normal()
+does, and uniform(low, high) is low + (high - low) * random(), so these are a
+serial loop's draws with one scalar call per value; tests/test_bench.py keeps
+that loop as the oracle. The rollouts draw nothing: array kernels advance all N
+states in lockstep, as (N, .) arrays (linear) or (., N) component rows
+(quadrotor) tracking references evaluated once on the time grid from each
+mission kind's parameter arrays; one finiteness check (_transitions) reads them.
 """
 from __future__ import annotations
 
@@ -387,22 +387,13 @@ _REFERENCE_DEFAULTS = {
 
 def _wave(amp, arg, rate, f=np.sin, df=np.cos):
     """Position, velocity, acceleration of amp * f(arg) whose argument advances at rate."""
-    return amp * f(arg), amp * rate * df(arg), -amp * rate * rate * f(arg)
+    fa = f(arg)
+    return amp * fa, amp * rate * df(arg), -amp * rate * rate * fa
 
 
-def _reference(policy: dict, t):
-    """Position, velocity, acceleration of the policy's reference at time(s) t.
-
-    Hover is the zero reference. Each value has shape (2,) + the broadcast
-    shape of t and the policy's parameters, which may be arrays.
-    """
-    kind = policy["kind"]
-    if kind == "hover":
-        zero = np.zeros((2,) + np.shape(t))
-        return zero, zero, zero
-    if kind not in _REFERENCE_DEFAULTS:
-        raise InvalidConfig(f"unknown reference kind {kind!r}")
-    prm = {**_REFERENCE_DEFAULTS[kind], **policy}
+def _reference(kind: str, prm: dict, t):
+    """p_x, p_z, v_x, v_z, a_x, a_z of a mission kind's reference at time(s) t, from prm's
+    value of each of its parameters (_REFERENCE_DEFAULTS[kind]), broadcast with t."""
     w = prm["omega"]
     arg = w * t + prm["phase"]
     if kind == "figure_eight":
@@ -418,24 +409,15 @@ def _reference(policy: dict, t):
     else:
         r = prm["radius"]
         x, z = _wave(r, arg, w, np.cos, lambda a: -np.sin(a)), _wave(r, arg, w)
-    return tuple(np.array(pair) for pair in zip(x, z))
+    return x[0], z[0], x[1], z[1], x[2], z[2]
 
 
-def _reference_grid(policies, t) -> np.ndarray:
-    """Every policy's reference at the times t: (len(t), N, 6) rows p_ref, v_ref, a_ref.
-
-    The policies of one kind are evaluated together, their parameters
-    stacked as arrays; hover rows stay zero.
-    """
-    ref = np.zeros((len(t), len(policies), 6))
-    kinds = [policy["kind"] for policy in policies]
-    for kind, defaults in _REFERENCE_DEFAULTS.items():
-        cols = [j for j, name in enumerate(kinds) if name == kind]
-        if cols:
-            stacked = {name: np.array([policies[j].get(name, d) for j in cols])
-                       for name, d in defaults.items()}
-            pva = _reference({"kind": kind, **stacked}, t[:, None])
-            ref[:, cols] = np.concatenate(pva).transpose(1, 2, 0)
+def _reference_grid(t, n: int, missions) -> np.ndarray:
+    """(len(t), 6, n) p_ref, v_ref, a_ref at the times t: each (kind, cols, prm) of missions
+    sets columns cols, entry j of prm's arrays column cols[j]; the rest (hover) stay zero."""
+    ref = np.zeros((len(t), 6, n))
+    for kind, cols, prm in missions:
+        ref[:, :, cols] = np.stack(_reference(kind, prm, t[:, None]), axis=1)
     return ref
 
 
@@ -443,7 +425,7 @@ def _reference_grid(policies, t) -> np.ndarray:
 def _rollout_uav(spec: SystemSpec, x0, hover, ref, draws, live):
     """Roll quadrotor trajectory k out from x0[k] while live[:, k] (_live), all at once.
 
-    Trajectory k tracks ref[:, k] (_reference_grid; hover: zero) with the hover
+    Trajectory k tracks ref[..., k] (_reference_grid; hover: zero) with the hover
     gains where hover (a bool, or (N,) bools) holds, at the spec's drag and noise
     scales; draws (T_max, N, 4) holds each step's excitation, then gust normals.
     States and scaled draws sit in component-major (., 4, N) buffers. Returns
@@ -454,7 +436,6 @@ def _rollout_uav(spec: SystemSpec, x0, hover, ref, draws, live):
     noise = np.multiply(draws.transpose(0, 2, 1), scale[:, None], out=np.empty((T_max, 4, N)))
     kp = np.where(hover, _HOVER_GAINS[0], _MISSION_GAINS[0])
     kd = np.where(hover, _HOVER_GAINS[1], _MISSION_GAINS[1])
-    ref = ref.transpose(0, 2, 1).copy()   # (T_max, 6, N): p_ref, v_ref, a_ref
 
     X = np.empty((T_max + 1, 4, N))
     X[0] = np.transpose(x0)
@@ -488,10 +469,12 @@ def simulate_uav(spec: SystemSpec, x0, policy: dict, T: int, seed) -> tuple:
     kind = policy.get("kind")
     if kind not in ("hover",) + _MISSION_REFS:
         raise InvalidConfig(f"unknown policy kind {kind!r}")
-    unread = sorted(set(policy) - {"kind", *_REFERENCE_DEFAULTS.get(kind, ())})
+    defaults = _REFERENCE_DEFAULTS.get(kind, {})
+    unread = sorted(set(policy) - {"kind", *defaults})
     if unread:
         raise InvalidConfig(f"policy key {unread[0]!r} is never read by the {kind} reference")
-    ref = _reference_grid([policy], np.arange(T) * spec.dt)
+    prm = {name: np.array([policy.get(name, d)]) for name, d in defaults.items()}   # one row
+    ref = _reference_grid(np.arange(T) * spec.dt, 1, [(kind, slice(None), prm)] if prm else [])
     draws = np.random.default_rng(seed).normal(size=(T, 1, 4))   # a Generator seed is used as is
     X, U, Xn = _rollout_uav(spec, [x0], kind == "hover", ref, draws, _live([T]))
     return X[:, 0], U[:, 0], Xn[:, 0]
@@ -503,39 +486,41 @@ def simulate_uav(spec: SystemSpec, x0, policy: dict, T: int, seed) -> tuple:
 _DASH_FRACTION = 0.3
 
 
-def _uav_policy(spec: SystemSpec, k: int, rng) -> dict:
-    """Policy for trajectory k; mission profiles are drawn per trajectory.
+def _uniform(u, low, high):
+    """What Generator.uniform(low, high) makes of its draw u: low + (high - low) * u."""
+    return low + (high - low) * u
+
+
+# uniforms mission trajectory k's policy draws, by k % 3: dash, amp, omega, phase[, z0, rate, t_mid]
+_MISSION_DRAWS = (4, 7, 4)
+
+
+def _mission_policies(draws: list) -> list:
+    """(kind, cols, prm) per mission kind: trajectory k = cols[j] flies _MISSION_REFS[k % 3]
+    at parameters prm[name][j], read off its _MISSION_DRAWS uniforms draws[k].
 
     Mission logs mix two regimes: cruise sorties (small amplitude, slow) and a
-    minority of aggressive dashes (large amplitude, fast).  Each trajectory
-    gets its own amplitude, frequency, and phase, so single dashes cover
-    velocity regions the rest of the corpus never visits. One rng.random call,
-    sized by k's kind, takes every draw, and low + (high - low) * u is what
-    Generator.uniform(low, high) would make of the same draw.
+    minority of aggressive dashes (large amplitude, fast). Each trajectory gets
+    its own amplitude, frequency, and phase, so single dashes cover velocity
+    regions the rest of the corpus never visits.
     """
-    if spec.kind == "uav_hover":
-        return {"kind": "hover"}
-    kind = _MISSION_REFS[k % len(_MISSION_REFS)]
-    draws = iter(rng.random(7 if kind == "descending_s" else 4).tolist())
-
-    def uniform(low, high):
-        return low + (high - low) * next(draws)
-
-    dash = next(draws) < _DASH_FRACTION
-    amp = uniform(7.0, 10.0) if dash else uniform(1.0, 2.5)
-    omega = uniform(1.0, 1.5) if dash else uniform(0.4, 0.8)
-    policy = {"kind": kind, "omega": omega, "phase": uniform(0.0, 2.0 * np.pi)}
-    if kind == "figure_eight":
-        policy["amp_x"] = amp
-        policy["amp_z"] = amp / 2.0
-    elif kind == "descending_s":
-        policy["amp_x"] = amp
-        policy["z0"] = uniform(4.0, 8.0)
-        policy["rate"] = uniform(0.6, 1.2)
-        policy["t_mid"] = uniform(1.5, 3.0)
-    else:
-        policy["radius"] = amp
-    return policy
+    missions = []
+    for j, kind in enumerate(_MISSION_REFS):
+        cols = slice(j, None, len(_MISSION_REFS))
+        dash, *v = np.reshape(draws[cols], (-1, _MISSION_DRAWS[j])).T
+        dash = dash < _DASH_FRACTION
+        amp = _uniform(v[0], np.where(dash, 7.0, 1.0), np.where(dash, 10.0, 2.5))
+        prm = {"omega": _uniform(v[1], np.where(dash, 1.0, 0.4), np.where(dash, 1.5, 0.8)),
+               "phase": _uniform(v[2], 0.0, 2.0 * np.pi)}
+        if kind == "figure_eight":
+            prm.update(amp_x=amp, amp_z=amp / 2.0)
+        elif kind == "descending_s":
+            prm.update(amp_x=amp, z0=_uniform(v[3], 4.0, 8.0), rate=_uniform(v[4], 0.6, 1.2),
+                       t_mid=_uniform(v[5], 1.5, 3.0))
+        else:
+            prm["radius"] = amp
+        missions.append((kind, cols, prm))
+    return missions
 
 
 # Hover logs mix steady station-keeping (75%, starts near the origin) with
@@ -560,30 +545,35 @@ def _simulate(spec: SystemSpec, rngs, lengths, x0_scale: float) -> TrajectoryDat
     """Trajectory k, lengths[k] steps, from rngs[k]; all k in lockstep, all draws in one loop."""
     _check_generable(spec)
     live = _live(lengths)
+    (T_max, N), n_x = live.shape, spec.n_x
     linear = spec.kind in _LINEAR_KINDS
-    width = spec.n_u + spec.n_x if linear else 4
+    width = spec.n_u + n_x if linear else 4
     # after x0 a trajectory draws the msd noise variance, or hover's recovery uniform
     bounds = spec.sigma_sq_range if linear else (0.0, 1.0) if spec.kind == "uav_hover" else None
-    draws = np.zeros(live.shape + (width,))
-    policies, normals, uniforms = [], [], []
-    for k, (rng, T) in enumerate(zip(rngs, lengths)):
-        if not linear:
-            policies.append(_uav_policy(spec, k, rng))
-        normals.append(rng.normal(size=spec.n_x))
-        if bounds is not None:
-            uniforms.append(rng.uniform(*bounds))
-        draws[:T, k] = rng.normal(size=(T, width))
-    x0 = np.array(normals) * spec.x0_std * x0_scale
+    policies = [] if spec.kind == "uav_mission" else None
+    # row k: trajectory k's x0 normals, then its per-step normals, zero past its end
+    normals, uniforms = np.zeros((N, n_x + T_max * width)), np.empty(N)
+    for k, (rng, end) in enumerate(zip(rngs, (n_x + np.asarray(lengths) * width).tolist())):
+        if policies is not None:
+            policies.append(rng.random(_MISSION_DRAWS[k % 3]))
+        if bounds is None:   # nothing is drawn between x0 and the steps: one call takes both
+            rng.standard_normal(out=normals[k, :end])
+        else:
+            rng.standard_normal(out=normals[k, :n_x])
+            uniforms[k] = rng.uniform(*bounds)
+            rng.standard_normal(out=normals[k, n_x:end])
+    x0 = normals[:, :n_x] * spec.x0_std * x0_scale
+    draws = normals[:, n_x:].reshape(N, T_max, width).swapaxes(0, 1)
     if linear:
         noise_std = None if bounds is None else np.sqrt(uniforms)[:, None]
         X, U, Xn = _rollout_linear(spec, x0, noise_std, draws, live)
     else:
         hover = bounds is not None
         if hover:
-            far = np.array(uniforms) < _RECOVERY_FRACTION
-            x0 = x0 * np.where(far, _RECOVERY_SCALE, _STATION_SCALE)[:, None]
-        ref = _reference_grid(policies, np.arange(live.shape[0]) * spec.dt)
-        X, U, Xn = _rollout_uav(spec, ref[0, :, :4] + x0, hover, ref, draws, live)
+            x0 *= np.where(uniforms < _RECOVERY_FRACTION, _RECOVERY_SCALE, _STATION_SCALE)[:, None]
+        missions = [] if hover else _mission_policies(policies)
+        ref = _reference_grid(np.arange(T_max) * spec.dt, N, missions)
+        X, U, Xn = _rollout_uav(spec, ref[0, :4].T + x0, hover, ref, draws, live)
     rows = live.T   # (N, T_max): the dataset stores trajectory after trajectory
     return TrajectoryDataset(
         n_x=spec.n_x, n_u=spec.n_u,

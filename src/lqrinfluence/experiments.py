@@ -172,8 +172,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A config object's members; a repeated key raises InvalidConfig where dict keeps the last."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        key = next(key for key in keys if keys.count(key) > 1)
+        raise InvalidConfig(f"config repeats the key {key!r}")
+    return dict(pairs)
+
+
 def load_config(path) -> ExperimentConfig:
-    return parse_config(load_json(path, "config"))
+    return parse_config(load_json(path, "config",
+                                  lambda text: json.loads(text, object_pairs_hook=_unique_keys)))
 
 
 @dataclass

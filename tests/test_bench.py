@@ -16,17 +16,19 @@ from lqrinfluence.bench import (
     _DC_RA,
     _DASH_FRACTION,
     _HOVER_GAINS,
+    _MISSION_DRAWS,
     _MISSION_GAINS,
     _MISSION_REFS,
+    _REFERENCE_DEFAULTS,
     _RECOVERY_FRACTION,
     _RECOVERY_SCALE,
     _STATION_SCALE,
     GenerationConfig,
-    _reference,
-    _reference_grid,
-    _uav_policy,
     _discretize,
     _generators,
+    _mission_policies,
+    _reference,
+    _reference_grid,
     dc_motor_spec,
     generate_dataset,
     generate_heldout,
@@ -80,6 +82,15 @@ def serial_linear(spec, rng, T, x0_scale):
     return X, U, Xn
 
 
+def policy_reference(policy, t):
+    # (3, 2) + shape(t): p_ref, v_ref, a_ref of a dict policy, its omitted parameters at
+    # their defaults; hover is the zero reference
+    if policy["kind"] == "hover":
+        return np.zeros((3, 2) + np.shape(t))
+    prm = {**_REFERENCE_DEFAULTS[policy["kind"]], **policy}
+    return np.reshape(_reference(policy["kind"], prm, t), (3, 2) + np.shape(t))
+
+
 def serial_uav(spec, x0, policy, T, rng):
     hover = policy["kind"] == "hover"
     kp, kd = _HOVER_GAINS if hover else _MISSION_GAINS
@@ -90,7 +101,7 @@ def serial_uav(spec, x0, policy, T, rng):
         if hover:
             u = -kp * p - kd * v
         else:
-            p_ref, v_ref, a_ref = _reference(policy, t * spec.dt)
+            p_ref, v_ref, a_ref = policy_reference(policy, t * spec.dt)
             u = a_ref + kp * (p_ref - p) + kd * (v_ref - v)
         u = u + spec.excitation_std * rng.normal(size=2)
         gust = spec.gust_std * rng.normal(size=2)
@@ -125,7 +136,7 @@ def scalar_draw_policy(spec, k, rng):
 
 def scalar_draw_x0(spec, policy, rng, x0_scale):
     # the reference's start plus scaled normals; hover then draws station or recovery
-    p_ref, v_ref, _ = _reference(policy, 0.0)
+    p_ref, v_ref, _ = policy_reference(policy, 0.0)
     noise = rng.normal(size=4) * spec.x0_std * x0_scale
     if policy["kind"] == "hover":
         far = rng.uniform() < _RECOVERY_FRACTION
@@ -380,13 +391,22 @@ def test_correlated_noise_matches_serial_rollouts():
 
 @pytest.mark.parametrize("kind", ["uav_hover", "uav_mission"])
 def test_uav_policy_matches_scalar_draw_oracle(kind):
-    # one batched draw per policy gives the values of one scalar draw per
-    # parameter, and leaves the stream where those draws leave it
-    spec = system_spec(kind)
+    # a mission stream's one rng.random call, read into parameter arrays per mission
+    # kind, gives bit for bit the values of one scalar draw per parameter and leaves
+    # the stream where those draws leave it; hover draws no policy
+    spec, n = system_spec(kind), 300
     for seed in range(5):
-        for k in range(300):
-            rng, oracle_rng = stream_rng(seed, k), stream_rng(seed, k)
-            assert _uav_policy(spec, k, rng) == scalar_draw_policy(spec, k, oracle_rng)
+        rngs = [stream_rng(seed, k) for k in range(n)]
+        oracle_rngs = [stream_rng(seed, k) for k in range(n)]
+        want = [scalar_draw_policy(spec, k, rng) for k, rng in enumerate(oracle_rngs)]
+        missions = [] if kind == "uav_hover" else _mission_policies(
+            [rng.random(_MISSION_DRAWS[k % 3]) for k, rng in enumerate(rngs)])
+        got = [{"kind": "hover"}] * n
+        for mission, cols, prm in missions:
+            for j, k in enumerate(range(n)[cols]):
+                got[k] = {"kind": mission, **{name: float(value[j]) for name, value in prm.items()}}
+        assert got == want
+        for rng, oracle_rng in zip(rngs, oracle_rngs):
             assert rng.random() == oracle_rng.random()
 
 
@@ -412,9 +432,21 @@ def test_simulate_uav_matches_serial_rollout(policy):
 def test_descending_s_reference_settles_without_overflow_warning():
     # at the top of the drawn rate range, rate (t - t_mid) passes 709 before t = 700:
     # exp overflows to inf, the sigmoid is exactly 0, and no warning escapes
-    p, v, a = _reference({"kind": "descending_s", "rate": 1.2}, 700.0)
+    p, v, a = policy_reference({"kind": "descending_s", "rate": 1.2}, 700.0)
     assert p[1] == v[1] == a[1] == 0.0
     assert np.isfinite(np.concatenate([p, v, a])).all()
+
+
+@pytest.mark.parametrize("kind", list(_REFERENCE_DEFAULTS))
+def test_reference_velocity_and_acceleration_are_time_derivatives(kind):
+    # central differences of p_ref and v_ref; the grid and the serial rollouts read the
+    # same _reference, so only this check sees a wrong derivative term
+    policy = {"kind": kind, "omega": 1.3, "phase": 0.4}
+    t, h = np.linspace(0.0, 6.0, 61), 1e-5
+    (p_hi, v_hi, _), (p_lo, v_lo, _) = (policy_reference(policy, t + d) for d in (h, -h))
+    _, v, a = policy_reference(policy, t)
+    for got, want in (((p_hi - p_lo) / (2 * h), v), ((v_hi - v_lo) / (2 * h), a)):
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
 def test_reference_grid_matches_per_policy_reference():
@@ -429,13 +461,19 @@ def test_reference_grid_matches_per_policy_reference():
     partial = [{key: value for key, value in policy.items() if key != drop}
                for policy in explicit for drop in policy if drop != "kind"]
     policies = explicit + defaults + partial + [{"kind": "hover"}] + explicit[::-1]
+    # each kind's columns and parameter arrays, omitted parameters at their defaults
+    missions = []
+    for kind, prm in _REFERENCE_DEFAULTS.items():
+        cols = [j for j, policy in enumerate(policies) if policy["kind"] == kind]
+        missions.append((kind, cols, {name: np.array([policies[j].get(name, d) for j in cols])
+                                      for name, d in prm.items()}))
     t = np.arange(60) * 0.1
-    grid = _reference_grid(policies, t)
-    assert grid.shape == (60, len(policies), 6)
+    grid = _reference_grid(t, len(policies), missions)
+    assert grid.shape == (60, 6, len(policies))
     for j, policy in enumerate(policies):
-        want = np.concatenate(_reference(policy, t)).T
-        assert np.abs(grid[:, j] - want).max() <= 1e-15 * max(np.abs(want).max(), 1.0)
-    assert not grid[:, policies.index({"kind": "hover"})].any()
+        want = policy_reference(policy, t).reshape(6, 60).T
+        assert np.abs(grid[..., j] - want).max() <= 1e-15 * max(np.abs(want).max(), 1.0)
+    assert not grid[..., policies.index({"kind": "hover"})].any()
 
 
 @pytest.mark.parametrize("size", [0, -3])

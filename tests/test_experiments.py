@@ -729,6 +729,22 @@ def test_cli_deeply_nested_config_is_config_error(tmp_path, capsys, which):
         "maximum recursion depth exceeded" if which == "file" else "Q is not a rectangular") in err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [('{"system": {"kind": "dc_motor"}, "seeds": [0], "seeds": [5]}', "seeds"),
+     ('{"system": {"kind": "dc_motor", "dt": 0.1, "dt": 0.05}, "seeds": [0]}', "dt")],
+    ids=["seeds", "system_dt"],
+)
+def test_cli_repeated_config_key_is_config_error(tmp_path, capsys, text, key):
+    # json.loads kept the last value silently: seeds (5,), or dt 0.05
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"config error: config repeats the key {key!r}"
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_unfactorable_refit_names_the_removed_trajectory(tmp_path, capsys):
     # the refit without trajectory 2 retains a Gram that is singular at entries near
     # 1e150; the message named "system 2" of the stack
