@@ -14,22 +14,16 @@ Four systems of increasing identification difficulty:
 All randomness derives from (seed, stream, k) keyed NumPy streams, so
 generating trajectories in parallel or serially yields identical datasets:
 stream 0 draws a dataset's lengths, trajectory k of a dataset draws from
-stream (seed, 1, k) and held-out trajectory k from (seed, 2, k). Each is
-default_rng(SeedSequence(entropy=seed, spawn_key=(stream, k))) bit for bit,
-but _generators builds all of a call's streams in one vectorized pass of
-SeedSequence's hashing and hands each PCG64 its seeding words directly.
-_simulate reads a call's streams in one loop: trajectory k takes, in a serial
-loop's order, a mission policy's uniforms (one rng.random call), then its x0
-and per-step normals (step t: input then noise, or excitation then gust) into
-row k of one zero-padded buffer, in one standard_normal call where nothing is
-drawn between them, around the msd noise variance or hover's recovery uniform
-otherwise. Generator fills sequentially, standard_normal draws what normal()
-does, and uniform(low, high) is low + (high - low) * random(), so these are a
-serial loop's draws with one scalar call per value; tests/test_bench.py keeps
-that loop as the oracle. The rollouts draw nothing: array kernels advance all N
-states in lockstep, as (N, .) arrays (linear) or (., N) component rows
-(quadrotor) tracking references evaluated once on the time grid from each
-mission kind's parameter arrays; one finiteness check (_transitions) reads them.
+stream (seed, 1, k) and held-out trajectory k from (seed, 2, k), each
+default_rng(SeedSequence(entropy=seed, spawn_key=(stream, k))) bit for bit;
+_generators seeds all of a call's streams in one vectorized hashing pass.
+_simulate makes a seed's training and held-out sets in one pass: one loop
+takes each trajectory's draws in a serial loop's order (a mission policy's
+uniforms, then x0 and per-step normals into row k of one zero-padded buffer;
+tests/test_bench.py keeps that loop as the oracle), and draw-free array
+kernels advance every trajectory in lockstep, as (N, .) arrays (linear) or
+(., N) component rows (quadrotor) tracking references evaluated once on the
+time grid. _dataset splits each set off and checks that it stayed finite.
 """
 from __future__ import annotations
 
@@ -97,13 +91,8 @@ def dc_motor_spec(dt: float = 0.1) -> SystemSpec:
                     [-_DC_K / _DC_LA, -_DC_RA / _DC_LA]])
     B_c = np.array([[0.0], [1.0 / _DC_LA]])
     A_d, B_d = _discretize(A_c, B_c, dt, zoh=True)
-    return SystemSpec(
-        kind="dc_motor", n_x=2, n_u=1, dt=dt,
-        a_d=A_d, b_d=B_d,
-        noise_cov=0.1 * np.eye(2),
-        input_std=0.25,
-        x0_std=np.array([1.0, 1.0]),
-    )
+    return SystemSpec(kind="dc_motor", n_x=2, n_u=1, dt=dt, a_d=A_d, b_d=B_d,
+                      noise_cov=0.1 * np.eye(2), input_std=0.25, x0_std=np.array([1.0, 1.0]))
 
 
 def msd_spec(dt: float = 0.05) -> SystemSpec:
@@ -117,20 +106,10 @@ def msd_spec(dt: float = 0.05) -> SystemSpec:
         [-(k1 + k2) / m1, k2 / m1, -(c1 + c2) / m1, c2 / m1],
         [k2 / m2, -k2 / m2, c2 / m2, -c2 / m2],
     ])
-    B_c = np.array([
-        [0.0, 0.0],
-        [0.0, 0.0],
-        [1.0 / m1, 0.0],
-        [0.0, 1.0 / m2],
-    ])
+    B_c = np.array([[0.0, 0.0], [0.0, 0.0], [1.0 / m1, 0.0], [0.0, 1.0 / m2]])
     A_d, B_d = _discretize(A_c, B_c, dt, zoh=False)
-    return SystemSpec(
-        kind="msd", n_x=4, n_u=2, dt=dt,
-        a_d=A_d, b_d=B_d,
-        sigma_sq_range=_MSD_SIGMA_SQ_RANGE,
-        input_std=4.0,
-        x0_std=0.5 * np.ones(4),
-    )
+    return SystemSpec(kind="msd", n_x=4, n_u=2, dt=dt, a_d=A_d, b_d=B_d,
+                      sigma_sq_range=_MSD_SIGMA_SQ_RANGE, input_std=4.0, x0_std=0.5 * np.ones(4))
 
 
 def uav_hover_spec(dt: float = 0.1) -> SystemSpec:
@@ -337,28 +316,32 @@ def _live(lengths) -> np.ndarray:
     return np.arange(np.max(lengths))[:, None] < np.asarray(lengths)
 
 
-def _transitions(X: np.ndarray, U: np.ndarray):
-    """(X, U, X_next) of the (T_max+1, N, n) state buffer X, whose row t+1 is X_next[t].
-
-    A state that is not finite raises InvalidConfig naming the first step
-    where one appears, and the first trajectory within it.
-    """
+def _dataset(spec: SystemSpec, X: np.ndarray, U: np.ndarray, lengths) -> TrajectoryDataset:
+    """Trajectory k's first lengths[k] steps of the time-major rollout buffers X
+    (max(lengths)+1, N, n_x), row t+1 following row t, and U (max(lengths), N, n_u).
+    A state that is not finite raises InvalidConfig naming the first step where one
+    appears, and the first trajectory within it."""
     diverged = ~np.isfinite(X[1:]).all(axis=2)
     if diverged.any():
         t, k = np.argwhere(diverged)[0]
         raise InvalidConfig(f"generated trajectory {k} is not finite after step {t}: "
                             "the configured system diverges")
-    return X[:-1], U, X[1:]
+    rows = _live(lengths).T   # (N, T_max): the dataset stores trajectory after trajectory
+    arrays = [np.empty((np.count_nonzero(rows), A.shape[2])) for A in (X[:-1], U, X[1:])]
+    for A, out in zip((X[:-1], U, X[1:]), arrays):   # masking 2-D views is 2x faster than 3-D
+        for i in range(A.shape[2]):
+            out[:, i] = A[:, :, i].T[rows]
+    return TrajectoryDataset(spec.n_x, spec.n_u, *arrays, np.concatenate([[0], np.cumsum(lengths)]))
 
 
-@np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _transitions
+@np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _dataset
 def _rollout_linear(spec: SystemSpec, x0, noise_std, draws, live):
     """Roll trajectory k out from x0[k] while live[:, k] (_live), all at once.
 
     draws (T_max, N, n_u + n_x) holds each step's input, then noise normals;
     noise_std (N, 1) scales the noise, or is None for the spec's noise_cov.
-    Returns _transitions' time-major (T_max, N, .) X, U, X_next; a trajectory
-    past its end stays frozen at its last state.
+    Returns _dataset's time-major buffers X (T_max+1, N, n_x) and U; a
+    trajectory past its end stays frozen at its last state.
     """
     T_max, N = live.shape
     X = np.empty((T_max + 1, N, spec.n_x))
@@ -373,7 +356,7 @@ def _rollout_linear(spec: SystemSpec, x0, noise_std, draws, live):
     BU = U @ spec.b_d.T
     for t in range(T_max):
         X[t + 1] = np.where(live[t, :, None], X[t] @ spec.a_d.T + BU[t] + noise[t], X[t])
-    return _transitions(X, U)
+    return X, U
 
 
 # each mission reference's parameters, with the value a policy that omits one gets
@@ -421,36 +404,42 @@ def _reference_grid(t, n: int, missions) -> np.ndarray:
     return ref
 
 
-@np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _transitions
-def _rollout_uav(spec: SystemSpec, x0, hover, ref, draws, live):
+@np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _dataset
+def _rollout_uav(spec: SystemSpec, x0, hover: bool, ref, draws, live):
     """Roll quadrotor trajectory k out from x0[k] while live[:, k] (_live), all at once.
 
-    Trajectory k tracks ref[..., k] (_reference_grid; hover: zero) with the hover
-    gains where hover (a bool, or (N,) bools) holds, at the spec's drag and noise
-    scales; draws (T_max, N, 4) holds each step's excitation, then gust normals.
-    States and scaled draws sit in component-major (., 4, N) buffers. Returns
-    _transitions' time-major (T_max, N, .) views; a trajectory past its end stays frozen.
+    Trajectory k tracks ref[..., k] (_reference_grid; hover: zero) with the hover or
+    mission gains, at the spec's drag and noise scales; draws (T_max, N, 4) holds each
+    step's excitation, then gust normals. Every step writes into preallocated
+    component-major (., N) buffers. Returns _dataset's time-major views X and U; a
+    trajectory past its end stays frozen.
     """
     T_max, N = live.shape
     scale = np.repeat([spec.excitation_std, spec.gust_std], 2)   # per step: excitation, gust
     noise = np.multiply(draws.transpose(0, 2, 1), scale[:, None], out=np.empty((T_max, 4, N)))
-    kp = np.where(hover, _HOVER_GAINS[0], _MISSION_GAINS[0])
-    kd = np.where(hover, _HOVER_GAINS[1], _MISSION_GAINS[1])
+    gains = np.repeat(_HOVER_GAINS if hover else _MISSION_GAINS, 2)[:, None]   # kp, kp, kd, kd
 
     X = np.empty((T_max + 1, 4, N))
     X[0] = np.transpose(x0)
     U = np.empty((T_max, 2, N))
+    err, step, speed = np.empty((4, N)), np.empty((4, N)), np.empty(N)
     ended = ~live.all(axis=1)   # steps past some trajectory's end
     for t in range(T_max):
         x, r, u = X[t], ref[t], U[t]
-        p, v = x[:2], x[2:]
-        u[:] = r[4:] + kp * (r[:2] - p) + kd * (r[2:4] - v) + noise[t, :2]
-        speed = np.sqrt(v[0] * v[0] + v[1] * v[1])
-        X[t + 1, :2] = p + spec.dt * v
-        X[t + 1, 2:] = v + spec.dt * (u - spec.drag * speed * v + noise[t, 2:])
+        v, acc = x[2:], step[2:]
+        np.multiply(np.subtract(r[:4], x, out=err), gains, out=err)
+        np.add(np.add(r[4:], err[:2], out=u), err[2:], out=u)
+        u += noise[t, :2]
+        np.multiply(v, v, out=acc)
+        np.sqrt(np.add(acc[0], acc[1], out=speed), out=speed)
+        speed *= spec.drag
+        np.subtract(u, np.multiply(speed, v, out=acc), out=acc)   # u - drag ||v|| v
+        acc += noise[t, 2:]
+        step[:2] = v
+        np.add(x, np.multiply(step, spec.dt, out=step), out=X[t + 1])   # p + dt v, v + dt acc
         if ended[t]:
             np.copyto(X[t + 1], x, where=~live[t])
-    return _transitions(X.transpose(0, 2, 1), U.transpose(0, 2, 1))
+    return X.transpose(0, 2, 1), U.transpose(0, 2, 1)
 
 
 def simulate_uav(spec: SystemSpec, x0, policy: dict, T: int, seed) -> tuple:
@@ -461,8 +450,7 @@ def simulate_uav(spec: SystemSpec, x0, policy: dict, T: int, seed) -> tuple:
     policy: {"kind": "hover"} or a mission reference
     ({"kind": "figure_eight" | "descending_s" | "circle", ...}) holding only
     keys its reference reads; drag and noise scales come from spec.
-    Returns arrays (X, U, X_next) of the recorded transitions: the one-trajectory
-    case of the lockstep rollout the generators use.
+    Returns arrays (X, U, X_next): the one-trajectory case of the generators' rollout.
     """
     if spec.kind not in _UAV_KINDS:
         raise InvalidConfig(f"simulate_uav needs a uav spec, got kind {spec.kind!r}")
@@ -476,13 +464,14 @@ def simulate_uav(spec: SystemSpec, x0, policy: dict, T: int, seed) -> tuple:
     prm = {name: np.array([policy.get(name, d)]) for name, d in defaults.items()}   # one row
     ref = _reference_grid(np.arange(T) * spec.dt, 1, [(kind, slice(None), prm)] if prm else [])
     draws = np.random.default_rng(seed).normal(size=(T, 1, 4))   # a Generator seed is used as is
-    X, U, Xn = _rollout_uav(spec, [x0], kind == "hover", ref, draws, _live([T]))
-    return X[:, 0], U[:, 0], Xn[:, 0]
+    data = _dataset(spec, *_rollout_uav(spec, [x0], kind == "hover", ref, draws, _live([T])), [T])
+    return data.states, data.inputs, data.next_states
 
 
-# Fraction of mission sorties flown as aggressive dashes.  Most logs are
-# gentle cruise profiles; the dash minority reaches the speeds where drag
-# curvature dominates, so each dash carries outsized leverage over the fit.
+# Fraction of mission sorties flown as aggressive dashes (large amplitude, fast).
+# Most logs are gentle cruise profiles (small amplitude, slow); the dash minority
+# reaches the speeds where drag curvature dominates and velocity regions the rest
+# of the corpus never visits, so each dash carries outsized leverage over the fit.
 _DASH_FRACTION = 0.3
 
 
@@ -495,19 +484,14 @@ def _uniform(u, low, high):
 _MISSION_DRAWS = (4, 7, 4)
 
 
-def _mission_policies(draws: list) -> list:
-    """(kind, cols, prm) per mission kind: trajectory k = cols[j] flies _MISSION_REFS[k % 3]
-    at parameters prm[name][j], read off its _MISSION_DRAWS uniforms draws[k].
-
-    Mission logs mix two regimes: cruise sorties (small amplitude, slow) and a
-    minority of aggressive dashes (large amplitude, fast). Each trajectory gets
-    its own amplitude, frequency, and phase, so single dashes cover velocity
-    regions the rest of the corpus never visits.
-    """
+def _mission_policies(draws: np.ndarray, kinds: np.ndarray) -> list:
+    """(kind, cols, prm) per mission kind j: trajectory cols[i] (where kinds == j) flies
+    _MISSION_REFS[j] at parameters prm[name][i], read off the first _MISSION_DRAWS[j]
+    uniforms of its row of draws: its own amplitude, frequency and phase, cruise or dash."""
     missions = []
     for j, kind in enumerate(_MISSION_REFS):
-        cols = slice(j, None, len(_MISSION_REFS))
-        dash, *v = np.reshape(draws[cols], (-1, _MISSION_DRAWS[j])).T
+        cols = np.flatnonzero(kinds == j)
+        dash, *v = draws[cols, :_MISSION_DRAWS[j]].T
         dash = dash < _DASH_FRACTION
         amp = _uniform(v[0], np.where(dash, 7.0, 1.0), np.where(dash, 10.0, 2.5))
         prm = {"omega": _uniform(v[1], np.where(dash, 1.0, 0.4), np.where(dash, 1.5, 0.8)),
@@ -541,54 +525,72 @@ def _check_generable(spec: SystemSpec) -> None:
     _read_arrays(vars(spec), vars(spec))   # every array, the kind's own too, against n_x/n_u
 
 
-def _simulate(spec: SystemSpec, rngs, lengths, x0_scale: float) -> TrajectoryDataset:
-    """Trajectory k, lengths[k] steps, from rngs[k]; all k in lockstep, all draws in one loop."""
+def _simulate(spec: SystemSpec, seed: int, gen: GenerationConfig | None = None,
+              heldout_size: int = 0) -> list:
+    """gen's training set, then heldout_size held-out transitions, from one generation pass.
+
+    Held-out trajectories have 50 steps, the last one shorter when 50 does not
+    divide heldout_size. One _generators call seeds both sets' streams, one
+    loop draws them and one lockstep rollout advances them. A trajectory's set
+    sets only its x0 scale (gen.x0_scale, held-out 1) and its mission kind (k
+    mod 3 within its set), so each set is bitwise what it is alone; a set that
+    is not finite raises the InvalidConfig it raises alone (_dataset).
+    """
+    n_full, rest = divmod(heldout_size, _HELDOUT_TRAJ_LEN)
+    heldout = [_HELDOUT_TRAJ_LEN] * n_full + ([rest] if rest else [])
+    rngs = _generators(seed, ({0: 1, 1: gen.n_trajectories} if gen else {})
+                       | ({2: len(heldout)} if heldout else {}))
+    sets = []   # (lengths, x0 scale) of each set
+    if gen:
+        sets.append((rngs.pop(0).integers(gen.t_min, gen.t_max + 1, size=gen.n_trajectories),
+                     gen.x0_scale))
+    if heldout:
+        sets.append((np.array(heldout), 1.0))
     _check_generable(spec)
+    sizes = [len(steps) for steps, _ in sets]
+    lengths = np.concatenate([steps for steps, _ in sets])
     live = _live(lengths)
     (T_max, N), n_x = live.shape, spec.n_x
     linear = spec.kind in _LINEAR_KINDS
     width = spec.n_u + n_x if linear else 4
     # after x0 a trajectory draws the msd noise variance, or hover's recovery uniform
     bounds = spec.sigma_sq_range if linear else (0.0, 1.0) if spec.kind == "uav_hover" else None
-    policies = [] if spec.kind == "uav_mission" else None
+    kinds = np.concatenate([np.arange(n) % len(_MISSION_REFS) for n in sizes])
+    policies = np.empty((N, max(_MISSION_DRAWS))) if spec.kind == "uav_mission" else None
     # row k: trajectory k's x0 normals, then its per-step normals, zero past its end
     normals, uniforms = np.zeros((N, n_x + T_max * width)), np.empty(N)
-    for k, (rng, end) in enumerate(zip(rngs, (n_x + np.asarray(lengths) * width).tolist())):
+    ends = (n_x + lengths * width).tolist()
+    for k, (rng, end, kind) in enumerate(zip(rngs, ends, kinds.tolist())):
         if policies is not None:
-            policies.append(rng.random(_MISSION_DRAWS[k % 3]))
+            rng.random(out=policies[k, :_MISSION_DRAWS[kind]])
         if bounds is None:   # nothing is drawn between x0 and the steps: one call takes both
             rng.standard_normal(out=normals[k, :end])
         else:
             rng.standard_normal(out=normals[k, :n_x])
             uniforms[k] = rng.uniform(*bounds)
             rng.standard_normal(out=normals[k, n_x:end])
-    x0 = normals[:, :n_x] * spec.x0_std * x0_scale
+    x0 = normals[:, :n_x] * spec.x0_std * np.repeat([s for _, s in sets], sizes)[:, None]
     draws = normals[:, n_x:].reshape(N, T_max, width).swapaxes(0, 1)
-    if linear:
-        noise_std = None if bounds is None else np.sqrt(uniforms)[:, None]
-        X, U, Xn = _rollout_linear(spec, x0, noise_std, draws, live)
+    edges = np.cumsum([0] + sizes).tolist()
+    parts = [(slice(a, b), max(steps)) for a, b, (steps, _) in zip(edges, edges[1:], sets)]
+    if linear:   # each set alone: NumPy multiplies one row (one trajectory) by another route
+        rollouts = [_rollout_linear(spec, x0[c], None if bounds is None else
+                                    np.sqrt(uniforms[c])[:, None], draws[:T, c], live[:T, c])
+                    for c, T in parts]
     else:
         hover = bounds is not None
         if hover:
             x0 *= np.where(uniforms < _RECOVERY_FRACTION, _RECOVERY_SCALE, _STATION_SCALE)[:, None]
-        missions = [] if hover else _mission_policies(policies)
+        missions = [] if hover else _mission_policies(policies, kinds)
         ref = _reference_grid(np.arange(T_max) * spec.dt, N, missions)
-        X, U, Xn = _rollout_uav(spec, ref[0, :4].T + x0, hover, ref, draws, live)
-    rows = live.T   # (N, T_max): the dataset stores trajectory after trajectory
-    return TrajectoryDataset(
-        n_x=spec.n_x, n_u=spec.n_u,
-        states=X.swapaxes(0, 1)[rows],
-        inputs=U.swapaxes(0, 1)[rows],
-        next_states=Xn.swapaxes(0, 1)[rows],
-        offsets=np.concatenate([[0], np.cumsum(lengths)]),
-    )
+        X, U = _rollout_uav(spec, ref[0, :4].T + x0, hover, ref, draws, live)
+        rollouts = [(X[:T + 1, c], U[:T, c]) for c, T in parts]
+    return [_dataset(spec, X, U, steps) for (X, U), (steps, _) in zip(rollouts, sets)]
 
 
 def generate_dataset(spec: SystemSpec, cfg: GenerationConfig) -> TrajectoryDataset:
     """Simulate cfg.n_trajectories trajectories with (seed, index)-keyed streams."""
-    len_rng, *rngs = _generators(cfg.seed, {0: 1, 1: cfg.n_trajectories})
-    lengths = len_rng.integers(cfg.t_min, cfg.t_max + 1, size=cfg.n_trajectories)
-    return _simulate(spec, rngs, lengths, cfg.x0_scale)
+    return _simulate(spec, cfg.seed, cfg)[0]
 
 
 def generate_heldout(spec: SystemSpec, seed: int, size: int = 10_000) -> TrajectoryDataset:
@@ -599,9 +601,7 @@ def generate_heldout(spec: SystemSpec, seed: int, size: int = 10_000) -> Traject
     """
     if size < 1:
         raise InvalidConfig(f"held-out size must be positive, got {size}")
-    n_full, rest = divmod(size, _HELDOUT_TRAJ_LEN)
-    lengths = np.array([_HELDOUT_TRAJ_LEN] * n_full + ([rest] if rest else []))
-    return _simulate(spec, _generators(seed, {2: lengths.size}), lengths, 1.0)
+    return _simulate(spec, seed, heldout_size=size)[0]
 
 
 def prediction_loss(theta: np.ndarray, data: TrajectoryDataset) -> float:

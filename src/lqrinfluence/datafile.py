@@ -88,22 +88,26 @@ def _decode_trajectories(text: str, idx: int, path) -> tuple[list, int]:
     items = []
     idx, more = _open(text, idx, "]")
     while more:
-        traj, idx = _DECODER.raw_decode(text, idx)
+        traj, end = _DECODER.raw_decode(text, idx)
         if not (items and isinstance(items[-1], InvalidConfig)):
+            # true and false hold an r or an f; numbers and the keys x, u, x_next hold neither
+            bools = text.find("r", idx, end) >= 0 or text.find("f", idx, end) >= 0
             try:
-                items.append(trajectory_arrays(traj, len(items), path))
+                items.append(trajectory_arrays(traj, len(items), path, bools))
             except InvalidConfig as exc:
                 items.append(exc)
         del traj
-        idx, more = _after_value(text, idx, "]")
+        idx, more = _after_value(text, end, "]")
     return items, idx
 
 
-def trajectory_arrays(traj, k: int, path) -> tuple:
+def trajectory_arrays(traj, k: int, path, bools: bool = True) -> tuple:
     """(X, U, X_next) of trajectory k, decoded from JSON, before its shapes are checked.
 
     InvalidConfig unless it is a nonempty list of rows whose x, u and x_next
-    entries are all numbers.
+    entries are all numbers. numpy reads a bool beside numbers as 0 or 1, so
+    a numeric array is searched for bools entry by entry unless bools is
+    False (its text holds neither true nor false).
     """
     try:
         # no dtype: numpy then says whether every entry is a number
@@ -113,7 +117,8 @@ def trajectory_arrays(traj, k: int, path) -> tuple:
     if len(traj) == 0:
         raise InvalidConfig(f"trajectory {k} in {path} has no transitions")
     for key, arr in zip(("x", "u", "x_next"), triple):
-        if arr.dtype.kind not in "iuf":
+        if arr.dtype.kind not in "iuf" or bools and any(
+                type(v) is bool for v in np.array([t[key] for t in traj], dtype=object).flat):
             raise InvalidConfig(
                 f"trajectory {k} in {path} has {key} entries that are not all numbers")
     return triple

@@ -22,6 +22,7 @@ from .bench import (
     GenerationConfig,
     SystemSpec,
     _check_generable,
+    _simulate,
     generate_dataset,
     generate_heldout,
     heldout_prediction_scores,
@@ -272,8 +273,18 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
     for seed in seeds:
         if progress:
             progress(f"seed {seed}")
-        data = external if external is not None else generate_dataset(
-            cfg.system, dataclasses.replace(cfg.generation, seed=seed))
+        gen, heldout = dataclasses.replace(cfg.generation, seed=seed), None
+        if external is not None:
+            data = external
+        elif cfg.run_heldout:   # both sets from one generation pass
+            try:
+                data, heldout = _simulate(cfg.system, seed, gen, cfg.heldout_size)
+            except (InvalidConfig, MemoryError):
+                # each set alone, so its error comes where a run that generates the training
+                # set, fits it and only then generates the held-out set meets it
+                data = generate_dataset(cfg.system, gen)
+        else:
+            data = generate_dataset(cfg.system, gen)
 
         t0 = time.perf_counter()
         fit = fit_ridge(data, cfg.lam)
@@ -306,7 +317,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             timing["speedup"] = table.refit_time / pipeline_time if pipeline_time > 0 else None
 
         if cfg.run_heldout:
-            heldout = generate_heldout(cfg.system, seed, cfg.heldout_size)
+            if heldout is None:
+                heldout = generate_heldout(cfg.system, seed, cfg.heldout_size)
             if_pred, delta_l = heldout_prediction_scores(fit, heldout)
             entry["spearman_pred"] = _rank_agreement(if_pred, delta_l)
 
@@ -344,12 +356,17 @@ def write_outputs(report: ExperimentReport, out_dir) -> list:
     exact = [(seed, t, np.flatnonzero(~t.excluded))
              for seed, t in report.tables.items() if t.diagnostics is not None]
     cols = [f.name for f in dataclasses.fields(DecompositionDiagnostics)]
+
+    def column(values) -> list:   # values(table) at every scored removal, table after table
+        return [x for _, t, kept in exact for x in values(t)[kept].tolist()]
+
+    keys = [[seed for seed, _, kept in exact for _ in kept],
+            [k for _, _, kept in exact for k in kept.tolist()]]
     scatter, diagnostics = out / "scatter.csv", out / "diagnostics.csv"
     write_csv(scatter, ["seed", "k", "if_stoch", "if_fixed", "delta_j_exact"],
-              ([seed, k, t.if_stoch[k], t.if_fixed[k], t.delta_j_exact[k]]
-               for seed, t, kept in exact for k in kept))
+              keys + [column(lambda t: t.if_stoch), column(lambda t: t.if_fixed),
+                      column(lambda t: t.delta_j_exact)])
     write_csv(diagnostics, ["seed", "k"] + cols,
-              ([seed, k] + [getattr(t.diagnostics, c)[k] for c in cols]
-               for seed, t, kept in exact for k in kept))
+              keys + [column(lambda t: getattr(t.diagnostics, c)) for c in cols])
     written += [scatter, diagnostics]
     return written

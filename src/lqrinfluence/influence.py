@@ -157,12 +157,15 @@ def csv_cell(x) -> str:
     return format(x, ".17g") if math.isfinite(x) else ""
 
 
-def write_csv(path, header, rows) -> None:
-    """The one CSV writer: the header, then each row as csv_cell strings; every line ends in LF."""
+def write_csv(path, header, columns) -> None:
+    """The one CSV writer: the header, then row i of the columns as csv_cell strings; every
+    line ends in LF. An array column is read into Python scalars with one tolist()."""
+    cells = [[csv_cell(x) for x in (col.tolist() if isinstance(col, np.ndarray) else col)]
+             for col in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([csv_cell(x) for x in row] for row in rows)
+        writer.writerows(zip(*cells))
 
 
 @dataclass(frozen=True)
@@ -192,8 +195,8 @@ class ScoreTable:
         cols = (self.if_fixed, self.if_stoch, self.delta_j_exact, self.direct_trace, *remainders)
         excl = self.excluded if self.excluded is not None else np.zeros(self.N, dtype=bool)
         write_csv(path, SCORE_CSV_HEADER,
-                  ([i, self.lengths[i]] + [None if col is None else col[i] for col in cols]
-                   + [int(excl[i])] for i in range(self.N)))
+                  [range(self.N), self.lengths, *([None] * self.N if col is None else col
+                                                  for col in cols), excl.astype(int)])
 
 
 def build_score_table(fit: ModelFit, art: RiccatiArtifacts, with_exact: bool = False) -> ScoreTable:

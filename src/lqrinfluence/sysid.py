@@ -205,10 +205,10 @@ def load_dataset(path) -> TrajectoryDataset:
 
     A file that is not UTF-8 JSON, nests too deep, repeats a top-level member,
     lacks n_x/n_u/trajectories, declares an n_x or n_u that is not a positive
-    JSON integer, holds no trajectory, an empty one, a string, null, bool-only
-    or out-of-range integer array or a non-finite entry, or has entries whose
-    sizes disagree with the declared n_x/n_u raises InvalidConfig: it is input
-    to fix, not a numerical failure.
+    JSON integer, holds no trajectory, an empty one, a string, null, bool or
+    out-of-range integer entry (a bool beside numbers too) or a non-finite
+    entry, or has entries whose sizes disagree with the declared n_x/n_u raises
+    InvalidConfig: it is input to fix, not a numerical failure.
     """
     from .datafile import decode_dataset, trajectory_arrays   # see datafile on why here
 

@@ -29,6 +29,7 @@ from lqrinfluence.bench import (
     _mission_policies,
     _reference,
     _reference_grid,
+    _simulate,
     dc_motor_spec,
     generate_dataset,
     generate_heldout,
@@ -382,6 +383,25 @@ def test_lockstep_generation_matches_serial_rollouts(kind, seed):
         assert_matches_serial(heldout, spec, seed, 2)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", [0, 3, 2**64 + 7])
+def test_one_pass_sets_equal_separate_generation_bitwise(kind, seed):
+    # one pass over a training and a held-out set gives each set bit for bit as its
+    # own call does; 31 trajectories leave the held-out mission kinds counted from
+    # k = 0 of their own set, t_max 20 and 80 lie on either side of the held-out 50
+    # steps, a held-out size of 2 is one trajectory, 437 ends in a short one
+    spec = system_spec(kind)
+    for n, t_range, x0_scale, size in [(2, (1, 20), 1.0, 2), (31, (5, 20), 1.7, 437),
+                                       (50, (45, 80), 1.7, 10_000), (31, (60, 80), 1.0, 2)]:
+        gen = GenerationConfig(n, *t_range, seed=seed, x0_scale=x0_scale)
+        train, heldout = _simulate(spec, seed, gen, size)
+        for got, want in ((train, generate_dataset(spec, gen)),
+                          (heldout, generate_heldout(spec, seed, size))):
+            for name in ("states", "inputs", "next_states", "offsets"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, size, name)
+
+
 def test_correlated_noise_matches_serial_rollouts():
     # the default noise covariances are diagonal; only an off-diagonal one
     # shows whether the lockstep product applies the Cholesky factor, not its transpose
@@ -399,11 +419,13 @@ def test_uav_policy_matches_scalar_draw_oracle(kind):
         rngs = [stream_rng(seed, k) for k in range(n)]
         oracle_rngs = [stream_rng(seed, k) for k in range(n)]
         want = [scalar_draw_policy(spec, k, rng) for k, rng in enumerate(oracle_rngs)]
-        missions = [] if kind == "uav_hover" else _mission_policies(
-            [rng.random(_MISSION_DRAWS[k % 3]) for k, rng in enumerate(rngs)])
+        kinds, draws = np.arange(n) % 3, np.full((n, max(_MISSION_DRAWS)), np.nan)
+        for k, rng in enumerate(rngs if kind == "uav_mission" else []):
+            draws[k, :_MISSION_DRAWS[kinds[k]]] = rng.random(_MISSION_DRAWS[kinds[k]])
+        missions = [] if kind == "uav_hover" else _mission_policies(draws, kinds)
         got = [{"kind": "hover"}] * n
         for mission, cols, prm in missions:
-            for j, k in enumerate(range(n)[cols]):
+            for j, k in enumerate(cols.tolist()):
                 got[k] = {"kind": mission, **{name: float(value[j]) for name, value in prm.items()}}
         assert got == want
         for rng, oracle_rng in zip(rngs, oracle_rngs):

@@ -698,13 +698,20 @@ _TRAJ_0 = "config error: trajectory 0 in data.json is malformed: "
                                            "UTF-8 JSON: Extra data: line 1 column 130 (char 129)"),
     ('{"n_x": 1, "n_u": 1, "n_x": 1, "trajectories": %s}' % json.dumps(_CONTRACT_ROWS), 1,
      "config error: dataset data.json repeats the top-level member 'n_x'"),
+    (json.dumps({**_CONTRACT_DOC, "trajectories": [
+        [{"x": [True], "u": [0.1], "x_next": [0.5]}] + _CONTRACT_ROWS[0], _CONTRACT_ROWS[1]]}),
+     1, "config error: trajectory 0 in data.json has x entries that are not all numbers"),
+    (json.dumps({**_CONTRACT_DOC, "trajectories": [
+        _CONTRACT_ROWS[0], _CONTRACT_ROWS[1] + [{"x": [-1.6], "u": [False], "x_next": [-0.8]}]]}),
+     1, "config error: trajectory 1 in data.json has u entries that are not all numbers"),
 ], ids=["reordered", "indented", "extra_member", "nan", "trajectories_object",
         "trajectories_string", "trajectories_number", "trajectories_null", "top_level_array",
-        "trailing_data", "repeated_member"])
+        "trailing_data", "repeated_member", "bool_row_beside_floats", "bool_row_beside_integers"])
 def test_cli_dataset_reader_contract(tmp_path, monkeypatch, capsys, text, code, last):
     # the reader walks the file itself and reads one trajectory at a time; each
     # outcome is json.load's, but a repeated member, which json.load let the
-    # last one win, is an error
+    # last one win, is an error, and so is a bool that numpy read as 1 or 0
+    # beside the numbers of its array
     monkeypatch.chdir(tmp_path)
     Path("data.json").write_text(text)
     cfg_path = write_cli_config(tmp_path, system={"kind": "dc_motor", "n_x": 1, "n_u": 1},
@@ -859,6 +866,35 @@ def test_cli_unusable_config_value_is_config_error(tmp_path, capsys, extra):
         assert f" {weight} " in err
 
 
+_DIVERGES = "is not finite after step {}: the configured system diverges"
+
+
+@pytest.mark.parametrize("extra, code, last", [
+    # the training set stays finite; held-out trajectory 5 (not 8 + 5) diverges
+    ({"system": {"kind": "uav_hover", "drag": 30}}, 1,
+     "config error: generated trajectory 5 " + _DIVERGES.format(8)),
+    # both sets diverge, the held-out one at an earlier step: training's error comes first
+    ({"system": {"kind": "uav_hover", "drag": 30},
+      "generation": {"n_trajectories": 8, "t_min": 1, "t_max": 30}}, 1,
+     "config error: generated trajectory 5 " + _DIVERGES.format(10)),
+    # the held-out set diverges, but the training fit fails first
+    ({"system": {"kind": "dc_motor", "a_d": [[1e7, 0.0], [0.0, 1e7]]},
+      "generation": {"n_trajectories": 8, "t_min": 2, "t_max": 4}}, 2, "numerical failure: "),
+    # 2e13 held-out trajectories: no allocation holds their lengths
+    ({"system": {"kind": "uav_hover"}, "heldout_size": 10**15}, 1,
+     "config error: the configured sizes do not fit in memory: "),
+], ids=["heldout_diverges", "both_diverge", "fit_fails_first", "heldout_unallocatable"])
+def test_cli_generation_errors_come_as_one_set_at_a_time(tmp_path, capsys, extra, code, last):
+    # one pass generates a seed's training and held-out sets together, yet each
+    # error is the one generating the training set, fitting it and only then
+    # generating the held-out set meets, with k counted within its own set
+    extra = {"generation": {"n_trajectories": 8, "t_min": 1, "t_max": 2}, "heldout_size": 500,
+             **extra}
+    cfg_path = write_cli_config(tmp_path, run_heldout=True, top_k=3, **extra)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err.splitlines()[-1].startswith(last)
+
+
 def test_cli_dataset_dimension_mismatch_is_config_error(tmp_path, capsys):
     # a 1-state dataset under the 2-state dc_motor system
     traj = (np.ones((3, 1)), np.ones((3, 1)), np.ones((3, 1)))
@@ -1003,6 +1039,9 @@ def test_module_imports_alone(module):
         "      if not name.startswith('__') and not isinstance(value, types.ModuleType)))\n"
         # numpy loads numpy.random lazily; importing it costs every fresh interpreter
         "assert 'numpy.random' not in sys.modules\n"
+        # load_dataset imports the dataset reader when called: compiled from source
+        # in every fresh interpreter, it raised the peak memory of runs without a dataset
+        f"assert {module!r} == 'datafile' or 'lqrinfluence.datafile' not in sys.modules\n"
     )
     src = Path(lqrinfluence.__file__).resolve().parents[1]
     env = dict(os.environ,
