@@ -11,12 +11,11 @@ Four systems of increasing identification difficulty:
 * uav_mission— same vehicle tracking aggressive references (figure-eight,
                descending-S, circle), far outside the linear regime.
 
-All randomness derives from (seed, stream, k) keyed NumPy streams, so
-generating trajectories in parallel or serially yields identical datasets:
-stream 0 draws a dataset's lengths, trajectory k of a dataset draws from
+All randomness derives from (seed, stream, k) keyed NumPy streams, so serial and
+parallel generation agree, bitwise for the UAV kinds and to round-off for the linear
+ones. Stream 0 draws a dataset's lengths, trajectory k of a dataset draws from
 stream (seed, 1, k) and held-out trajectory k from (seed, 2, k), each
-default_rng(SeedSequence(entropy=seed, spawn_key=(stream, k))) bit for bit;
-_generators seeds all of a call's streams in one vectorized hashing pass.
+default_rng(SeedSequence(entropy=seed, spawn_key=(stream, k))) bit for bit.
 _simulate makes a seed's training and held-out sets in one pass: one loop
 takes each trajectory's draws in a serial loop's order (a mission policy's
 uniforms, then x0 and per-step normals into row k of one zero-padded buffer;
@@ -368,10 +367,9 @@ _REFERENCE_DEFAULTS = {
 }
 
 
-def _wave(amp, arg, rate, f=np.sin, df=np.cos):
-    """Position, velocity, acceleration of amp * f(arg) whose argument advances at rate."""
-    fa = f(arg)
-    return amp * fa, amp * rate * df(arg), -amp * rate * rate * fa
+def _wave(amp, rate, fa, dfa):
+    """Position, velocity, acceleration of amp * f(arg): fa = f(arg), dfa = f'(arg), rate = arg'."""
+    return amp * fa, amp * rate * dfa, -amp * rate * rate * fa
 
 
 def _reference(kind: str, prm: dict, t):
@@ -379,8 +377,10 @@ def _reference(kind: str, prm: dict, t):
     value of each of its parameters (_REFERENCE_DEFAULTS[kind]), broadcast with t."""
     w = prm["omega"]
     arg = w * t + prm["phase"]
+    sin, cos = np.sin(arg), np.cos(arg)
     if kind == "figure_eight":
-        x, z = _wave(prm["amp_x"], arg, w), _wave(prm["amp_z"], 2 * arg, 2 * w)
+        a2 = 2 * arg
+        x, z = _wave(prm["amp_x"], w, sin, cos), _wave(prm["amp_z"], 2 * w, np.sin(a2), np.cos(a2))
     elif kind == "descending_s":
         z0, rate = prm["z0"], prm["rate"]
         # sigmoid altitude from z0 down to 0; past rate (t - t_mid) = 709 exp is inf, s exactly 0
@@ -388,10 +388,9 @@ def _reference(kind: str, prm: dict, t):
             s = 1.0 / (1.0 + np.exp(rate * (t - prm["t_mid"])))
         ds = -rate * s * (1.0 - s)
         dds = -rate * ds * (1.0 - 2.0 * s)
-        x, z = _wave(prm["amp_x"], arg, w), (z0 * s, z0 * ds, z0 * dds)
+        x, z = _wave(prm["amp_x"], w, sin, cos), (z0 * s, z0 * ds, z0 * dds)
     else:
-        r = prm["radius"]
-        x, z = _wave(r, arg, w, np.cos, lambda a: -np.sin(a)), _wave(r, arg, w)
+        x, z = _wave(prm["radius"], w, cos, -sin), _wave(prm["radius"], w, sin, cos)
     return x[0], z[0], x[1], z[1], x[2], z[2]
 
 

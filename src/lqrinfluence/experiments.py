@@ -30,7 +30,7 @@ from .bench import (
     system_spec,
 )
 from .errors import DegenerateInput, InvalidConfig
-from .influence import DecompositionDiagnostics, build_score_table, write_csv
+from .influence import DecompositionDiagnostics, build_score_table, csv_column, write_csv
 from .lqr import riccati_artifacts
 from .sysid import _json_array, _json_keys, _json_scalar, fit_ridge, load_dataset, load_json
 
@@ -347,26 +347,23 @@ def write_outputs(report: ExperimentReport, out_dir) -> list:
     path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
     written = [path]
 
+    # scatter.csv and diagnostics.csv: a row per scored removal, in the score file's strings
+    diag = [f.name for f in dataclasses.fields(DecompositionDiagnostics)]
+    files = {out / "scatter.csv": ["seed", "k", "if_stoch", "if_fixed", "delta_j_exact"],
+             out / "diagnostics.csv": ["seed", "k", *diag]}
+    rows = {c: [] for header in files.values() for c in header}   # column -> its cells
     for seed, table in report.tables.items():
         path = out / f"scores_seed{seed}.csv"
-        table.to_csv(path)
+        cells = table.to_csv(path)
         written.append(path)
-
-    # a row per scored removal in each file, in the score file's own strings
-    exact = [(seed, t, np.flatnonzero(~t.excluded))
-             for seed, t in report.tables.items() if t.diagnostics is not None]
-    cols = [f.name for f in dataclasses.fields(DecompositionDiagnostics)]
-
-    def column(values) -> list:   # values(table) at every scored removal, table after table
-        return [x for _, t, kept in exact for x in values(t)[kept].tolist()]
-
-    keys = [[seed for seed, _, kept in exact for _ in kept],
-            [k for _, _, kept in exact for k in kept.tolist()]]
-    scatter, diagnostics = out / "scatter.csv", out / "diagnostics.csv"
-    write_csv(scatter, ["seed", "k", "if_stoch", "if_fixed", "delta_j_exact"],
-              keys + [column(lambda t: t.if_stoch), column(lambda t: t.if_fixed),
-                      column(lambda t: t.delta_j_exact)])
-    write_csv(diagnostics, ["seed", "k"] + cols,
-              keys + [column(lambda t: getattr(t.diagnostics, c)) for c in cols])
-    written += [scatter, diagnostics]
+        if table.diagnostics is not None:   # add the columns the score file lacks
+            cells["seed"] = [str(seed)] * table.N
+            cells.update((c, csv_column(getattr(table.diagnostics, c)))
+                         for c in diag if c not in cells)
+            kept = np.flatnonzero(~table.excluded).tolist()
+            for c, col in rows.items():
+                col.extend(map(cells[c].__getitem__, kept))
+    for path, header in files.items():
+        write_csv(path, header, [rows[c] for c in header])
+        written.append(path)
     return written

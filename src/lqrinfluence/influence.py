@@ -6,17 +6,11 @@ Three quantities per trajectory k:
 * stochastic score        (zeta - h)^T IF_m_k + (T_k/M_k) Tr(P0 (W_hat - W_bar_k)),
 * exact shift             dJ_k = Tr(P(theta_k) W_k) - Tr(P0 W_hat)  by refitting.
 
-Every exact quantity comes from one sweep per fit (exact_loto_sweep), held
-as one LotoSweep of (N, ...) arrays: one sysid.loto_refit call solves the
-retained normal equations of every removal at once from the fit's
-per-trajectory statistics and one reshape unpacks every (A_k, B_k), then
-loto_record solves one refit DARE per removal at the Q and R the Riccati
-artifacts were built with (solve_dare reuses their checks and R's factor
-across the sweep), its P row NaN where the refit has no stabilizing
-solution.
-diagnostics_from_record and modular_error_bound read the whole sweep and
-return (N,) arrays, NaN where excluded. Nothing here refits from the raw
-data or redoes the base DARE per trajectory.
+Every exact quantity comes from one sweep per fit (exact_loto_sweep): one
+sysid.loto_refit call refits every removal, then loto_record solves each refit DARE at
+art's Q and R, its P row NaN where none stabilizes. diagnostics_from_record and
+modular_error_bound read the whole LotoSweep and return (N,) arrays, NaN where excluded;
+nothing refits from the raw data or redoes the base DARE per trajectory.
 
 score_all never materializes IF_m_k: with v = H^-1 rhs from the Riccati
 artifacts, each score is sysid.eta_dot's eta_k^T v for every k at once, plus
@@ -29,8 +23,6 @@ diagnostics here evaluate the remainders and the a priori bound on R_w.
 """
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -149,23 +141,28 @@ def modular_error_bound(
 
 def csv_cell(x) -> str:
     """One CSV cell: an integer as is, a float in round-trip .17g, None or non-finite empty."""
-    if x is None:
-        return ""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    return format(x, ".17g") if math.isfinite(x) else ""
+    return "" if x is None or not np.isfinite(x) else format(float(x), ".17g")
+
+
+def csv_column(col) -> list:
+    """csv_cell of each entry of an array column: one bound .17g format over a float
+    column's tolist(), non-finite entries empty; integers otherwise."""
+    col = np.asarray(col)
+    if col.dtype.kind != "f":
+        return [str(int(x)) for x in col.tolist()]
+    cells = list(map("{:.17g}".format, col.tolist()))
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        cells[i] = ""
+    return cells
 
 
 def write_csv(path, header, columns) -> None:
-    """The one CSV writer: the header, then row i of the columns as csv_cell strings; every
-    line ends in LF. An array column is read into Python scalars with one tolist()."""
-    cells = [[csv_cell(x) for x in (col.tolist() if isinstance(col, np.ndarray) else col)]
-             for col in columns]
+    """The one CSV writer: the header, then row i of the cell columns (csv_column strings
+    hold no comma, quote or line break) joined by commas; every line ends in LF."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*cells))
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
 
 
 @dataclass(frozen=True)
@@ -189,14 +186,16 @@ class ScoreTable:
     def excluded_indices(self) -> list[int]:
         return [] if self.excluded is None else np.flatnonzero(self.excluded).tolist()
 
-    def to_csv(self, path) -> None:
-        diag = self.diagnostics
+    def to_csv(self, path) -> dict:
+        """Write the score CSV and return its cells by column name."""
+        n, diag = self.N, self.diagnostics
         remainders = (None,) * 3 if diag is None else (diag.r_ric, diag.r_w, diag.r_cross)
-        cols = (self.if_fixed, self.if_stoch, self.delta_j_exact, self.direct_trace, *remainders)
-        excl = self.excluded if self.excluded is not None else np.zeros(self.N, dtype=bool)
-        write_csv(path, SCORE_CSV_HEADER,
-                  [range(self.N), self.lengths, *([None] * self.N if col is None else col
-                                                  for col in cols), excl.astype(int)])
+        cols = (range(n), self.lengths, self.if_fixed, self.if_stoch, self.delta_j_exact,
+                self.direct_trace, *remainders, [0] * n if self.excluded is None else self.excluded)
+        cells = {c: [""] * n if col is None else csv_column(col)
+                 for c, col in zip(SCORE_CSV_HEADER, cols)}
+        write_csv(path, SCORE_CSV_HEADER, cells.values())
+        return cells
 
 
 def build_score_table(fit: ModelFit, art: RiccatiArtifacts, with_exact: bool = False) -> ScoreTable:

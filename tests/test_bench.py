@@ -8,6 +8,7 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lqrinfluence import bench
 from lqrinfluence.bench import (
     _DC_B,
     _DC_J,
@@ -400,6 +401,35 @@ def test_one_pass_sets_equal_separate_generation_bitwise(kind, seed):
             for name in ("states", "inputs", "next_states", "offsets"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, size, name)
+
+
+@pytest.mark.parametrize("kind", [
+    pytest.param(kind, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 7: NumPy multiplies a one-row matrix through gemv and a taller one "
+        "through gemm, so a linear trajectory's last bits depend on its batch-mates")))
+    if kind in ("dc_motor", "msd") else kind for kind in KINDS])
+def test_trajectory_rolled_out_alone_equals_its_batch_row_bitwise(kind, monkeypatch):
+    # serial and parallel generation give the same datasets bit for bit: every rollout
+    # kernel call of a training plus held-out pass is repeated on each trajectory alone,
+    # over its own steps, with the inputs the batch gave it
+    linear = kind in ("dc_motor", "msd")
+    name = "_rollout_linear" if linear else "_rollout_uav"
+    kernel, calls = getattr(bench, name), []
+    monkeypatch.setattr(bench, name, lambda *args: calls.append(args) or kernel(*args))
+    spec = system_spec(kind)
+    _simulate(spec, 6, GenerationConfig(37, 3, 60, seed=6, x0_scale=1.5), 437)
+    assert calls
+    for _, x0, arg, *arrays in calls:
+        X, U = kernel(spec, x0, arg, *arrays)
+        live = arrays[-1]
+        for k, T in enumerate(live.sum(axis=0).tolist()):
+            c = slice(k, k + 1)
+            if linear:   # arg: the (N, 1) noise scales, or None; arrays: draws, live
+                alone = (arg if arg is None else arg[c], *(a[:T, c] for a in arrays))
+            else:        # arg: hover; arrays: the reference grid, draws, live
+                alone = (arg, arrays[0][:T, :, c], *(a[:T, c] for a in arrays[1:]))
+            X1, U1 = kernel(spec, x0[c], *alone)
+            assert X1.tobytes() == X[:T + 1, c].tobytes() and U1.tobytes() == U[:T, c].tobytes()
 
 
 def test_correlated_noise_matches_serial_rollouts():

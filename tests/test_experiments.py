@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import os
 import pkgutil
@@ -22,6 +23,7 @@ from lqrinfluence.cli import main
 from lqrinfluence.errors import DegenerateInput, InvalidConfig
 from lqrinfluence.experiments import (
     ExperimentConfig,
+    ExperimentReport,
     _config_echo,
     load_config,
     parse_config,
@@ -31,7 +33,13 @@ from lqrinfluence.experiments import (
     topk_jaccard,
     write_outputs,
 )
-from lqrinfluence.influence import build_score_table
+from lqrinfluence.influence import (
+    SCORE_CSV_HEADER,
+    DecompositionDiagnostics,
+    ScoreTable,
+    build_score_table,
+    csv_cell,
+)
 from lqrinfluence.lqr import riccati_artifacts
 from lqrinfluence import sysid
 from lqrinfluence.sysid import TrajectoryDataset, fit_ridge, save_dataset
@@ -429,6 +437,62 @@ def test_diagnostics_csv_fills_every_column(tmp_path):
     assert len(rows) == 1 + 16
     for row in rows[1:]:
         assert len(row) == len(rows[0]) and all(np.isfinite(float(cell)) for cell in row)
+
+
+def scalar_rule_csvs(report) -> dict:
+    # the three kinds of CSV as csv.writer writes csv_cell's strings one cell at a time:
+    # the oracle of write_outputs' column formatter and joined rows
+    def text(header, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([csv_cell(x) for x in row] for row in rows)
+        return buf.getvalue()
+
+    names = [f.name for f in dataclasses.fields(DecompositionDiagnostics)]
+    files, scatter, diagnostics = {}, [], []
+    for seed, t in report.tables.items():
+        d = t.diagnostics
+        cols = [range(t.N), t.lengths, t.if_fixed, t.if_stoch, t.delta_j_exact, t.direct_trace,
+                *([None] * 3 if d is None else [d.r_ric, d.r_w, d.r_cross]),
+                [0] * t.N if t.excluded is None else t.excluded.astype(int)]
+        files[f"scores_seed{seed}.csv"] = text(
+            SCORE_CSV_HEADER, [[None if c is None else c[k] for c in cols] for k in range(t.N)])
+        for k in [] if d is None else np.flatnonzero(~t.excluded):
+            scatter.append([seed, k, t.if_stoch[k], t.if_fixed[k], t.delta_j_exact[k]])
+            diagnostics.append([seed, k, *(getattr(d, name)[k] for name in names)])
+    files["scatter.csv"] = text(["seed", "k", "if_stoch", "if_fixed", "delta_j_exact"], scatter)
+    files["diagnostics.csv"] = text(["seed", "k", *names], diagnostics)
+    return files
+
+
+def edge_value_tables() -> dict:
+    # every float field holds NaN, +-inf, -0.0, the smallest subnormal and the largest
+    # double, rotated so each lands in every column; lengths are numpy unsigned integers
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -7.25])
+    cols = [np.roll(values, i) for i in range(9)]
+    lengths = np.array([0, 3, 17, 2**32, 2**63, 2**64 - 1, 40, 1], dtype=np.uint64)
+    exact = ScoreTable(lengths, *cols[:3], delta_j_exact=cols[3], excluded=np.isnan(cols[3]),
+                       diagnostics=DecompositionDiagnostics(*cols[4:]))
+    return {3: exact, 11: ScoreTable(lengths[:5], *(c[:5] for c in cols[:3]))}
+
+
+@pytest.mark.parametrize("case", ["two_seed_run_with_exclusion", "edge_values"])
+def test_written_csvs_equal_the_scalar_rule_bytewise(case, tmp_path, partial_exclusion_dataset):
+    if case == "edge_values":
+        tables = edge_value_tables()
+    else:   # seeds 0 and 1 of an exact run, then a table whose removal 0 is excluded
+        tables = dict(run_experiment(small_config()).tables)
+        fit = fit_ridge(partial_exclusion_dataset, 1e-3)
+        tables[2] = build_score_table(fit, riccati_artifacts(fit, np.eye(1), np.eye(1)),
+                                      with_exact=True)
+        assert tables[2].excluded.tolist() == [True, False, False]
+    report = ExperimentReport(config_echo={}, tables=tables)
+    written = write_outputs(report, tmp_path)
+    expected = scalar_rule_csvs(report)
+    assert [p.name for p in written] == ["report.json", *expected]
+    for path in written[1:]:
+        assert path.read_bytes() == expected[path.name].encode(), path.name
 
 
 def write_cli_config(tmp_path, **extra):

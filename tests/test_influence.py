@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lqrinfluence import influence, linalg
 from lqrinfluence.bench import GenerationConfig, generate_dataset, system_spec
@@ -399,6 +400,16 @@ def test_csv_cell_strings(value, cell):
 def test_csv_cell_round_trips_every_finite_float_property(x):
     assert float(influence.csv_cell(x)).hex() == x.hex()
     assert float(influence.csv_cell(np.float64(x))).hex() == x.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 40)))
+def test_csv_column_is_csv_cell_per_entry_property(col):
+    # the column formatter is the scalar rule applied entry by entry, NaN, +-inf, -0.0 and
+    # subnormals included, and no cell needs quoting, so rows can be joined with commas
+    cells = influence.csv_column(col)
+    assert cells == [influence.csv_cell(x) for x in col]
+    assert not any(c in cell for cell in cells for c in ',"\r\n')
 
 
 def test_score_table_csv_empty_cells_without_exact(tmp_path):
