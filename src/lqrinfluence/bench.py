@@ -11,18 +11,15 @@ Four systems of increasing identification difficulty:
 * uav_mission— same vehicle tracking aggressive references (figure-eight,
                descending-S, circle), far outside the linear regime.
 
-All randomness derives from (seed, stream, k) keyed NumPy streams, so serial and
-parallel generation agree, bitwise for the UAV kinds and to round-off for the linear
-ones. Stream 0 draws a dataset's lengths, trajectory k of a dataset draws from
-stream (seed, 1, k) and held-out trajectory k from (seed, 2, k), each
+All randomness derives from (seed, stream, k) keyed NumPy streams. Stream 0
+draws a dataset's lengths, trajectory k of a dataset draws from (seed, 1, k)
+and held-out trajectory k from (seed, 2, k), each
 default_rng(SeedSequence(entropy=seed, spawn_key=(stream, k))) bit for bit.
-_simulate makes a seed's training and held-out sets in one pass: one loop
-takes each trajectory's draws in a serial loop's order (a mission policy's
-uniforms, then x0 and per-step normals into row k of one zero-padded buffer;
-tests/test_bench.py keeps that loop as the oracle), and draw-free array
-kernels advance every trajectory in lockstep, as (N, .) arrays (linear) or
-(., N) component rows (quadrotor) tracking references evaluated once on the
-time grid. _dataset splits each set off and checks that it stayed finite.
+_simulate makes a seed's training and held-out sets in one pass. One loop takes
+each trajectory's draws in a serial loop's order (tests/test_bench.py keeps it
+as the oracle). Elementwise array kernels then advance every trajectory in
+lockstep. So serial and parallel generation agree bit for bit, for every kind.
+Each set's error comes when that set is asked for.
 """
 from __future__ import annotations
 
@@ -112,19 +109,13 @@ def msd_spec(dt: float = 0.05) -> SystemSpec:
 
 
 def uav_hover_spec(dt: float = 0.1) -> SystemSpec:
-    return SystemSpec(
-        kind="uav_hover", n_x=4, n_u=2, dt=dt,
-        drag=_UAV_DRAG, gust_std=0.3, excitation_std=0.25,
-        x0_std=np.array([0.6, 0.6, 0.15, 0.15]),
-    )
+    return SystemSpec(kind="uav_hover", n_x=4, n_u=2, dt=dt, drag=_UAV_DRAG, gust_std=0.3,
+                      excitation_std=0.25, x0_std=np.array([0.6, 0.6, 0.15, 0.15]))
 
 
 def uav_mission_spec(dt: float = 0.1) -> SystemSpec:
-    return SystemSpec(
-        kind="uav_mission", n_x=4, n_u=2, dt=dt,
-        drag=_UAV_DRAG, gust_std=0.5, excitation_std=0.25,
-        x0_std=np.array([0.3, 0.3, 0.2, 0.2]),
-    )
+    return SystemSpec(kind="uav_mission", n_x=4, n_u=2, dt=dt, drag=_UAV_DRAG, gust_std=0.5,
+                      excitation_std=0.25, x0_std=np.array([0.3, 0.3, 0.2, 0.2]))
 
 
 _SPEC_FACTORIES = {
@@ -248,10 +239,8 @@ def _mix(x, y):
 
 @functools.cache
 def _seed_words_type():
-    """An ISeedSequence handing PCG64 its four precomputed seeding words.
-
-    Built on first use, so importing this module does not import numpy.random.
-    """
+    """An ISeedSequence handing PCG64 its four seeding words; built on first use, so
+    importing this module does not import numpy.random."""
     from numpy.random.bit_generator import ISeedSequence
 
     class SeedWords(ISeedSequence):
@@ -310,21 +299,28 @@ def _generators(seed: int, counts: dict) -> list:
     return [Generator(PCG64(SeedWords(row))) for row in rows]
 
 
+def _ok(result):
+    """The dataset _simulate or _dataset made, or the error it met in its place, raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def _live(lengths) -> np.ndarray:
     """(T_max, N) mask of recorded steps: step t of trajectory k is live while t < lengths[k]."""
     return np.arange(np.max(lengths))[:, None] < np.asarray(lengths)
 
 
-def _dataset(spec: SystemSpec, X: np.ndarray, U: np.ndarray, lengths) -> TrajectoryDataset:
+def _dataset(spec: SystemSpec, X: np.ndarray, U: np.ndarray, lengths):
     """Trajectory k's first lengths[k] steps of the time-major rollout buffers X
     (max(lengths)+1, N, n_x), row t+1 following row t, and U (max(lengths), N, n_u).
-    A state that is not finite raises InvalidConfig naming the first step where one
-    appears, and the first trajectory within it."""
+    A non-finite state returns InvalidConfig instead, naming the first step
+    where one appears and the first trajectory in it."""
     diverged = ~np.isfinite(X[1:]).all(axis=2)
     if diverged.any():
         t, k = np.argwhere(diverged)[0]
-        raise InvalidConfig(f"generated trajectory {k} is not finite after step {t}: "
-                            "the configured system diverges")
+        return InvalidConfig(f"generated trajectory {k} is not finite after step {t}: "
+                             "the configured system diverges")
     rows = _live(lengths).T   # (N, T_max): the dataset stores trajectory after trajectory
     arrays = [np.empty((np.count_nonzero(rows), A.shape[2])) for A in (X[:-1], U, X[1:])]
     for A, out in zip((X[:-1], U, X[1:]), arrays):   # masking 2-D views is 2x faster than 3-D
@@ -333,29 +329,31 @@ def _dataset(spec: SystemSpec, X: np.ndarray, U: np.ndarray, lengths) -> Traject
     return TrajectoryDataset(spec.n_x, spec.n_u, *arrays, np.concatenate([[0], np.cumsum(lengths)]))
 
 
+def _product_sum(M, V):
+    """M @ V over V's rows (axis -2), summed in order, elementwise: columns stay independent."""
+    return functools.reduce(operator.add, (M[:, j, None] * V[..., j, None, :]
+                                           for j in range(M.shape[1])))
+
+
 @np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _dataset
 def _rollout_linear(spec: SystemSpec, x0, noise_std, draws, live):
     """Roll trajectory k out from x0[k] while live[:, k] (_live), all at once.
 
     draws (T_max, N, n_u + n_x) holds each step's input, then noise normals;
-    noise_std (N, 1) scales the noise, or is None for the spec's noise_cov.
-    Returns _dataset's time-major buffers X (T_max+1, N, n_x) and U; a
-    trajectory past its end stays frozen at its last state.
+    noise_std (N,) scales the noise; None uses the spec's noise_cov.
+    Products: _product_sum. Returns _dataset's time-major buffers X
+    (T_max+1, N, n_x) and U; a trajectory is frozen past its end.
     """
     T_max, N = live.shape
-    X = np.empty((T_max + 1, N, spec.n_x))
-    X[0] = x0
-    U = draws[..., :spec.n_u] * spec.input_std
-    if noise_std is not None:
-        noise = draws[..., spec.n_u:] * noise_std
-    else:
-        # one 2-D product, so every row, a length-1 trajectory's too, takes the same route
-        w = draws[..., spec.n_u:].reshape(T_max * N, spec.n_x)
-        noise = (w @ np.linalg.cholesky(spec.noise_cov).T).reshape(T_max, N, spec.n_x)
-    BU = U @ spec.b_d.T
+    X = np.empty((T_max + 1, spec.n_x, N))   # component-major, as in _rollout_uav
+    X[0] = np.transpose(x0)
+    U, w = draws[..., :spec.n_u] * spec.input_std, draws[..., spec.n_u:].transpose(0, 2, 1)
+    noise = (w * noise_std if noise_std is not None
+             else _product_sum(np.linalg.cholesky(spec.noise_cov), w))
+    BU_w = _product_sum(spec.b_d, U.transpose(0, 2, 1)) + noise
     for t in range(T_max):
-        X[t + 1] = np.where(live[t, :, None], X[t] @ spec.a_d.T + BU[t] + noise[t], X[t])
-    return X, U
+        X[t + 1] = np.where(live[t], _product_sum(spec.a_d, X[t]) + BU_w[t], X[t])
+    return X.transpose(0, 2, 1), U
 
 
 # each mission reference's parameters, with the value a policy that omits one gets
@@ -463,7 +461,8 @@ def simulate_uav(spec: SystemSpec, x0, policy: dict, T: int, seed) -> tuple:
     prm = {name: np.array([policy.get(name, d)]) for name, d in defaults.items()}   # one row
     ref = _reference_grid(np.arange(T) * spec.dt, 1, [(kind, slice(None), prm)] if prm else [])
     draws = np.random.default_rng(seed).normal(size=(T, 1, 4))   # a Generator seed is used as is
-    data = _dataset(spec, *_rollout_uav(spec, [x0], kind == "hover", ref, draws, _live([T])), [T])
+    X, U = _rollout_uav(spec, [x0], kind == "hover", ref, draws, _live([T]))
+    data = _ok(_dataset(spec, X, U, [T]))
     return data.states, data.inputs, data.next_states
 
 
@@ -532,64 +531,65 @@ def _simulate(spec: SystemSpec, seed: int, gen: GenerationConfig | None = None,
     divide heldout_size. One _generators call seeds both sets' streams, one
     loop draws them and one lockstep rollout advances them. A trajectory's set
     sets only its x0 scale (gen.x0_scale, held-out 1) and its mission kind (k
-    mod 3 within its set), so each set is bitwise what it is alone; a set that
-    is not finite raises the InvalidConfig it raises alone (_dataset).
+    mod 3 within its set), so each set is bitwise what it is alone. A set
+    gets its dataset or the error it meets alone (_dataset, MemoryError).
     """
-    n_full, rest = divmod(heldout_size, _HELDOUT_TRAJ_LEN)
-    heldout = [_HELDOUT_TRAJ_LEN] * n_full + ([rest] if rest else [])
-    rngs = _generators(seed, ({0: 1, 1: gen.n_trajectories} if gen else {})
-                       | ({2: len(heldout)} if heldout else {}))
-    sets = []   # (lengths, x0 scale) of each set
-    if gen:
-        sets.append((rngs.pop(0).integers(gen.t_min, gen.t_max + 1, size=gen.n_trajectories),
-                     gen.x0_scale))
-    if heldout:
-        sets.append((np.array(heldout), 1.0))
-    _check_generable(spec)
-    sizes = [len(steps) for steps, _ in sets]
-    lengths = np.concatenate([steps for steps, _ in sets])
-    live = _live(lengths)
-    (T_max, N), n_x = live.shape, spec.n_x
-    linear = spec.kind in _LINEAR_KINDS
-    width = spec.n_u + n_x if linear else 4
-    # after x0 a trajectory draws the msd noise variance, or hover's recovery uniform
-    bounds = spec.sigma_sq_range if linear else (0.0, 1.0) if spec.kind == "uav_hover" else None
-    kinds = np.concatenate([np.arange(n) % len(_MISSION_REFS) for n in sizes])
-    policies = np.empty((N, max(_MISSION_DRAWS))) if spec.kind == "uav_mission" else None
-    # row k: trajectory k's x0 normals, then its per-step normals, zero past its end
-    normals, uniforms = np.zeros((N, n_x + T_max * width)), np.empty(N)
-    ends = (n_x + lengths * width).tolist()
-    for k, (rng, end, kind) in enumerate(zip(rngs, ends, kinds.tolist())):
-        if policies is not None:
-            rng.random(out=policies[k, :_MISSION_DRAWS[kind]])
-        if bounds is None:   # nothing is drawn between x0 and the steps: one call takes both
-            rng.standard_normal(out=normals[k, :end])
+    try:
+        n_full, rest = divmod(heldout_size, _HELDOUT_TRAJ_LEN)
+        heldout = [_HELDOUT_TRAJ_LEN] * n_full + ([rest] if rest else [])
+        rngs = _generators(seed, ({0: 1, 1: gen.n_trajectories} if gen else {})
+                           | ({2: len(heldout)} if heldout else {}))
+        sets = [(rngs.pop(0).integers(gen.t_min, gen.t_max + 1, size=gen.n_trajectories),
+                 gen.x0_scale)] if gen else []   # (lengths, x0 scale) of each set
+        sets += [(np.array(heldout), 1.0)] if heldout else []
+        _check_generable(spec)
+        sizes = [len(steps) for steps, _ in sets]
+        lengths = np.concatenate([steps for steps, _ in sets])
+        live = _live(lengths)
+        (T_max, N), n_x = live.shape, spec.n_x
+        linear = spec.kind in _LINEAR_KINDS
+        width = spec.n_u + n_x if linear else 4
+        # after x0 a trajectory draws the msd noise variance, or hover's recovery uniform
+        bounds = spec.sigma_sq_range if linear else (0.0, 1.0) if spec.kind == "uav_hover" else None
+        kinds = np.concatenate([np.arange(n) % len(_MISSION_REFS) for n in sizes])
+        policies = np.empty((N, max(_MISSION_DRAWS))) if spec.kind == "uav_mission" else None
+        # row k: trajectory k's x0 normals, then its per-step normals, zero past its end
+        normals, uniforms = np.zeros((N, n_x + T_max * width)), np.empty(N)
+        ends = (n_x + lengths * width).tolist()
+        for k, (rng, end, kind) in enumerate(zip(rngs, ends, kinds.tolist())):
+            if policies is not None:
+                rng.random(out=policies[k, :_MISSION_DRAWS[kind]])
+            if bounds is None:   # nothing is drawn between x0 and the steps: one call takes both
+                rng.standard_normal(out=normals[k, :end])
+            else:
+                rng.standard_normal(out=normals[k, :n_x])
+                uniforms[k] = rng.uniform(*bounds)
+                rng.standard_normal(out=normals[k, n_x:end])
+        x0 = normals[:, :n_x] * spec.x0_std * np.repeat([s for _, s in sets], sizes)[:, None]
+        draws = normals[:, n_x:].reshape(N, T_max, width).swapaxes(0, 1)
+        if linear:
+            X, U = _rollout_linear(spec, x0, None if bounds is None else np.sqrt(uniforms),
+                                   draws, live)
         else:
-            rng.standard_normal(out=normals[k, :n_x])
-            uniforms[k] = rng.uniform(*bounds)
-            rng.standard_normal(out=normals[k, n_x:end])
-    x0 = normals[:, :n_x] * spec.x0_std * np.repeat([s for _, s in sets], sizes)[:, None]
-    draws = normals[:, n_x:].reshape(N, T_max, width).swapaxes(0, 1)
-    edges = np.cumsum([0] + sizes).tolist()
-    parts = [(slice(a, b), max(steps)) for a, b, (steps, _) in zip(edges, edges[1:], sets)]
-    if linear:   # each set alone: NumPy multiplies one row (one trajectory) by another route
-        rollouts = [_rollout_linear(spec, x0[c], None if bounds is None else
-                                    np.sqrt(uniforms[c])[:, None], draws[:T, c], live[:T, c])
-                    for c, T in parts]
-    else:
-        hover = bounds is not None
-        if hover:
-            x0 *= np.where(uniforms < _RECOVERY_FRACTION, _RECOVERY_SCALE, _STATION_SCALE)[:, None]
-        missions = [] if hover else _mission_policies(policies, kinds)
-        ref = _reference_grid(np.arange(T_max) * spec.dt, N, missions)
-        X, U = _rollout_uav(spec, ref[0, :4].T + x0, hover, ref, draws, live)
-        rollouts = [(X[:T + 1, c], U[:T, c]) for c, T in parts]
-    return [_dataset(spec, X, U, steps) for (X, U), (steps, _) in zip(rollouts, sets)]
+            hover = bounds is not None
+            if hover:
+                x0 *= np.where(uniforms < _RECOVERY_FRACTION, _RECOVERY_SCALE,
+                               _STATION_SCALE)[:, None]
+            missions = [] if hover else _mission_policies(policies, kinds)
+            ref = _reference_grid(np.arange(T_max) * spec.dt, N, missions)
+            X, U = _rollout_uav(spec, ref[0, :4].T + x0, hover, ref, draws, live)
+        edges = np.cumsum([0] + sizes).tolist()
+        return [_dataset(spec, X[:max(steps) + 1, a:b], U[:max(steps), a:b], steps)
+                for a, b, (steps, _) in zip(edges, edges[1:], sets)]
+    except MemoryError as err:   # the shared buffers pad every trajectory to the longest one,
+        if gen and heldout_size:   # so each set alone may still fit
+            return _simulate(spec, seed, gen) + _simulate(spec, seed, heldout_size=heldout_size)
+        return [err]
 
 
 def generate_dataset(spec: SystemSpec, cfg: GenerationConfig) -> TrajectoryDataset:
     """Simulate cfg.n_trajectories trajectories with (seed, index)-keyed streams."""
-    return _simulate(spec, cfg.seed, cfg)[0]
+    return _ok(_simulate(spec, cfg.seed, cfg)[0])
 
 
 def generate_heldout(spec: SystemSpec, seed: int, size: int = 10_000) -> TrajectoryDataset:
@@ -600,7 +600,7 @@ def generate_heldout(spec: SystemSpec, seed: int, size: int = 10_000) -> Traject
     """
     if size < 1:
         raise InvalidConfig(f"held-out size must be positive, got {size}")
-    return _simulate(spec, seed, heldout_size=size)[0]
+    return _ok(_simulate(spec, seed, heldout_size=size)[0])
 
 
 def prediction_loss(theta: np.ndarray, data: TrajectoryDataset) -> float:

@@ -22,6 +22,7 @@ from .bench import (
     GenerationConfig,
     SystemSpec,
     _check_generable,
+    _ok,
     _simulate,
     generate_dataset,
     generate_heldout,
@@ -276,13 +277,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
         gen, heldout = dataclasses.replace(cfg.generation, seed=seed), None
         if external is not None:
             data = external
-        elif cfg.run_heldout:   # both sets from one generation pass
-            try:
-                data, heldout = _simulate(cfg.system, seed, gen, cfg.heldout_size)
-            except (InvalidConfig, MemoryError):
-                # each set alone, so its error comes where a run that generates the training
-                # set, fits it and only then generates the held-out set meets it
-                data = generate_dataset(cfg.system, gen)
+        elif cfg.run_heldout:   # one pass; the held-out set's error waits until it is read
+            data, heldout = _simulate(cfg.system, seed, gen, cfg.heldout_size)
+            data = _ok(data)
         else:
             data = generate_dataset(cfg.system, gen)
 
@@ -317,8 +314,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             timing["speedup"] = table.refit_time / pipeline_time if pipeline_time > 0 else None
 
         if cfg.run_heldout:
-            if heldout is None:
-                heldout = generate_heldout(cfg.system, seed, cfg.heldout_size)
+            heldout = (generate_heldout(cfg.system, seed, cfg.heldout_size) if heldout is None
+                       else _ok(heldout))
             if_pred, delta_l = heldout_prediction_scores(fit, heldout)
             entry["spearman_pred"] = _rank_agreement(if_pred, delta_l)
 

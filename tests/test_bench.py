@@ -63,6 +63,14 @@ def stream_rng(seed, k, stream=1):
 
 # Serial oracles: one trajectory, one step and one draw at a time, the way the
 # generators rolled out before they advanced every trajectory in lockstep.
+def column_sum(M, v):
+    # M @ v as the rollout forms it: M's columns times v's entries, added in column order
+    out = M[:, 0] * v[0]
+    for j in range(1, len(v)):
+        out = out + M[:, j] * v[j]
+    return out
+
+
 def serial_linear(spec, rng, T, x0_scale):
     x = rng.normal(size=spec.n_x) * spec.x0_std * x0_scale
     if spec.sigma_sq_range is not None:
@@ -77,9 +85,9 @@ def serial_linear(spec, rng, T, x0_scale):
         if noise_std is not None:
             w = rng.normal(size=spec.n_x) * noise_std
         else:
-            w = noise_chol @ rng.normal(size=spec.n_x)
+            w = column_sum(noise_chol, rng.normal(size=spec.n_x))
         X[t], U[t] = x, u
-        x = spec.a_d @ x + spec.b_d @ u + w
+        x = column_sum(spec.a_d, x) + (column_sum(spec.b_d, u) + w)
         Xn[t] = x
     return X, U, Xn
 
@@ -155,12 +163,16 @@ def serial_trajectory(spec, seed, k, stream, T, x0_scale=1.0):
 
 
 def assert_matches_serial(data, spec, seed, stream, x0_scale=1.0):
+    # bytes for the linear kinds; the quadrotor oracle takes ||v|| through np.linalg.norm
     for k, T in enumerate(data.lengths):
         sl = data.traj_slice(k)
         oracle = serial_trajectory(spec, seed, k, stream, int(T), x0_scale)
         for got, want in zip((data.states[sl], data.inputs[sl], data.next_states[sl]), oracle):
             assert got.shape == want.shape
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            if spec.kind in ("dc_motor", "msd"):
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_dc_motor_zoh_block_matches_scipy_expm():
@@ -403,20 +415,20 @@ def test_one_pass_sets_equal_separate_generation_bitwise(kind, seed):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, size, name)
 
 
-@pytest.mark.parametrize("kind", [
-    pytest.param(kind, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 7: NumPy multiplies a one-row matrix through gemv and a taller one "
-        "through gemm, so a linear trajectory's last bits depend on its batch-mates")))
-    if kind in ("dc_motor", "msd") else kind for kind in KINDS])
-def test_trajectory_rolled_out_alone_equals_its_batch_row_bitwise(kind, monkeypatch):
+@pytest.mark.parametrize("kind, overrides", [(kind, {}) for kind in KINDS] + [
+    ("dc_motor", {"noise_cov": [[0.3, 0.12], [0.12, 0.2]]}),
+    ("msd", {"b_d": [[0.01, 0.02], [0.02, -0.01], [0.05, 0.01], [-0.01, 0.05]]})],
+    ids=KINDS + ["correlated_noise", "dense_b_d"])
+def test_trajectory_rolled_out_alone_equals_its_batch_row_bitwise(kind, overrides, monkeypatch):
     # serial and parallel generation give the same datasets bit for bit: every rollout
     # kernel call of a training plus held-out pass is repeated on each trajectory alone,
-    # over its own steps, with the inputs the batch gave it
+    # over its own steps, with the inputs the batch gave it; an off-diagonal noise_cov
+    # and a b_d with two inputs per row also put their products through the kernel
     linear = kind in ("dc_motor", "msd")
     name = "_rollout_linear" if linear else "_rollout_uav"
     kernel, calls = getattr(bench, name), []
     monkeypatch.setattr(bench, name, lambda *args: calls.append(args) or kernel(*args))
-    spec = system_spec(kind)
+    spec = system_spec(kind, **overrides)
     _simulate(spec, 6, GenerationConfig(37, 3, 60, seed=6, x0_scale=1.5), 437)
     assert calls
     for _, x0, arg, *arrays in calls:
@@ -424,12 +436,33 @@ def test_trajectory_rolled_out_alone_equals_its_batch_row_bitwise(kind, monkeypa
         live = arrays[-1]
         for k, T in enumerate(live.sum(axis=0).tolist()):
             c = slice(k, k + 1)
-            if linear:   # arg: the (N, 1) noise scales, or None; arrays: draws, live
+            if linear:   # arg: the (N,) noise scales, or None; arrays: draws, live
                 alone = (arg if arg is None else arg[c], *(a[:T, c] for a in arrays))
             else:        # arg: hover; arrays: the reference grid, draws, live
                 alone = (arg, arrays[0][:T, :, c], *(a[:T, c] for a in arrays[1:]))
             X1, U1 = kernel(spec, x0[c], *alone)
             assert X1.tobytes() == X[:T + 1, c].tobytes() and U1.tobytes() == U[:T, c].tobytes()
+
+
+def test_one_pass_that_does_not_fit_generates_each_set_alone(monkeypatch):
+    # the shared buffers pad every trajectory to the longest one, so when they do not
+    # fit each set is generated alone; a set that does not fit alone holds its MemoryError
+    live = bench._live
+
+    def tight(lengths):   # room for 31 trajectories at a time
+        if len(lengths) > 31:
+            raise MemoryError("no room")
+        return live(lengths)
+
+    monkeypatch.setattr(bench, "_live", tight)
+    spec, gen = system_spec("msd"), GenerationConfig(31, 5, 60, seed=3)
+    for size, fits in ((437, True), (50 * 40, False)):   # 9 or 40 held-out trajectories
+        train, heldout = _simulate(spec, 3, gen, size)
+        for got, want in [(train, generate_dataset(spec, gen))] + (
+                [(heldout, generate_heldout(spec, 3, size))] if fits else []):
+            assert got.states.tobytes() == want.states.tobytes()
+            assert got.next_states.tobytes() == want.next_states.tobytes()
+        assert fits or isinstance(heldout, MemoryError)
 
 
 def test_correlated_noise_matches_serial_rollouts():

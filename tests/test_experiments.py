@@ -947,7 +947,14 @@ _DIVERGES = "is not finite after step {}: the configured system diverges"
     # 2e13 held-out trajectories: no allocation holds their lengths
     ({"system": {"kind": "uav_hover"}, "heldout_size": 10**15}, 1,
      "config error: the configured sizes do not fit in memory: "),
-], ids=["heldout_diverges", "both_diverge", "fit_fails_first", "heldout_unallocatable"])
+    # a linear held-out set diverges after its training set fits: state 0 grows 1e7-fold
+    # per step and gets no noise or input, so only the held-out x0 scale of 1 overflows it
+    ({"system": {"kind": "msd", "a_d": np.diag([1e7, 0.5, 0.5, 0.5]).tolist(),
+                 "sigma_sq_range": [0.0, 0.0]},
+      "generation": {"n_trajectories": 8, "t_min": 1, "t_max": 2, "x0_scale": 1e-300}}, 1,
+     "config error: generated trajectory 0 " + _DIVERGES.format(44)),
+], ids=["heldout_diverges", "both_diverge", "fit_fails_first", "heldout_unallocatable",
+        "linear_heldout_diverges"])
 def test_cli_generation_errors_come_as_one_set_at_a_time(tmp_path, capsys, extra, code, last):
     # one pass generates a seed's training and held-out sets together, yet each
     # error is the one generating the training set, fitting it and only then
