@@ -185,7 +185,7 @@ def _unique_keys(pairs: list) -> dict:
 
 def load_config(path) -> ExperimentConfig:
     return parse_config(load_json(path, "config",
-                                  lambda text: json.loads(text, object_pairs_hook=_unique_keys)))
+                                  lambda fh: json.load(fh, object_pairs_hook=_unique_keys)))
 
 
 @dataclass

@@ -15,11 +15,11 @@ of every trajectory are one stacked (N, q, q) factorization and solve on
 prefix and suffix sums of that block. Every removal function returns all N
 removals at once, weighted by M_k = M - T_k retained transitions.
 
-Datasets are read and written as JSON (load_dataset, save_dataset). The
-reader (datafile) decodes the trajectories one at a time, each turned into
-arrays before the next is read: a load peaks at about twice the file while
-its text is read, then holds the text, the arrays and one trajectory's Python
-objects, never the whole JSON tree.
+Datasets are read and written as JSON (load_dataset, save_dataset), one
+trajectory at a time. The reader (datafile) keeps a bounded window of the
+file's text and turns each trajectory into arrays before it reads the next:
+a load holds the arrays, the window and one trajectory's Python objects,
+never the whole text or JSON tree.
 """
 from __future__ import annotations
 
@@ -109,25 +109,30 @@ class TrajectoryDataset:
 
 
 def save_dataset(data: TrajectoryDataset, path) -> None:
-    """Write the dataset as JSON; Python's shortest float repr reads back to the same bits."""
-    rows = [{"x": x, "u": u, "x_next": xn} for x, u, xn in
-            zip(data.states.tolist(), data.inputs.tolist(), data.next_states.tolist())]
+    """Write the dataset as JSON, one trajectory at a time; the bytes are json.dumps of the
+    whole document, and Python's shortest float repr reads back to the same bits."""
+    head = json.dumps({"n_x": int(data.n_x), "n_u": int(data.n_u), "trajectories": []})
     bounds = data.offsets.tolist()
-    trajs = [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    doc = {"n_x": int(data.n_x), "n_u": int(data.n_u), "trajectories": trajs}
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc))   # json.dump would stream through the slower pure-Python encoder
+        fh.write(head[:-2])   # up to the trajectories array's "["
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            rows = [{"x": x, "u": u, "x_next": xn} for x, u, xn in zip(
+                data.states[lo:hi].tolist(), data.inputs[lo:hi].tolist(),
+                data.next_states[lo:hi].tolist())]
+            # json.dump would stream through the slower pure-Python encoder
+            fh.write((", " if k else "") + json.dumps(rows))
+        fh.write("]}")
 
 
-def load_json(path, what: str, decode=json.loads):
-    """decode(text) of the file at path, by default its JSON document.
+def load_json(path, what: str, decode=json.load):
+    """decode(fh) of the file at path opened as UTF-8 text, by default its JSON document.
 
     Text that is not UTF-8 JSON, or that nests deeper than the decoder can
     recurse, raises InvalidConfig naming what.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            return decode(fh.read())
+            return decode(fh)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InvalidConfig(f"{what} is not valid UTF-8 JSON: {exc}") from exc
 
@@ -197,11 +202,11 @@ def _json_array(value, key: str, shape: tuple, definite: bool | None = None) -> 
 def load_dataset(path) -> TrajectoryDataset:
     """Read a dataset written by save_dataset.
 
-    The file's text is read whole, then the trajectories are decoded one at a
-    time, each turned into its arrays before the next is read
-    (datafile.decode_dataset). Memory peaks at about twice the file while it is
-    read (its bytes and its text); after that it holds the text, the arrays
-    and one trajectory's Python objects.
+    The file is read once, front to back, through a bounded window of its
+    text, and the trajectories are decoded one at a time, each turned into its
+    arrays before the next is read (datafile.read_dataset). Memory holds the
+    arrays, the window and one trajectory's Python objects; each outcome is
+    the one of the whole text read at once.
 
     A file that is not UTF-8 JSON, nests too deep, repeats a top-level member,
     lacks n_x/n_u/trajectories, declares an n_x or n_u that is not a positive
@@ -210,9 +215,10 @@ def load_dataset(path) -> TrajectoryDataset:
     entry, or has entries whose sizes disagree with the declared n_x/n_u raises
     InvalidConfig: it is input to fix, not a numerical failure.
     """
-    from .datafile import decode_dataset, trajectory_arrays   # see datafile on why here
+    from .datafile import read_dataset, trajectory_arrays   # see datafile on why here
 
-    doc = load_json(path, f"dataset {path}", lambda text: decode_dataset(text, path))
+    # the reader decodes the bytes itself, so that a UTF-8 error names its offset in the file
+    doc = load_json(path, f"dataset {path}", lambda fh: read_dataset(fh.buffer, path))
     try:
         n_x, n_u = doc["n_x"], doc["n_u"]
         trajs = list(doc["trajectories"])
@@ -223,7 +229,7 @@ def load_dataset(path) -> TrajectoryDataset:
     if not trajs:
         raise InvalidConfig(f"dataset {path} has no trajectories")
     for k, traj in enumerate(trajs):
-        if isinstance(traj, InvalidConfig):   # the first one decode_dataset could not convert
+        if isinstance(traj, InvalidConfig):   # the first one read_dataset could not convert
             raise traj
         if not isinstance(traj, tuple):   # an item of a trajectories value that is not an array
             trajs[k] = traj = trajectory_arrays(traj, k, path)

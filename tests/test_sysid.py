@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lqrinfluence import datafile
 from lqrinfluence.bench import GenerationConfig, generate_dataset, system_spec
 from lqrinfluence.errors import (
     DimensionMismatch,
@@ -592,15 +596,24 @@ def test_dataset_json_round_trip_is_bit_exact_property(tmp_path_factory, data):
         assert getattr(back, name).tobytes() == getattr(data, name).tobytes()
 
 
-@pytest.mark.parametrize("n_x, n_u, M", [(20, 5, 2200), (2, 1, 4600)], ids=["wide", "narrow"])
-def test_load_dataset_peak_memory_stays_near_twice_the_file(tmp_path, n_x, n_u, M):
-    # the whole file's JSON tree once set the peak: 2.97x the file when wide, 5.39x when narrow
+@pytest.mark.parametrize("n_x, n_u, M, T, chunk", [
+    (20, 5, 2200, 50, None), (2, 1, 4600, 50, None), (20, 5, 2200, 10, 1 << 15)],
+    ids=["wide", "narrow", "file_over_8x_the_window"])
+def test_load_dataset_peak_memory_is_the_arrays_and_a_window(tmp_path, monkeypatch, n_x, n_u,
+                                                             M, T, chunk):
+    # a whole-text read holds about twice the file; the window is six chunks at most (its
+    # text, a piece read and their join), and trajectories of half a chunk keep the
+    # lookahead inside it
+    if chunk:
+        monkeypatch.setattr(datafile, "_CHUNK", chunk)
     rng = np.random.default_rng(20)
-    lengths = np.full(M // 50, 50)
     data = TrajectoryDataset.from_arrays(
-        [tuple(rng.normal(size=(T, n)) for n in (n_x, n_u, n_x)) for T in lengths])
+        [tuple(rng.normal(size=(T, n)) for n in (n_x, n_u, n_x)) for _ in range(M // T)])
     path = tmp_path / "data.json"
     save_dataset(data, path)
+    window = 6 * datafile._CHUNK
+    if chunk:
+        assert path.stat().st_size >= 8 * window
     tracemalloc.start()
     try:
         back = load_dataset(path)
@@ -608,11 +621,14 @@ def test_load_dataset_peak_memory_stays_near_twice_the_file(tmp_path, n_x, n_u, 
     finally:
         tracemalloc.stop()
     assert back.states.tobytes() == data.states.tobytes()
-    assert peak <= 2.5 * path.stat().st_size
+    arrays = data.states.nbytes + data.inputs.nbytes + data.next_states.nbytes
+    # the triples and their stacked copy, each trajectory's three array headers, the window
+    assert peak <= 2 * arrays + 1000 * data.N + window
 
 
 _JSON_PIECES = list('{}[],:" \n0123456789.-eE') + ["true", "null", "NaN", '"x"', '"u"',
-                                                   '"trajectories"', "\ufeff", "\\", "\x01"]
+                                                   '"trajectories"', "\ufeff", "\\", "\x01",
+                                                   "é", "😀"]
 
 
 def _outcome(path):
@@ -655,3 +671,180 @@ def test_load_dataset_reads_any_text_as_json_loads_does_property(tmp_path_factor
         return
     path.write_text(json.dumps(json.loads(text)), encoding="utf-8")
     assert got == _outcome(path)
+
+
+def _outcome_in_reads_of(path, chunk):
+    """_outcome with the reader reading chunk bytes at a time."""
+    with mock.patch.object(datafile, "_CHUNK", chunk):
+        return _outcome(path)
+
+
+# "\r\n" and "\r" read as "\n", as open() reads text: json.loads of the text as written would
+# place an error elsewhere, so the oracle here is the file read whole
+_WINDOW_PIECES = _JSON_PIECES + ["\r\n", "\r"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunk=st.integers(1, 7), n_x=st.integers(1, 2),
+       rows=st.lists(st.integers(0, 2), max_size=3),
+       order=st.permutations(["n_x", "n_u", "trajectories", "extra", "scale"]),
+       indent=st.sampled_from([None, 2]), edits=st.lists(
+           st.tuples(st.floats(0, 1), st.sampled_from(["delete", "insert", "replace", "cut"]),
+                     st.sampled_from(_WINDOW_PIECES)), max_size=3))
+def test_load_dataset_reads_any_text_in_any_window_property(tmp_path_factory, chunk, n_x, rows,
+                                                            order, indent, edits):
+    # reads of 1-7 bytes split characters, "\r\n", names, numbers and trajectories across
+    # the window's edge; every outcome is the one of the file read whole
+    row = {"x": [0.5] * n_x, "u": [1], "x_next": [-2.25] * n_x}
+    # a top-level number may end, or seem to, at the window's edge: 2.5e+300 cut after "e+"
+    members = {"n_x": n_x, "n_u": 1, "trajectories": [[row] * T for T in rows], "extra": [{}],
+               "scale": 2.5e300}
+    text = json.dumps({key: members[key] for key in order}, indent=indent)
+    for where, edit, piece in edits:
+        i = int(where * len(text))
+        text = {"delete": text[:i] + text[i + 1:], "insert": text[:i] + piece + text[i:],
+                "replace": text[:i] + piece + text[i + 1:], "cut": text[:i]}[edit]
+    path = tmp_path_factory.mktemp("window") / "data.json"
+    path.write_bytes(text.encode("utf-8"))
+    whole = _outcome_in_reads_of(path, path.stat().st_size + 1)
+    assert _outcome_in_reads_of(path, chunk) == whole
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("chunk", [1, 2, 5, None])
+def test_load_dataset_places_a_json_error_as_a_text_mode_read_does(tmp_path, newline, chunk):
+    # universal newlines: the char, line and column of json.loads on the text open() reads
+    path = tmp_path / "data.json"
+    doc = {"n_x": 1, "n_u": 1, "trajectories": [[{"x": [1.0], "u": [2.0], "x_next": [3.0]}]]}
+    path.write_bytes(json.dumps(doc, indent=2).replace("\n", newline)[:-3].encode() + b"]x}")
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(path.read_text(encoding="utf-8"))
+    assert "line 1 " not in str(exc.value)
+    got = _outcome_in_reads_of(path, chunk or datafile._CHUNK)
+    assert got == f"dataset {path} is not valid UTF-8 JSON: {exc.value}"
+
+
+def _long_dataset_text() -> bytes:
+    """A valid dataset of about 1.3 MB: more than a pipe's buffer and one read of the reader."""
+    rng = np.random.default_rng(22)
+    trajs = [[{"x": rng.normal(size=3).tolist(), "u": [float(rng.normal())],
+               "x_next": rng.normal(size=3).tolist()} for _ in range(40)] for _ in range(200)]
+    data = json.dumps({"n_x": 3, "n_u": 1, "trajectories": trajs}).encode()
+    assert len(data) > datafile._CHUNK + 200_000
+    return data
+
+
+def _utf8_outcome(path) -> str:
+    """load_dataset's message for the UTF-8 error a whole-file text read of path meets."""
+    with pytest.raises(UnicodeDecodeError) as exc:
+        path.read_text(encoding="utf-8")
+    return f"dataset {path} is not valid UTF-8 JSON: {exc.value}"
+
+
+@pytest.mark.parametrize("where", ["first_read", "later", "end"])
+@pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82(", b"\xf0\x9f\x98"],
+                         ids=["start_byte", "continuation", "truncated"])
+@pytest.mark.parametrize("chunk", [3, None])
+def test_load_dataset_names_a_utf8_error_by_its_offset_in_the_file(tmp_path, monkeypatch, chunk,
+                                                                   bad, where):
+    # each read is decoded on its own, and the decoder counts an error's place from the
+    # first byte it was handed; the message names the offset in the file, as a whole read does
+    data = _long_dataset_text()
+    where = {"first_read": 100019, "later": datafile._CHUNK + 100019, "end": len(data)}[where]
+    if chunk:
+        monkeypatch.setattr(datafile, "_CHUNK", chunk)
+    path = tmp_path / "data.json"
+    path.write_bytes(data[:where] + bad + data[where:])
+    want = _utf8_outcome(path)
+    assert f" {where}" in want
+    assert _outcome(path) == want
+
+
+@pytest.mark.parametrize("edit", [(b", ", b" ; "), (b'"n_u"', b'"n_x"'), (b"]]}", b"]]} x"),
+                                  (b"[[", b"[[" + b"[" * 100_000)],
+                         ids=["json_error", "repeated_member", "extra_data", "too_deep"])
+def test_load_dataset_puts_a_utf8_error_before_every_other_error(tmp_path, edit):
+    # a whole-file read decodes every byte before it parses: a UTF-8 error at the file's
+    # end, more than a read past the text, comes before every error in the text
+    path = tmp_path / "data.json"
+    pad = b" " * (datafile._CHUNK + 1)
+    path.write_bytes(_long_dataset_text().replace(*edit, 1) + pad + b"\xff")
+    assert _outcome(path) == _utf8_outcome(path)
+
+
+def _outcome_through_pipe(data: bytes, path):
+    """_outcome of a /dev/fd path of a pipe a thread feeds data into, the path named as path."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(write_end, view):]
+        except BrokenPipeError:   # the reader stopped at a UTF-8 error
+            pass
+        finally:
+            os.close(write_end)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        fd_path = f"/dev/fd/{read_end}"
+        got = _outcome(fd_path)
+    finally:
+        os.close(read_end)
+        feeder.join(timeout=60)
+    assert not feeder.is_alive()
+    return got.replace(fd_path, str(path)) if isinstance(got, str) else got
+
+
+@pytest.mark.parametrize("edit", [None, (b", ", b" ; "), (b"]]}", b"]]"), (b"[[", b"[[\xff")],
+                         ids=["valid", "json_error", "cut", "utf8_error"])
+def test_load_dataset_reads_a_pipe_as_a_file(tmp_path, edit):
+    # the file is opened once and read front to back, never sought or reopened
+    data = _long_dataset_text()
+    if edit:
+        data = data.replace(*edit, 1)
+    path = tmp_path / "data.json"
+    path.write_bytes(data)
+    want = _outcome(path)
+    assert isinstance(want, list) == (edit is None)
+    assert _outcome_through_pipe(data, path) == want
+
+
+def test_load_dataset_decodes_each_trajectory_of_a_well_formed_file_once(tmp_path, monkeypatch):
+    # the window holds twice the largest trajectory yet past the next one's start: in a file
+    # of many reads, none whose size is within twice the ones before it meets the window's
+    # end, so none is decoded a second time
+    monkeypatch.setattr(datafile, "_CHUNK", 4096)
+    rng = np.random.default_rng(23)
+    data = TrajectoryDataset.from_arrays([tuple(rng.normal(size=(T, n)) for n in (3, 1, 3))
+                                          for T in rng.integers(5, 8, size=60)])
+    path = tmp_path / "data.json"
+    save_dataset(data, path)
+    assert path.stat().st_size > 8 * datafile._CHUNK
+    calls = []
+
+    class Counting(json.JSONDecoder):
+        def raw_decode(self, s, idx=0):
+            calls.append(idx)
+            return super().raw_decode(s, idx)
+
+    monkeypatch.setattr(datafile, "_DECODER", Counting())
+    back = load_dataset(path)
+    assert back.states.tobytes() == data.states.tobytes()
+    assert len(calls) == 2 + data.N   # n_x, n_u and every trajectory, once each
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=any_corpus())
+def test_save_dataset_writes_json_dumps_of_the_whole_document_property(tmp_path_factory, data):
+    # one trajectory at a time, byte for byte the document dumped whole
+    rows = [{"x": x, "u": u, "x_next": xn} for x, u, xn in
+            zip(data.states.tolist(), data.inputs.tolist(), data.next_states.tolist())]
+    bounds = data.offsets.tolist()
+    doc = {"n_x": data.n_x, "n_u": data.n_u,
+           "trajectories": [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]}
+    path = tmp_path_factory.mktemp("save") / "data.json"
+    save_dataset(data, path)
+    assert path.read_bytes() == json.dumps(doc).encode()
