@@ -321,12 +321,12 @@ def _dataset(spec: SystemSpec, X: np.ndarray, U: np.ndarray, lengths):
         t, k = np.argwhere(diverged)[0]
         return InvalidConfig(f"generated trajectory {k} is not finite after step {t}: "
                              "the configured system diverges")
-    rows = _live(lengths).T   # (N, T_max): the dataset stores trajectory after trajectory
-    arrays = [np.empty((np.count_nonzero(rows), A.shape[2])) for A in (X[:-1], U, X[1:])]
-    for A, out in zip((X[:-1], U, X[1:]), arrays):   # masking 2-D views is 2x faster than 3-D
-        for i in range(A.shape[2]):
-            out[:, i] = A[:, :, i].T[rows]
-    return TrajectoryDataset(spec.n_x, spec.n_u, *arrays, np.concatenate([[0], np.cumsum(lengths)]))
+    live = _live(lengths).T   # (N, T_max): the dataset stores trajectory after trajectory
+    cols = [A[:, :, i] for A in (X[:-1], U, X[1:]) for i in range(A.shape[2])]
+    rows = np.empty((np.count_nonzero(live), len(cols)))
+    for i, col in enumerate(cols):   # masking 2-D views is 2x faster than 3-D
+        rows[:, i] = col.T[live]
+    return TrajectoryDataset(spec.n_x, spec.n_u, rows, np.concatenate([[0], np.cumsum(lengths)]))
 
 
 def _product_sum(M, V):

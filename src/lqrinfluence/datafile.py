@@ -5,10 +5,10 @@ decodes text (UTF-8, universal newlines), and keeps only a window of the
 text: from the value being read onward, with a lookahead of twice the
 largest trajectory yet, so that no trajectory up to that size is decoded
 twice. It walks the top-level object with json's own pieces
-(JSONDecoder.raw_decode, scanstring, WHITESPACE) and hands each element of
-its trajectories array to trajectory_arrays as soon as it is decoded, so
-only one trajectory's Python objects exist at a time. Every other value
-decodes through json's scanner.
+(JSONDecoder.raw_decode, scanstring, WHITESPACE) and writes each element of
+its trajectories array into one RowBlock as soon as it is decoded, so only
+one trajectory's Python objects and arrays exist at a time. Every other
+value decodes through json's scanner.
 
 Every outcome is the one of the whole text read at once: a syntax error is
 the JSONDecodeError json.loads would raise, at the same character, line and
@@ -114,10 +114,63 @@ class _Window:
         return self.base + at if at >= 0 else self.nl
 
 
+class RowBlock:
+    """A dataset's trajectories, written into one row block (x_s, u_s, x_s+) as they are read.
+
+    The block grows by reallocation (ndarray.resize), so a load never holds every
+    trajectory's arrays and the block at once. Its widths are the first trajectory's.
+    Writing stops at the first trajectory that cannot be converted (error) or does
+    not fit the block (misfit, its index): it, or the first, disagrees with any n_x, n_u.
+    """
+
+    def __init__(self, trajectories=(), path=None):
+        self.rows, self.bounds, self.cols = np.empty((0, 0)), [0], None
+        self.count, self.misfit, self.error = 0, None, None
+        for traj in trajectories:
+            self.add(traj, path)
+
+    def add(self, traj, path, bools: bool = True) -> None:
+        """Convert trajectory number count (trajectory_arrays) and write it after the others."""
+        k, self.count = self.count, self.count + 1
+        if self.misfit is not None or self.error is not None:
+            return
+        try:
+            triple = trajectory_arrays(traj, k, path, bools)
+        except InvalidConfig as exc:
+            self.error = exc
+            return
+        if self.cols is None and triple[0].ndim == triple[1].ndim == 2:
+            n_x, n_u = triple[0].shape[1], triple[1].shape[1]
+            self.cols = (0, n_x, n_x + n_u, 2 * n_x + n_u)
+        a, b, cols = self.bounds[-1], self.bounds[-1] + len(triple[0]), self.cols or (0,) * 4
+        if [arr.shape for arr in triple] != [(b - a, hi - lo) for lo, hi in zip(cols, cols[1:])]:
+            self.misfit = k
+            return
+        if b > len(self.rows):   # grow by a quarter and 256 rows: few reallocations
+            self.rows.resize((max(b, len(self.rows) * 5 // 4 + 256), cols[-1]), refcheck=False)
+        for arr, lo, hi in zip(triple, cols, cols[1:]):
+            self.rows[a:b, lo:hi] = arr
+        self.bounds.append(b)
+
+    def arrays(self, n_x: int, n_u: int, path) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, offsets) of a dataset declaring n_x and n_u, or the first error a check of
+        one trajectory after another would meet."""
+        if not self.count:
+            raise InvalidConfig(f"dataset {path} has no trajectories")
+        bad = 0 if self.cols != (0, n_x, n_x + n_u, 2 * n_x + n_u) else self.misfit
+        if bad is not None and (len(self.bounds) > 1 or self.misfit is not None):
+            raise InvalidConfig(f"trajectory {bad} in {path} disagrees with declared "
+                                f"n_x={n_x}, n_u={n_u}")
+        if self.error is not None:
+            raise self.error
+        self.rows.resize((self.bounds[-1], self.cols[-1]), refcheck=False)
+        return self.rows, np.array(self.bounds)
+
+
 def read_dataset(fh, path):
     """json.load of the binary file fh as UTF-8 text, except that the trajectories array of
     a top-level object is read by _trajectories and a repeated top-level member name raises
-    InvalidConfig.
+    InvalidConfig once the rest of the document has parsed.
 
     Every other value, and a top-level value that is not an object, decodes
     through json's own scanner, and every syntax error is json's own
@@ -139,12 +192,12 @@ def _walk(w: _Window, path):
     if not w.text.startswith("{", idx):
         w.fill(0, math.inf)   # the whole text: nothing was dropped yet
         return json.loads(w.text)
-    doc = {}
+    doc, repeat = {}, None
     more, idx = w.scan(idx, _open, "}")
     while more:
         key, idx = w.scan(idx, _name)
-        if key in doc:   # json.loads would keep the last one silently
-            raise InvalidConfig(f"dataset {path} repeats the top-level member {key!r}")
+        if key in doc and repeat is None:   # json.loads would keep the last one silently
+            repeat = key
         _, idx = w.scan(idx, _colon)
         if key == "trajectories" and w.text.startswith("[", idx):
             doc[key], idx = _trajectories(w, idx, path)
@@ -154,6 +207,8 @@ def _walk(w: _Window, path):
     _, idx = w.scan(idx, _skip)
     if idx != len(w.text):
         raise w.error("Extra data", idx)
+    if repeat is not None:   # only once the document parses: a syntax error comes first
+        raise InvalidConfig(f"dataset {path} repeats the top-level member {repeat!r}")
     return doc
 
 
@@ -196,28 +251,21 @@ def _after_value(text: str, idx: int, close: str) -> tuple[bool, int]:
     return True, _WS(text, idx + 1).end()
 
 
-def _trajectories(w: _Window, idx: int, path) -> tuple[list, int]:
-    """The JSON array at the window's text[idx] as a list of (X, U, X_next) triples, and the
-    index past it.
+def _trajectories(w: _Window, idx: int, path) -> tuple[RowBlock, int]:
+    """The JSON array at the window's text[idx] as a RowBlock, and the index past it.
 
-    Each element is decoded and converted (trajectory_arrays), and its
-    Python objects dropped, before the next is read. The first element that
-    fails conversion ends the list as its InvalidConfig; the elements after
-    it are decoded only, so that a JSON error later in the file comes first.
+    Each element is decoded, written into the block and dropped before the next
+    is read; a JSON error after one that fails (RowBlock) still comes first.
     """
-    items, largest = [], 0
+    block, largest = RowBlock(), 0
     more, idx = w.scan(idx, _open, "]")
     while more:
         (traj, size, bools), idx = w.scan(idx, _trajectory, need=2 * largest + _GUARD)
         largest = max(largest, size)
-        if not (items and isinstance(items[-1], InvalidConfig)):
-            try:
-                items.append(trajectory_arrays(traj, len(items), path, bools))
-            except InvalidConfig as exc:
-                items.append(exc)
+        block.add(traj, path, bools)
         del traj
         more, idx = w.scan(idx, _after_value, "]")
-    return items, idx
+    return block, idx
 
 
 def _trajectory(text: str, idx: int) -> tuple[tuple, int]:

@@ -15,11 +15,10 @@ of every trajectory are one stacked (N, q, q) factorization and solve on
 prefix and suffix sums of that block. Every removal function returns all N
 removals at once, weighted by M_k = M - T_k retained transitions.
 
-Datasets are read and written as JSON (load_dataset, save_dataset), one
-trajectory at a time. The reader (datafile) keeps a bounded window of the
-file's text and turns each trajectory into arrays before it reads the next:
-a load holds the arrays, the window and one trajectory's Python objects,
-never the whole text or JSON tree.
+A dataset is one C-contiguous row block, row s = (x_s, u_s, x_s+), that
+fit_ridge reads through views and never copies whole. It is read and written
+as JSON, one trajectory at a time; the reader (datafile) keeps a bounded
+window of the file's text, never the whole text or JSON tree.
 """
 from __future__ import annotations
 
@@ -36,71 +35,55 @@ from .linalg import SpdFactor, _check_symmetric, cholesky_factor, solve_spd, sym
 
 @dataclass(frozen=True)
 class TrajectoryDataset:
-    """Trajectories stored as stacked transition arrays plus boundary offsets.
+    """Transitions stored as one row block plus trajectory boundary offsets.
 
-    Trajectory k owns rows offsets[k]:offsets[k+1] of states/inputs/next_states.
+    Row s of rows is (x_s, u_s, x_s+); trajectory k owns rows offsets[k]:offsets[k+1].
     """
 
     n_x: int
     n_u: int
-    states: np.ndarray       # (M, n_x)
-    inputs: np.ndarray       # (M, n_u)
-    next_states: np.ndarray  # (M, n_x)
-    offsets: np.ndarray      # (N+1,) int
+    rows: np.ndarray      # (M, n_x + n_u + n_x), C-contiguous
+    offsets: np.ndarray   # (N+1,) int
 
     def __post_init__(self):
-        M = self.states.shape[0]
-        if self.states.shape != (M, self.n_x) or self.next_states.shape != (M, self.n_x):
-            raise DimensionMismatch("state arrays do not match n_x")
-        if self.inputs.shape != (M, self.n_u):
-            raise DimensionMismatch("input array does not match n_u")
+        object.__setattr__(self, "rows", np.ascontiguousarray(self.rows, dtype=float))
+        M = self.rows.shape[0]
+        if self.rows.shape != (M, 2 * self.n_x + self.n_u):
+            raise DimensionMismatch("row block does not match n_x and n_u")
         if self.offsets[0] != 0 or self.offsets[-1] != M:
             raise DimensionMismatch("offsets do not cover the transition rows")
         if np.any(np.diff(self.offsets) < 1):
             raise DimensionMismatch("every trajectory needs at least one transition")
-        for arr in (self.states, self.inputs, self.next_states):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("dataset has non-finite entries")
+        if not np.all(np.isfinite(self.rows)):
+            raise ValueError("dataset has non-finite entries")
 
     @classmethod
     def from_arrays(cls, trajectories, n_x=None, n_u=None):
-        """Build from a sequence of (X, U, X_next) array triples."""
-        xs, us, xn = [], [], []
-        for X, U, Xn in trajectories:
-            xs.append(np.atleast_2d(np.asarray(X, dtype=float)))
-            us.append(np.atleast_2d(np.asarray(U, dtype=float)))
-            xn.append(np.atleast_2d(np.asarray(Xn, dtype=float)))
-        if n_x is None:
-            n_x = xs[0].shape[1]
-        if n_u is None:
-            n_u = us[0].shape[1]
-        lengths = [x.shape[0] for x in xs]
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        return cls(
-            n_x=n_x,
-            n_u=n_u,
-            states=np.vstack(xs),
-            inputs=np.vstack(us),
-            next_states=np.vstack(xn),
-            offsets=offsets,
-        )
+        """Build from a sequence of (X, U, X_next) array triples, each written into the block."""
+        trajs = [tuple(map(np.atleast_2d, traj)) for traj in trajectories]
+        n_x = trajs[0][0].shape[1] if n_x is None else n_x
+        n_u = trajs[0][1].shape[1] if n_u is None else n_u
+        bounds = np.cumsum([0] + [len(X) for X, _, _ in trajs]).tolist()
+        rows, cols = np.empty((bounds[-1], 2 * n_x + n_u)), (0, n_x, n_x + n_u, 2 * n_x + n_u)
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            for arr, lo, hi in zip(trajs[k], cols, cols[1:]):
+                if arr.shape != (b - a, hi - lo):
+                    raise DimensionMismatch(f"trajectory {k} does not match n_x={n_x}, n_u={n_u}")
+                rows[a:b, lo:hi] = arr
+        return cls(n_x, n_u, rows, np.array(bounds))
 
-    @property
-    def M(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def N(self) -> int:
-        return len(self.offsets) - 1
+    M = property(lambda self: self.rows.shape[0])
+    N = property(lambda self: len(self.offsets) - 1)
 
     @cached_property
     def lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    @property
-    def Z(self) -> np.ndarray:
-        """Stacked regression inputs z_s = (x_s; u_s), shape (M, n_x + n_u)."""
-        return np.hstack([self.states, self.inputs])
+    # column views of rows, never copies; Z's row s is z_s = (x_s; u_s)
+    states = property(lambda self: self.rows[:, :self.n_x])
+    inputs = property(lambda self: self.rows[:, self.n_x:self.n_x + self.n_u])
+    next_states = property(lambda self: self.rows[:, self.n_x + self.n_u:])
+    Z = property(lambda self: self.rows[:, :self.n_x + self.n_u])
 
     def traj_slice(self, k: int) -> slice:
         if not 0 <= k < self.N:
@@ -203,10 +186,8 @@ def load_dataset(path) -> TrajectoryDataset:
     """Read a dataset written by save_dataset.
 
     The file is read once, front to back, through a bounded window of its
-    text, and the trajectories are decoded one at a time, each turned into its
-    arrays before the next is read (datafile.read_dataset). Memory holds the
-    arrays, the window and one trajectory's Python objects; each outcome is
-    the one of the whole text read at once.
+    text, and each trajectory is written into the dataset's row block as it is
+    read (datafile); each outcome is the one of the whole text read at once.
 
     A file that is not UTF-8 JSON, nests too deep, repeats a top-level member,
     lacks n_x/n_u/trajectories, declares an n_x or n_u that is not a positive
@@ -215,32 +196,21 @@ def load_dataset(path) -> TrajectoryDataset:
     entry, or has entries whose sizes disagree with the declared n_x/n_u raises
     InvalidConfig: it is input to fix, not a numerical failure.
     """
-    from .datafile import read_dataset, trajectory_arrays   # see datafile on why here
+    from .datafile import RowBlock, read_dataset   # see datafile on why here
 
     # the reader decodes the bytes itself, so that a UTF-8 error names its offset in the file
     doc = load_json(path, f"dataset {path}", lambda fh: read_dataset(fh.buffer, path))
     try:
-        n_x, n_u = doc["n_x"], doc["n_u"]
-        trajs = list(doc["trajectories"])
+        n_x, n_u, trajs = doc["n_x"], doc["n_u"], doc["trajectories"]
+        if not isinstance(trajs, RowBlock):   # a trajectories value that is not an array
+            trajs = RowBlock(trajs, path)
     except (KeyError, TypeError) as exc:
         raise InvalidConfig(f"malformed dataset file {path}: missing or bad {exc}") from exc
     for key, value in (("n_x", n_x), ("n_u", n_u)):
         _json_scalar(value, f"dataset {path}: {key}", low=1)
-    if not trajs:
-        raise InvalidConfig(f"dataset {path} has no trajectories")
-    for k, traj in enumerate(trajs):
-        if isinstance(traj, InvalidConfig):   # the first one read_dataset could not convert
-            raise traj
-        if not isinstance(traj, tuple):   # an item of a trajectories value that is not an array
-            trajs[k] = traj = trajectory_arrays(traj, k, path)
-        X, U, Xn = traj
-        T = len(X)
-        if X.shape != (T, n_x) or Xn.shape != (T, n_x) or U.shape != (T, n_u):
-            raise InvalidConfig(
-                f"trajectory {k} in {path} disagrees with declared n_x={n_x}, n_u={n_u}"
-            )
+    rows, offsets = trajs.arrays(n_x, n_u, path)
     try:
-        return TrajectoryDataset.from_arrays(trajs, n_x=n_x, n_u=n_u)
+        return TrajectoryDataset(n_x, n_u, rows, offsets)
     except ValueError as exc:  # non-finite entries
         raise InvalidConfig(f"dataset {path}: {exc}") from exc
 
@@ -274,41 +244,15 @@ class ModelFit:
     traj_stats: np.ndarray     # (N, q+n_x, q+n_x), rows [Z_k E_k]^T [Z_k E_k]
     ZtE: np.ndarray            # (q, n_x), Z^T E = -M sum_k g_k
 
-    @property
-    def n_x(self) -> int:
-        return self.data.n_x
-
-    @property
-    def n_u(self) -> int:
-        return self.data.n_u
-
-    @property
-    def q(self) -> int:
-        return self.n_x + self.n_u
-
-    @property
-    def p(self) -> int:
-        return self.theta.size
-
-    @property
-    def M(self) -> int:
-        return self.data.M
-
-    @property
-    def N(self) -> int:
-        return self.data.N
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return self.data.lengths
-
-    @property
-    def A(self) -> np.ndarray:
-        return theta_to_ab(self.theta, self.n_x, self.n_u)[0]
-
-    @property
-    def B(self) -> np.ndarray:
-        return theta_to_ab(self.theta, self.n_x, self.n_u)[1]
+    n_x = property(lambda self: self.data.n_x)
+    n_u = property(lambda self: self.data.n_u)
+    q = property(lambda self: self.n_x + self.n_u)
+    p = property(lambda self: self.theta.size)
+    M = property(lambda self: self.data.M)
+    N = property(lambda self: self.data.N)
+    lengths = property(lambda self: self.data.lengths)
+    A = property(lambda self: theta_to_ab(self.theta, self.n_x, self.n_u)[0])
+    B = property(lambda self: theta_to_ab(self.theta, self.n_x, self.n_u)[1])
 
     @cached_property
     def removal_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -350,16 +294,11 @@ class ModelFit:
         L_e = float(np.linalg.norm(self.residuals, axis=1).max())
         return L_phi, L_e
 
-    # built on read, only for perfbench/spans._fit_bytes; delete with ROADMAP's benchmark refresh
-    @property
-    def hessian(self) -> np.ndarray:
-        return np.kron(self.gram + self.lam * np.eye(self.q), np.eye(self.n_x))
-
-    @property
-    def hessian_factor(self) -> SpdFactor:
-        # kron(L_G, I) is lower triangular with a positive diagonal, so by
-        # uniqueness it is the Cholesky factor of the Hessian
-        return SpdFactor(L=np.kron(self.gram_factor.L, np.eye(self.n_x)))
+    # built on read, only for perfbench/spans._fit_bytes; delete with ROADMAP's benchmark refresh.
+    # kron(L_G, I) is lower triangular with a positive diagonal, so by uniqueness it is the
+    # Cholesky factor of the Hessian
+    hessian = property(lambda self: np.kron(self.gram + self.lam * np.eye(self.q), np.eye(self.n_x)))
+    hessian_factor = property(lambda self: SpdFactor(L=np.kron(self.gram_factor.L, np.eye(self.n_x))))
 
     def hessian_solve(self, v: np.ndarray) -> np.ndarray:
         """H^-1 v as one q x q solve on the Gram factor with n_x right sides.
@@ -378,10 +317,15 @@ def _finite_sum(total: np.ndarray, name: str) -> np.ndarray:
     return total
 
 
+_FIT_ROWS = 512   # fit_ridge's buffer holds whole trajectories: at least this many rows
+
+
 @np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _finite_sum
 def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
     """Solve the ridge normal equations and cache residual/gradient structure.
 
+    Z and X+ are views of data.rows and E is its own (M, n_x) array; each
+    [Z_k E_k] is copied into one buffer, refilled _FIT_ROWS rows at a time.
     lam = 0 is allowed only when the Gram matrix is positive definite
     (NotPositiveDefinite otherwise); an overflowing Gram, W_hat or Z^T E raises LqrInfluenceError.
     """
@@ -389,20 +333,26 @@ def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
         raise ValueError("ridge weight must be nonnegative")
     M, N = data.M, data.N
     n_x, q = data.n_x, data.n_x + data.n_u
-    # row s is (z_s, e_s); the last n_x columns hold x_s+ until E is formed in place
-    blk = np.hstack([data.states, data.inputs, data.next_states])
-    Z, E = blk[:, :q], blk[:, q:]
+    Z, bounds = data.Z, data.offsets.tolist()
 
     gram = _finite_sum(symmetrize(Z.T @ Z / M), "Gram matrix")
     gram_factor = cholesky_factor(gram + lam * np.eye(q))
-    Theta = solve_spd(gram_factor, Z.T @ E / M)   # (q, n_x)
-    E -= Z @ Theta
+    Theta = solve_spd(gram_factor, Z.T @ data.next_states / M)   # (q, n_x)
+    E = np.matmul(Z, Theta)
+    np.subtract(data.next_states, E, out=E)
 
     # [Z_k E_k]^T [Z_k E_k] holds Z_k^T Z_k, Z_k^T E_k and E_k^T E_k: one syrk per trajectory
     stats = np.empty((N, q + n_x, q + n_x))
-    for k, (a, b) in enumerate(zip(data.offsets[:-1], data.offsets[1:])):
-        np.matmul(blk[a:b].T, blk[a:b], out=stats[k])
+    buf = np.empty((min(M, max(_FIT_ROWS, int(data.lengths.max()))), q + n_x))
+    top = 0   # buf holds rows base:top
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if b > top:
+            base, top = a, bounds[np.searchsorted(data.offsets, a + len(buf), "right") - 1]
+            buf[:top - a, :q], buf[:top - a, q:] = Z[a:top], E[a:top]
+        np.matmul(buf[a - base:b - base].T, buf[a - base:b - base], out=stats[k])
     EE = stats[:, q:, q:]
+    per_traj_cov = symmetrize(EE)
+    per_traj_cov /= data.lengths[:, None, None]
 
     return ModelFit(
         data=data,
@@ -412,7 +362,7 @@ def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
         gram_factor=gram_factor,
         residuals=E,
         W_hat=_finite_sum(symmetrize(EE.sum(axis=0)) / M, "residual covariance"),
-        per_traj_cov=symmetrize(EE) / data.lengths[:, None, None],
+        per_traj_cov=per_traj_cov,
         g=np.divide(stats[:, :q, q:], -M).reshape(N, q * n_x),
         traj_stats=stats,
         ZtE=_finite_sum(stats[:, :q, q:].sum(axis=0), "Z^T E"),

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lqrinfluence import datafile
+from lqrinfluence import datafile, sysid
 from lqrinfluence.bench import GenerationConfig, generate_dataset, system_spec
 from lqrinfluence.errors import (
     DimensionMismatch,
@@ -21,7 +21,7 @@ from lqrinfluence.errors import (
     NotPositiveDefinite,
     SingleTrajectory,
 )
-from lqrinfluence.linalg import symmetrize
+from lqrinfluence.linalg import cholesky_factor, solve_spd, symmetrize
 from lqrinfluence.lqr import residual_channel_gradient
 from lqrinfluence.sysid import (
     TrajectoryDataset,
@@ -429,9 +429,9 @@ def test_gram_stack_matches_per_slice_loop_property(case, draw):
     # length-1 trajectories included; input column `dead` is zero throughout
     data, _, lam, _ = case
     dead = draw.draw(st.integers(0, data.n_u - 1))
-    inputs = data.inputs.copy()
-    inputs[:, dead] = 0.0
-    data = dataclasses.replace(data, inputs=inputs)
+    rows = data.rows.copy()
+    rows[:, data.n_x + dead] = 0.0
+    data = dataclasses.replace(data, rows=rows)
     fit = fit_ridge(data, lam)
     E = fit.residuals
     traj_gram = fit.traj_stats[:, :fit.q, :fit.q]
@@ -455,6 +455,95 @@ def test_gram_stack_matches_per_slice_loop_property(case, draw):
     terms = 2.0 / fit.M * (np.abs(Z).T @ np.abs(E) @ np.abs(P0)).ravel()
     h = residual_channel_gradient(fit, P0)
     assert np.linalg.norm(h - rows) <= 1e-12 * np.linalg.norm(terms)
+
+
+def hstack_fit(data, lam):
+    """fit_ridge before the row block, kept as the bitwise oracle of its arrays: it
+    stacked [X U X+] into a new block and took each trajectory's Gram on its rows."""
+    M, N = data.M, data.N
+    n_x, q = data.n_x, data.n_x + data.n_u
+    blk = np.hstack([data.states, data.inputs, data.next_states])
+    Z, E = blk[:, :q], blk[:, q:]
+    gram = symmetrize(Z.T @ Z / M)
+    gram_factor = cholesky_factor(gram + lam * np.eye(q))
+    Theta = solve_spd(gram_factor, Z.T @ E / M)
+    E -= Z @ Theta
+    stats = np.empty((N, q + n_x, q + n_x))
+    for k, (a, b) in enumerate(zip(data.offsets[:-1], data.offsets[1:])):
+        np.matmul(blk[a:b].T, blk[a:b], out=stats[k])
+    EE = stats[:, q:, q:]
+    return {"theta": Theta.ravel(), "gram": gram, "gram_factor": gram_factor.L, "residuals": E,
+            "W_hat": symmetrize(EE.sum(axis=0)) / M,
+            "per_traj_cov": symmetrize(EE) / data.lengths[:, None, None],
+            "g": np.divide(stats[:, :q, q:], -M).reshape(N, q * n_x), "traj_stats": stats,
+            "ZtE": stats[:, :q, q:].sum(axis=0)}
+
+
+def assert_fit_is_bitwise_the_oracle(data, lam):
+    fit = fit_ridge(data, lam)
+    for name, want in hstack_fit(data, lam).items():
+        got = getattr(fit, name)
+        got = got.L if name == "gram_factor" else got
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def fit_case(lengths, n_x=3, n_u=2, dead=None, seed=0):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n_x, n_x))
+    A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+    data = TrajectoryDataset.from_arrays(
+        [simulate_linear(rng, A, rng.normal(size=(n_x, n_u)), T) for T in lengths])
+    if dead is not None:
+        data.inputs[:, dead] = 0.0
+    return data
+
+
+_R = sysid._FIT_ROWS
+
+
+@pytest.mark.parametrize("lengths, dead", [
+    ([1, 1, 3, 1, 2, 1], None),                       # length-1 trajectories
+    ([5, 9, 4, 12, 7], 1),                            # a dead input column
+    ([_R // 4] * 3, None),                            # M below the buffer's rows
+    ([_R // 3 + 1] * 7 + [_R, 1, _R - 1], None),      # trajectories straddle refills
+    ([5, _R + 37, 3, 2 * _R + 1, 10, _R], 0),         # trajectories longer than _FIT_ROWS
+], ids=["length_1", "dead_input", "below_buffer", "straddle_refill", "longer_than_buffer"])
+def test_fit_ridge_is_bitwise_the_hstack_fit(lengths, dead):
+    data = fit_case(lengths, dead=dead)
+    assert_fit_is_bitwise_the_oracle(data, 1e-2)
+    if dead is not None:
+        assert np.all(fit_ridge(data, 1e-2).traj_stats[:, data.n_x + dead] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=8), buf_rows=st.integers(1, 12),
+       lam=st.sampled_from([1e-2, 1.0]))
+def test_fit_ridge_is_bitwise_the_hstack_fit_at_any_buffer_size_property(lengths, buf_rows, lam):
+    # every way whole trajectories fill, straddle and outgrow the work buffer
+    with mock.patch.object(sysid, "_FIT_ROWS", buf_rows):
+        assert_fit_is_bitwise_the_oracle(fit_case(lengths, seed=sum(lengths)), lam)
+
+
+def test_fit_ridge_holds_no_copy_of_the_data():
+    # M = 10^4 transitions of a 20-state, 5-input system, as in the logs benchmark
+    rng = np.random.default_rng(22)
+    n_x, n_u, lengths = 20, 5, np.repeat([20, 50, 80], [100, 80, 50])
+    data = TrajectoryDataset.from_arrays(
+        [tuple(rng.normal(size=(T, n)) for n in (n_x, n_u, n_x)) for T in lengths])
+    assert data.M == 10_000 and np.shares_memory(data.Z, data.rows)
+    fit_ridge(data, 1e-3)   # caches and lazy imports outside the measurement
+    tracemalloc.start()
+    try:
+        fit = fit_ridge(data, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    q = n_x + n_u
+    held = sum(a.nbytes for a in (fit.residuals, fit.traj_stats, fit.g, fit.per_traj_cov))
+    work = min(data.M, max(sysid._FIT_ROWS, lengths.max())) * (q + n_x) * 8
+    # 256 KiB for the fit's small temporaries: an (M, q) copy of Z is 2 MB, an
+    # (M, q + n_x) block 3.6 MB
+    assert peak <= held + work + (1 << 18)
 
 
 def test_loto_refit_is_computed_once_per_fit_and_read_only():
@@ -489,24 +578,44 @@ def test_fit_lambda_zero_rank_deficient_raises():
 
 
 def test_dataset_validation():
-    with pytest.raises(DimensionMismatch):
-        TrajectoryDataset(
-            n_x=2,
-            n_u=1,
-            states=np.zeros((3, 2)),
-            inputs=np.zeros((3, 2)),  # wrong n_u
-            next_states=np.zeros((3, 2)),
-            offsets=np.array([0, 3]),
-        )
-    with pytest.raises(ValueError):
-        TrajectoryDataset(
-            n_x=1,
-            n_u=1,
-            states=np.array([[np.nan]]),
-            inputs=np.zeros((1, 1)),
-            next_states=np.zeros((1, 1)),
-            offsets=np.array([0, 1]),
-        )
+    # n_x = 2, n_u = 1: a row (x, u, x+) is 5 wide
+    for rows, offsets in [(np.zeros((3, 4)), [0, 3]),      # wrong width
+                          (np.zeros((3, 5)), [0, 2]),      # offsets short of M
+                          (np.zeros((3, 5)), [0, 4]),      # offsets past M
+                          (np.zeros((3, 5)), [1, 3]),      # offsets not from row 0
+                          (np.zeros((3, 5)), [0, 3, 3])]:  # an empty trajectory
+        with pytest.raises(DimensionMismatch):
+            TrajectoryDataset(n_x=2, n_u=1, rows=rows, offsets=np.array(offsets))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite") as exc:
+            TrajectoryDataset(n_x=1, n_u=1, rows=np.array([[bad, 0.0, 0.0]]),
+                              offsets=np.array([0, 1]))
+        assert not isinstance(exc.value, DimensionMismatch)
+    # from_arrays checks each triple's shape itself: numpy would broadcast a column of
+    # one, or raise its own ValueError, when it writes the triple into the block
+    X, U = np.zeros((3, 2)), np.zeros((3, 1))
+    for triple in [(X, np.zeros((3, 2)), X),        # wrong n_u
+                   (X, np.zeros((3, 1)), X[:, :1]),  # x_next too narrow: would broadcast
+                   (X, U, np.zeros((3, 3))),        # x_next too wide
+                   (X, U[:2], X),                   # U shorter than X
+                   (X, U, X[:2])]:                  # X_next shorter than X
+        with pytest.raises(DimensionMismatch):
+            TrajectoryDataset.from_arrays([(X, U, X), triple], n_x=2, n_u=1)
+
+
+def test_dataset_arrays_are_views_of_one_row_block():
+    rng = np.random.default_rng(21)
+    data = make_dataset(rng, A0, B0, n_traj=3)
+    assert data.rows.flags.c_contiguous and data.rows.shape == (data.M, 5)
+    for name, cols in [("states", slice(0, 2)), ("inputs", slice(2, 3)),
+                       ("next_states", slice(3, 5)), ("Z", slice(0, 3))]:
+        view = getattr(data, name)
+        assert view.base is data.rows and np.array_equal(view, data.rows[:, cols])
+    # a block that is not C-contiguous, or not float, is stored as one that is
+    wide = np.asfortranarray(rng.integers(0, 9, size=(data.M, 5)))
+    other = TrajectoryDataset(2, 1, wide, data.offsets)
+    assert other.rows.flags.c_contiguous and other.rows.dtype == float
+    assert np.array_equal(other.rows, wide)
 
 
 def test_traj_slice_bounds():
@@ -621,9 +730,10 @@ def test_load_dataset_peak_memory_is_the_arrays_and_a_window(tmp_path, monkeypat
     finally:
         tracemalloc.stop()
     assert back.states.tobytes() == data.states.tobytes()
-    arrays = data.states.nbytes + data.inputs.nbytes + data.next_states.nbytes
-    # the triples and their stacked copy, each trajectory's three array headers, the window
-    assert peak <= 2 * arrays + 1000 * data.N + window
+    arrays = data.rows.nbytes
+    # the row block, grown a quarter and 256 rows at a time, and the window: no trajectory's
+    # arrays outlive their writing into the block (they held as much again as the block)
+    assert peak <= arrays * 5 // 4 + 256 * data.rows[0].nbytes + window
 
 
 _JSON_PIECES = list('{}[],:" \n0123456789.-eE') + ["true", "null", "NaN", '"x"', '"u"',
@@ -658,7 +768,10 @@ def test_load_dataset_reads_any_text_as_json_loads_does_property(tmp_path_factor
         i = int(where * len(text))
         text = {"delete": text[:i] + text[i + 1:], "insert": text[:i] + piece + text[i:],
                 "replace": text[:i] + piece + text[i + 1:], "cut": text[:i]}[edit]
-    path = tmp_path_factory.mktemp("text") / "data.json"
+    assert_reads_as_json_loads(tmp_path_factory.mktemp("text") / "data.json", text)
+
+
+def assert_reads_as_json_loads(path, text):
     path.write_text(text, encoding="utf-8")
     try:
         doc = json.loads(text, object_pairs_hook=lambda pairs: pairs)
@@ -666,11 +779,26 @@ def test_load_dataset_reads_any_text_as_json_loads_does_property(tmp_path_factor
         assert _outcome(path) == f"dataset {path} is not valid UTF-8 JSON: {exc}"
         return
     got = _outcome(path)
-    if text.lstrip(" \t\n\r").startswith("{") and len({key for key, _ in doc}) < len(doc):
-        assert got.startswith(f"dataset {path} repeats the top-level member ")
+    keys = [key for key, _ in doc] if text.lstrip(" \t\n\r").startswith("{") else []
+    repeats = [key for i, key in enumerate(keys) if key in keys[:i]]
+    if repeats:   # named only once the whole document has parsed
+        assert got == f"dataset {path} repeats the top-level member {repeats[0]!r}"
         return
     path.write_text(json.dumps(json.loads(text)), encoding="utf-8")
     assert got == _outcome(path)
+
+
+@pytest.mark.parametrize("text, want", [
+    ('{"n_x": 1, "n_x" 1}', "Expecting ':' delimiter: line 1 column 18 (char 17)"),
+    ('{"n_x": 1, "n_x": 1, "n_u": 1, "trajectories": [[]]} x', "Extra data"),
+    ('{"trajectories": [], "trajectories": [[{"x": [1]}], "n_x": 1', "Expecting ',' delimiter"),
+    ('{"n_x": 1, "n_u": 1, "n_x": 2, "n_u": 3}', "repeats the top-level member 'n_x'"),
+], ids=["json_error_after_repeat", "extra_data_after_repeat", "trajectories_repeated",
+        "first_repeat_named"])
+def test_load_dataset_names_a_repeated_member_only_if_the_document_parses(tmp_path, text, want):
+    path = tmp_path / "data.json"
+    assert_reads_as_json_loads(path, text)
+    assert want in _outcome(path)
 
 
 def _outcome_in_reads_of(path, chunk):
@@ -810,6 +938,57 @@ def test_load_dataset_reads_a_pipe_as_a_file(tmp_path, edit):
     want = _outcome(path)
     assert isinstance(want, list) == (edit is None)
     assert _outcome_through_pipe(data, path) == want
+
+
+def checked_one_by_one(doc, path):
+    """load_dataset's outcome as it checked trajectories before the row block: each
+    converted, then its shapes held against the declared n_x, n_u, one after another."""
+    n_x, n_u = doc["n_x"], doc["n_u"]
+    triples = []
+    for k, traj in enumerate(doc["trajectories"]):
+        try:
+            triples.append(datafile.trajectory_arrays(traj, k, path))
+        except InvalidConfig as exc:
+            return str(exc)
+        X, U, Xn = triples[-1]
+        if X.shape != (len(X), n_x) or Xn.shape != (len(X), n_x) or U.shape != (len(X), n_u):
+            return f"trajectory {k} in {path} disagrees with declared n_x={n_x}, n_u={n_u}"
+    data = TrajectoryDataset.from_arrays(triples, n_x=n_x, n_u=n_u)
+    return [getattr(data, name).tobytes() for name in ("states", "inputs", "next_states",
+                                                       "offsets")]
+
+
+@st.composite
+def trajectory_docs(draw):
+    """A dataset document whose trajectories may have other widths than declared, no rows,
+    or one row edited into a conversion error."""
+    n_x, n_u = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    trajs = []
+    for _ in range(draw(st.integers(1, 4))):
+        wx = draw(st.sampled_from([n_x] * 5 + [n_x + 1]))
+        wu = draw(st.sampled_from([n_u] * 5 + [0]))
+        rows = [{"x": [0.5] * wx, "u": [1] * wu, "x_next": [-2.25] * wx}
+                for _ in range(draw(st.sampled_from([1, 2, 3] * 3 + [0])))]
+        edit = draw(st.sampled_from([None] * 12 + ["x", "u", "x_next", "key"]))
+        if rows and edit:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            if edit == "key":
+                del row["u"]
+            else:
+                row[edit] = draw(st.sampled_from([1.5, ["a"], [], [0.5] * 3]))
+        trajs.append(rows)
+    return {"n_x": n_x, "n_u": n_u, "trajectories": trajs}
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=trajectory_docs())
+def test_load_dataset_meets_errors_in_trajectory_order_property(tmp_path_factory, doc):
+    # the reader stops writing at the first trajectory that does not fit the block and
+    # holds the declared sizes against the block only at the end; the error it reports
+    # is still the first one a check of each trajectory in turn meets
+    path = tmp_path_factory.mktemp("order") / "data.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _outcome(path) == checked_one_by_one(doc, path)
 
 
 def test_load_dataset_decodes_each_trajectory_of_a_well_formed_file_once(tmp_path, monkeypatch):
