@@ -4,11 +4,12 @@ read_dataset reads a dataset file in _CHUNK-byte pieces, decoded as open()
 decodes text (UTF-8, universal newlines), and keeps only a window of the
 text: from the value being read onward, with a lookahead of twice the
 largest trajectory yet, so that no trajectory up to that size is decoded
-twice. It walks the top-level object with json's own pieces
+twice. It walks a top-level object with json's own pieces
 (JSONDecoder.raw_decode, scanstring, WHITESPACE) and writes each element of
 its trajectories array into one RowBlock as soon as it is decoded, so only
 one trajectory's Python objects and arrays exist at a time. Every other
-value decodes through json's scanner.
+value, a top-level one that is not an object too, decodes through json's
+scanner on the same window.
 
 Every outcome is the one of the whole text read at once: a syntax error is
 the JSONDecodeError json.loads would raise, at the same character, line and
@@ -25,7 +26,6 @@ from __future__ import annotations
 import codecs
 import io
 import json
-import math
 
 import numpy as np
 
@@ -172,9 +172,9 @@ def read_dataset(fh, path):
     a top-level object is read by _trajectories and a repeated top-level member name raises
     InvalidConfig once the rest of the document has parsed.
 
-    Every other value, and a top-level value that is not an object, decodes
-    through json's own scanner, and every syntax error is json's own
-    JSONDecodeError, at the same position. A UTF-8 error anywhere in the file
+    Every other value, a top-level value that is not an object too, decodes
+    through json's own scanner on the window, and every syntax error is json's
+    own JSONDecodeError, at the same position. A UTF-8 error anywhere in the file
     comes before every other error, as when the file is read whole.
     """
     window = _Window(fh)
@@ -189,16 +189,17 @@ def read_dataset(fh, path):
 def _walk(w: _Window, path):
     """read_dataset's document, read through the window w."""
     _, idx = w.scan(0, _skip)
-    if not w.text.startswith("{", idx):
-        w.fill(0, math.inf)   # the whole text: nothing was dropped yet
-        return json.loads(w.text)
-    doc, repeat = {}, None
-    more, idx = w.scan(idx, _open, "}")
+    if w.text.startswith("\ufeff"):   # json.loads checks this first; nothing was dropped yet
+        raise w.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+    doc, repeat, more = {}, None, False
+    if w.text.startswith("{", idx):
+        more, idx = w.scan(idx, _open, "}")
+    else:   # any other value decodes whole, through json's scanner
+        doc, idx = w.scan(idx, _DECODER.raw_decode)
     while more:
         key, idx = w.scan(idx, _name)
         if key in doc and repeat is None:   # json.loads would keep the last one silently
             repeat = key
-        _, idx = w.scan(idx, _colon)
         if key == "trajectories" and w.text.startswith("[", idx):
             doc[key], idx = _trajectories(w, idx, path)
         else:
@@ -225,19 +226,14 @@ def _open(text: str, idx: int, close: str) -> tuple[bool, int]:
 
 
 def _name(text: str, idx: int) -> tuple[str, int]:
-    """(the member name at text[idx], the index past it)."""
+    """(the member name at text[idx], index of its value past the colon)."""
     if not text.startswith('"', idx):
-        raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
-                                   text, idx)
-    return json.decoder.scanstring(text, idx + 1)
-
-
-def _colon(text: str, idx: int) -> tuple[None, int]:
-    """(None, index of the value) after a member name ending at idx."""
+        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, idx)
+    key, idx = json.decoder.scanstring(text, idx + 1)
     idx = _WS(text, idx).end()
     if not text.startswith(":", idx):
         raise json.JSONDecodeError("Expecting ':' delimiter", text, idx)
-    return None, _WS(text, idx + 1).end()
+    return key, _WS(text, idx + 1).end()
 
 
 def _after_value(text: str, idx: int, close: str) -> tuple[bool, int]:

@@ -1,8 +1,8 @@
 """Experiment configuration, ranking metrics, and the score-vs-retrain runner.
 
-run_experiment ties the library together: generate (or load) a dataset per
-seed, fit the ridge model, build the Riccati artifacts, score every
-trajectory, optionally run the exact leave-one-out sweep, and aggregate
+run_experiment ties the library together: generate a seed's sets in one pass
+(or load a dataset), fit the ridge model, build the Riccati artifacts, score
+every trajectory, optionally run the exact leave-one-out sweep, and aggregate
 rank-agreement metrics across seeds.  Outputs are deterministic given the
 config: the report is byte-identical across runs except for its separate
 "timings" section, on the same NumPy/BLAS build at the same BLAS thread count
@@ -24,8 +24,6 @@ from .bench import (
     _check_generable,
     _ok,
     _simulate,
-    generate_dataset,
-    generate_heldout,
     heldout_prediction_scores,
     residual_lag1_autocorr,
     system_spec,
@@ -252,7 +250,11 @@ def _mean_std(values: list) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
-    """Run the score pipeline (and optional exact sweep) per seed; next to a dataset, the first only."""
+    """Run the score pipeline (and optional exact sweep) per seed; next to a dataset, the first only.
+
+    One _simulate call per seed makes its training set (none next to a dataset)
+    and its held-out set (with run_heldout); a dataset alone needs no call.
+    """
     external = load_dataset(cfg.dataset_path) if cfg.dataset_path else None
     if external is not None and (external.n_x, external.n_u) != (cfg.system.n_x, cfg.system.n_u):
         raise InvalidConfig(
@@ -270,18 +272,15 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
     seeds = cfg.seeds[:1] if external is not None else cfg.seeds
     Q, R = cfg.cost_matrices()   # only now: n_x and n_u size nothing before they are checked
     report = ExperimentReport(config_echo=_config_echo(cfg, seeds, Q, R))
+    gen = cfg.generation if external is None else None
+    heldout_size = cfg.heldout_size if cfg.run_heldout else 0
 
     for seed in seeds:
         if progress:
             progress(f"seed {seed}")
-        gen, heldout = dataclasses.replace(cfg.generation, seed=seed), None
-        if external is not None:
-            data = external
-        elif cfg.run_heldout:   # one pass; the held-out set's error waits until it is read
-            data, heldout = _simulate(cfg.system, seed, gen, cfg.heldout_size)
-            data = _ok(data)
-        else:
-            data = generate_dataset(cfg.system, gen)
+        # one pass makes the seed's sets; the held-out set's error waits until it is read
+        sets = _simulate(cfg.system, seed, gen, heldout_size) if gen or heldout_size else []
+        data = _ok(sets.pop(0)) if gen else external
 
         t0 = time.perf_counter()
         fit = fit_ridge(data, cfg.lam)
@@ -314,9 +313,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             timing["speedup"] = table.refit_time / pipeline_time if pipeline_time > 0 else None
 
         if cfg.run_heldout:
-            heldout = (generate_heldout(cfg.system, seed, cfg.heldout_size) if heldout is None
-                       else _ok(heldout))
-            if_pred, delta_l = heldout_prediction_scores(fit, heldout)
+            if_pred, delta_l = heldout_prediction_scores(fit, _ok(sets[0]))
             entry["spearman_pred"] = _rank_agreement(if_pred, delta_l)
 
         report.per_seed.append(entry)

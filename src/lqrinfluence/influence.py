@@ -120,8 +120,8 @@ def diagnostics_from_record(
     R_w_mat = DW - covariance_direct_term(fit) + cross_mat
     r_w = np.trace(art.P0 @ R_w_mat, axis1=1, axis2=2)
     r_cross = np.trace(dP @ DW, axis1=1, axis2=2)
-
-    L_phi, L_e = fit.data_extremes
+    # L_phi, L_e: the largest row norms of Z and of the residuals
+    L_phi, L_e = (np.linalg.norm(a, axis=1).max() for a in (fit.data.Z, fit.residuals))
     bound_w = L_phi**2 * nd**2 + 4.0 * (T / fit.M) * L_e * L_phi * nd
     return DecompositionDiagnostics(nd, r_ric, r_w, r_cross, bound_w)
 

@@ -284,16 +284,6 @@ class ModelFit:
         theta.flags.writeable = W.flags.writeable = False
         return theta, W
 
-    @cached_property
-    def data_extremes(self) -> tuple[float, float]:
-        """(L_phi, L_e): largest regressor row norm and largest residual norm.
-
-        Per-fit constants of the remainder bounds, computed on first use.
-        """
-        L_phi = float(np.linalg.norm(self.data.Z, axis=1).max())
-        L_e = float(np.linalg.norm(self.residuals, axis=1).max())
-        return L_phi, L_e
-
     # built on read, only for perfbench/spans._fit_bytes; delete with ROADMAP's benchmark refresh.
     # kron(L_G, I) is lower triangular with a positive diagonal, so by uniqueness it is the
     # Cholesky factor of the Hessian

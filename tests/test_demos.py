@@ -57,6 +57,15 @@ def test_readme_config_example_parses():
     assert cfg.system.kind == "dc_motor" and cfg.seeds == (0, 1, 2)
 
 
+def test_readme_python_quickstart_runs(tmp_path, monkeypatch):
+    # the quickstart scores a generated dataset and writes scores.csv where it runs
+    (block,) = readme_blocks("python")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {})
+    header = (tmp_path / "scores.csv").read_text().splitlines()[0]
+    assert header.startswith("k,T_k,")
+
+
 def test_readme_cli_usage_matches_parser():
     (usage,) = [line for block in readme_blocks("") for line in block.splitlines()
                 if line.startswith("lqr-influence run ")]

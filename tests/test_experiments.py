@@ -966,6 +966,30 @@ def test_cli_generation_errors_come_as_one_set_at_a_time(tmp_path, capsys, extra
     assert capsys.readouterr().err.splitlines()[-1].startswith(last)
 
 
+@pytest.mark.parametrize("dataset, run_heldout, calls", [
+    (False, False, [(0, True, 0), (1, True, 0)]),
+    (False, True, [(0, True, 300), (1, True, 300)]),
+    (True, True, [(0, False, 300)]),
+    (True, False, []),
+], ids=["generated", "generated_heldout", "dataset_heldout", "dataset"])
+def test_run_experiment_generates_each_seed_in_one_call(tmp_path, monkeypatch, dataset,
+                                                        run_heldout, calls):
+    # one _simulate call makes every set a seed needs; next to a dataset only the first
+    # seed runs, its held-out check asks for no training set, and without one nothing runs
+    simulate, seen = lqrinfluence.experiments._simulate, []
+
+    def counted(spec, seed, gen=None, heldout_size=0):
+        seen.append((seed, gen is not None, heldout_size))
+        return simulate(spec, seed, gen, heldout_size)
+
+    monkeypatch.setattr(lqrinfluence.experiments, "_simulate", counted)
+    cfg = small_config(run_exact_loto=False, run_heldout=run_heldout, heldout_size=300,
+                       dataset_path=write_dc_motor_dataset(tmp_path) if dataset else None)
+    report = run_experiment(cfg)
+    assert seen == calls
+    assert ("spearman_pred" in report.per_seed[0]) == run_heldout
+
+
 def test_cli_dataset_dimension_mismatch_is_config_error(tmp_path, capsys):
     # a 1-state dataset under the 2-state dc_motor system
     traj = (np.ones((3, 1)), np.ones((3, 1)), np.ones((3, 1)))

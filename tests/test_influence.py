@@ -87,7 +87,7 @@ def diagnostics_oracle(fit, art, k, theta_k, W_k, P_k):
     R_w_mat = DW - direct_mat + cross_mat
     abs_R_w = np.abs(DW) + np.abs(direct_mat) + np.abs(cross_mat)
 
-    L_phi, L_e = fit.data_extremes
+    L_phi, L_e = (np.linalg.norm(a, axis=1).max() for a in (fit.data.Z, fit.residuals))
     bound_w = L_phi**2 * nd**2 + 4.0 * (T_k / fit.M) * L_e * L_phi * nd
     return {
         "delta_theta_norm": (nd, nd),

@@ -801,6 +801,25 @@ def test_load_dataset_names_a_repeated_member_only_if_the_document_parses(tmp_pa
     assert want in _outcome(path)
 
 
+@pytest.mark.parametrize("text", [
+    '\ufeff{"n_x": 1, "n_u": 1, "trajectories": []}', "\ufeff[1]", " \n[1, [2.5], {}] \n",
+    '\t"n_x" ', "\n 2.5e+300 \n", "[1, 2] [3]", "[1,", "", "[" * 100_000,
+], ids=["bom_object", "bom_array", "array", "string", "number", "extra_data_after_array",
+        "cut_array", "empty", "too_deep"])
+def test_load_dataset_reads_a_top_level_value_that_is_not_an_object(tmp_path, text):
+    # every top-level value goes through the window: json's BOM error at char 0, its errors
+    # in and after the value, and a value that is not an object reads as a malformed dataset
+    path = tmp_path / "data.json"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome_in_reads_of(path, 1) == _outcome(path)
+    if text.startswith("[" * 100):   # deeper than json.loads recurses
+        with pytest.raises(RecursionError) as exc:
+            json.loads(text)
+        assert _outcome(path) == f"dataset {path} is not valid UTF-8 JSON: {exc.value}"
+    else:
+        assert_reads_as_json_loads(path, text)
+
+
 def _outcome_in_reads_of(path, chunk):
     """_outcome with the reader reading chunk bytes at a time."""
     with mock.patch.object(datafile, "_CHUNK", chunk):
