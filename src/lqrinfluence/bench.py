@@ -641,8 +641,7 @@ def residual_lag1_autocorr(fit: ModelFit) -> float:
     positive when mismatch leaks into consecutive residuals. Norms are
     centered per trajectory: noise scale alone is white.
     """
-    norms = np.hstack([np.linalg.norm(fit.residuals[i:i + 512], axis=1)
-                       for i in range(0, fit.M, 512)])
+    norms = fit.residual_norms
     offsets, T = fit.data.offsets, fit.lengths
     r = norms - np.repeat(np.add.reduceat(norms, offsets[:-1]) / T, T)
     pairs = np.ones(fit.M - 1, dtype=bool)   # rows s and s+1 lie in one trajectory

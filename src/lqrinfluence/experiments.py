@@ -306,9 +306,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentReport:
             dj = table.delta_j_exact[mask]
             entry["spearman_stoch"] = _rank_agreement(table.if_stoch[mask], dj)
             entry["spearman_fixed"] = _rank_agreement(table.if_fixed[mask], dj)
-            k_eff = min(cfg.top_k, int(mask.sum()))
-            entry["jaccard_stoch"] = topk_jaccard(table.if_stoch[mask], dj, k_eff)
-            entry["jaccard_fixed"] = topk_jaccard(table.if_fixed[mask], dj, k_eff)
+            k_eff = min(cfg.top_k, int(mask.sum()))   # 0 when every refit is excluded: no top set
+            for name, score in (("stoch", table.if_stoch), ("fixed", table.if_fixed)):
+                entry[f"jaccard_{name}"] = topk_jaccard(score[mask], dj, k_eff) if k_eff else None
             timing["exact_sweep_s"] = table.refit_time
             timing["speedup"] = table.refit_time / pipeline_time if pipeline_time > 0 else None
 

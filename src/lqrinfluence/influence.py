@@ -50,7 +50,7 @@ def direct_trace_term(fit: ModelFit, art: RiccatiArtifacts) -> np.ndarray:
     """(T_k/M_k) Tr(P0 (W_hat - W_bar_k)) for every k."""
     _, frac = fit.removal_weights
     tr0 = np.trace(art.P0 @ fit.W_hat)
-    trk = np.einsum("ij,kji->k", art.P0, fit.per_traj_cov)
+    trk = np.einsum("ij,kji->k", art.P0, fit.traj_stats[:, fit.q:, fit.q:]) / fit.lengths
     return frac * (tr0 - trk)
 
 
@@ -121,7 +121,7 @@ def diagnostics_from_record(
     r_w = np.trace(art.P0 @ R_w_mat, axis1=1, axis2=2)
     r_cross = np.trace(dP @ DW, axis1=1, axis2=2)
     # L_phi, L_e: the largest row norms of Z and of the residuals
-    L_phi, L_e = (np.linalg.norm(a, axis=1).max() for a in (fit.data.Z, fit.residuals))
+    L_phi, L_e = np.linalg.norm(fit.data.Z, axis=1).max(), fit.residual_norms.max()
     bound_w = L_phi**2 * nd**2 + 4.0 * (T / fit.M) * L_e * L_phi * nd
     return DecompositionDiagnostics(nd, r_ric, r_w, r_cross, bound_w)
 

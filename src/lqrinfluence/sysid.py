@@ -8,9 +8,10 @@ Hessian is H = (G + lam I) kron I_nx, so its Cholesky factor is the q x q Gram
 factor kron I_nx and every H^-1 v is one q x q solve with n_x right sides
 (ModelFit.hessian_solve); the p x p matrix is never formed on the run path.
 Every per-trajectory statistic is a block of one Gram product [Z_k E_k]^T
-[Z_k E_k], kept as ModelFit.traj_stats: Z_k^T Z_k, g_k = -Z_k^T E_k / M,
-W_bar_k = E_k^T E_k / T_k; W_hat and Z^T E (which the residual channel reads)
-are their sums over k. The exact leave-one-trajectory-out refits (loto_refit)
+[Z_k E_k], and ModelFit.traj_stats is the fit's only per-trajectory array:
+Z_k^T Z_k, g_k = -Z_k^T E_k / M and W_bar_k = E_k^T E_k / T_k are read off it,
+and W_hat and Z^T E (which the residual channel reads) are their sums over k;
+no residual array is stored. The exact leave-one-trajectory-out refits (loto_refit)
 of every trajectory are one stacked (N, q, q) factorization and solve on
 prefix and suffix sums of that block. Every removal function returns all N
 removals at once, weighted by M_k = M - T_k retained transitions.
@@ -226,10 +227,10 @@ def theta_to_ab(theta: np.ndarray, n_x: int, n_u: int):
 class ModelFit:
     """Ridge fit with the cached pieces every influence quantity reads.
 
-    Immutable after construction; per-trajectory gradients g, residual
-    covariances and Grams, and the Cholesky factor of G + lam I are computed
-    once here, so scoring a trajectory is a handful of dot products and every
-    Hessian solve is one q x q solve (hessian_solve).
+    Immutable after construction; every per-trajectory statistic is a block of
+    traj_stats and the residuals, g and W_bar_k are built on read from it or the
+    data, so scoring a trajectory is a handful of dot products and every
+    Hessian solve is one q x q solve on the Cholesky factor of G + lam I.
     """
 
     data: TrajectoryDataset
@@ -237,10 +238,7 @@ class ModelFit:
     theta: np.ndarray          # (p,)
     gram: np.ndarray           # (q, q), (1/M) Z^T Z
     gram_factor: SpdFactor     # (q, q) Cholesky factor of G + lam I
-    residuals: np.ndarray      # (M, n_x), e_s = x_s+ - [A B] z_s
-    W_hat: np.ndarray          # (n_x, n_x)
-    per_traj_cov: np.ndarray   # (N, n_x, n_x), rows W_bar_k
-    g: np.ndarray              # (N, p), per-trajectory loss gradients
+    W_hat: np.ndarray          # (n_x, n_x), sum_k E_k^T E_k / M
     traj_stats: np.ndarray     # (N, q+n_x, q+n_x), rows [Z_k E_k]^T [Z_k E_k]
     ZtE: np.ndarray            # (q, n_x), Z^T E = -M sum_k g_k
 
@@ -253,6 +251,19 @@ class ModelFit:
     lengths = property(lambda self: self.data.lengths)
     A = property(lambda self: theta_to_ab(self.theta, self.n_x, self.n_u)[0])
     B = property(lambda self: theta_to_ab(self.theta, self.n_x, self.n_u)[1])
+    Theta = property(lambda self: self.theta.reshape(self.q, self.n_x))
+    # built on read: rows e_s = x_s+ - [A B] z_s (M, n_x), g_k (N, p) and W_bar_k (N, n_x, n_x)
+    residuals = property(lambda self: self.data.next_states - self.data.Z @ self.Theta)
+    g = property(lambda self: (self.traj_stats[:, :self.q, self.q:] / -self.M).reshape(self.N, -1))
+    per_traj_cov = property(lambda self: symmetrize(self.traj_stats[:, self.q:, self.q:])
+                            / self.lengths[:, None, None])
+
+    @cached_property
+    def residual_norms(self) -> np.ndarray:
+        """(M,) ||e_s||, formed _FIT_ROWS rows at a time on first use."""
+        Z, X1, rows = self.data.Z, self.data.next_states, _FIT_ROWS
+        return np.concatenate([np.linalg.norm(X1[i:i + rows] - Z[i:i + rows] @ self.Theta, axis=1)
+                               for i in range(0, self.M, rows)])
 
     @cached_property
     def removal_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -312,10 +323,10 @@ _FIT_ROWS = 512   # fit_ridge's buffer holds whole trajectories: at least this m
 
 @np.errstate(over="ignore", invalid="ignore")   # an overflow ends in _finite_sum
 def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
-    """Solve the ridge normal equations and cache residual/gradient structure.
+    """Solve the ridge normal equations and take every trajectory's statistics.
 
-    Z and X+ are views of data.rows and E is its own (M, n_x) array; each
-    [Z_k E_k] is copied into one buffer, refilled _FIT_ROWS rows at a time.
+    Z and X+ are views of data.rows; each [Z_k E_k] is written into one buffer, refilled
+    _FIT_ROWS rows at a time with Z and E = X+ - Z Theta, so no (M, n_x) array exists.
     lam = 0 is allowed only when the Gram matrix is positive definite
     (NotPositiveDefinite otherwise); an overflowing Gram, W_hat or Z^T E raises LqrInfluenceError.
     """
@@ -328,21 +339,23 @@ def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
     gram = _finite_sum(symmetrize(Z.T @ Z / M), "Gram matrix")
     gram_factor = cholesky_factor(gram + lam * np.eye(q))
     Theta = solve_spd(gram_factor, Z.T @ data.next_states / M)   # (q, n_x)
-    E = np.matmul(Z, Theta)
-    np.subtract(data.next_states, E, out=E)
 
     # [Z_k E_k]^T [Z_k E_k] holds Z_k^T Z_k, Z_k^T E_k and E_k^T E_k: one syrk per trajectory
     stats = np.empty((N, q + n_x, q + n_x))
-    buf = np.empty((min(M, max(_FIT_ROWS, int(data.lengths.max()))), q + n_x))
+    buf = np.empty((min(M, max(_FIT_ROWS, int(data.lengths.max()), 2)), q + n_x))
     top = 0   # buf holds rows base:top
     for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
         if b > top:
-            base, top = a, bounds[np.searchsorted(data.offsets, a + len(buf), "right") - 1]
-            buf[:top - a, :q], buf[:top - a, q:] = Z[a:top], E[a:top]
+            top = bounds[np.searchsorted(data.offsets, a + len(buf), "right") - 1]
+            # two rows at least: numpy takes a single row through gemv, which rounds unlike gemm
+            base = max(0, min(a, top - 2))
+            end = max(top, min(base + 2, M))
+            blk = buf[:end - base]
+            blk[:, :q] = 0.0   # then blk = rows - [0, Z Theta] is one contiguous subtraction
+            np.matmul(Z[base:end], Theta, out=blk[:, q:])
+            np.subtract(data.rows[base:end], blk, out=blk)
         np.matmul(buf[a - base:b - base].T, buf[a - base:b - base], out=stats[k])
     EE = stats[:, q:, q:]
-    per_traj_cov = symmetrize(EE)
-    per_traj_cov /= data.lengths[:, None, None]
 
     return ModelFit(
         data=data,
@@ -350,10 +363,7 @@ def fit_ridge(data: TrajectoryDataset, lam: float) -> ModelFit:
         theta=Theta.ravel(),
         gram=gram,
         gram_factor=gram_factor,
-        residuals=E,
         W_hat=_finite_sum(symmetrize(EE.sum(axis=0)) / M, "residual covariance"),
-        per_traj_cov=per_traj_cov,
-        g=np.divide(stats[:, :q, q:], -M).reshape(N, q * n_x),
         traj_stats=stats,
         ZtE=_finite_sum(stats[:, :q, q:].sum(axis=0), "Z^T E"),
     )
@@ -368,7 +378,8 @@ def eta(fit: ModelFit) -> np.ndarray:
 def eta_dot(fit: ModelFit, v: np.ndarray) -> np.ndarray:
     """eta_k^T v for every k, without forming eta: (M/M_k) g_k^T v + (T_k/M_k) lam theta^T v."""
     scale, frac = fit.removal_weights
-    return scale * (fit.g @ v) + frac * (fit.lam * fit.theta @ v)
+    ZtE_v = np.einsum("kab,ab->k", fit.traj_stats[:, :fit.q, fit.q:], np.reshape(v, (fit.q, -1)))
+    return scale * (ZtE_v / -fit.M) + frac * (fit.lam * fit.theta @ v)
 
 
 def model_influence(fit: ModelFit) -> np.ndarray:

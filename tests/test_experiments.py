@@ -41,7 +41,7 @@ from lqrinfluence.influence import (
     csv_cell,
 )
 from lqrinfluence.lqr import riccati_artifacts
-from lqrinfluence import sysid
+from lqrinfluence import influence, sysid
 from lqrinfluence.sysid import TrajectoryDataset, fit_ridge, save_dataset
 
 BASE_DOC = {
@@ -1100,6 +1100,24 @@ def test_cli_partial_exclusions_exit_code(tmp_path, capsys, partial_exclusion_da
             assert row[col] == score[col] != ""
         for col in ("r_ric", "r_w", "r_cross"):
             assert drow[col] == score[col] != ""
+
+
+def test_cli_run_with_every_refit_excluded_exits_partial(tmp_path, monkeypatch, capsys):
+    # the msd_exact benchmark config, with no refit DARE stabilizable: no removal is
+    # kept, so there is no top-k set to overlap and the run reports null, not a traceback
+    monkeypatch.setattr(influence, "loto_record", lambda *args: None)
+    cfg_path = write_cli_config(
+        tmp_path, system={"kind": "msd"}, seeds=[0], run_exact_loto=True, run_heldout=False,
+        generation={"n_trajectories": 50, "t_min": 5, "t_max": 40})
+    out_dir = tmp_path / "o"
+    assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 3
+    assert "50 refit(s) excluded" in capsys.readouterr().err
+    entry = json.loads((out_dir / "report.json").read_text())["per_seed"][0]
+    assert entry["excluded"] == list(range(50)) and entry["scored_count"] == 0
+    for key in ("jaccard_stoch", "jaccard_fixed", "spearman_stoch", "spearman_fixed"):
+        assert entry[key] is None, key
+    rows = read_csv_rows(out_dir / "scores_seed0.csv")
+    assert len(rows) == 50 and {r["excluded_flag"] for r in rows} == {"1"}
 
 
 def test_cli_run_imports_no_scipy(tmp_path):
