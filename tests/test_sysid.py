@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lqrinfluence import datafile, sysid
-from lqrinfluence.bench import GenerationConfig, generate_dataset, residual_lag1_autocorr, system_spec
+from lqrinfluence.bench import (GenerationConfig, generate_dataset, residual_lag1_autocorr,
+                                 system_spec)
 from lqrinfluence.errors import (
     DimensionMismatch,
     InvalidConfig,

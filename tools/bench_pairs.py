@@ -1,6 +1,6 @@
 """Alternating parent/change benchmark runs, summarized into one BENCH_*.json file.
 
-    python3 tools/bench_pairs.py PARENT --out BENCH_31.json [--pairs 10] [--seconds 36]
+    python3 tools/bench_pairs.py PARENT --out BENCH_<n>.json [--pairs 10] [--seconds 36]
         [--workloads msd_exact,logs_score,mission_heldout] [--scratch DIR]
 
 Run from the root of a source checkout: the working tree is the change. The
@@ -12,8 +12,9 @@ Each pair runs, in both trees,
 
 with seed s = 1, 2, ... for pair s, the parent first in odd pairs and the
 change first in even ones, and reads each run's last stdout line,
-{"correct", "attempted", "failed", "metrics"}. Each tree's Tier-1 suite is timed once, wall clock.
-perfbench/ is run as it is; this script reads no bound and changes none.
+{"correct", "attempted", "failed", "metrics"}. Each tree's Tier-1 suite is
+timed once, wall clock. perfbench/ is run as it is; this script reads no
+bound and changes none.
 
 The output holds, per workload and metric, each side's median and
 quartiles, the number of pairs in which the change read lower, the seeds
@@ -40,9 +41,9 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
          "-p", "no:cacheprovider"]
 
 
-def git(*args: str, cwd=".") -> str:
-    return subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True,
-                          check=True).stdout.strip()
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], capture_output=True, text=True,
+                          check=True).stdout.rstrip()
 
 
 def export(commit: str, dest: Path) -> Path:
