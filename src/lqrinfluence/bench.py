@@ -623,7 +623,7 @@ def heldout_prediction_scores(fit: ModelFit, heldout: TrajectoryDataset):
     if heldout.n_x != fit.n_x or heldout.n_u != fit.n_u:
         raise InvalidConfig("held-out dimensions disagree with the training data")
     Z_ho = heldout.Z
-    Theta = fit.theta.reshape(fit.q, fit.n_x)
+    Theta = fit.Theta
     E_ho = heldout.next_states - Z_ho @ Theta
     grad = -(Z_ho.T @ E_ho).ravel() / heldout.M
     S_ho = Z_ho.T @ Z_ho / heldout.M

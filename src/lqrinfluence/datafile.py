@@ -1,6 +1,6 @@
 """The JSON reader behind sysid.load_dataset: a bounded window of the file's text.
 
-read_dataset reads a dataset file in _CHUNK-byte (512 KiB) pieces, decoded as open()
+read_dataset reads a dataset file in _CHUNK-byte pieces, decoded as open()
 decodes text (UTF-8, universal newlines), and keeps only a window of the
 text: from the value being read onward, with a lookahead of twice the
 largest trajectory yet, so that no trajectory up to that size is decoded
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 
-_CHUNK = 1 << 19   # bytes per read; 1 MiB pieces raised a load's peak memory above the fit's
+_CHUNK = 1 << 20   # bytes per read
 _GUARD = 3         # characters that must follow a value in the window: "1.5e+" may go on
 _DECODER = json.JSONDecoder()
 _WS = json.decoder.WHITESPACE.match

@@ -47,7 +47,7 @@ SCORE_CSV_HEADER = [
 
 
 def direct_trace_term(fit: ModelFit, art: RiccatiArtifacts) -> np.ndarray:
-    """(T_k/M_k) Tr(P0 (W_hat - W_bar_k)) for every k."""
+    """(T_k/M_k) Tr(P0 (W_hat - W_bar_k)) for every k; W_bar_k is read off traj_stats, not copied."""
     _, frac = fit.removal_weights
     tr0 = np.trace(art.P0 @ fit.W_hat)
     trk = np.einsum("ij,kji->k", art.P0, fit.traj_stats[:, fit.q:, fit.q:]) / fit.lengths

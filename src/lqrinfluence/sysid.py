@@ -283,7 +283,7 @@ class ModelFit:
         M_rem = (self.M - self.lengths)[:, None, None]
         kept = _all_but_one(self.traj_stats)
         S, ZE, EE = kept[:, :q, :q], kept[:, :q, q:], kept[:, q:, q:]
-        Theta0 = self.theta.reshape(q, n_x)
+        Theta0 = self.Theta
 
         gram = symmetrize(S / M_rem) + self.lam * np.eye(q)
         factor = cholesky_factor(gram, "retained Gram + lam I", "refit without trajectory")

@@ -1,17 +1,17 @@
 """Alternating parent/change benchmark runs, summarized into one BENCH_*.json file.
 
-    python3 tools/bench_pairs.py PARENT --out BENCH_<n>.json [--pairs 10] [--seconds 36]
-        [--workloads msd_exact,logs_score,mission_heldout] [--scratch DIR]
+    python3 tools/bench_pairs.py PARENT --out BENCH_<n>.json [--pairs 10] [--scratch DIR]
 
 Run from the root of a source checkout: the working tree is the change. The
 PARENT commit is exported with `git archive` into DIR (the system's temporary
 directory by default), which leaves the repository's own state as it was.
 Each pair runs, in both trees,
 
-    python3 perfbench/run.py --workload W --seed s --seconds S --trace 0
+    python3 perfbench/run.py --workload W --seed s --seconds 36 --trace 0
 
-with seed s = 1, 2, ... for pair s, the parent first in odd pairs and the
-change first in even ones, and reads each run's last stdout line,
+on each of the three workloads for the benchmark's 36 s, with seed s = 1, 2,
+... for pair s, the parent first in odd pairs and the change first in even
+ones, and reads each run's last stdout line,
 {"correct", "attempted", "failed", "metrics"}. Each tree's Tier-1 suite is
 timed once, wall clock. perfbench/ is run as it is; this script reads no
 bound and changes none.
@@ -37,6 +37,7 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("msd_exact", "logs_score", "mission_heldout")
+SECONDS = 36   # the benchmark's run length, the same for every recorded pair
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -69,9 +70,9 @@ def parse_run(stdout: str) -> dict | None:
     return result
 
 
-def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_perfbench(tree: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
     result = parse_run(proc.stdout)
     if result is None:   # a crashed run: no metrics, and every call counts as failed
@@ -155,8 +156,6 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="the commit to compare against, e.g. HEAD~1")
     parser.add_argument("--out", required=True, help="the JSON file to write")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=36.0)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--scratch", type=Path, default=Path(tempfile.gettempdir()))
     args = parser.parse_args(argv)
 
@@ -166,18 +165,18 @@ def main(argv=None) -> int:
                "change_modified": git("status", "--porcelain", "--untracked-files=no").splitlines()}
     parent = export(commits["parent"], args.scratch / f"bench-parent-{commits['parent'][:12]}")
     trees = {"parent": parent, "change": change}
-    record = {"commits": commits, "machine": machine(), "seconds": args.seconds,
+    record = {"commits": commits, "machine": machine(), "seconds": SECONDS,
               "pairs_per_workload": args.pairs, "command": "perfbench/run.py --trace 0",
               "tier1": {side: tier1_wall(tree) for side, tree in trees.items()}}
 
     pairs = []
-    for workload in args.workloads.split(","):
+    for workload in WORKLOADS:
         for i in range(args.pairs):
             seed = i + 1
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"workload": workload, "seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_perfbench(trees[side], workload, seed, args.seconds)
+                pair[side] = run_perfbench(trees[side], workload, seed)
             pairs.append(pair)
             print(json.dumps({k: pair[k] for k in ("workload", "seed", "first")}
                              | {s: pair[s]["metrics"] for s in ("parent", "change")}),
