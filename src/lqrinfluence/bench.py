@@ -407,31 +407,31 @@ def _rollout_uav(spec: SystemSpec, x0, hover: bool, ref, draws, live):
 
     Trajectory k tracks ref[..., k] (_reference_grid; hover: zero) with the hover or
     mission gains, at the spec's drag and noise scales; draws (T_max, N, 4) holds each
-    step's excitation, then gust normals. Every step writes into preallocated
-    component-major (., N) buffers. Returns _dataset's time-major views X and U; a
-    trajectory past its end stays frozen.
+    step's excitation, then gust normals, scaled a step at a time into a scratch row.
+    Every step writes only into preallocated component-major (., N) buffers. Returns
+    _dataset's time-major views X and U; a trajectory past its end stays frozen.
     """
     T_max, N = live.shape
-    scale = np.repeat([spec.excitation_std, spec.gust_std], 2)   # per step: excitation, gust
-    noise = np.multiply(draws.transpose(0, 2, 1), scale[:, None], out=np.empty((T_max, 4, N)))
+    scale = np.repeat([spec.excitation_std, spec.gust_std], 2)[:, None]   # excitation, gust
     gains = np.repeat(_HOVER_GAINS if hover else _MISSION_GAINS, 2)[:, None]   # kp, kp, kd, kd
 
     X = np.empty((T_max + 1, 4, N))
     X[0] = np.transpose(x0)
     U = np.empty((T_max, 2, N))
-    err, step, speed = np.empty((4, N)), np.empty((4, N)), np.empty(N)
+    err, step, noise, speed = np.empty((4, N)), np.empty((4, N)), np.empty((4, N)), np.empty(N)
     ended = ~live.all(axis=1)   # steps past some trajectory's end
     for t in range(T_max):
         x, r, u = X[t], ref[t], U[t]
         v, acc = x[2:], step[2:]
+        np.multiply(draws[t].T, scale, out=noise)   # this step's draws, scaled
         np.multiply(np.subtract(r[:4], x, out=err), gains, out=err)
         np.add(np.add(r[4:], err[:2], out=u), err[2:], out=u)
-        u += noise[t, :2]
+        u += noise[:2]
         np.multiply(v, v, out=acc)
         np.sqrt(np.add(acc[0], acc[1], out=speed), out=speed)
         speed *= spec.drag
         np.subtract(u, np.multiply(speed, v, out=acc), out=acc)   # u - drag ||v|| v
-        acc += noise[t, 2:]
+        acc += noise[2:]
         step[:2] = v
         np.add(x, np.multiply(step, spec.dt, out=step), out=X[t + 1])   # p + dt v, v + dt acc
         if ended[t]:
@@ -578,6 +578,8 @@ def _simulate(spec: SystemSpec, seed: int, gen: GenerationConfig | None = None,
             missions = [] if hover else _mission_policies(policies, kinds)
             ref = _reference_grid(np.arange(T_max) * spec.dt, N, missions)
             X, U = _rollout_uav(spec, ref[0, :4].T + x0, hover, ref, draws, live)
+            del ref
+        del normals, draws   # freed before _dataset's row blocks, which reuse their pages
         edges = np.cumsum([0] + sizes).tolist()
         return [_dataset(spec, X[:max(steps) + 1, a:b], U[:max(steps), a:b], steps)
                 for a, b, (steps, _) in zip(edges, edges[1:], sets)]

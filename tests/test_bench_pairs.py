@@ -54,3 +54,10 @@ def test_summarize_keeps_a_crashed_run_out_of_the_statistics():
     assert out["metrics"]["run_s"]["pairs"] == 0
     assert out["metrics"]["run_s"]["change"]["median"] is None
     assert out["failed"]["change"] == [None]
+
+
+def test_pair_seeds_follow_the_change_commit_hash():
+    commit = "6426cd843079dd3bb391315a93564977c6c225ee"
+    assert bench_pairs.pair_seeds(commit, 3) == [0x6426cd84, 0x6426cd85, 0x6426cd86]
+    assert bench_pairs.pair_seeds(commit.upper(), 10) == bench_pairs.pair_seeds(commit, 10)
+    assert bench_pairs.pair_seeds("0" * 40, 2) == [0, 1]

@@ -9,12 +9,17 @@ Each pair runs, in both trees,
 
     python3 perfbench/run.py --workload W --seed s --seconds 36 --trace 0
 
-on each of the three workloads for the benchmark's 36 s, with seed s = 1, 2,
-... for pair s, the parent first in odd pairs and the change first in even
-ones, and reads each run's last stdout line,
+on each of the three workloads for the benchmark's 36 s, the parent first in
+odd pairs and the change first in even ones, and reads each run's last stdout
+line,
 {"correct", "attempted", "failed", "metrics"}. Each tree's Tier-1 suite is
 timed once, wall clock. perfbench/ is run as it is; this script reads no
 bound and changes none.
+
+Pair i runs both trees on seed h + i, where h is the first 8 hex digits of
+the change commit's hash (pair_seeds): each change is measured on seeds no
+earlier change was written against, and the same commit always gets the same
+seeds.
 
 The output holds, per workload and metric, each side's median and
 quartiles, the number of pairs in which the change read lower, the seeds
@@ -68,6 +73,11 @@ def parse_run(stdout: str) -> dict | None:
     if not isinstance(result, dict) or not {"correct", "failed", "metrics"} <= result.keys():
         return None
     return result
+
+
+def pair_seeds(commit: str, pairs: int) -> list:
+    """One seed per pair, shared by both sides: h, h + 1, ..., h the hash's first 8 hex digits."""
+    return [int(commit[:8], 16) + i for i in range(pairs)]
 
 
 def run_perfbench(tree: Path, workload: str, seed: int) -> dict:
@@ -171,8 +181,7 @@ def main(argv=None) -> int:
 
     pairs = []
     for workload in WORKLOADS:
-        for i in range(args.pairs):
-            seed = i + 1
+        for i, seed in enumerate(pair_seeds(commits["change"], args.pairs)):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"workload": workload, "seed": seed, "first": order[0]}
             for side in order:
