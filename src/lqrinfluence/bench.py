@@ -423,7 +423,7 @@ def _rollout_uav(spec: SystemSpec, x0, hover: bool, ref, draws, live):
     for t in range(T_max):
         x, r, u = X[t], ref[t], U[t]
         v, acc = x[2:], step[2:]
-        np.multiply(draws[t].T, scale, out=noise)   # this step's draws, scaled
+        np.multiply(draws[t].T, scale, out=noise)
         np.multiply(np.subtract(r[:4], x, out=err), gains, out=err)
         np.add(np.add(r[4:], err[:2], out=u), err[2:], out=u)
         u += noise[:2]
